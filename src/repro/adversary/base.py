@@ -66,14 +66,74 @@ class CycleContext:
     event_cycles: list[int]
     rng: random.Random
 
-    def age_in_cycles(self, message: PendingMessage) -> int:
-        """How many cycles ago the message was sent."""
-        send_cycle = self.event_cycles[message.send_event]
-        return self.cycle - send_cycle
-
 
 class DeliveryPolicy:
-    """Chooses which pending envelopes a stepping processor receives."""
+    """Chooses which pending envelopes a stepping processor receives.
+
+    Every adversary here realises the paper's delivery choice the same
+    way: a message is *held* a number of round-robin cycles that is
+    drawn once, the first time the policy sees it, and remembered.  A
+    policy declares that as four small methods — the **hold contract** —
+    and inherits :meth:`select`, which evaluates them per pending
+    message in a fixed order::
+
+        blocked -> draw hold (memoised) -> expired -> age >= hold -> admits
+
+    Only :meth:`hold` may consume ``rng``; the gates are pure.  Because
+    the order is fixed, a blocked message draws nothing until its link
+    reopens, and an expired one has already drawn, so dropping it never
+    shifts the rng stream of later messages.
+
+    The contract is also what keeps a policy on the fast core's fused
+    sweep (:func:`repro.sim.fastcore.adversary_sweep_supported`): the
+    sweep evaluates the same four methods over its own flat records, so
+    a policy that does not override :meth:`select` is replicated
+    draw-for-draw with no code of its own there.  Overriding
+    :meth:`select` stays legal (the ``view`` argument is only reachable
+    that way) but drops the trial to the trace-building path, counted in
+    ``sim_fastcore_fallbacks_total``.
+
+    The defaults — zero hold, no gates — deliver everything pending.
+    Subclasses that define ``__init__`` must call ``super().__init__()``.
+    """
+
+    #: True for a class that keeps all four defaults.  Such a policy
+    #: delivers everything pending without consulting send cycles, which
+    #: a scripted prefix in front of a cycle adversary does not record.
+    delivers_all = True
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.delivers_all = all(
+            cls.keeps_default(name)
+            for name in ("blocked", "hold", "expired", "admits")
+        )
+
+    @classmethod
+    def keeps_default(cls, name: str) -> bool:
+        """Whether the class leaves method ``name`` as this base defines it."""
+        return getattr(cls, name) is getattr(DeliveryPolicy, name)
+
+    def __init__(self) -> None:
+        self._holds: dict[MessageId, int] = {}
+
+    def blocked(self, sender: int, recipient: int, cycle: int) -> bool:
+        """Whether the link is down at ``cycle`` (checked before the draw)."""
+        return False
+
+    def hold(
+        self, sender: int, recipient: int, send_cycle: int, rng: random.Random
+    ) -> int:
+        """Cycles to hold one message; called once per message."""
+        return 0
+
+    def expired(self, send_cycle: int, cycle: int) -> bool:
+        """Whether the message can never be delivered any more."""
+        return False
+
+    def admits(self, recipient: int, guaranteed: bool) -> bool:
+        """Final filter on a message whose hold has elapsed."""
+        return True
 
     def select(
         self,
@@ -83,7 +143,28 @@ class DeliveryPolicy:
         ctx: CycleContext,
     ) -> tuple[MessageId, ...]:
         """Return ids (subset of ``pending``) to deliver at this step."""
-        raise NotImplementedError
+        if self.delivers_all:
+            return tuple(message.message_id for message in pending)
+        holds = self._holds
+        cycle = ctx.cycle
+        event_cycles = ctx.event_cycles
+        chosen = []
+        for message in pending:
+            sender = message.sender
+            if self.blocked(sender, pid, cycle):
+                continue
+            send_cycle = event_cycles[message.send_event]
+            hold = holds.get(message.message_id)
+            if hold is None:
+                hold = self.hold(sender, pid, send_cycle, ctx.rng)
+                holds[message.message_id] = hold
+            if self.expired(send_cycle, cycle):
+                continue
+            if cycle - send_cycle >= hold and self.admits(
+                pid, message.guaranteed
+            ):
+                chosen.append(message.message_id)
+        return tuple(chosen)
 
 
 class DeliverAll(DeliveryPolicy):
@@ -91,10 +172,8 @@ class DeliverAll(DeliveryPolicy):
 
     Under round-robin stepping every message is received at the
     recipient's next step, so the run is on time for any ``K >= 1``.
+    This is the contract's default behaviour, named.
     """
-
-    def select(self, view, pid, pending, ctx):
-        return tuple(m.message_id for m in pending)
 
 
 class DelayCycles(DeliveryPolicy):
@@ -103,8 +182,7 @@ class DelayCycles(DeliveryPolicy):
     Args:
         min_cycles: smallest delivery delay, in cycles.
         max_cycles: largest delivery delay; the delay for each message is
-            drawn uniformly from ``[min_cycles, max_cycles]`` once, the
-            first time the policy sees it, and remembered.
+            drawn uniformly from ``[min_cycles, max_cycles]``.
 
     A policy with ``max_cycles <= K`` produces on-time runs; values above
     ``K`` inject late messages.
@@ -116,44 +194,47 @@ class DelayCycles(DeliveryPolicy):
                 f"need 0 <= min_cycles <= max_cycles, got "
                 f"({min_cycles}, {max_cycles})"
             )
+        super().__init__()
         self.min_cycles = min_cycles
         self.max_cycles = max_cycles
-        self._assigned: dict[MessageId, int] = {}
 
-    def _delay_for(self, message: PendingMessage, ctx: CycleContext) -> int:
-        if message.message_id not in self._assigned:
-            self._assigned[message.message_id] = ctx.rng.randint(
-                self.min_cycles, self.max_cycles
-            )
-        return self._assigned[message.message_id]
-
-    def select(self, view, pid, pending, ctx):
-        ready = []
-        for message in pending:
-            if ctx.age_in_cycles(message) >= self._delay_for(message, ctx):
-                ready.append(message.message_id)
-        return tuple(ready)
+    def hold(self, sender, recipient, send_cycle, rng):
+        return rng.randint(self.min_cycles, self.max_cycles)
 
 
 class DropNonGuaranteed(DeliveryPolicy):
     """Wrapper: never deliver non-guaranteed envelopes to chosen victims.
 
     Models a crash in the middle of a broadcast: the sender's final-step
-    envelopes reach only the processors outside ``victims``.
+    envelopes reach only the processors outside ``victims``.  Timing is
+    the inner policy's; the wrapper adds the :meth:`admits` filter.
     """
 
     def __init__(self, inner: DeliveryPolicy, victims: set[int]) -> None:
+        if not (
+            isinstance(inner, DeliveryPolicy) and inner.keeps_default("select")
+        ):
+            raise ValueError(
+                f"DropNonGuaranteed wraps hold-contract policies only; "
+                f"{type(inner).__name__} overrides select"
+            )
+        super().__init__()
         self.inner = inner
         self.victims = set(victims)
 
-    def select(self, view, pid, pending, ctx):
-        chosen = self.inner.select(view, pid, pending, ctx)
-        if pid not in self.victims:
-            return chosen
-        suppressed = {
-            m.message_id for m in pending if not m.guaranteed
-        }
-        return tuple(mid for mid in chosen if mid not in suppressed)
+    def blocked(self, sender, recipient, cycle):
+        return self.inner.blocked(sender, recipient, cycle)
+
+    def hold(self, sender, recipient, send_cycle, rng):
+        return self.inner.hold(sender, recipient, send_cycle, rng)
+
+    def expired(self, send_cycle, cycle):
+        return self.inner.expired(send_cycle, cycle)
+
+    def admits(self, recipient, guaranteed):
+        if recipient in self.victims and not guaranteed:
+            return False
+        return self.inner.admits(recipient, guaranteed)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ class _PartitionPolicy(DeliveryPolicy):
     def __init__(
         self, groups: Sequence[frozenset[int]], start_cycle: int, heal_cycle: int
     ) -> None:
+        super().__init__()
         self.groups = list(groups)
         self.start_cycle = start_cycle
         self.heal_cycle = heal_cycle
@@ -30,17 +31,14 @@ class _PartitionPolicy(DeliveryPolicy):
                 return index
         return -1
 
-    def select(self, view, pid, pending, ctx):
-        chosen = []
-        for message in pending:
-            if ctx.age_in_cycles(message) < 1:
-                continue
-            crosses = self._group_of(message.sender) != self._group_of(pid)
-            partition_up = self.start_cycle <= ctx.cycle < self.heal_cycle
-            if crosses and partition_up:
-                continue
-            chosen.append(message.message_id)
-        return tuple(chosen)
+    def blocked(self, sender, recipient, cycle):
+        return (
+            self.start_cycle <= cycle < self.heal_cycle
+            and self._group_of(sender) != self._group_of(recipient)
+        )
+
+    def hold(self, sender, recipient, send_cycle, rng):
+        return 1
 
 
 class PartitionAdversary(CycleAdversary):

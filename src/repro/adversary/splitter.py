@@ -25,18 +25,13 @@ class _CampPolicy(DeliveryPolicy):
     """Prompt same-camp delivery, held cross-camp delivery."""
 
     def __init__(self, camp_of: dict[int, int], hold_cycles: int) -> None:
+        super().__init__()
         self.camp_of = camp_of
         self.hold_cycles = hold_cycles
 
-    def select(self, view, pid, pending, ctx):
-        chosen = []
-        for message in pending:
-            age = ctx.age_in_cycles(message)
-            same_camp = self.camp_of.get(message.sender) == self.camp_of.get(pid)
-            threshold = 1 if same_camp else self.hold_cycles
-            if age >= threshold:
-                chosen.append(message.message_id)
-        return tuple(chosen)
+    def hold(self, sender, recipient, send_cycle, rng):
+        same_camp = self.camp_of.get(sender) == self.camp_of.get(recipient)
+        return 1 if same_camp else self.hold_cycles
 
 
 class SplitVoteAdversary(CycleAdversary):

@@ -22,8 +22,6 @@ from repro.adversary.base import (
     DelayCycles,
     DeliveryPolicy,
 )
-from repro.sim.message import MessageId
-from repro.sim.pattern import PendingMessage
 
 
 class SynchronousAdversary(CycleAdversary):
@@ -91,30 +89,16 @@ class _SpikeDelays(DeliveryPolicy):
     ) -> None:
         if not 0.0 <= late_probability <= 1.0:
             raise ValueError(f"probability out of range: {late_probability}")
+        super().__init__()
         self.late_probability = late_probability
         self.late_delay = late_delay
         self.target_senders = target_senders
-        self._assigned: dict[MessageId, int] = {}
 
-    def _delay_for(self, message: PendingMessage, ctx) -> int:
-        if message.message_id not in self._assigned:
-            eligible = (
-                self.target_senders is None
-                or message.sender in self.target_senders
-            )
-            if eligible and ctx.rng.random() < self.late_probability:
-                delay = self.late_delay
-            else:
-                delay = 1
-            self._assigned[message.message_id] = delay
-        return self._assigned[message.message_id]
-
-    def select(self, view, pid, pending, ctx):
-        return tuple(
-            m.message_id
-            for m in pending
-            if ctx.age_in_cycles(m) >= self._delay_for(m, ctx)
-        )
+    def hold(self, sender, recipient, send_cycle, rng):
+        eligible = self.target_senders is None or sender in self.target_senders
+        if eligible and rng.random() < self.late_probability:
+            return self.late_delay
+        return 1
 
 
 class LateMessageAdversary(CycleAdversary):

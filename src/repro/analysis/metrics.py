@@ -14,6 +14,7 @@ Each metric corresponds to a quantity the paper reasons about:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Collection, Iterable, Mapping, Sequence
 
 from repro.core.api import ProtocolOutcome
 from repro.errors import AnalysisError
@@ -158,6 +159,44 @@ def _record_run_metrics(metrics: RunMetrics) -> None:
     )
 
 
+def stage_statistics(
+    programs: Iterable, nonfaulty: Collection[int]
+) -> dict[str, int | None]:
+    """The four stage-telemetry fields of :class:`RunMetrics`.
+
+    Read off the program objects of the nonfaulty processors (the trace
+    does not carry them), so both execution cores call this with the
+    programs they ran.
+    """
+    stage_values = []
+    decision_stage_values = []
+    shared_values = []
+    private_values = []
+    for program in programs:
+        if program.pid not in nonfaulty:
+            continue
+        stats = getattr(program, "stats", None)
+        if stats is None:
+            continue
+        agreement = getattr(stats, "agreement", stats)
+        if agreement is None:
+            continue
+        stage_count = getattr(agreement, "stages_started", None)
+        if stage_count is not None:
+            stage_values.append(stage_count)
+        decided_at = getattr(agreement, "decision_stage", None)
+        if decided_at is not None:
+            decision_stage_values.append(decided_at)
+        shared_values.append(getattr(agreement, "shared_coin_stages", 0))
+        private_values.append(getattr(agreement, "private_coin_stages", 0))
+    return {
+        "stages": max(stage_values, default=None),
+        "decision_stage": max(decision_stage_values, default=None),
+        "shared_coin_stages": max(shared_values, default=None),
+        "private_coin_stages": max(private_values, default=None),
+    }
+
+
 def extract_metrics(
     outcome: ProtocolOutcome,
     programs: list | None = None,
@@ -170,89 +209,78 @@ def extract_metrics(
             stage metrics are ``None``.
     """
     run = outcome.run
-    nonfaulty = run.nonfaulty()
-    stages: int | None = None
-    decision_stage: int | None = None
-    shared_coin_stages: int | None = None
-    private_coin_stages: int | None = None
-    if programs is not None:
-        stage_values = []
-        decision_stage_values = []
-        shared_values = []
-        private_values = []
-        for program in programs:
-            if program.pid not in nonfaulty:
-                continue
-            stats = getattr(program, "stats", None)
-            if stats is None:
-                continue
-            agreement = getattr(stats, "agreement", stats)
-            if agreement is None:
-                continue
-            stage_count = getattr(agreement, "stages_started", None)
-            if stage_count is not None:
-                stage_values.append(stage_count)
-            decided_at = getattr(agreement, "decision_stage", None)
-            if decided_at is not None:
-                decision_stage_values.append(decided_at)
-            shared_values.append(getattr(agreement, "shared_coin_stages", 0))
-            private_values.append(getattr(agreement, "private_coin_stages", 0))
-        stages = max(stage_values) if stage_values else None
-        decision_stage = (
-            max(decision_stage_values) if decision_stage_values else None
-        )
-        shared_coin_stages = max(shared_values) if shared_values else None
-        private_coin_stages = max(private_values) if private_values else None
-    base = metrics_from_run(
+    metrics = metrics_from_run(
         run,
         analyzer=outcome.rounds if outcome.terminated else None,
         record=False,
     )
-    metrics = replace(
-        base,
-        stages=stages,
-        decision_stage=decision_stage,
-        shared_coin_stages=shared_coin_stages,
-        private_coin_stages=private_coin_stages,
-    )
+    if programs is not None:
+        metrics = replace(
+            metrics, **stage_statistics(programs, run.nonfaulty())
+        )
     _record_run_metrics(metrics)
     return metrics
 
 
-def commit_validity_satisfied(
-    outcome: ProtocolOutcome, initial_votes: list[int]
+def commit_validity_holds(
+    initial_votes: Sequence[int],
+    decisions: Mapping[int, int | None] | Sequence[int | None],
+    nonfaulty: Collection[int],
+    failure_free: bool,
+    on_time: bool,
 ) -> bool:
-    """Check the paper's commit validity condition on one run.
+    """The paper's commit validity condition, on bare run facts.
 
     If the run is deciding, all initial votes are 1, and the run is
     failure-free and on time, the nonfaulty processors must decide 1.
     Vacuously true otherwise.
     """
-    run = outcome.run
     preconditions = (
-        run.is_deciding()
+        failure_free
+        and on_time
         and all(v == 1 for v in initial_votes)
-        and not run.faulty()
-        and run.is_on_time()
+        and all(decisions[pid] is not None for pid in nonfaulty)
     )
     if not preconditions:
         return True
-    return all(
-        run.decisions[pid] == int(Decision.COMMIT) for pid in run.nonfaulty()
+    return all(decisions[pid] == int(Decision.COMMIT) for pid in nonfaulty)
+
+
+def abort_validity_holds(
+    initial_votes: Sequence[int],
+    decisions: Mapping[int, int | None] | Sequence[int | None],
+    nonfaulty: Collection[int],
+) -> bool:
+    """The paper's abort validity condition, on bare run facts.
+
+    If the run is deciding and any initial vote is 0, the nonfaulty
+    processors must decide 0 — no matter the timing behaviour.
+    """
+    if all(v == 1 for v in initial_votes) or not all(
+        decisions[pid] is not None for pid in nonfaulty
+    ):
+        return True
+    return all(decisions[pid] == int(Decision.ABORT) for pid in nonfaulty)
+
+
+def commit_validity_satisfied(
+    outcome: ProtocolOutcome, initial_votes: list[int]
+) -> bool:
+    """:func:`commit_validity_holds` on a recorded run."""
+    run = outcome.run
+    failure_free = not run.faulty()
+    return commit_validity_holds(
+        initial_votes,
+        run.decisions,
+        run.nonfaulty(),
+        failure_free,
+        failure_free and run.is_on_time(),
     )
 
 
 def abort_validity_satisfied(
     outcome: ProtocolOutcome, initial_votes: list[int]
 ) -> bool:
-    """Check the paper's abort validity condition on one run.
-
-    If the run is deciding and any initial vote is 0, the nonfaulty
-    processors must decide 0 — no matter the timing behaviour.
-    """
+    """:func:`abort_validity_holds` on a recorded run."""
     run = outcome.run
-    if not run.is_deciding() or all(v == 1 for v in initial_votes):
-        return True
-    return all(
-        run.decisions[pid] == int(Decision.ABORT) for pid in run.nonfaulty()
-    )
+    return abort_validity_holds(initial_votes, run.decisions, run.nonfaulty())

@@ -16,8 +16,8 @@ from typing import Callable, Iterator, Sequence
 from repro.adversary.base import Adversary
 from repro.analysis.metrics import (
     RunMetrics,
-    abort_validity_satisfied,
-    commit_validity_satisfied,
+    abort_validity_holds,
+    commit_validity_holds,
     extract_metrics,
 )
 from repro.analysis.stats import Summary, proportion, summarize
@@ -26,8 +26,8 @@ from repro.core.commit import CommitProgram
 from repro.core.halting import HaltingMode
 from repro.engine.executor import run_trials
 from repro.errors import InsufficientDataError
-from repro.sim.coreselect import resolve_sim_core
-from repro.sim.scheduler import Simulation
+from repro.models import apply_active_model
+from repro.sim.coreselect import resolve_sim_core, simulation_class
 
 
 @dataclass
@@ -107,20 +107,20 @@ class CommitTrialConfig:
         return [int(v) for v in self.votes]
 
 
-def run_commit_trial(config: CommitTrialConfig, seed: int) -> RunMetrics:
+def run_commit_trial(
+    config: CommitTrialConfig, seed: int, core: str | None = None
+) -> RunMetrics:
     """Run one commit trial and extract its metrics.
 
-    Executes on the resolved simulation core (``--sim-core`` /
-    ``REPRO_SIM_CORE``): the fast core routes through
-    :func:`repro.sim.fastcore.fast_commit_trial`, whose metrics are
-    contract-equal to this function's.  The ``(config, seed)`` signature
-    is unchanged, so batches still pickle for the engine's worker pool;
-    workers re-resolve the core from the inherited environment.
+    Executes on the resolved simulation core (``core`` / ``--sim-core`` /
+    ``REPRO_SIM_CORE``).  The fast core first offers the trial to its
+    fused metrics-only sweep (:func:`repro.sim.fastcore.sweep_trial`);
+    when that declines, and on the reference core always, the trial runs
+    on ``simulation_class(core)`` and the metrics are read off its trace.
+    Either way the metrics are equal.  Batches pickle ``(config, seed)``
+    for the engine's worker pool, which installs the parent's core.
     """
-    if resolve_sim_core() == "fast":
-        from repro.sim.fastcore import fast_commit_trial
-
-        return fast_commit_trial(config, seed)
+    core = resolve_sim_core(core)
     votes = config.votes_for(seed)
     n = len(votes)
     t = config.t if config.t is not None else (n - 1) // 2
@@ -137,28 +137,40 @@ def run_commit_trial(config: CommitTrialConfig, seed: int) -> RunMetrics:
         )
         for pid, vote in enumerate(votes)
     ]
-    adversary = config.adversary_factory(seed)
-    from repro.models import apply_active_model
-
-    adversary = apply_active_model(adversary, K=config.K, seed=seed)
-    simulation = Simulation(
-        programs=programs,
-        adversary=adversary,
-        K=config.K,
-        t=t,
-        seed=seed,
-        max_steps=config.max_steps,
+    adversary = apply_active_model(
+        config.adversary_factory(seed), K=config.K, seed=seed
     )
-    attach = getattr(adversary, "attach", None)
-    if attach is not None:
-        attach(simulation)
-    outcome = ProtocolOutcome(result=simulation.run())
-    metrics = extract_metrics(outcome, programs=programs)
-    if not abort_validity_satisfied(outcome, votes):
+    swept = None
+    if core == "fast":
+        from repro.sim.fastcore import sweep_trial
+
+        swept = sweep_trial(
+            programs, adversary, config.K, t, seed, config.max_steps
+        )
+    if swept is not None:
+        metrics, decisions, nonfaulty = swept
+    else:
+        simulation = simulation_class(core)(
+            programs=programs,
+            adversary=adversary,
+            K=config.K,
+            t=t,
+            seed=seed,
+            max_steps=config.max_steps,
+        )
+        attach = getattr(adversary, "attach", None)
+        if attach is not None:
+            attach(simulation)
+        outcome = ProtocolOutcome(result=simulation.run())
+        metrics = extract_metrics(outcome, programs=programs)
+        decisions, nonfaulty = outcome.run.decisions, outcome.run.nonfaulty()
+    if not abort_validity_holds(votes, decisions, nonfaulty):
         raise AssertionError(
             f"abort validity violated in commit trial seed={seed}"
         )
-    if not commit_validity_satisfied(outcome, votes):
+    if not commit_validity_holds(
+        votes, decisions, nonfaulty, metrics.crashes == 0, metrics.on_time
+    ):
         raise AssertionError(
             f"commit validity violated in commit trial seed={seed}"
         )

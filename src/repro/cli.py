@@ -276,19 +276,12 @@ def _print_outcome(outcome: ProtocolOutcome, args) -> None:
 
 
 def _install_sim_core(core: str | None) -> None:
-    """Install ``--sim-core`` process-wide, and export it to workers.
+    """Install ``--sim-core`` process-wide (the engine ships the resolved
+    core to its workers with every chunk)."""
+    if core is not None:
+        from repro.sim.coreselect import set_default_sim_core
 
-    Engine worker processes re-resolve the core from the environment
-    they inherit, so the override must land in both places.
-    """
-    if core is None:
-        return
-    import os
-
-    from repro.sim.coreselect import set_default_sim_core
-
-    set_default_sim_core(core)
-    os.environ["REPRO_SIM_CORE"] = core
+        set_default_sim_core(core)
 
 
 def _add_sim_core_arg(parser) -> None:
@@ -299,26 +292,19 @@ def _add_sim_core_arg(parser) -> None:
         dest="sim_core",
         help=(
             "simulation execution core: reference (default) or fast "
-            "(byte-identical results, slimmed hot path; exported as "
-            "REPRO_SIM_CORE so engine workers inherit it)"
+            "(byte-identical results, slimmed hot path; engine workers "
+            "run the same core)"
         ),
     )
 
 
 def _install_timing_model(name: str | None) -> None:
-    """Install ``--model`` process-wide, and export it to workers.
+    """Install ``--model`` process-wide (the engine ships the resolved
+    model to its workers with every chunk)."""
+    if name is not None:
+        from repro.models import set_default_timing_model
 
-    Mirrors :func:`_install_sim_core`: engine worker processes
-    re-resolve the ambient model from the environment they inherit.
-    """
-    if name is None:
-        return
-    import os
-
-    from repro.models import set_default_timing_model
-
-    set_default_timing_model(name)
-    os.environ["REPRO_TIMING_MODEL"] = name
+        set_default_timing_model(name)
 
 
 def _add_model_arg(parser) -> None:
@@ -512,16 +498,11 @@ def cmd_models_list(args) -> int:
     for name in model_names():
         model = resolve_model(name)
         default = " (default)" if name == "realistic" else ""
-        fast = (
-            "fast-core sweep"
-            if model.fastcore_whitelisted
-            else "fast-core fallback (counted)"
-        )
         print(f"{name}{default} — {model.summary}")
         print(f"    source: {model.source}")
         print(
             f"    tracks: {', '.join(model.tracks)}; "
-            f"mc: {'yes' if model.mc_supported else 'no'}; {fast}"
+            f"mc: {'yes' if model.mc_supported else 'no'}"
         )
         if not model.preserves_eventual_delivery:
             print(

@@ -36,6 +36,7 @@ from typing import Any, Callable, Iterable, Sequence
 from repro.engine.seeds import trial_seed
 from repro.engine.spec import ChunkResult, TrialResult, TrialSpec, chunk_seeds
 from repro.errors import ConfigurationError
+from repro.sim.coreselect import resolve_sim_core, set_default_sim_core
 from repro.telemetry.log import get_logger
 from repro.telemetry.registry import (
     MetricsRegistry,
@@ -120,9 +121,18 @@ def _execute_chunk(payload: bytes) -> ChunkResult:
 
     The chunk runs under a fresh registry so concurrent workers never
     contend on (or double-count into) inherited telemetry state; the
-    snapshot travels back with the results for an ordered merge.
+    snapshot travels back with the results for an ordered merge.  It
+    runs on the simulation core and under the timing model the parent
+    resolved, which travel in the spec — not through the environment.
     """
     spec: TrialSpec = pickle.loads(payload)
+    # A pooled worker outlives batches: install the parent's selections
+    # on every chunk rather than trusting what it forked or last ran with.
+    # (repro.models imports repro.engine.seeds, hence the local import.)
+    from repro.models import set_default_timing_model
+
+    set_default_sim_core(spec.sim_core)
+    set_default_timing_model(spec.timing_model)
     registry = MetricsRegistry(enabled=spec.telemetry)
     with use_registry(registry):
         results = tuple(
@@ -224,13 +234,19 @@ class TrialEngine:
         self, trial: Callable[[int], Any], seeds: tuple[int, ...]
     ) -> list[bytes] | None:
         """Pickle per-chunk specs, or ``None`` if the trial won't travel."""
+        from repro.models import resolve_timing_model
+
         telemetry = active_registry() is not None
+        sim_core = resolve_sim_core()
+        timing_model = resolve_timing_model()
         specs = [
             TrialSpec(
                 trial=trial,
                 seeds=chunk,
                 chunk_index=index,
                 telemetry=telemetry,
+                sim_core=sim_core,
+                timing_model=timing_model,
             )
             for index, chunk in enumerate(
                 chunk_seeds(seeds, self.workers * _CHUNKS_PER_WORKER)

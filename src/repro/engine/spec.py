@@ -57,12 +57,18 @@ class TrialSpec:
             reassemble results in deterministic (seed) order.
         telemetry: whether the worker should record into a fresh metrics
             registry and ship its snapshot back for merging.
+        sim_core: the simulation core the parent resolved; the worker
+            installs it before running the chunk.
+        timing_model: the ambient timing model the parent resolved,
+            installed the same way.
     """
 
     trial: Callable[[int], Any]
     seeds: tuple[int, ...]
     chunk_index: int = 0
     telemetry: bool = False
+    sim_core: str = "reference"
+    timing_model: str = "realistic"
 
 
 @dataclass(frozen=True)

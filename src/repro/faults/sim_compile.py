@@ -26,57 +26,39 @@ which Protocol 2 must terminate, not just stay safe.
 
 from __future__ import annotations
 
-from repro.adversary.base import (
-    CrashAt,
-    CycleAdversary,
-    CycleContext,
-    DeliveryPolicy,
-)
+from repro.adversary.base import CrashAt, CycleAdversary, DeliveryPolicy
 from repro.errors import ConfigurationError
 from repro.faults.plan import FaultPlan
-from repro.sim.message import MessageId
-from repro.sim.pattern import PendingMessage
 
 
 class _PlanPolicy(DeliveryPolicy):
     """Delivery policy realising a FaultPlan's link behaviour in cycles."""
 
     def __init__(self, plan: FaultPlan, K: int) -> None:
+        super().__init__()
         self.plan = plan
         self.K = K
         #: Recovery delay of a dropped copy, in cycles: comfortably past
         #: the on-time bound, so drops manufacture genuinely late
         #: messages, yet finite, so delivery stays eventual.
         self.drop_penalty = 3 * K
-        self._hold: dict[MessageId, int] = {}
 
-    def _hold_cycles(self, message: PendingMessage, ctx: CycleContext) -> int:
-        """Total cycles to hold one envelope (assigned once, remembered)."""
-        assigned = self._hold.get(message.message_id)
-        if assigned is not None:
-            return assigned
+    def blocked(self, sender, recipient, cycle):
+        return self.plan.severed(sender, recipient, cycle)
+
+    def hold(self, sender, recipient, send_cycle, rng):
         plan = self.plan
-        delay = plan.delay_for(message.sender, message.recipient)
+        delay = plan.delay_for(sender, recipient)
         if delay is not None:
-            hold = ctx.rng.randint(delay.min_cycles, delay.max_cycles)
+            hold = rng.randint(delay.min_cycles, delay.max_cycles)
         else:
             hold = 1
-        loss = plan.loss_for(message.sender, message.recipient)
-        if loss.reorder and ctx.rng.random() < loss.reorder:
-            hold += ctx.rng.randint(1, self.K)
-        if loss.drop and ctx.rng.random() < loss.drop:
+        loss = plan.loss_for(sender, recipient)
+        if loss.reorder and rng.random() < loss.reorder:
+            hold += rng.randint(1, self.K)
+        if loss.drop and rng.random() < loss.drop:
             hold += self.drop_penalty
-        self._hold[message.message_id] = hold
         return hold
-
-    def select(self, view, pid, pending, ctx):
-        chosen = []
-        for message in pending:
-            if self.plan.severed(message.sender, pid, ctx.cycle):
-                continue
-            if ctx.age_in_cycles(message) >= self._hold_cycles(message, ctx):
-                chosen.append(message.message_id)
-        return tuple(chosen)
 
 
 class FaultPlanAdversary(CycleAdversary):

@@ -66,11 +66,6 @@ class TimingModel:
         source: the work the model comes from (paper / arXiv id).
         tracks: campaign tracks the model can execute on.
         mc_supported: whether the model restricts mc choice enumeration.
-        fastcore_whitelisted: whether the fast core's fused sweep can
-            replicate the model's adversaries draw-for-draw.  Off the
-            whitelist the sweep falls back to the (byte-identical)
-            ``FastSimulation`` path and counts the fallback in the
-            ``sim_fastcore_fallbacks_total`` telemetry counter.
         preserves_eventual_delivery: whether every message is still
             delivered after a finite delay.  Campaigns AND this into a
             case's termination obligation: a model that genuinely drops
@@ -85,7 +80,6 @@ class TimingModel:
     source: str = ""
     tracks: tuple[str, ...] = ("sim",)
     mc_supported: bool = False
-    fastcore_whitelisted: bool = False
     preserves_eventual_delivery: bool = True
     knobs: tuple[Knob, ...] = ()
 
@@ -146,7 +140,6 @@ class TimingModel:
             "source": self.source,
             "tracks": list(self.tracks),
             "mc_supported": self.mc_supported,
-            "fastcore_whitelisted": self.fastcore_whitelisted,
             "preserves_eventual_delivery": self.preserves_eventual_delivery,
             "knobs": [
                 {"name": k.name, "default": k.default, "help": k.help}
@@ -176,7 +169,6 @@ class RealisticModel(TimingModel):
     source = "Transaction Commit in a Realistic Fault Model (PODC 1986)"
     tracks = ("sim", "runtime", "service")
     mc_supported = True
-    fastcore_whitelisted = True
     preserves_eventual_delivery = True
     knobs = ()
 

@@ -37,12 +37,8 @@ from __future__ import annotations
 
 import random
 
-from repro.engine.seeds import (
-    MODEL_LINK_STREAM,
-    MODEL_TIMING_STREAM,
-    derive,
-    derive_keyed,
-)
+from repro.engine.seeds import MODEL_TIMING_STREAM, derive, derive_keyed
+from repro.models.policies import PSYNC, SYNC, link_class
 
 #: Envelope classes (see the module docstring).
 NORMAL = "normal"
@@ -78,29 +74,17 @@ class GranularClassifier(ChoiceClassifier):
         self.sync_fraction = sync_fraction
         self.psync_fraction = psync_fraction
         self.gst_clock = gst_clock
-        self._classes: dict[tuple[int, int], str] = {}
 
     def link_class(self, sender: int, recipient: int) -> str:
-        key = (sender, recipient)
-        assigned = self._classes.get(key)
-        if assigned is None:
-            draw = random.Random(
-                derive_keyed(self.seed, MODEL_LINK_STREAM, sender, recipient)
-            ).random()
-            if draw < self.sync_fraction:
-                assigned = "sync"
-            elif draw < self.sync_fraction + self.psync_fraction:
-                assigned = "psync"
-            else:
-                assigned = "async"
-            self._classes[key] = assigned
-        return assigned
+        return link_class(
+            self.seed, sender, recipient, self.sync_fraction, self.psync_fraction
+        )
 
     def classify(self, env, pid, clock):
         cls = self.link_class(env.sender, pid)
-        if cls == "sync":
+        if cls == SYNC:
             return MUST_DELIVER
-        if cls == "psync":
+        if cls == PSYNC:
             return NORMAL if env.send_clock < self.gst_clock else MUST_DELIVER
         return FREE
 

@@ -17,52 +17,54 @@ hold draws use the adversary's own rng, like every existing policy.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
-from repro.adversary.base import CycleContext, DeliveryPolicy
+from repro.adversary.base import DeliveryPolicy
 from repro.engine.seeds import MODEL_LINK_STREAM, derive_keyed
 from repro.faults.plan import FaultPlan
-from repro.sim.message import MessageId
-from repro.sim.pattern import PendingMessage
 
 #: Granular synchrony's per-link classes.
 SYNC, PSYNC, ASYNC = "sync", "psync", "async"
 
 
+@lru_cache(maxsize=1 << 14)
+def link_class(
+    seed: int,
+    sender: int,
+    recipient: int,
+    sync_fraction: float,
+    psync_fraction: float,
+) -> str:
+    """The directed link's granular-synchrony class, by keyed hashing.
+
+    A pure function of its arguments, so the delivery policy and the
+    model checker's classifier (:mod:`repro.models.mcfilter`) agree on
+    every link without sharing state.  Both ask once per message or
+    prospective step; the bounded cache spares them the generator
+    construction (a trial touches at most ``n * n`` links).
+    """
+    draw = random.Random(
+        derive_keyed(seed, MODEL_LINK_STREAM, sender, recipient)
+    ).random()
+    if draw < sync_fraction:
+        return SYNC
+    if draw < sync_fraction + psync_fraction:
+        return PSYNC
+    return ASYNC
+
+
 class _ModelPolicy(DeliveryPolicy):
-    """Shared chassis: severed-link filtering + memoised per-message holds."""
+    """Shared chassis: a compiled plan's partitions still sever links."""
 
     def __init__(self, K: int, seed: int, plan: FaultPlan | None = None):
+        super().__init__()
         self.K = K
         self.seed = seed
         self.plan = plan
-        self._hold: dict[MessageId, int] = {}
 
-    def _hold_cycles(self, message: PendingMessage, ctx: CycleContext) -> int:
-        assigned = self._hold.get(message.message_id)
-        if assigned is None:
-            assigned = self._draw_hold(message, ctx)
-            self._hold[message.message_id] = assigned
-        return assigned
-
-    def _draw_hold(self, message: PendingMessage, ctx: CycleContext) -> int:
-        raise NotImplementedError
-
-    def _deliverable(
-        self, message: PendingMessage, ctx: CycleContext
-    ) -> bool:
-        return ctx.age_in_cycles(message) >= self._hold_cycles(message, ctx)
-
-    def select(self, view, pid, pending, ctx):
+    def blocked(self, sender, recipient, cycle):
         plan = self.plan
-        chosen = []
-        for message in pending:
-            if plan is not None and plan.severed(
-                message.sender, pid, ctx.cycle
-            ):
-                continue
-            if self._deliverable(message, ctx):
-                chosen.append(message.message_id)
-        return tuple(chosen)
+        return plan is not None and plan.severed(sender, recipient, cycle)
 
 
 class GranularPolicy(_ModelPolicy):
@@ -95,35 +97,22 @@ class GranularPolicy(_ModelPolicy):
             3 * K if psync_pre_gst_max is None else psync_pre_gst_max
         )
         self.async_max = 4 * K if async_max is None else async_max
-        self._classes: dict[tuple[int, int], str] = {}
 
     def link_class(self, sender: int, recipient: int) -> str:
-        """The directed link's class, assigned once by keyed hashing."""
-        key = (sender, recipient)
-        assigned = self._classes.get(key)
-        if assigned is None:
-            draw = random.Random(
-                derive_keyed(self.seed, MODEL_LINK_STREAM, sender, recipient)
-            ).random()
-            if draw < self.sync_fraction:
-                assigned = SYNC
-            elif draw < self.sync_fraction + self.psync_fraction:
-                assigned = PSYNC
-            else:
-                assigned = ASYNC
-            self._classes[key] = assigned
-        return assigned
+        """The directed link's class, fixed by the model seed."""
+        return link_class(
+            self.seed, sender, recipient, self.sync_fraction, self.psync_fraction
+        )
 
-    def _draw_hold(self, message: PendingMessage, ctx: CycleContext) -> int:
-        cls = self.link_class(message.sender, message.recipient)
+    def hold(self, sender, recipient, send_cycle, rng):
+        cls = self.link_class(sender, recipient)
         if cls == SYNC:
             return 1
         if cls == PSYNC:
-            send_cycle = ctx.event_cycles[message.send_event]
             if send_cycle < self.gst_cycles:
-                return ctx.rng.randint(1, max(1, self.psync_pre_gst_max))
-            return ctx.rng.randint(1, self.K)
-        return ctx.rng.randint(1, max(1, self.async_max))
+                return rng.randint(1, max(1, self.psync_pre_gst_max))
+            return rng.randint(1, self.K)
+        return rng.randint(1, max(1, self.async_max))
 
 
 class RandomAsyncPolicy(_ModelPolicy):
@@ -152,14 +141,14 @@ class RandomAsyncPolicy(_ModelPolicy):
         self.worst_case_hold = 3 * K if worst_case_hold is None else worst_case_hold
         self.max_hold = 4 * K if max_hold is None else max_hold
 
-    def _draw_hold(self, message: PendingMessage, ctx: CycleContext) -> int:
+    def hold(self, sender, recipient, send_cycle, rng):
         if (
             self.worst_case_probability
-            and ctx.rng.random() < self.worst_case_probability
+            and rng.random() < self.worst_case_probability
         ):
             return self.worst_case_hold
         hold = 1
-        while hold < self.max_hold and ctx.rng.random() >= self.delivery_rate:
+        while hold < self.max_hold and rng.random() >= self.delivery_rate:
             hold += 1
         return hold
 
@@ -187,16 +176,10 @@ class RoundClosedPolicy(_ModelPolicy):
         self.round_cycles = 3 * K if round_cycles is None else round_cycles
         self.hold_max = K if hold_max is None else hold_max
 
-    def _draw_hold(self, message: PendingMessage, ctx: CycleContext) -> int:
-        return ctx.rng.randint(1, max(1, self.hold_max))
+    def hold(self, sender, recipient, send_cycle, rng):
+        return rng.randint(1, max(1, self.hold_max))
 
-    def _deliverable(self, message, ctx):
-        send_cycle = ctx.event_cycles[message.send_event]
+    def expired(self, send_cycle, cycle):
+        # The round closed; the message is dropped for good.
         deadline = (send_cycle // self.round_cycles + 1) * self.round_cycles
-        if ctx.cycle >= deadline:
-            # The round closed; the message is dropped for good.  The
-            # hold must still be drawn (and memoised) first so dropping
-            # never perturbs the rng stream of later messages.
-            self._hold_cycles(message, ctx)
-            return False
-        return ctx.age_in_cycles(message) >= self._hold_cycles(message, ctx)
+        return cycle >= deadline

@@ -7,10 +7,11 @@ model resolved here, in precedence order:
 1. an explicit name passed by the caller;
 2. the process-wide default installed by ``--model``
    (:func:`set_default_timing_model`);
-3. the ``REPRO_TIMING_MODEL`` environment variable — exported alongside
-   the process default so :mod:`repro.engine` worker processes inherit
-   the selection;
+3. the ``REPRO_TIMING_MODEL`` environment variable, a read-only default;
 4. ``"realistic"``.
+
+:mod:`repro.engine` sends the name resolved in the parent to its worker
+processes with every chunk, so workers never depend on the environment.
 
 Campaign and mc paths do *not* use the ambient default: their model is
 an explicit config field, serialized in reports, so replays are
@@ -24,7 +25,7 @@ import os
 from repro.engine.seeds import MODEL_TIMING_STREAM, derive
 from repro.models.base import DEFAULT_MODEL, TimingModel, resolve_model
 
-#: Environment variable carrying the model selection into engine workers.
+#: Environment variable naming the default model when nothing else does.
 ENV_VAR = "REPRO_TIMING_MODEL"
 
 _default: str | None = None

@@ -8,9 +8,9 @@ than randomises scheduling — supplies a model-checker choice classifier
 (:mod:`repro.models.mcfilter`).  Granular synchrony additionally maps
 onto the runtime track as per-class link-delay overrides.
 
-None of these adversaries are on the fast core's sweep whitelist:
-selecting them falls back to the byte-identical ``FastSimulation`` path,
-counted by the ``sim_fastcore_fallbacks_total`` telemetry counter.
+The policies keep to the delivery hold contract
+(:class:`~repro.adversary.base.DeliveryPolicy`), so these adversaries
+run on the fast core's fused sweep like the stock ones.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ class GranularModel(_PolicyModel):
     source = "Granular Synchrony (arXiv 2408.12853)"
     tracks = ("sim", "runtime")
     mc_supported = True
-    fastcore_whitelisted = False
     preserves_eventual_delivery = True
     knobs = (
         Knob("sync_fraction", 0.34, "fraction of links that are synchronous"),
@@ -123,7 +122,6 @@ class RandomAsyncModel(_PolicyModel):
     source = "random asynchronous model (arXiv 2502.09116)"
     tracks = ("sim",)
     mc_supported = True
-    fastcore_whitelisted = False
     preserves_eventual_delivery = True
     knobs = (
         Knob(
@@ -159,7 +157,6 @@ class RoundClosedModel(_PolicyModel):
     source = "communication-closed protocols (arXiv 1804.07078)"
     tracks = ("sim",)
     mc_supported = True
-    fastcore_whitelisted = False
     preserves_eventual_delivery = False
     knobs = (
         Knob("round_cycles", "3*K", "cycles per communication-closed round"),

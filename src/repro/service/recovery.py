@@ -338,7 +338,7 @@ def replay(
             mux.ensure(txn_id).submitted = True
             result.submitted_txns.add(txn_id)
         elif rtype in ("vote", "coins", "round"):
-            pass  # observability records; replay derives them from steps
+            pass  # written by older logs only; replay derives them from steps
         elif rtype == "compact":
             pass  # compaction marker; carries no protocol input
         else:  # pragma: no cover - reader already filters unknown types

@@ -49,7 +49,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
-from repro.core.messages import GoMessage, StageMessage, VoteMessage
 from repro.engine.seeds import (
     SERVICE_TXN_TAPE_STREAM,
     SERVICE_TXN_VOTE_STREAM,
@@ -261,9 +260,6 @@ class TxnInstance:
     submitted: bool = False
     decision_logged: bool = False
     decided_at: float | None = None
-    vote_logged: bool = False
-    coins_logged: bool = False
-    rounds_logged: set[tuple[int, int]] = field(default_factory=set)
 
     @classmethod
     def open(cls, txn_id: int, config: Any) -> "TxnInstance":
@@ -317,8 +313,8 @@ class StepEffects:
     Attributes:
         outgoing: merged per-recipient payload groups (local pids), in
             deterministic first-appearance order — one envelope each.
-        events: derived WAL records (vote/coins/round observability and
-            per-transaction decision records), in append order.
+        events: derived WAL records (per-transaction decision records),
+            in append order.
         newly_decided: ``(txn_id, value, origin)`` per instance that
             reached a decision during this step.
         closed_hits: ``(local_sender, txn_id)`` per payload group that
@@ -495,7 +491,6 @@ class InstanceMux:
             if instance.decision is not None and not inbound:
                 continue
             sends = process.on_step(inbound or [])
-            self._log_observables(instance, sends, effects)
             for recipient, payloads in sends:
                 outgoing.setdefault(recipient, []).append(
                     (txn_id, tuple(payloads))
@@ -517,46 +512,3 @@ class InstanceMux:
                 )
         effects.outgoing = list(outgoing.items())
         return effects
-
-    def _log_observables(
-        self,
-        instance: TxnInstance,
-        sends: list[tuple[int, tuple[Payload, ...]]],
-        effects: StepEffects,
-    ) -> None:
-        """Derive per-instance vote/coins/round records from the step's
-        traffic (redundant for replay; kept for WAL readability)."""
-        for _recipient, payloads in sends:
-            for payload in payloads:
-                if isinstance(payload, VoteMessage):
-                    if not instance.vote_logged:
-                        instance.vote_logged = True
-                        effects.events.append(
-                            tag_txn(
-                                instance.txn_id,
-                                {"type": "vote", "vote": payload.vote},
-                            )
-                        )
-                elif isinstance(payload, GoMessage):
-                    if not instance.coins_logged:
-                        instance.coins_logged = True
-                        effects.events.append(
-                            tag_txn(
-                                instance.txn_id,
-                                {"type": "coins", "coins": list(payload.coins)},
-                            )
-                        )
-                elif isinstance(payload, StageMessage):
-                    key = (payload.phase, payload.stage)
-                    if key not in instance.rounds_logged:
-                        instance.rounds_logged.add(key)
-                        effects.events.append(
-                            tag_txn(
-                                instance.txn_id,
-                                {
-                                    "type": "round",
-                                    "phase": payload.phase,
-                                    "stage": payload.stage,
-                                },
-                            )
-                        )

@@ -18,8 +18,9 @@ Record vocabulary (``repro.wal v1``):
   them; decided nodes stop stepping on idle ticks, keeping the log
   bounded);
 * ``vote`` / ``coins`` / ``round`` — observability records derived from
-  traffic (the broadcast vote, the GO coin list, agreement stage
-  transitions); redundant for replay, invaluable for postmortems;
+  traffic; no longer written (the log holds replay inputs, and replay
+  derives these from ``step`` records), still accepted and skipped so
+  older WAL directories recover unchanged;
 * ``decision`` — the decided value with its origin (``process`` for a
   locally decided value, ``transfer`` for one adopted from a peer's
   state transfer);

@@ -12,19 +12,20 @@ reference core (:class:`repro.sim.scheduler.Simulation`):
   fallback otherwise) instead of the per-envelope × per-processor bisect
   storm the first ``is_on_time`` query would trigger.
 
-* the *sweep* path (:func:`fast_commit_trial`) — a fused cycle driver
-  for metrics-only Monte-Carlo trials.  When the adversary is a stock
-  :class:`~repro.adversary.base.CycleAdversary` with a whitelisted
-  delivery policy and no observer is attached (no telemetry, no span
-  recorder), the driver replays the exact decide/apply semantics of the
-  reference pair while skipping everything a :class:`RunMetrics` bundle
-  cannot observe: pattern entries, trace events, envelope objects,
-  pending-metadata caches, and all bulletin-board activity of returned
-  processors.  RNG draw order is replicated draw-for-draw — the policy's
-  own assignment dicts and the adversary's own ``rng`` are used — so the
-  produced metrics are equal as Python objects to the reference's.
-  Anything off the whitelist falls back to :class:`FastSimulation`,
-  which is always safe.
+* the *sweep* path (:func:`sweep_trial`) — a fused cycle driver for
+  metrics-only Monte-Carlo trials.  When the adversary is a stock
+  :class:`~repro.adversary.base.CycleAdversary` whose delivery policy
+  keeps to the hold contract (does not override ``select``) and no
+  observer is attached (no telemetry, no span recorder), the driver
+  replays the exact decide/apply semantics of the reference pair while
+  skipping everything a :class:`RunMetrics` bundle cannot observe:
+  pattern entries, trace events, envelope objects, pending-metadata
+  caches, and all bulletin-board activity of returned processors.  The
+  policy's own contract methods, its own hold memo and the adversary's
+  own ``rng`` are used, so RNG draw order is the reference's and the
+  produced metrics are equal as Python objects.  Anything else is
+  declined, and the caller runs :class:`FastSimulation`, which is
+  always safe.
 
 Numpy use is optional everywhere (``REPRO_SIM_NUMPY=0`` disables it;
 absence of numpy degrades silently to the pure-Python fallbacks).
@@ -34,23 +35,18 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 
-from repro.adversary.base import (
-    CycleAdversary,
-    DelayCycles,
-    DeliverAll,
-    DropNonGuaranteed,
-)
-from repro.errors import AnalysisError, ConfigurationError, SchedulingError
+from repro.adversary.base import CycleAdversary, DeliveryPolicy
+from repro.errors import AnalysisError, SchedulingError
 from repro.sim.board import BulletinBoard
 from repro.sim.coreselect import numpy_allowed
 from repro.sim.decisions import StepDecision
 from repro.sim.message import Envelope, ReceivedPayload
 from repro.sim.process import SimProcess
-from repro.sim.scheduler import Simulation
+from repro.sim.scheduler import Simulation, check_simulation_arguments
 from repro.sim.tape import TapeCollection
 from repro.sim.trace import Run
+from repro.telemetry import registry as telemetry
 from repro.telemetry.log import get_logger
-from repro.telemetry.registry import active_registry
 from repro.trace import spans as trace_spans
 from repro.types import ProcessStatus
 
@@ -400,139 +396,63 @@ class _SweepBoard(BulletinBoard):
 
 
 def _fast_selector(policy, rng):
-    """A draw-for-draw replica of a whitelisted delivery policy.
+    """``DeliveryPolicy.select`` over the sweep's flat ``_FastEnv`` records.
 
-    Returns a ``(pid, buffer, cycle) -> list[_FastEnv]`` closure bound to
-    the policy's *own* assignment dicts and the adversary's *own* rng (so
-    state and draw order match the reference exactly), or ``None`` when
-    the policy is not whitelisted.  Matching is by exact class (or fully
-    qualified name for private classes): subclasses with overridden
-    behaviour fall off the fast path rather than being mis-replicated.
-
-    Every whitelisted policy provably ignores the ``view`` argument of
-    ``DeliveryPolicy.select``; a message's age in cycles is read off the
-    envelope's recorded send cycle, which equals
-    ``CycleContext.age_in_cycles`` by construction.
+    Returns a ``(pid, buffer, cycle) -> list[_FastEnv]`` closure that
+    evaluates the policy's own hold-contract methods, in the contract's
+    order, against the policy's own memo and the adversary's own rng —
+    so state and draw order match the reference exactly — or ``None``
+    when the policy overrides ``select`` and only the reference path
+    knows what it does.  A message's send cycle is read off the record;
+    it equals ``CycleContext.event_cycles[send_event]`` by construction.
     """
-    cls = type(policy)
-    qualname = f"{cls.__module__}.{cls.__qualname__}"
-    if cls is DeliverAll:
+    if not (
+        isinstance(policy, DeliveryPolicy) and policy.keeps_default("select")
+    ):
+        return None
+    if policy.delivers_all:
+        return lambda pid, buffer, cycle: list(buffer.values())
+    holds = policy._holds
+    draw = policy.hold
+    # A gate left at its no-op default is skipped, not called.
+    blocked, expired, admits = (
+        None if policy.keeps_default(name) else getattr(policy, name)
+        for name in ("blocked", "expired", "admits")
+    )
 
-        def deliver_all(pid, buffer, cycle):
-            return list(buffer.values())
+    def select(pid, buffer, cycle):
+        chosen = []
+        get = holds.get
+        for env in buffer.values():
+            sender = env.sender
+            if blocked is not None and blocked(sender, pid, cycle):
+                continue
+            send_cycle = env.send_cycle
+            hold = get(env.message_id)
+            if hold is None:
+                hold = holds[env.message_id] = draw(
+                    sender, pid, send_cycle, rng
+                )
+            if expired is not None and expired(send_cycle, cycle):
+                continue
+            if cycle - send_cycle >= hold and (
+                admits is None or admits(pid, env.guaranteed)
+            ):
+                chosen.append(env)
+        return chosen
 
-        return deliver_all
-    # ``low + rng._randbelow(span)`` is exactly what ``rng.randint``
-    # computes (randrange with a positive step-1 width) minus the
-    # argument-marshalling wrappers, so the underlying getrandbits
-    # consumption — and hence every later draw — is unchanged.  The
-    # cross-core equivalence suites would catch any drift.
-    if cls is DelayCycles:
-        assigned = policy._assigned
-        low = policy.min_cycles
-        span = policy.max_cycles - low + 1
-
-        def delay_cycles(pid, buffer, cycle):
-            ready = []
-            get = assigned.get
-            randbelow = rng._randbelow
-            for env in buffer.values():
-                message_id = env.message_id
-                delay = get(message_id)
-                if delay is None:
-                    delay = low + randbelow(span)
-                    assigned[message_id] = delay
-                if cycle - env.send_cycle >= delay:
-                    ready.append(env)
-            return ready
-
-        return delay_cycles
-    if qualname == "repro.adversary.standard._SpikeDelays":
-        assigned = policy._assigned
-        probability = policy.late_probability
-        late_delay = policy.late_delay
-        targets = policy.target_senders
-
-        def spike_delays(pid, buffer, cycle):
-            ready = []
-            get = assigned.get
-            for env in buffer.values():
-                message_id = env.message_id
-                delay = get(message_id)
-                if delay is None:
-                    eligible = targets is None or env.sender in targets
-                    if eligible and rng.random() < probability:
-                        delay = late_delay
-                    else:
-                        delay = 1
-                    assigned[message_id] = delay
-                if cycle - env.send_cycle >= delay:
-                    ready.append(env)
-            return ready
-
-        return spike_delays
-    if qualname == "repro.faults.sim_compile._PlanPolicy":
-        plan = policy.plan
-        holds = policy._hold
-        reorder_bound = policy.K
-        drop_penalty = policy.drop_penalty
-        severed = plan.severed
-        delay_for = plan.delay_for
-        loss_for = plan.loss_for
-
-        def plan_policy(pid, buffer, cycle):
-            chosen = []
-            get = holds.get
-            randbelow = rng._randbelow
-            random_draw = rng.random
-            for env in buffer.values():
-                sender = env.sender
-                if severed(sender, pid, cycle):
-                    continue
-                message_id = env.message_id
-                hold = get(message_id)
-                if hold is None:
-                    delay = delay_for(sender, env.recipient)
-                    if delay is not None:
-                        low = delay.min_cycles
-                        hold = low + randbelow(delay.max_cycles - low + 1)
-                    else:
-                        hold = 1
-                    loss = loss_for(sender, env.recipient)
-                    if loss.reorder and random_draw() < loss.reorder:
-                        hold += 1 + randbelow(reorder_bound)
-                    if loss.drop and random_draw() < loss.drop:
-                        hold += drop_penalty
-                    holds[message_id] = hold
-                if cycle - env.send_cycle >= hold:
-                    chosen.append(env)
-            return chosen
-
-        return plan_policy
-    if cls is DropNonGuaranteed:
-        inner = _fast_selector(policy.inner, rng)
-        if inner is None:
-            return None
-        victims = policy.victims
-
-        def drop_non_guaranteed(pid, buffer, cycle):
-            chosen = inner(pid, buffer, cycle)
-            if pid not in victims:
-                return chosen
-            return [env for env in chosen if env.guaranteed]
-
-        return drop_non_guaranteed
-    return None
+    return select
 
 
 def adversary_sweep_supported(adversary) -> bool:
-    """Whether the adversary itself is on the sweep whitelist.
+    """Whether the fused sweep can replicate this adversary.
 
     Requires a *fresh* stock :class:`CycleAdversary` (no overridden
     decision machinery, no consumed state, no simulation attach hook)
-    carrying a whitelisted delivery policy.  Structural checks run
-    first, so non-:class:`CycleAdversary` objects (timing-model wraps,
-    scripted adversaries) are rejected before any attribute access.
+    whose delivery policy keeps to the hold contract, i.e. does not
+    override ``DeliveryPolicy.select``.  Structural checks run first, so
+    non-:class:`CycleAdversary` objects (scripted adversaries) are
+    rejected before any attribute access.
     """
     cls = type(adversary)
     if (
@@ -549,18 +469,21 @@ def adversary_sweep_supported(adversary) -> bool:
     return _fast_selector(adversary.delivery, adversary.rng) is not None
 
 
-def sweep_eligible(adversary) -> bool:
-    """Whether the fused sweep driver can replicate this run.
+def _observed() -> bool:
+    """Whether an observer (telemetry registry, span recorder) is active.
 
-    The adversary must pass :func:`adversary_sweep_supported` and no
-    observer may be active (telemetry registry or span recorder) —
-    observers see scheduler internals the sweep does not materialise.
+    Observers see scheduler internals the sweep does not materialise.
     """
-    if active_registry() is not None:
-        return False
-    if trace_spans.active_recorder() is not None:
-        return False
-    return adversary_sweep_supported(adversary)
+    return (
+        telemetry.active_registry() is not None
+        or trace_spans.active_recorder() is not None
+    )
+
+
+def sweep_eligible(adversary) -> bool:
+    """Whether the fused sweep driver can replicate this run: no observer
+    is active and the adversary passes :func:`adversary_sweep_supported`."""
+    return not _observed() and adversary_sweep_supported(adversary)
 
 
 def _sweep_run(programs, adversary, K, t, seed, max_steps):
@@ -572,20 +495,7 @@ def _sweep_run(programs, adversary, K, t, seed, max_steps):
     in the reference order.
     """
     n = len(programs)
-    if n == 0:
-        raise ConfigurationError("a simulation needs at least one processor")
-    for pid, program in enumerate(programs):
-        if program.pid != pid:
-            raise ConfigurationError(
-                f"programs must be ordered by pid: slot {pid} holds "
-                f"pid {program.pid}"
-            )
-    if K < 1:
-        raise ConfigurationError(f"K must be at least 1, got {K}")
-    if not 0 <= t < n:
-        raise ConfigurationError(f"t must satisfy 0 <= t < n, got t={t}, n={n}")
-    if max_steps <= 0:
-        raise ConfigurationError(f"max_steps must be positive, got {max_steps}")
+    check_simulation_arguments(programs, K, t, max_steps)
 
     tapes = TapeCollection(n, seed)
     processes = [
@@ -744,14 +654,16 @@ def _sweep_run(programs, adversary, K, t, seed, max_steps):
     return processes, crashed, all_envs, pid_steps, event_count, running == 0
 
 
-def _sweep_metrics(programs, processes, crashed, all_envs, pid_steps, event_count, terminated, n, K):
+def _sweep_metrics(programs, processes, crashed, all_envs, pid_steps, event_count, terminated, K):
     """Assemble the :class:`RunMetrics` bundle from flat sweep state.
 
     Field-for-field the computation of ``extract_metrics`` +
-    ``metrics_from_run`` on the equivalent ``Run``.
+    ``metrics_from_run`` on the equivalent ``Run``.  Returned with the
+    per-pid decisions and the nonfaulty set it was computed from.
     """
-    from repro.analysis.metrics import RunMetrics
+    from repro.analysis.metrics import RunMetrics, stage_statistics
 
+    n = len(processes)
     faulty = set(crashed)
     nonfaulty = set(range(n)) - faulty
     decisions = [process.decision for process in processes]
@@ -787,165 +699,52 @@ def _sweep_metrics(programs, processes, crashed, all_envs, pid_steps, event_coun
             [env.receive_event for env in delivered],
         )
     )
-
-    stage_values = []
-    decision_stage_values = []
-    shared_values = []
-    private_values = []
-    for program in programs:
-        if program.pid not in nonfaulty:
-            continue
-        stats = getattr(program, "stats", None)
-        if stats is None:
-            continue
-        agreement = getattr(stats, "agreement", stats)
-        if agreement is None:
-            continue
-        stage_count = getattr(agreement, "stages_started", None)
-        if stage_count is not None:
-            stage_values.append(stage_count)
-        decided_at = getattr(agreement, "decision_stage", None)
-        if decided_at is not None:
-            decision_stage_values.append(decided_at)
-        shared_values.append(getattr(agreement, "shared_coin_stages", 0))
-        private_values.append(getattr(agreement, "private_coin_stages", 0))
-
-    return RunMetrics(
+    metrics = RunMetrics(
         terminated=terminated,
         consistent=len(decision_values) <= 1,
         decision=decision,
         rounds=rounds,
         ticks=max(decided_clocks) if decided_clocks else None,
         first_decision_ticks=min(decided_clocks) if decided_clocks else None,
-        stages=max(stage_values) if stage_values else None,
-        decision_stage=(
-            max(decision_stage_values) if decision_stage_values else None
-        ),
-        shared_coin_stages=max(shared_values) if shared_values else None,
-        private_coin_stages=max(private_values) if private_values else None,
         messages=len(all_envs),
         events=event_count,
         crashes=len(faulty),
         on_time=on_time,
+        **stage_statistics(programs, nonfaulty),
+    )
+    return metrics, decisions, nonfaulty
+
+
+def sweep_trial(programs, adversary, K, t, seed, max_steps):
+    """Run one metrics-only trial on the fused sweep, if it can be.
+
+    Returns ``(metrics, decisions, nonfaulty)`` — the
+    :class:`~repro.analysis.metrics.RunMetrics` equal to the reference
+    core's for the same arguments, plus the facts the caller's validity
+    checks need — or ``None`` when the trial has to build a trace:
+    an observer is active (deliberate, uncounted), or the adversary is
+    off the hold contract (a performance cliff, counted in
+    ``sim_fastcore_fallbacks_total``).
+    """
+    if not adversary_sweep_supported(adversary):
+        telemetry.count(
+            "sim_fastcore_fallbacks_total",
+            help="fast-core trials that fell back from the fused sweep to "
+            "FastSimulation because the adversary or its delivery policy "
+            "overrides what the sweep replicates",
+            adversary=type(adversary).__name__,
+        )
+        return None
+    if _observed():
+        return None
+    return _sweep_metrics(
+        programs, *_sweep_run(programs, adversary, K, t, seed, max_steps), K
     )
 
 
 def fast_commit_trial(config, seed: int):
-    """Fast-core implementation of one commit Monte-Carlo trial.
+    """One commit Monte-Carlo trial on the fast core, whatever the ambient
+    core: ``run_commit_trial(config, seed, core="fast")``."""
+    from repro.analysis.montecarlo import run_commit_trial
 
-    Produces a :class:`~repro.analysis.metrics.RunMetrics` equal to
-    ``run_commit_trial(config, seed)`` on the reference core — via the
-    fused sweep driver when the adversary qualifies, else via
-    :class:`FastSimulation` (byte-identical by construction).
-    """
-    from repro.core.commit import CommitProgram
-
-    votes = config.votes_for(seed)
-    n = len(votes)
-    t = config.t if config.t is not None else (n - 1) // 2
-    programs = [
-        CommitProgram(
-            pid=pid,
-            n=n,
-            t=t,
-            initial_vote=vote,
-            K=config.K,
-            coin_count=config.coin_count,
-            halting=config.halting,
-            allow_sub_resilience=config.allow_sub_resilience,
-        )
-        for pid, vote in enumerate(votes)
-    ]
-    adversary = config.adversary_factory(seed)
-    from repro.models import apply_active_model
-
-    adversary = apply_active_model(adversary, K=config.K, seed=seed)
-
-    if not sweep_eligible(adversary):
-        from repro.analysis.metrics import (
-            abort_validity_satisfied,
-            commit_validity_satisfied,
-            extract_metrics,
-        )
-        from repro.core.api import ProtocolOutcome
-
-        if not adversary_sweep_supported(adversary):
-            # The silent-but-counted fallback: off-whitelist adversaries
-            # (timing-model wraps included) still run byte-identically on
-            # FastSimulation, but the drop off the fused sweep is a
-            # performance cliff worth surfacing.  Observer-driven
-            # fallbacks are deliberate and not counted.
-            from repro.telemetry import registry as telemetry
-
-            telemetry.count(
-                "sim_fastcore_fallbacks_total",
-                help="fast-core trials that fell back from the fused "
-                "sweep to FastSimulation because the adversary is off "
-                "the sweep whitelist",
-                adversary=type(adversary).__name__,
-            )
-
-        simulation = FastSimulation(
-            programs=programs,
-            adversary=adversary,
-            K=config.K,
-            t=t,
-            seed=seed,
-            max_steps=config.max_steps,
-        )
-        attach = getattr(adversary, "attach", None)
-        if attach is not None:
-            attach(simulation)
-        outcome = ProtocolOutcome(result=simulation.run())
-        metrics = extract_metrics(outcome, programs=programs)
-        if not abort_validity_satisfied(outcome, votes):
-            raise AssertionError(
-                f"abort validity violated in commit trial seed={seed}"
-            )
-        if not commit_validity_satisfied(outcome, votes):
-            raise AssertionError(
-                f"commit validity violated in commit trial seed={seed}"
-            )
-        return metrics
-
-    processes, crashed, all_envs, pid_steps, event_count, terminated = (
-        _sweep_run(programs, adversary, config.K, t, seed, config.max_steps)
-    )
-    metrics = _sweep_metrics(
-        programs,
-        processes,
-        crashed,
-        all_envs,
-        pid_steps,
-        event_count,
-        terminated,
-        n,
-        config.K,
-    )
-    # Validity checks, mirroring run_commit_trial's assertions on the
-    # equivalent Run (abort/commit_validity_satisfied).
-    faulty = set(crashed)
-    nonfaulty = set(range(n)) - faulty
-    decisions = [process.decision for process in processes]
-    is_deciding = all(decisions[pid] is not None for pid in nonfaulty)
-    all_ones = all(v == 1 for v in votes)
-    abort_ok = (
-        not is_deciding
-        or all_ones
-        or all(decisions[pid] == 0 for pid in nonfaulty)
-    )
-    if not abort_ok:
-        raise AssertionError(
-            f"abort validity violated in commit trial seed={seed}"
-        )
-    commit_preconditions = (
-        is_deciding and all_ones and not faulty and metrics.on_time
-    )
-    commit_ok = not commit_preconditions or all(
-        decisions[pid] == 1 for pid in nonfaulty
-    )
-    if not commit_ok:
-        raise AssertionError(
-            f"commit validity violated in commit trial seed={seed}"
-        )
-    return metrics
+    return run_commit_trial(config, seed, core="fast")

@@ -80,6 +80,31 @@ class SimulationResult:
         return dict(self.run.decisions)
 
 
+def check_simulation_arguments(
+    programs: Sequence[Program], K: int, t: int, max_steps: int
+) -> None:
+    """Reject configurations no execution core can run.
+
+    Raises:
+        ConfigurationError: naming the offending argument.
+    """
+    n = len(programs)
+    if n == 0:
+        raise ConfigurationError("a simulation needs at least one processor")
+    for pid, program in enumerate(programs):
+        if program.pid != pid:
+            raise ConfigurationError(
+                f"programs must be ordered by pid: slot {pid} holds "
+                f"pid {program.pid}"
+            )
+    if K < 1:
+        raise ConfigurationError(f"K must be at least 1, got {K}")
+    if not 0 <= t < n:
+        raise ConfigurationError(f"t must satisfy 0 <= t < n, got t={t}, n={n}")
+    if max_steps <= 0:
+        raise ConfigurationError(f"max_steps must be positive, got {max_steps}")
+
+
 class Simulation:
     """Hosts ``n`` processes and drives them under one adversary.
 
@@ -117,20 +142,7 @@ class Simulation:
         # helpers need not re-list it for metric extraction.
         programs = list(programs)
         n = len(programs)
-        if n == 0:
-            raise ConfigurationError("a simulation needs at least one processor")
-        for pid, program in enumerate(programs):
-            if program.pid != pid:
-                raise ConfigurationError(
-                    f"programs must be ordered by pid: slot {pid} holds "
-                    f"pid {program.pid}"
-                )
-        if K < 1:
-            raise ConfigurationError(f"K must be at least 1, got {K}")
-        if not 0 <= t < n:
-            raise ConfigurationError(f"t must satisfy 0 <= t < n, got t={t}, n={n}")
-        if max_steps <= 0:
-            raise ConfigurationError(f"max_steps must be positive, got {max_steps}")
+        check_simulation_arguments(programs, K, t, max_steps)
 
         self.n = n
         self.K = K

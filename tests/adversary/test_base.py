@@ -57,12 +57,16 @@ class TestDelayCycles:
         assert policy.select(None, 1, [pending(1)], ctx_old) == (1,)
 
     def test_delay_is_assigned_once(self):
+        # The base class draws the hold the first time it sees the
+        # message and never again: a second select consumes no rng.
         policy = DelayCycles(min_cycles=1, max_cycles=10)
-        message = pending(5)
         ctx = context(0, [0])
-        first = policy._delay_for(message, ctx)
-        second = policy._delay_for(message, ctx)
-        assert first == second
+        policy.select(None, 1, [pending(5)], ctx)
+        first = policy._holds[5]
+        state = ctx.rng.getstate()
+        policy.select(None, 1, [pending(5)], ctx)
+        assert policy._holds == {5: first}
+        assert ctx.rng.getstate() == state
 
 
 class TestDropNonGuaranteed:

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import os
 import pickle
 from functools import partial
 
 import pytest
 
 from repro.adversary.standard import OnTimeAdversary
+from repro.analysis.montecarlo import CommitTrialConfig, run_commit_batch
+from repro.cli import _install_sim_core, _install_timing_model
 from repro.engine.executor import (
     TrialEngine,
     default_workers,
@@ -18,6 +21,8 @@ from repro.engine.executor import (
 )
 from repro.engine.spec import SeededFactory, chunk_seeds
 from repro.errors import ConfigurationError
+from repro.models import resolve_timing_model, set_default_timing_model
+from repro.sim.coreselect import resolve_sim_core, set_default_sim_core
 from repro.telemetry.registry import MetricsRegistry, count, use_registry
 
 
@@ -28,6 +33,10 @@ def _square(seed: int, offset: int = 0) -> int:
 def _marked(seed: int) -> int:
     count("engine_test_marks_total", help="trial marker")
     return seed + 1
+
+
+def _ambient_selection(seed: int) -> tuple[str, str]:
+    return resolve_sim_core(), resolve_timing_model()
 
 
 class TestChunkSeeds:
@@ -88,6 +97,54 @@ class TestTrialEngine:
         assert registry.counter("engine_test_marks_total").value() == 10
         assert registry.counter("engine_trials_total").value(mode="parallel") == 10
         assert registry.counter("engine_chunks_total").value() > 0
+
+
+class TestSelectionsTravelInThePayload:
+    """The parent's resolved sim core and timing model reach workers in
+    the chunk payload; nothing is written to ``os.environ``."""
+
+    @pytest.fixture(autouse=True)
+    def _clean_selection(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
+        monkeypatch.delenv("REPRO_TIMING_MODEL", raising=False)
+        yield
+        set_default_sim_core(None)
+        set_default_timing_model(None)
+
+    def test_workers_see_the_parents_selection(self):
+        engine = TrialEngine(workers=2)
+        assert set(engine.map(_ambient_selection, range(8))) == {
+            ("reference", "realistic")
+        }
+        set_default_sim_core("fast")
+        set_default_timing_model("granular")
+        # The same pooled workers now run the new selection ...
+        assert set(engine.map(_ambient_selection, range(8))) == {
+            ("fast", "granular")
+        }
+        set_default_sim_core(None)
+        set_default_timing_model(None)
+        # ... and drop it again when the parent does.
+        assert set(engine.map(_ambient_selection, range(8))) == {
+            ("reference", "realistic")
+        }
+
+    def test_fast_granular_batch_is_worker_count_invariant(self):
+        config = CommitTrialConfig(
+            votes=[1] * 5, adversary_factory=SeededFactory.of(OnTimeAdversary, K=4)
+        )
+        realistic = run_commit_batch(config, 12, workers=2).metrics
+        # What `--sim-core fast --model granular` do, and all they do.
+        _install_sim_core("fast")
+        _install_timing_model("granular")
+        assert "REPRO_SIM_CORE" not in os.environ
+        assert "REPRO_TIMING_MODEL" not in os.environ
+        serial = run_commit_batch(config, 12, workers=1).metrics
+        assert run_commit_batch(config, 12, workers=2).metrics == serial
+        # The model really reached the workers: it re-times the trials.
+        assert serial != realistic
+        set_default_timing_model(None)
+        assert run_commit_batch(config, 12, workers=2).metrics == realistic
 
 
 class TestRunTrials:

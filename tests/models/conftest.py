@@ -1,12 +1,10 @@
 """Shared fixtures: the ambient model selection must never leak.
 
-``--model`` installs a process-wide default and exports
-``REPRO_TIMING_MODEL`` for engine workers; in a test process that would
-silently re-time every subsequent trial, so both are reset around every
+``--model`` installs a process-wide default; in a test process that
+would silently re-time every subsequent trial, so it is reset (and
+``REPRO_TIMING_MODEL``, which is only ever read, cleared) around every
 test in this package.
 """
-
-import os
 
 import pytest
 
@@ -19,4 +17,3 @@ def _reset_ambient_model(monkeypatch):
     set_default_timing_model(None)
     yield
     set_default_timing_model(None)
-    os.environ.pop(ENV_VAR, None)

@@ -5,8 +5,10 @@ import json
 import pytest
 
 from repro.adversary.random_walk import RandomAdversary
+from repro.adversary.standard import OnTimeAdversary
 from repro.cli import main
 from repro.errors import ConfigurationError
+from repro.faults.plan import FaultPlan
 from repro.models import (
     DEFAULT_MODEL,
     ENV_VAR,
@@ -18,6 +20,7 @@ from repro.models import (
     set_default_timing_model,
 )
 from repro.models.base import RealisticModel
+from repro.sim.fastcore import adversary_sweep_supported
 
 
 class TestRegistry:
@@ -41,13 +44,23 @@ class TestRegistry:
     def test_realistic_is_the_reference_instance(self):
         model = resolve_model("realistic")
         assert isinstance(model, RealisticModel)
-        assert model.fastcore_whitelisted
         assert model.preserves_eventual_delivery
         assert set(model.tracks) == {"sim", "runtime", "service"}
 
-    def test_zoo_models_off_the_fastcore_whitelist(self):
-        for name in ("granular", "random-async", "round-closed"):
-            assert not resolve_model(name).fastcore_whitelisted, name
+    def test_every_model_compiles_to_a_sweep_supported_adversary(self):
+        # Replaces test_zoo_models_off_the_fastcore_whitelist: the
+        # hand-kept ``TimingModel.fastcore_whitelisted`` flag (False for
+        # the three zoo models) is gone.  Sweep support is now derived
+        # from the compiled adversary's policy, and every model has it.
+        plan = FaultPlan.random(n=5, t=2, seed=3, K=4)
+        for name in model_names():
+            model = resolve_model(name)
+            assert not hasattr(model, "fastcore_whitelisted")
+            assert "fastcore_whitelisted" not in model.describe()
+            compiled = model.compile_plan(plan, K=4, seed=11)
+            assert adversary_sweep_supported(compiled), name
+            retimed = model.wrap_adversary(OnTimeAdversary(K=4), K=4, seed=11)
+            assert adversary_sweep_supported(retimed), name
 
     def test_only_round_closed_drops_messages(self):
         droppers = [

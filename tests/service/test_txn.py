@@ -304,7 +304,7 @@ class TestInterleavedReplay:
             txns_in_log = {
                 r.get("txn")
                 for r in records
-                if r["type"] in ("decision", "submit", "vote")
+                if r["type"] in ("decision", "submit")
             }
             assert {1, 2} <= txns_in_log
             replayed = replay(records)
@@ -377,6 +377,35 @@ class TestV1WalCompat:
         assert result.steps == 2
         assert result.process is not None
         assert result.process.clock == 2
+
+    def test_observability_records_of_older_logs_are_skipped(self):
+        """Logs written before PR 15 interleave ``vote`` / ``coins`` /
+        ``round`` records; the node no longer writes them, and the
+        reader replays such a log to the state of one without them."""
+        config = node_configs(3, 1, [1, 1, 1], K, seed=0)[1]
+        inputs = [
+            {"type": "init", "config": config.to_dict()},
+            {"type": "step"},
+            {"type": "step"},
+        ]
+        older = [
+            inputs[0],
+            inputs[1],
+            {"type": "vote", "vote": 1},
+            {"type": "coins", "coins": [1, 0, 1]},
+            inputs[2],
+            {"type": "round", "phase": 1, "stage": 1},
+        ]
+        assert replay(older).mux.digest() == replay(inputs).mux.digest()
+        _cluster, result = run_multi_cluster(1, 3, 2, seed=5, rate=2000.0)
+        assert result.outcome == TERMINATED
+        written = {
+            r["type"]
+            for pid in range(3)
+            for r in durable_records(_cluster.stores[pid]).records
+        }
+        assert not written & {"vote", "coins", "round"}
+        assert "decision" in written
 
 
 class TestCloseRecordReplay:

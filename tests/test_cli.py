@@ -457,8 +457,8 @@ class TestFaultsCounterexamplePipeline:
 class TestSimCoreSelection:
     @pytest.fixture(autouse=True)
     def _isolate_core_selection(self, monkeypatch):
-        # --sim-core installs a process-wide override and exports
-        # REPRO_SIM_CORE (for engine workers); neither may leak.
+        # --sim-core installs a process-wide override, which may not
+        # leak; REPRO_SIM_CORE is only ever read.
         from repro.sim.coreselect import set_default_sim_core
 
         monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
