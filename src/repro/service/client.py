@@ -26,7 +26,7 @@ import contextlib
 from typing import Any
 
 from repro.errors import ServiceError
-from repro.service.wire import ServiceEnvelope
+from repro.service.wire import MAX_LINE_BYTES, ServiceEnvelope
 
 
 async def open_connection(
@@ -38,7 +38,9 @@ async def open_connection(
     connect's completion race, the already-created transport is
     retrieved from the finished task and closed instead of leaking.
     """
-    task = asyncio.ensure_future(asyncio.open_connection(host, port))
+    task = asyncio.ensure_future(
+        asyncio.open_connection(host, port, limit=MAX_LINE_BYTES)
+    )
     try:
         return await asyncio.wait_for(asyncio.shield(task), timeout=timeout)
     except (asyncio.TimeoutError, asyncio.CancelledError):
@@ -66,6 +68,10 @@ async def request(
         writer.write(envelope.encode())
         await writer.drain()
         line = await asyncio.wait_for(reader.readline(), timeout=timeout)
+    except ValueError as exc:  # readline: no newline within the limit
+        raise ServiceError(
+            f"reply from {host}:{port} is over {MAX_LINE_BYTES} bytes"
+        ) from exc
     finally:
         writer.close()
         with contextlib.suppress(OSError):

@@ -50,6 +50,12 @@ from repro.sim.message import Payload, RawPayload
 #: payloads; the rest are service-layer control traffic.
 KINDS = ("msg", "ack", "state-query", "state-transfer", "submit")
 
+#: Longest line (one encoded envelope) a stream reader accepts, passed as
+#: ``limit`` wherever the service opens or accepts a connection.  asyncio's
+#: default of 64 KiB is reached by a status reply listing some 8000
+#: decisions; a reader that meets a longer line closes that connection.
+MAX_LINE_BYTES = 1 << 20
+
 #: The transaction id of the original single-transaction service.  A v1
 #: envelope or WAL record, which predates transaction ids entirely,
 #: always denotes this transaction.

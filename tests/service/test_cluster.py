@@ -248,8 +248,15 @@ class TestNodeRobustness:
             )
         )
         assert node._acked == {}
+        # A well-formed ack for an envelope no loop is sending (late,
+        # repeated, forged) registers nothing either ...
         node._absorb(ServiceEnvelope(kind="ack", sender=0, body={"seq": 3}))
-        assert (0, 0, 3) in node._acked
+        assert node._acked == {}
+        # ... and one for an envelope still being sent releases its loop.
+        event = asyncio.Event()
+        node._acked[(0, 0, 3)] = (event, ServiceEnvelope(kind="msg", sender=1))
+        node._absorb(ServiceEnvelope(kind="ack", sender=0, body={"seq": 3}))
+        assert event.is_set()
 
     def test_decided_node_stops_logging_idle_steps(self):
         cfg = node_configs(3, 1, [1, 1, 1], K, seed=0)[1]
