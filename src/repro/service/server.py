@@ -41,7 +41,9 @@ framing with ``sender = -1`` and get an inline reply on the same
 connection:
 
 * ``submit`` releases the coordinator's held transaction and returns an
-  ``ack`` carrying the node's status;
+  ``ack`` carrying the node's status, once the submit record is durable
+  (every client reply waits for the node's log to be synced, see
+  :meth:`~repro.service.node.ServiceNode.durable`);
 * ``state-query`` returns a ``state-transfer`` whose body includes the
   decision and the full node status — the same record a recovering peer
   would receive, which is why ``repro service status`` needs no
@@ -269,6 +271,9 @@ class ServiceServer:
                     continue
                 if envelope.sender < 0:
                     reply = self._client_request(envelope)
+                    # A reply may reveal what the log could still lose
+                    # (the submission, or that one was made before).
+                    await self.node.durable()
                     writer.write(reply.encode())
                     await writer.drain()
                     continue

@@ -346,7 +346,13 @@ class InstanceMux:
 
     def __init__(self, config: Any) -> None:
         self.config = config
+        #: Every transaction ever hosted: live instance or closed stub.
         self.instances: dict[int, TxnInstance] = {}
+        #: The live ones, in creation order (the stepping order).  What a
+        #: step, a run-loop pass or a status poll scans: open work, not
+        #: history.
+        self.live: dict[int, TxnInstance] = {}
+        self._closed_decisions: dict[int, int] = {}
         if not getattr(config, "multi_txn", False):
             self._create(DEFAULT_TXN)
 
@@ -355,6 +361,7 @@ class InstanceMux:
     def _create(self, txn_id: int) -> TxnInstance:
         instance = TxnInstance.open(txn_id, self.config)
         self.instances[txn_id] = instance
+        self.live[txn_id] = instance
         return instance
 
     def get(self, txn_id: int) -> TxnInstance | None:
@@ -368,11 +375,13 @@ class InstanceMux:
 
     def close_txn(self, txn_id: int) -> TxnInstance:
         """Demote a decided instance to a closed stub (frees its state)."""
-        live = self.instances[txn_id]
+        live = self.live.pop(txn_id)
         stub = TxnInstance.closed(txn_id, live.decision, live.decision_origin)
         stub.submitted = live.submitted
         stub.decided_at = live.decided_at
         self.instances[txn_id] = stub
+        if stub.closed_value is not None:
+            self._closed_decisions[txn_id] = stub.closed_value
         return stub
 
     def closable_txns(self) -> list[int]:
@@ -380,10 +389,8 @@ class InstanceMux:
         with the decision durably logged."""
         return sorted(
             txn_id
-            for txn_id, instance in self.instances.items()
-            if instance.process is not None
-            and instance.decision is not None
-            and instance.decision_logged
+            for txn_id, instance in self.live.items()
+            if instance.decision is not None and instance.decision_logged
         )
 
     # -- aggregate views ---------------------------------------------------------
@@ -396,29 +403,31 @@ class InstanceMux:
     @property
     def idle(self) -> bool:
         """No instance has protocol work left (idle ticks need no log)."""
-        return all(inst.settled for inst in self.instances.values())
+        return all(inst.settled for inst in self.live.values())
+
+    @property
+    def runnable(self) -> bool:
+        """Some undecided instance would resume at an empty step taken
+        now (see :attr:`~repro.sim.process.SimProcess.runnable`)."""
+        return any(
+            inst.decision is None and inst.process.runnable
+            for inst in self.live.values()
+        )
 
     def decisions(self) -> dict[int, int]:
         """Every transaction this node has an effective decision for."""
-        return {
-            txn_id: inst.decision
-            for txn_id, inst in self.instances.items()
-            if inst.decision is not None
-        }
-
-    def decision_origins(self) -> dict[int, str]:
-        return {
-            txn_id: inst.decision_origin
-            for txn_id, inst in self.instances.items()
-            if inst.decision is not None
-        }
+        decided = dict(self._closed_decisions)
+        for txn_id, inst in self.live.items():
+            if inst.decision is not None:
+                decided[txn_id] = inst.decision
+        return decided
 
     def undecided_txns(self) -> list[int]:
         """Live instances still awaiting a decision."""
         return sorted(
             txn_id
-            for txn_id, inst in self.instances.items()
-            if inst.decision is None and inst.process is not None
+            for txn_id, inst in self.live.items()
+            if inst.decision is None
         )
 
     def digest(self) -> str:
@@ -483,10 +492,8 @@ class InstanceMux:
                     for payload in payloads
                 )
         outgoing: dict[int, list[PayloadGroup]] = {}
-        for txn_id, instance in self.instances.items():
+        for txn_id, instance in self.live.items():
             process = instance.process
-            if process is None:
-                continue
             inbound = delivered.get(txn_id)
             if instance.decision is not None and not inbound:
                 continue

@@ -3,10 +3,14 @@
 Each service node owns one WAL (``log.jsonl``) and one snapshot slot
 (``snapshot.json``).  The log is the node's durable truth: every record
 is one JSON line ``{"c": <crc32>, "r": <record>}`` where the checksum
-covers the record's canonical JSON form.  Records are appended *before*
-their effect is applied to the protocol state machine and fsync'd before
-the corresponding envelope is acknowledged, so an acknowledged message
-is durable by construction.
+covers the record's canonical JSON form.  Durability is per pass of the
+node's run loop, not per record: a pass appends its records
+(:meth:`WriteAheadLog.append`), makes them durable with one
+:meth:`WriteAheadLog.sync`, and only then lets anything they imply be
+seen (acknowledgements, protocol messages, client replies; the list is
+in :mod:`repro.service.node`).  So an acknowledged message, an
+acknowledged submission and a reported decision are durable by
+construction, at one fsync per pass.
 
 Record vocabulary (``repro.wal v1``):
 
@@ -59,11 +63,13 @@ re-establishes the marker before appending anything
 (:func:`reset_log_after_compaction`), so the invariant survives repeated
 kills in the window.
 
-**Durability scope.**  Appends and snapshot replacement are fsync'd,
-and :class:`FileWalStore` additionally fsyncs the WAL *directory* after
-creating ``log.jsonl`` and after the snapshot rename, so the guarantee
-covers whole-machine crashes, not just process kills, on POSIX
-filesystems with standard ordering semantics.
+**Durability scope.**  Synced appends and snapshot replacement are
+fsync'd, and :class:`FileWalStore` additionally fsyncs the WAL
+*directory* after creating ``log.jsonl`` and after the snapshot rename,
+so the guarantee covers whole-machine crashes, not just process kills,
+on POSIX filesystems with standard ordering semantics.  Records a
+compaction appends (``close``) need no sync of their own: the snapshot
+that replaces the log contains them.
 """
 
 from __future__ import annotations
@@ -102,16 +108,23 @@ RECORD_TYPES = (
 )
 
 
-def _canonical(record: dict[str, Any]) -> str:
+def canonical(record: dict[str, Any]) -> str:
+    """The canonical JSON text of a record (or snapshot document): what
+    its checksum covers, and the form a snapshot stores records in."""
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
 def encode_record(record: dict[str, Any]) -> str:
     """One checksummed JSONL line for ``record`` (newline included)."""
-    body = _canonical(record)
-    crc = zlib.crc32(body.encode("utf-8"))
-    return json.dumps({"c": crc, "r": record}, sort_keys=True,
-                      separators=(",", ":")) + "\n"
+    body = canonical(record)
+    # The sorted-key form of ``{"c": crc, "r": record}``, around the body
+    # already serialised for the checksum.
+    return '{"c":%d,"r":%s}\n' % (zlib.crc32(body.encode("utf-8")), body)
+
+
+def record_body(line: str) -> str:
+    """The canonical record text inside one :func:`encode_record` line."""
+    return line[line.index('"r":') + 4 : -2]
 
 
 def decode_line(line: str) -> dict[str, Any] | None:
@@ -130,7 +143,7 @@ def decode_line(line: str) -> dict[str, Any] | None:
     record = doc["r"]
     if not isinstance(record, dict):
         return None
-    if zlib.crc32(_canonical(record).encode("utf-8")) != doc["c"]:
+    if zlib.crc32(canonical(record).encode("utf-8")) != doc["c"]:
         return None
     if record.get("type") not in RECORD_TYPES:
         return None
@@ -178,11 +191,16 @@ class WalStore:
 
 
 class MemoryWalStore(WalStore):
-    """An in-process store: a list of lines plus a snapshot slot."""
+    """An in-process store: a list of lines plus a snapshot slot.
+
+    It also models the disk's write cache: lines appended since the last
+    :meth:`sync` are what :meth:`power_cut` takes away.
+    """
 
     def __init__(self) -> None:
         self._lines: list[str] = []
         self._snapshot: str | None = None
+        self._synced = 0
         self.syncs = 0
 
     def read_lines(self) -> list[str]:
@@ -193,9 +211,23 @@ class MemoryWalStore(WalStore):
 
     def sync(self) -> None:
         self.syncs += 1
+        self._synced = len(self._lines)
+
+    @property
+    def unsynced(self) -> int:
+        """Lines a power cut would lose."""
+        return len(self._lines) - self._synced
+
+    def power_cut(self) -> None:
+        """Lose every line appended after the last sync: what a machine
+        crash does and a process kill does not (the operating system
+        keeps what was written).  The snapshot slot is replaced
+        atomically and durably, so it stays."""
+        del self._lines[self._synced :]
 
     def truncate_lines(self, keep: int) -> None:
         del self._lines[keep:]
+        self._synced = len(self._lines)  # the file store fsyncs here
 
     def tear_tail(self, keep_bytes: int) -> None:
         """Truncate the final line mid-bytes (test/fault-injection aid)."""
@@ -351,18 +383,24 @@ def read_log(store: WalStore) -> WalReadResult:
 class WriteAheadLog:
     """Appender over a :class:`WalStore` with a configurable fsync policy.
 
+    Appending and making durable are two calls: :meth:`append` any number
+    of records, then :meth:`sync` once.  Nothing a record implies may be
+    shown to anyone before the ``sync`` that follows it returns.
+
     Args:
         store: the storage backend.
-        fsync: ``True`` syncs after every append (the durability the
-            recovery proofs assume); ``False`` leaves syncing to the OS
-            — campaign trials on in-memory stores use this since the
-            "disk" is process memory anyway.
+        fsync: ``True`` makes :meth:`sync` fsync the store (the
+            durability the recovery proofs assume); ``False`` leaves
+            syncing to the OS — campaign trials on in-memory stores use
+            this since the "disk" is process memory anyway.
     """
 
     def __init__(self, store: WalStore, fsync: bool = True) -> None:
         self.store = store
         self.fsync = fsync
         self.appended = 0
+        #: Records appended since the last :meth:`sync`.
+        self.unsynced = 0
 
     def open_repairing(self) -> WalReadResult:
         """Read the log and truncate any torn tail before appending."""
@@ -371,9 +409,29 @@ class WriteAheadLog:
             self.store.truncate_lines(result.valid_lines)
         return result
 
-    def append(self, record: dict[str, Any]) -> None:
-        self.store.append_line(encode_record(record))
+    def append(self, record: dict[str, Any]) -> str:
+        """Write ``record`` to the store, not yet durable; returns its
+        canonical text (what a snapshot stores)."""
+        # Framed in one place, encode_record; the text is read back from
+        # the line rather than serialised a second time.
+        line = encode_record(record)
+        self.store.append_line(line)
         self.appended += 1
+        self.unsynced += 1
+        if telemetry.enabled():
+            telemetry.count(
+                "wal_records_total",
+                help="WAL records appended, by type",
+                type=record.get("type", "unknown"),
+            )
+        return record_body(line)
+
+    def sync(self) -> None:
+        """Make every record appended so far durable: one store sync
+        however many there are, none when there is nothing new."""
+        if not self.unsynced:
+            return
+        self.unsynced = 0
         if self.fsync:
             started = time.perf_counter()
             self.store.sync()
@@ -383,16 +441,12 @@ class WriteAheadLog:
                     time.perf_counter() - started,
                     help="seconds per WAL fsync",
                 )
-        if telemetry.enabled():
-            telemetry.count(
-                "wal_records_total",
-                help="WAL records appended, by type",
-                type=record.get("type", "unknown"),
-            )
 
     def append_all(self, records: Iterable[dict[str, Any]]) -> None:
+        """Append ``records`` and make them durable together."""
         for record in records:
             self.append(record)
+        self.sync()
 
     def close(self) -> None:
         self.store.close()
@@ -427,32 +481,34 @@ def reset_log_after_compaction(store: WalStore, taken_at_step: int) -> None:
 
 def write_snapshot(
     store: WalStore,
-    records: list[dict[str, Any]],
+    records: list[dict[str, Any] | str],
     digest: str,
     taken_at_step: int,
 ) -> None:
     """Compact ``records`` into the snapshot slot and truncate the log.
 
     ``records`` must be the node's *complete* canonical record history
-    (its replay inputs); ``digest`` is the replayed-state digest at
-    ``taken_at_step`` for recovery-time integrity checking.  The
-    truncated log is re-seeded with the snapshot's compaction marker so
-    a kill at any instant of this sequence is recoverable (see
-    :func:`split_log_suffix`).
+    (its replay inputs), each a record or the canonical text
+    :meth:`WriteAheadLog.append` returned for it; ``digest`` is the
+    replayed-state digest at ``taken_at_step`` for recovery-time
+    integrity checking.  The truncated log is re-seeded with the
+    snapshot's compaction marker so a kill at any instant of this
+    sequence is recoverable (see :func:`split_log_suffix`).
     """
-    doc = {
-        "schema": SNAPSHOT_SCHEMA,
-        "taken_at_step": taken_at_step,
-        "digest": digest,
-        "records": records,
-    }
-    body = _canonical(doc)
-    envelope = json.dumps(
-        {"c": zlib.crc32(body.encode("utf-8")), "d": doc},
-        sort_keys=True,
-        separators=(",", ":"),
+    # The sorted-key form of the document and of its checksummed
+    # envelope, joined from record texts that are already canonical: the
+    # history is serialised once, when appended, not again per snapshot.
+    body = '{"digest":%s,"records":[%s],"schema":%s,"taken_at_step":%s}' % (
+        json.dumps(digest),
+        ",".join(
+            r if isinstance(r, str) else canonical(r) for r in records
+        ),
+        json.dumps(SNAPSHOT_SCHEMA),
+        json.dumps(taken_at_step),
     )
-    store.write_snapshot(envelope)
+    store.write_snapshot(
+        '{"c":%d,"d":%s}' % (zlib.crc32(body.encode("utf-8")), body)
+    )
     reset_log_after_compaction(store, taken_at_step)
     if telemetry.enabled():
         telemetry.count(
@@ -477,7 +533,7 @@ def read_snapshot(store: WalStore) -> dict[str, Any] | None:
         crc = envelope["c"]
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise WalError("unreadable snapshot document") from exc
-    if zlib.crc32(_canonical(doc).encode("utf-8")) != crc:
+    if zlib.crc32(canonical(doc).encode("utf-8")) != crc:
         raise WalError("snapshot checksum mismatch")
     if doc.get("schema") != SNAPSHOT_SCHEMA:
         raise WalError(

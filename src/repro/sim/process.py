@@ -162,6 +162,25 @@ class SimProcess:
         """Whether the program has returned (no further protocol activity)."""
         return self.status is ProcessStatus.RETURNED
 
+    @property
+    def runnable(self) -> bool:
+        """Whether the pending wait is already satisfied at the current
+        clock, so the next step resumes the program whatever it delivers.
+
+        A read-only probe.  A wait that a step checked and found
+        unsatisfied stays unsatisfied until the next step moves the board
+        or the clock, so only a wait the last step *armed* can be in this
+        state (:meth:`_advance` stops at a new wait without checking it).
+        A driver that paces idle steps by a timer need not wait for the
+        timer to take that step.
+        """
+        wait = self._pending_wait
+        return (
+            wait is not None
+            and self.status is ProcessStatus.RUNNING
+            and wait.satisfied(self.board, self.clock)
+        )
+
     # -- services used by Program ------------------------------------------
 
     def queue_send(self, to: int, payload: Payload) -> None:

@@ -10,6 +10,7 @@ keep accepting (one-shot senders, everything but an oversized line).
 import asyncio
 import inspect
 import socket
+import time
 
 from repro.runtime.transport import Reliability
 from repro.service import server as server_module
@@ -17,7 +18,7 @@ from repro.service.client import request
 from repro.service.cluster import node_configs
 from repro.service.node import ServiceNode
 from repro.service.server import CHANNEL_BUFFER_CAP, ServiceServer
-from repro.service.wal import MemoryWalStore
+from repro.service.wal import MemoryWalStore, durable_records
 from repro.service.wire import MAX_LINE_BYTES, ServiceEnvelope
 from repro.telemetry.registry import MetricsRegistry, use_registry
 
@@ -27,14 +28,14 @@ N, T, K = 3, 1, 4
 HOST = "127.0.0.1"
 
 
-def make_server(pid, peers):
+def make_server(pid, peers, tick_interval=0.005):
     """Node ``pid`` of a 3-node cluster; the coordinator holds for a submit,
     so a server nobody submits to sends nothing of its own accord."""
     return ServiceServer(
         node_configs(N, T, [1] * N, K, seed=4)[pid],
         MemoryWalStore(),
         peers,
-        tick_interval=0.005,
+        tick_interval=tick_interval,
         fsync=False,
         hold_for_submit=(pid == 0),
         seed=4,
@@ -233,7 +234,7 @@ def test_lost_listener_is_reconnected_and_unacked_envelope_applied_once():
         await asyncio.sleep(0.05)
         applied = [
             tuple(entry[:3])
-            for record in participant.node._history
+            for record in durable_records(participant.node.store).records
             if record.get("type") == "step"
             for entry in record.get("batch", ())
         ]
@@ -393,6 +394,40 @@ def test_oversized_line_closes_only_its_own_connection():
     registry = MetricsRegistry(enabled=True)
     with use_registry(registry):
         asyncio.run(scenario(registry))
+
+
+def test_commit_does_not_wait_for_the_tick():
+    """With a one-second tick a commit still takes a few loopback hops.
+    Waiting for the tick anywhere would show: after the submit (nothing
+    else wakes a held coordinator) or at each participant's first step
+    (which arms an already satisfied wait and sends nothing)."""
+    ports = free_ports(N)
+    peers = [(HOST, port) for port in ports]
+    query = ServiceEnvelope(kind="state-query", sender=-1)
+
+    async def scenario():
+        servers = [make_server(pid, peers, tick_interval=1.0) for pid in range(N)]
+        pairs = [(server, await serving(server)) for server in servers]
+        started = time.perf_counter()
+        reply = await request(
+            HOST, ports[0], ServiceEnvelope(kind="submit", sender=-1)
+        )
+        assert reply.kind == "ack" and "error" not in reply.body
+        decisions = []
+        for port in ports:
+            while True:
+                status = (await request(HOST, port, query)).body["status"]
+                if status["decision"] is not None:
+                    decisions.append(status["decision"])
+                    break
+                assert time.perf_counter() - started < 0.5
+                await asyncio.sleep(0.002)
+        elapsed = time.perf_counter() - started
+        assert decisions == [1, 1, 1]
+        assert elapsed < 0.5
+        await stop(*pairs)
+
+    asyncio.run(scenario())
 
 
 def test_status_reply_lists_decisions_without_copying_history():

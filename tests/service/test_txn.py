@@ -496,7 +496,7 @@ class TestDeadlineReporting:
         """Satellite: a deadline expiry reports exactly which (node,
         transaction) pairs were still open — not a bare TimeoutError."""
         _, result = run_multi_cluster(
-            1, 3, 2, seed=5, rate=2000.0, deadline=0.006
+            1, 3, 2, seed=5, rate=2000.0, deadline=0.003
         )
         assert result.outcome == NONTERMINATED
         assert result.undecided  # structured, attributable
@@ -543,3 +543,51 @@ class TestMuxStepSemantics:
         mux = InstanceMux(config)
         assert DEFAULT_TXN in mux.instances
         assert not mux.idle  # undecided default instance has work
+
+    def test_scans_cover_live_instances_not_history(self):
+        """Closed stubs leave ``live`` and keep their decision; what is
+        left steps in creation order, as before."""
+        mux = InstanceMux(multi_config(pid=1))
+        go = GoMessage(coins=(1,) * K)
+        mux.apply_step([(0, [(txn, (go,)) for txn in (9, 3, 6)])])
+        assert list(mux.live) == [9, 3, 6] == list(mux.instances)
+        for txn, value in ((9, 1), (6, 0)):
+            mux.get(txn).transfer_decision = value
+            mux.get(txn).decision_logged = True
+        assert mux.closable_txns() == [6, 9]
+        assert mux.undecided_txns() == [3]
+        mux.close_txn(9)
+        mux.close_txn(6)
+        assert list(mux.live) == [3]
+        assert mux.decisions() == {9: 1, 6: 0}
+        assert mux.get(9).process is None and mux.get(9).decision == 1
+        assert mux.closable_txns() == [] and mux.undecided_txns() == [3]
+        assert not mux.idle
+        # A step iterates the one live instance; traffic for a stub is a hit.
+        stepped = []
+        process = mux.get(3).process
+        real_step = process.on_step
+        process.on_step = lambda inbound: (stepped.append(3), real_step(inbound))[1]
+        effects = mux.apply_step([(0, [(9, (go,))])])
+        assert stepped == [3] and effects.closed_hits == [(0, 9)]
+        mux.get(3).transfer_decision = 1
+        assert mux.idle and mux.decisions() == {9: 1, 6: 0, 3: 1}
+
+    def test_runnable_means_an_undecided_instance_armed_a_satisfied_wait(self):
+        mux = InstanceMux(multi_config(pid=1))
+        assert not mux.runnable  # nothing hosted
+        go = GoMessage(coins=(1,) * K)
+        mux.apply_step([(0, [(2, (go,))])])
+        # First step: the program armed "wait for a GO" with the GO
+        # already on the board, and stopped there.
+        assert mux.runnable
+        digest = mux.digest()
+        assert mux.runnable and mux.digest() == digest  # read-only
+        effects = mux.apply_step([])  # the step it asked for relays GO
+        assert [recipient for recipient, _ in effects.outgoing] == [0, 2]
+        assert not mux.runnable  # now waiting for GO from everyone
+        # A decided instance never asks for a step, whatever its wait.
+        other = InstanceMux(multi_config(pid=1))
+        other.apply_step([(0, [(2, (go,))])])
+        other.get(2).transfer_decision = 1
+        assert not other.runnable

@@ -81,6 +81,31 @@ class TestSimProcess:
         process.on_step([])  # crosses second wait
         assert process.status is ProcessStatus.RETURNED
 
+    def test_runnable_is_a_freshly_armed_wait_that_already_holds(self):
+        class TwoWaits(Program):
+            def run(self):
+                yield MessageCount(lambda p: True, 1)
+                yield MessageCount(lambda p: True, 1)  # already satisfied
+                yield MessageCount(lambda p: True, 2, distinct_senders=False)
+                return "done"
+
+        process = SimProcess(TwoWaits(0, 2), RandomTape(seed=0))
+        assert not process.runnable  # not started: no wait is pending
+        process.on_step([])  # arms the first wait, nothing on the board
+        assert not process.runnable
+        process.on_step([])  # checked and found unsatisfied
+        assert not process.runnable
+        process.on_step([received(1, "x")])  # crosses it, arms the second
+        assert process.runnable  # armed, not yet checked, already true
+        clock, entries = process.clock, len(process.board.entries())
+        assert process.runnable  # the probe changed nothing
+        assert (process.clock, len(process.board.entries())) == (clock, entries)
+        process.on_step([])  # the step it asked for; the third wait needs 2
+        assert not process.runnable
+        process.on_step([received(1, "y")])
+        assert process.status is ProcessStatus.RETURNED
+        assert not process.runnable
+
     def test_self_send_posts_locally_without_envelope(self):
         class SelfSender(Program):
             def run(self):
