@@ -10,8 +10,15 @@ that steps takes one step or more, so on every ``tcp3_*`` workload
 covers passes that append without stepping: start-up, a compaction
 marker, an adopted transfer).  A change that brings back a sync per
 record breaks that at once: with per-record syncs the parent of this
-gate read 33.0 against 26.1.  Exit status 1 names the workloads over the
-line, or says that the rows were not there to read.
+gate read 33.0 against 26.1.
+
+The envelope decoder checks the type of every field it hands to the run
+loop (``ServiceEnvelope.from_dict``), so on the same workloads
+``wire.decode_errors`` must read 0: the decoder rejects nothing the
+service itself sends.
+
+Exit status 1 names the workloads over either line, or says that the
+rows were not there to read.
 """
 
 from __future__ import annotations
@@ -20,7 +27,8 @@ import re
 import sys
 
 ROW = re.compile(
-    r"^(tcp3_\w+)\s+(wal\.fsyncs_per_op|txn\.steps_per_op)\s+([0-9.]+)\s"
+    r"^(tcp3_\w+)\s+(wal\.fsyncs_per_op|txn\.steps_per_op|wire\.decode_errors)"
+    r"\s+([0-9.]+)\s"
 )
 EXPECTED = ("tcp3_open20", "tcp3_closed16", "tcp3_killrecover")
 
@@ -48,6 +56,14 @@ def main(argv: list[str]) -> int:
             f"txn.steps_per_op {steps:.1f} + 1: {verdict}"
         )
         failed |= fsyncs > steps + 1
+        rejected = row.get("wire.decode_errors")
+        if rejected is None:
+            print(f"{workload}: wire.decode_errors row missing")
+            failed = True
+        else:
+            verdict = "ok" if rejected == 0 else "THE DECODER REJECTED OUR OWN LINES"
+            print(f"{workload}: wire.decode_errors {rejected:.0f}: {verdict}")
+            failed |= rejected != 0
     return 1 if failed else 0
 
 

@@ -4,9 +4,11 @@ Clients are not cluster members: they send envelopes with ``sender =
 -1`` and the server answers inline on the same connection
 (:mod:`repro.service.server`).  Two requests exist — ``submit``
 (release a transaction at its coordinator, optionally a specific
-``txn`` of a multi-transaction node) and ``state-query`` (decision +
-full node status).  The helpers here are small sync wrappers the CLI
-and the crash demo share.
+``txn`` of a multi-transaction node; the acknowledgement carries the
+node's status header and lists no decisions) and ``state-query``
+(decision + full node status, whose ``txns`` lists every decision in
+no particular key order).  The helpers here are small sync wrappers the
+CLI and the crash demo share.
 
 Connection hygiene matters here: these helpers run inside long-lived
 tools (the crash demo polls status in a loop), so every path —
@@ -89,7 +91,8 @@ def submit(
     ``txn = 0`` releases the node's default held transaction (the v1
     single-transaction service); a positive ``txn`` submits that
     transaction to a multi-transaction node.  Returns the node's status
-    dict from the acknowledgement; a rejected submission (duplicate
+    header from the acknowledgement (``txns`` is ``None``: ask
+    :func:`status` for decisions); a rejected submission (duplicate
     ``txn``, or an id already decided and compacted away) raises
     :class:`~repro.errors.ServiceError` with the server's reason.
     """

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import asyncio
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.engine.seeds import SERVICE_NODE_STREAM, derive_keyed
 from repro.errors import ConfigurationError, ServiceError
@@ -521,10 +521,13 @@ class ServiceCluster:
                 *(t for tasks in self._live.values() for t in tasks),
                 return_exceptions=True,
             )
+        # A node's snapshot is its header; a result also lists decisions.
         snapshots = [
-            self.nodes[pid].snapshot_state()
-            for pid in range(self.n)
-            if pid in self.nodes
+            replace(
+                node.snapshot_state(),
+                txns=node.decisions() if node.config.multi_txn else None,
+            )
+            for _pid, node in sorted(self.nodes.items())
         ]
         if telemetry.enabled():
             telemetry.count(

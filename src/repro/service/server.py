@@ -38,20 +38,30 @@ connection, so a sender that writes one line and closes is still served.
 
 Clients (``repro service submit|status``) speak the same envelope
 framing with ``sender = -1`` and get an inline reply on the same
-connection:
+connection, once the node's log is synced (a reply may reveal what the
+log could still lose, see
+:meth:`~repro.service.node.ServiceNode.durable`).  A reply costs what
+the node's open work costs, not what its history does:
 
 * ``submit`` releases the coordinator's held transaction and returns an
-  ``ack`` carrying the node's status, once the submit record is durable
-  (every client reply waits for the node's log to be synced, see
-  :meth:`~repro.service.node.ServiceNode.durable`);
-* ``state-query`` returns a ``state-transfer`` whose body includes the
-  decision and the full node status — the same record a recovering peer
-  would receive, which is why ``repro service status`` needs no
-  separate protocol.
+  ``ack`` carrying the status *header* (pid, incarnation, status,
+  decision, decision origin, steps, WAL records, ``txns: null``): a
+  line of constant size;
+* ``state-query`` returns a ``state-transfer`` whose body is the
+  decision and the header with, on a multi-transaction node, ``txns``
+  listing every transaction's decision — the record ``repro service
+  status`` prints.  The list is not encoded per reply: the multiplexer
+  keeps the text of every closed decision, written once when it closed,
+  and the reply line is the encoded header with that text spliced in
+  (:func:`~repro.service.wire.splice_member`), so the key order inside
+  ``txns`` is the order of closing, not sorted.
 
 A line longer than :data:`~repro.service.wire.MAX_LINE_BYTES` cannot be
 framed: it is counted (``service_oversize_lines_total``) and its
-connection closed, and the server keeps serving every other one.
+connection closed, and the server keeps serving every other one.  A
+line that is not an envelope is counted
+(``service_undecodable_lines_total``) and skipped; the decoder checks
+every field's type, so nothing it lets through can raise in the node.
 
 Real sockets need real time, so servers run on the standard event loop
 (contrast :mod:`repro.service.cluster`, which co-hosts nodes on the
@@ -68,7 +78,7 @@ from repro.errors import ServiceError
 from repro.service.node import ServiceNode
 from repro.service.recovery import NodeConfig
 from repro.service.wal import FileWalStore
-from repro.service.wire import MAX_LINE_BYTES, ServiceEnvelope
+from repro.service.wire import MAX_LINE_BYTES, ServiceEnvelope, splice_member
 from repro.telemetry import registry as telemetry
 from repro.telemetry.log import get_logger
 
@@ -267,6 +277,11 @@ class ServiceServer:
                 try:
                     envelope = ServiceEnvelope.decode(line)
                 except ServiceError:
+                    telemetry.count(
+                        "service_undecodable_lines_total",
+                        help="lines dropped because they are not an envelope",
+                        pid=self.node.pid,
+                    )
                     _log.warning("dropping undecodable line: %r", line[:200])
                     continue
                 if envelope.sender < 0:
@@ -274,7 +289,7 @@ class ServiceServer:
                     # A reply may reveal what the log could still lose
                     # (the submission, or that one was made before).
                     await self.node.durable()
-                    writer.write(reply.encode())
+                    writer.write(reply)
                     await writer.drain()
                     continue
                 self.node.deliver(envelope)
@@ -289,7 +304,16 @@ class ServiceServer:
             self._inbound.discard(writer)
             writer.close()
 
-    def _client_request(self, envelope: ServiceEnvelope) -> ServiceEnvelope:
+    def _client_request(self, envelope: ServiceEnvelope) -> bytes:
+        """The reply line for one client envelope.
+
+        What a reply costs follows the node's open work, not its
+        history: a ``submit`` ack carries the status header alone, and a
+        ``state-query`` reply, which lists every decision, is the header
+        with the decision list spliced in as text the multiplexer
+        encoded once per closed transaction
+        (:meth:`~repro.service.txn.InstanceMux.decisions_json`).
+        """
         if envelope.kind == "submit":
             txn = envelope.body.get("txn", 0)
             try:
@@ -298,35 +322,29 @@ class ServiceServer:
                 else:
                     self.node.submit()
             except ServiceError as exc:
-                return ServiceEnvelope(
-                    kind="ack",
-                    sender=self.node.pid,
-                    body={"error": f"submit rejected: {exc}"},
-                )
-            return ServiceEnvelope(
-                kind="ack",
-                sender=self.node.pid,
-                body={"status": self._status()},
-            )
+                return self._reply("ack", {"error": f"submit rejected: {exc}"})
+            return self._reply("ack", {"status": self._status()})
         if envelope.kind == "state-query":
-            return ServiceEnvelope(
-                kind="state-transfer",
-                sender=self.node.pid,
-                body={
-                    "decision": self.node.decision,
-                    "status": self._status(),
-                },
+            line = self._reply(
+                "state-transfer",
+                {"decision": self.node.decision, "status": self._status()},
             )
-        return ServiceEnvelope(
-            kind="ack",
-            sender=self.node.pid,
-            body={"error": f"unsupported client request {envelope.kind!r}"},
+            if self.node.config.multi_txn:
+                line = splice_member(
+                    line, "txns", self.node.mux.decisions_json()
+                )
+            return line
+        return self._reply(
+            "ack", {"error": f"unsupported client request {envelope.kind!r}"}
         )
 
+    def _reply(self, kind: str, body: dict[str, Any]) -> bytes:
+        return ServiceEnvelope(
+            kind=kind, sender=self.node.pid, body=body
+        ).encode()
+
     def _status(self) -> dict[str, Any]:
-        # The snapshot is fresh and its ``txns`` map is a new dict, so its
-        # fields are the document: ``dataclasses.asdict`` would deep-copy
-        # every decision ever made on each 10 ms client poll.
+        """The status header: constant size, ``txns`` null."""
         return vars(self.node.snapshot_state())
 
     # -- lifecycle -----------------------------------------------------------

@@ -234,6 +234,12 @@ def wal_to_groups(elem: Any) -> list[tuple[int, list[Payload]]]:
     return []
 
 
+def decision_member(txn_id: int, value: int) -> bytes:
+    """One ``"<txn>":<value>`` member of the JSON object a ``state-query``
+    reply lists decisions in (JSON keys are strings)."""
+    return b'"%d":%d' % (txn_id, value)
+
+
 # -- instances -------------------------------------------------------------------
 
 
@@ -353,6 +359,10 @@ class InstanceMux:
         #: history.
         self.live: dict[int, TxnInstance] = {}
         self._closed_decisions: dict[int, int] = {}
+        #: The members of :meth:`decisions_json` for the closed stubs, in
+        #: the order they closed.  A closed decision never changes, so
+        #: its text is written here once and only ever appended to.
+        self._closed_members = bytearray()
         if not getattr(config, "multi_txn", False):
             self._create(DEFAULT_TXN)
 
@@ -382,6 +392,9 @@ class InstanceMux:
         self.instances[txn_id] = stub
         if stub.closed_value is not None:
             self._closed_decisions[txn_id] = stub.closed_value
+            if self._closed_members:
+                self._closed_members += b","
+            self._closed_members += decision_member(txn_id, stub.closed_value)
         return stub
 
     def closable_txns(self) -> list[int]:
@@ -421,6 +434,22 @@ class InstanceMux:
             if inst.decision is not None:
                 decided[txn_id] = inst.decision
         return decided
+
+    def decisions_json(self) -> bytes:
+        """:meth:`decisions` as the text of a JSON object, at the cost of
+        the open work: the closed stubs' members were encoded when they
+        closed (replay closes them again, in the same order), and
+        only the decided instances still live are encoded per call.  Those
+        are not cached: a live instance's effective decision can still
+        pass from ``transfer`` to ``process``.  Keys are in no sorted order.
+        """
+        members = [self._closed_members] if self._closed_members else []
+        members.extend(
+            decision_member(txn_id, inst.decision)
+            for txn_id, inst in self.live.items()
+            if inst.decision is not None
+        )
+        return b"{%s}" % b",".join(members)
 
     def undecided_txns(self) -> list[int]:
         """Live instances still awaiting a decision."""

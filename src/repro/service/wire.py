@@ -89,6 +89,8 @@ def payload_to_dict(payload: Payload) -> dict[str, Any]:
 
 def payload_from_dict(data: dict[str, Any]) -> Payload:
     """Rebuild a payload from :func:`payload_to_dict` output."""
+    if not isinstance(data, dict):
+        raise ServiceError(f"a wire payload is an object, got {data!r}")
     kind = data.get("k")
     if kind == "go":
         return GoMessage(coins=tuple(data["coins"]))
@@ -103,6 +105,10 @@ def payload_from_dict(data: dict[str, Any]) -> Payload:
     if kind == "raw":
         return RawPayload(data=data["data"])
     raise ServiceError(f"unknown wire payload kind {kind!r}: {data!r}")
+
+
+def _malformed(doc: Any) -> ServiceError:
+    return ServiceError(f"malformed envelope: {doc!r}")
 
 
 @dataclass(frozen=True)
@@ -214,12 +220,38 @@ class ServiceEnvelope:
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "ServiceEnvelope":
+        """Rebuild an envelope, trusting nothing about ``doc``.
+
+        Lines come off a TCP port anyone can write to, and what this
+        returns goes straight into the node's run loop: every field is
+        checked for its type here, so the code behind it may rely on
+        ``kind`` being a string, ``sender`` / ``incarnation`` / ``seq``
+        integers (``bool`` is not one) and ``body`` an object.
+
+        Raises:
+            ServiceError: on anything else.
+        """
+        if not isinstance(doc, dict):
+            raise _malformed(doc)
+        kind, body = doc.get("kind"), doc.get("body", {})
+        identity = (
+            doc.get("sender"),
+            doc.get("incarnation", 0),
+            doc.get("seq", -1),
+        )
+        if (
+            not isinstance(kind, str)
+            or not isinstance(body, dict)
+            or any(type(number) is not int for number in identity)
+        ):
+            raise _malformed(doc)
+        sender, incarnation, seq = identity
         try:
             return cls(
-                kind=doc["kind"],
-                sender=doc["sender"],
-                incarnation=doc.get("incarnation", 0),
-                seq=doc.get("seq", -1),
+                kind=kind,
+                sender=sender,
+                incarnation=incarnation,
+                seq=seq,
                 payloads=tuple(
                     payload_from_dict(p) for p in doc.get("payloads", ())
                 ),
@@ -230,10 +262,10 @@ class ServiceEnvelope:
                     )
                     for txn, payloads in doc.get("txns", ())
                 ),
-                body=doc.get("body", {}),
+                body=body,
             )
         except (KeyError, TypeError, ValueError) as exc:
-            raise ServiceError(f"malformed envelope: {doc!r}") from exc
+            raise _malformed(doc) from exc
 
     def encode(self) -> bytes:
         """One newline-terminated JSON line (the TCP framing)."""
@@ -244,10 +276,36 @@ class ServiceEnvelope:
 
     @classmethod
     def decode(cls, line: bytes | str) -> "ServiceEnvelope":
-        if isinstance(line, bytes):
-            line = line.decode("utf-8")
+        """The envelope of one line, or :class:`ServiceError`, never
+        anything else, whatever bytes the line holds."""
         try:
+            if isinstance(line, bytes):
+                line = line.decode("utf-8")
             doc = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # Not UTF-8, not JSON, or nested past the parser's depth.
             raise ServiceError(f"undecodable envelope line: {line!r}") from exc
         return cls.from_dict(doc)
+
+
+def splice_member(line: bytes, key: str, value: bytes) -> bytes:
+    """``line`` with the ``null`` of its ``"<key>":null`` member replaced
+    by ``value``, JSON text that is already encoded.
+
+    How a reply carries text that was encoded once, when it became
+    immutable, instead of values ``json.dumps`` would encode again on
+    every call: the sender encodes the envelope with the member set to
+    ``None`` and splices the text in.  A reader cannot tell the result
+    from a line encoded in one piece, except by the order of the keys
+    inside ``value``.
+
+    Raises:
+        ServiceError: unless exactly one such member is in ``line``.
+    """
+    marker = b'"%s":null' % key.encode("utf-8")
+    head, found, tail = line.partition(marker)
+    if not found or marker in tail:
+        raise ServiceError(
+            f"cannot splice {key!r}: not exactly one null member in {line!r}"
+        )
+    return b"".join((head, marker[:-4], value, tail))

@@ -9,6 +9,7 @@ import asyncio
 
 import pytest
 
+from repro.core.messages import VoteMessage
 from repro.errors import ConfigurationError
 from repro.faults.plan import CrashFault, FaultPlan
 from repro.runtime.virtualtime import run_virtual
@@ -22,6 +23,8 @@ from repro.service.wal import (
     write_snapshot,
 )
 from repro.service.wire import ServiceEnvelope
+
+from tests.service.test_txn import multi_config
 
 N, T, K = 5, 2, 4
 
@@ -257,6 +260,112 @@ class TestNodeRobustness:
         node._acked[(0, 0, 3)] = (event, ServiceEnvelope(kind="msg", sender=1))
         node._absorb(ServiceEnvelope(kind="ack", sender=0, body={"seq": 3}))
         assert event.is_set()
+
+    def test_state_transfer_answers_the_transactions_asked_about(self):
+        """A stalled peer's query names its undecided transactions and a
+        closed-stub hit names one: the answer lists those, not every
+        decision ever made.  A query that names none is answered in full."""
+        sent = []
+        node = ServiceNode(
+            multi_config(pid=0),
+            MemoryWalStore(),
+            lambda recipient, envelope, attempt: sent.append((recipient, envelope)),
+            fsync=False,
+        )
+        for txn in range(1, 41):
+            instance = node.mux.ensure(txn)
+            if txn != 40:  # 40 stays undecided
+                instance.transfer_decision = txn % 2
+                instance.decision_logged = True
+            if txn <= 30:
+                node.mux.close_txn(txn)
+
+        def answer(body):
+            sent.clear()
+            node._absorb(
+                ServiceEnvelope(kind="state-query", sender=2, body=body)
+            )
+            ((recipient, reply),) = sent
+            assert recipient == 2 and reply.kind == "state-transfer"
+            return reply.body["decisions"]
+
+        # Closed, live-decided, undecided and unknown: what is known of them.
+        assert answer({"txns": [7, 35, 40, 99]}) == {"7": 1, "35": 1}
+        everything = {str(txn): txn % 2 for txn in range(1, 40)}
+        assert answer({}) == everything
+        for unreadable in ([], "7", [7, "8"], [True], {"7": 1}, None):
+            assert answer({"txns": unreadable}) == everything
+
+        async def closed_hit():
+            runner = asyncio.ensure_future(node.run())
+            await asyncio.sleep(0.001)
+            sent.clear()
+            node.deliver(
+                ServiceEnvelope.msg(
+                    sender=1, incarnation=0, seq=0,
+                    groups=[(7, (VoteMessage(vote=1),))],
+                )
+            )  # fmt: skip
+            await asyncio.sleep(0.001)
+            node.halt()
+            await asyncio.wait_for(runner, timeout=1.0)
+
+        run_virtual(closed_hit())
+        transfers = [e for r, e in sent if e.kind == "state-transfer"]
+        assert [e.body["decisions"] for e in transfers] == [{"7": 1}]
+
+    def test_transferred_decisions_are_bits_or_are_not_offers(self):
+        node = ServiceNode(
+            multi_config(pid=1), MemoryWalStore(), lambda *args: None, fsync=False
+        )
+
+        async def scenario():
+            runner = asyncio.ensure_future(node.run())
+            await asyncio.sleep(0.001)
+            for txn in (5, 6, 7):
+                node.mux.ensure(txn)
+            for body in (
+                {"decisions": [1]},
+                {"decisions": "5"},
+                {"decision": "commit", "decisions": {"5": 2, "6": True}},
+                {"decisions": {"5": [1], "6": None, "x": 1, "7": 1.0}},
+            ):
+                node._absorb(
+                    ServiceEnvelope(kind="state-transfer", sender=0, body=body)
+                )
+                assert node.decisions() == {}
+            node._absorb(
+                ServiceEnvelope(
+                    kind="state-transfer",
+                    sender=0,
+                    body={"decision": None, "decisions": {"5": 0, "6": 1}},
+                )
+            )
+            assert node.decisions() == {5: 0, 6: 1}
+            node.halt()
+            await asyncio.wait_for(runner, timeout=1.0)
+
+        run_virtual(scenario())
+        kinds = [r["type"] for r in durable_records(node.store).records]
+        assert kinds.count("decision") == 2
+
+    def test_envelopes_from_outside_the_group_are_dropped(self):
+        """A ``msg`` is acked and a ``state-query`` answered at the sender's
+        address; a sender that is no peer has none, and a transport
+        indexing its channels by pid would raise out of the run loop."""
+        sent = []
+        cfg = node_configs(3, 1, [1, 1, 1], K, seed=0)[1]
+        node = ServiceNode(
+            cfg, MemoryWalStore(),
+            lambda recipient, envelope, attempt: sent.append(recipient),
+            fsync=False,
+        )  # fmt: skip
+        for sender in (3, 99, -2):
+            node._absorb(ServiceEnvelope(kind="msg", sender=sender, seq=1))
+            node._absorb(ServiceEnvelope(kind="state-query", sender=sender))
+        assert node._pending == [] and sent == []
+        node._absorb(ServiceEnvelope(kind="msg", sender=2, seq=1))
+        assert [e.sender for e in node._pending] == [2]
 
     def test_decided_node_stops_logging_idle_steps(self):
         cfg = node_configs(3, 1, [1, 1, 1], K, seed=0)[1]

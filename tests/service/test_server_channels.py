@@ -13,15 +13,16 @@ import socket
 import time
 
 from repro.runtime.transport import Reliability
-from repro.service import server as server_module
 from repro.service.client import request
 from repro.service.cluster import node_configs
 from repro.service.node import ServiceNode
 from repro.service.server import CHANNEL_BUFFER_CAP, ServiceServer
+from repro.service.txn import InstanceMux
 from repro.service.wal import MemoryWalStore, durable_records
 from repro.service.wire import MAX_LINE_BYTES, ServiceEnvelope
 from repro.telemetry.registry import MetricsRegistry, use_registry
 
+from tests.service.test_client_replies import HEADER, server_with_history
 from tests.service.test_tcp import free_ports
 
 N, T, K = 3, 1, 4
@@ -396,6 +397,55 @@ def test_oversized_line_closes_only_its_own_connection():
         asyncio.run(scenario(registry))
 
 
+#: Each of these once ended a node: the first reached ``_absorb`` and
+#: raised out of the run loop, the next two raised in the connection
+#: handler, and the last is not UTF-8, which no caller of ``decode`` caught.
+MALFORMED_LINES = (
+    b'{"kind":"ack","sender":1,"body":[1]}\n',
+    b'{"kind":"submit","sender":-1,"body":"x"}\n',
+    b'{"kind":"msg","sender":"a"}\n',
+    b'{"kind":"ack","sender":1,"body":{"seq":\xff\xfe}}\n',
+)
+
+
+def test_malformed_lines_are_dropped_and_counted_and_the_node_keeps_stepping():
+    ports = free_ports(N)
+    peers = [(HOST, port) for port in ports]
+    query = ServiceEnvelope(kind="state-query", sender=-1)
+
+    async def scenario(registry):
+        # A participant: undecided and not held, so it steps on every tick.
+        server = make_server(1, peers)
+        task = await serving(server)
+        bystander_r, bystander_w = await asyncio.open_connection(
+            HOST, ports[1]
+        )
+        culprit_r, culprit_w = await asyncio.open_connection(HOST, ports[1])
+        culprit_w.write(b"".join(MALFORMED_LINES))
+        # Its handler read all four and is still reading: same connection.
+        culprit_w.write(query.encode())
+        reply = ServiceEnvelope.decode(await culprit_r.readline())
+        assert reply.kind == "state-transfer"
+        assert counter_total(registry, "service_undecodable_lines_total") == 4
+
+        steps = server.node._steps
+        await until(lambda: server.node._steps > steps + 2)
+        assert not task.done()
+        bystander_w.write(query.encode())
+        assert ServiceEnvelope.decode(await bystander_r.readline()).kind == (
+            "state-transfer"
+        )
+        assert (await request(HOST, ports[1], query)).kind == "state-transfer"
+
+        for writer in (bystander_w, culprit_w):
+            writer.close()
+        await stop((server, task))
+
+    registry = MetricsRegistry(enabled=True)
+    with use_registry(registry):
+        asyncio.run(scenario(registry))
+
+
 def test_commit_does_not_wait_for_the_tick():
     """With a one-second tick a commit still takes a few loopback hops.
     Waiting for the tick anywhere would show: after the submit (nothing
@@ -430,21 +480,38 @@ def test_commit_does_not_wait_for_the_tick():
     asyncio.run(scenario())
 
 
-def test_status_reply_lists_decisions_without_copying_history():
-    """The reply is built from the snapshot's fields; ``dataclasses.asdict``
-    deep-copied every decision ever made on every client poll."""
-    assert not hasattr(server_module, "asdict")
-    peers = [(HOST, port) for port in free_ports(N)]
-    server = make_server(0, peers)
-    reply = server._client_request(
-        ServiceEnvelope(kind="state-query", sender=-1)
+def test_status_reply_lists_decisions_without_copying_history(monkeypatch):
+    """Over a real socket: the ``state-query`` reply lists every decision
+    without building or encoding the map of them again (the closed ones
+    were encoded when they closed), and the ``submit`` ack is the status
+    header alone."""
+    ports = free_ports(N)
+    peers = [(HOST, port) for port in ports]
+    server = server_with_history(
+        closed=2, live_decided=1, peers=peers, tick_interval=0.005,
+        hold_for_submit=True,
+    )  # fmt: skip
+    monkeypatch.setattr(
+        InstanceMux, "decisions", lambda self: {}  # not what a reply reads
     )
-    snapshot = server.node.snapshot_state()
-    assert reply.body["status"] == vars(snapshot)
-    assert set(reply.body["status"]) == {
-        "pid", "incarnation", "status", "decision", "decision_origin",
-        "steps", "wal_records", "txns",
-    }  # fmt: skip
+
+    async def scenario():
+        task = await serving(server)
+        query = ServiceEnvelope(kind="state-query", sender=-1)
+        reply = await request(HOST, ports[0], query)
+        assert reply.kind == "state-transfer" and reply.body["decision"] is None
+        assert set(reply.body["status"]) == HEADER
+        assert reply.body["status"]["txns"] == {"1": 1, "2": 0, "3": 1}
+        ack = await request(
+            HOST,
+            ports[0],
+            ServiceEnvelope(kind="submit", sender=-1, body={"txn": 10}),
+        )
+        assert set(ack.body["status"]) == HEADER
+        assert ack.body["status"]["txns"] is None
+        await stop((server, task))
+
+    asyncio.run(scenario())
 
 
 def test_acked_envelopes_leave_nothing_behind():
