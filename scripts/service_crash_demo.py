@@ -46,6 +46,8 @@ def start_node(args, pid: int) -> subprocess.Popen:
         sys.executable,
         "-m",
         "repro.cli",
+        "--log-level",
+        "info",  # node<p>.out: the listening / recovered lines of each start
         "service",
         "start",
         "--node",

@@ -26,19 +26,26 @@ Quickstart::
     assert outcome.unanimous_decision is not None
 """
 
-from repro.core import (
-    AgreementProgram,
-    CoinList,
-    CommitProgram,
-    HaltingMode,
-    ProtocolOutcome,
-    default_fault_tolerance,
-    run_agreement,
-    run_commit,
-    shared_coins,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "core": (
+            "AgreementProgram",
+            "CoinList",
+            "CommitProgram",
+            "HaltingMode",
+            "ProtocolOutcome",
+            "default_fault_tolerance",
+            "run_agreement",
+            "run_commit",
+            "shared_coins",
+        ),
+        "errors": ("ReproError",),
+        "types": ("COORDINATOR_ID", "Decision", "ProcessorId", "Vote"),
+    },
 )
-from repro.errors import ReproError
-from repro.types import COORDINATOR_ID, Decision, ProcessorId, Vote
 
 __version__ = "1.0.0"
 

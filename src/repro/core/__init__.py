@@ -12,27 +12,34 @@
   experiments.
 """
 
-from repro.core.agreement import (
-    AgreementProgram,
-    AgreementStats,
-    agreement_script,
-)
-from repro.core.api import (
-    ProtocolOutcome,
-    default_fault_tolerance,
-    run_agreement,
-    run_commit,
-    shared_coins,
-)
-from repro.core.coins import CoinList, flip_coin_list
-from repro.core.commit import CommitProgram, CommitStats
-from repro.core.halting import ECHO_LOOKAHEAD_STAGES, HaltingMode
-from repro.core.messages import (
-    BOTTOM,
-    DecidedMessage,
-    GoMessage,
-    StageMessage,
-    VoteMessage,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "agreement": (
+            "AgreementProgram",
+            "AgreementStats",
+            "agreement_script",
+        ),
+        "api": (
+            "ProtocolOutcome",
+            "default_fault_tolerance",
+            "run_agreement",
+            "run_commit",
+            "shared_coins",
+        ),
+        "coins": ("CoinList", "flip_coin_list"),
+        "commit": ("CommitProgram", "CommitStats"),
+        "halting": ("ECHO_LOOKAHEAD_STAGES", "HaltingMode"),
+        "messages": (
+            "BOTTOM",
+            "DecidedMessage",
+            "GoMessage",
+            "StageMessage",
+            "VoteMessage",
+        ),
+    },
 )
 
 __all__ = [

@@ -9,20 +9,27 @@ order are byte-identical to the serial loop.  See
 :mod:`repro.engine.seeds` for the seed-derivation scheme.
 """
 
-from repro.engine import seeds
-from repro.engine.executor import (
-    TrialEngine,
-    default_workers,
-    resolve_workers,
-    run_trials,
-    set_default_workers,
-)
-from repro.engine.spec import (
-    ChunkResult,
-    SeededFactory,
-    TrialResult,
-    TrialSpec,
-    chunk_seeds,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "executor": (
+            "TrialEngine",
+            "default_workers",
+            "resolve_workers",
+            "run_trials",
+            "set_default_workers",
+        ),
+        "spec": (
+            "ChunkResult",
+            "SeededFactory",
+            "TrialResult",
+            "TrialSpec",
+            "chunk_seeds",
+        ),
+    },
+    submodules=("seeds",),
 )
 
 __all__ = [

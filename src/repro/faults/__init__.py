@@ -18,43 +18,50 @@ The :class:`SafetyMonitor` machine-checks the paper's invariants
 into one reproducible, machine-readable report.
 """
 
-from repro.faults.campaign import (
-    CAMPAIGN_SCHEMA,
-    CampaignConfig,
-    TrialCase,
-    case_from_config,
-    execute_trial_case,
-    render_campaign_summary,
-    run_campaign,
-    run_campaign_trial,
-    write_campaign_report,
-)
-from repro.faults.plan import (
-    CrashFault,
-    FaultPlan,
-    LinkDelay,
-    LinkLoss,
-    PartitionWindow,
-)
-from repro.faults.runtime_compile import (
-    PlanLinkFaults,
-    cluster_from_plan,
-    compile_to_runtime,
-    plan_reliability,
-)
-from repro.faults.safety import (
-    LIVENESS_PROPERTIES,
-    SAFETY_PROPERTIES,
-    SafetyMonitor,
-    SafetyReport,
-    Violation,
-)
-from repro.faults.sim_compile import FaultPlanAdversary, compile_to_adversary
-from repro.faults.variants import (
-    PROGRAM_VARIANTS,
-    BrokenCommitProgram,
-    make_programs,
-    resolve_variant,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "campaign": (
+            "CAMPAIGN_SCHEMA",
+            "CampaignConfig",
+            "TrialCase",
+            "case_from_config",
+            "execute_trial_case",
+            "render_campaign_summary",
+            "run_campaign",
+            "run_campaign_trial",
+            "write_campaign_report",
+        ),
+        "plan": (
+            "CrashFault",
+            "FaultPlan",
+            "LinkDelay",
+            "LinkLoss",
+            "PartitionWindow",
+        ),
+        "runtime_compile": (
+            "PlanLinkFaults",
+            "cluster_from_plan",
+            "compile_to_runtime",
+            "plan_reliability",
+        ),
+        "safety": (
+            "LIVENESS_PROPERTIES",
+            "SAFETY_PROPERTIES",
+            "SafetyMonitor",
+            "SafetyReport",
+            "Violation",
+        ),
+        "sim_compile": ("FaultPlanAdversary", "compile_to_adversary"),
+        "variants": (
+            "PROGRAM_VARIANTS",
+            "BrokenCommitProgram",
+            "make_programs",
+            "resolve_variant",
+        ),
+    },
 )
 
 __all__ = [

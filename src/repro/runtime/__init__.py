@@ -8,31 +8,38 @@ demonstrates the protocols working under genuine (non-adversarial)
 asynchrony and is what the example applications build on.
 """
 
-from repro.runtime.cluster import (
-    NONTERMINATED,
-    TERMINATED,
-    Cluster,
-    ClusterResult,
-    CrashInjection,
-    run_commit_cluster,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "cluster": (
+            "NONTERMINATED",
+            "TERMINATED",
+            "Cluster",
+            "ClusterResult",
+            "CrashInjection",
+            "run_commit_cluster",
+        ),
+        "delays": (
+            "DelayModel",
+            "ExponentialDelay",
+            "FixedDelay",
+            "SpikeDelay",
+            "UniformDelay",
+        ),
+        "node": ("Node", "NodeResult"),
+        "transport": (
+            "AsyncTransport",
+            "LinkFaultPolicy",
+            "LinkVerdict",
+            "Reliability",
+            "TransportStats",
+            "WireMessage",
+        ),
+        "virtualtime": ("VirtualClockEventLoop", "run_virtual"),
+    },
 )
-from repro.runtime.delays import (
-    DelayModel,
-    ExponentialDelay,
-    FixedDelay,
-    SpikeDelay,
-    UniformDelay,
-)
-from repro.runtime.node import Node, NodeResult
-from repro.runtime.transport import (
-    AsyncTransport,
-    LinkFaultPolicy,
-    LinkVerdict,
-    Reliability,
-    TransportStats,
-    WireMessage,
-)
-from repro.runtime.virtualtime import VirtualClockEventLoop, run_virtual
 
 __all__ = [
     "AsyncTransport",

@@ -26,42 +26,44 @@ See ``docs/SERVICE.md`` for the process layout, the WAL format, the
 recovery handshake, and the multi-transaction wire/WAL extensions.
 """
 
-from repro.service.bus import ServiceBus
-from repro.service.cluster import (
-    ServiceCluster,
-    ServiceClusterResult,
-    TxnSubmission,
-    TxnWorkload,
-    node_configs,
-    shard_configs,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "bus": ("ServiceBus",),
+        "cluster": (
+            "ServiceCluster",
+            "ServiceClusterResult",
+            "TxnSubmission",
+            "TxnWorkload",
+            "node_configs",
+            "shard_configs",
+        ),
+        "load": ("LoadReport", "run_load"),
+        "node": ("ServiceNode", "ServiceNodeSnapshot"),
+        "recovery": ("NodeConfig", "ReplayResult", "replay", "state_digest"),
+        "txn": (
+            "DEFAULT_TXN",
+            "InstanceMux",
+            "ShardMap",
+            "TxnInstance",
+            "txn_tape_seed",
+            "txn_vote",
+        ),
+        "wal": (
+            "FileWalStore",
+            "MemoryWalStore",
+            "WriteAheadLog",
+            "durable_records",
+            "read_log",
+            "read_snapshot",
+            "split_log_suffix",
+            "write_snapshot",
+        ),
+        "wire": ("ServiceEnvelope",),
+    },
 )
-from repro.service.load import LoadReport, run_load
-from repro.service.node import ServiceNode, ServiceNodeSnapshot
-from repro.service.recovery import (
-    NodeConfig,
-    ReplayResult,
-    replay,
-    state_digest,
-)
-from repro.service.txn import (
-    DEFAULT_TXN,
-    InstanceMux,
-    ShardMap,
-    TxnInstance,
-    txn_tape_seed,
-    txn_vote,
-)
-from repro.service.wal import (
-    FileWalStore,
-    MemoryWalStore,
-    WriteAheadLog,
-    durable_records,
-    read_log,
-    read_snapshot,
-    split_log_suffix,
-    write_snapshot,
-)
-from repro.service.wire import ServiceEnvelope
 
 __all__ = [
     "DEFAULT_TXN",

@@ -311,9 +311,7 @@ def replay(
                 )
             seen_decisions[txn_id] = value
             if record.get("origin") == "transfer":
-                instance = mux.ensure(txn_id)
-                instance.transfer_decision = value
-                instance.decision_logged = True
+                mux.adopt_transfer(txn_id, value)
             else:
                 instance = mux.get(txn_id)
                 if instance is not None:

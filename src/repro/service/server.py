@@ -71,6 +71,7 @@ virtual clock).
 from __future__ import annotations
 
 import asyncio
+import time
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -355,12 +356,15 @@ class ServiceServer:
         self._server = await asyncio.start_server(
             self._handle, host, port, limit=MAX_LINE_BYTES
         )
+        # The process's CPU time so far is what the start cost before
+        # the node could be reached: the interpreter plus the imports.
         _log.info(
-            "p%d listening on %s:%d (data: %s)",
+            "p%d listening on %s:%d (data: %s) start_cpu_ms=%.0f",
             self.node.pid,
             host,
             port,
             getattr(self.node.store, "directory", "<memory>"),
+            time.process_time() * 1000,
         )
         try:
             await self.node.run()

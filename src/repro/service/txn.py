@@ -306,11 +306,6 @@ class TxnInstance:
             return "transfer"
         return self.closed_origin
 
-    @property
-    def settled(self) -> bool:
-        """Nothing left for this instance to do (decided or closed)."""
-        return self.process is None or self.decision is not None
-
 
 @dataclass
 class StepEffects:
@@ -358,6 +353,13 @@ class InstanceMux:
         #: step, a run-loop pass or a status poll scans: open work, not
         #: history.
         self.live: dict[int, TxnInstance] = {}
+        #: The live ones with no effective decision yet, in creation
+        #: order: what the run loop asks about on every pass.  ``live``
+        #: keeps a decided instance until a snapshot closes it, so the
+        #: per-pass questions are not asked of ``live``.  An instance
+        #: leaves when :meth:`apply_step` sees its protocol decide or
+        #: :meth:`adopt_transfer` hands it a peer's decision.
+        self._undecided: dict[int, TxnInstance] = {}
         self._closed_decisions: dict[int, int] = {}
         #: The members of :meth:`decisions_json` for the closed stubs, in
         #: the order they closed.  A closed decision never changes, so
@@ -372,6 +374,7 @@ class InstanceMux:
         instance = TxnInstance.open(txn_id, self.config)
         self.instances[txn_id] = instance
         self.live[txn_id] = instance
+        self._undecided[txn_id] = instance
         return instance
 
     def get(self, txn_id: int) -> TxnInstance | None:
@@ -386,6 +389,7 @@ class InstanceMux:
     def close_txn(self, txn_id: int) -> TxnInstance:
         """Demote a decided instance to a closed stub (frees its state)."""
         live = self.live.pop(txn_id)
+        self._undecided.pop(txn_id, None)
         stub = TxnInstance.closed(txn_id, live.decision, live.decision_origin)
         stub.submitted = live.submitted
         stub.decided_at = live.decided_at
@@ -396,6 +400,19 @@ class InstanceMux:
                 self._closed_members += b","
             self._closed_members += decision_member(txn_id, stub.closed_value)
         return stub
+
+    def adopt_transfer(self, txn_id: int, value: int) -> TxnInstance:
+        """Give ``txn_id`` the decision a peer transferred.
+
+        The one way a decision is set from outside a step: the live node
+        calls it once the decision record is appended, replay when it
+        meets that record.
+        """
+        instance = self.ensure(txn_id)
+        instance.transfer_decision = value
+        instance.decision_logged = True
+        self._undecided.pop(txn_id, None)
+        return instance
 
     def closable_txns(self) -> list[int]:
         """Instances eligible for compaction into closed stubs: decided,
@@ -416,16 +433,13 @@ class InstanceMux:
     @property
     def idle(self) -> bool:
         """No instance has protocol work left (idle ticks need no log)."""
-        return all(inst.settled for inst in self.live.values())
+        return not self._undecided
 
     @property
     def runnable(self) -> bool:
         """Some undecided instance would resume at an empty step taken
         now (see :attr:`~repro.sim.process.SimProcess.runnable`)."""
-        return any(
-            inst.decision is None and inst.process.runnable
-            for inst in self.live.values()
-        )
+        return any(inst.process.runnable for inst in self._undecided.values())
 
     def decisions(self) -> dict[int, int]:
         """Every transaction this node has an effective decision for."""
@@ -453,11 +467,7 @@ class InstanceMux:
 
     def undecided_txns(self) -> list[int]:
         """Live instances still awaiting a decision."""
-        return sorted(
-            txn_id
-            for txn_id, inst in self.live.items()
-            if inst.decision is None
-        )
+        return sorted(self._undecided)
 
     def digest(self) -> str:
         """Canonical hash of the whole multiplexer's observable state.
@@ -533,6 +543,7 @@ class InstanceMux:
                 )
             if process.decision is not None and not instance.decision_logged:
                 instance.decision_logged = True
+                del self._undecided[txn_id]
                 effects.events.append(
                     tag_txn(
                         txn_id,

@@ -21,24 +21,31 @@ Everything is deterministic given the pair of seeds (adversary seed,
 tape seed), so every run in every experiment is exactly replayable.
 """
 
-from repro.sim.admissibility import AdmissibilityMonitor, AdmissibilityReport
-from repro.sim.buffer import MessageBuffer
-from repro.sim.message import Envelope, MessageId, Payload
-from repro.sim.pattern import PatternEntry, PatternView
-from repro.sim.process import Program, SimProcess
-from repro.sim.rounds import RoundAnalyzer, RoundBoundaries
-from repro.sim.scheduler import Simulation, SimulationResult
-from repro.sim.tape import RandomTape, TapeCollection
-from repro.sim.trace import Run, TraceEvent
-from repro.sim.waits import (
-    ClockAtLeast,
-    MessageCount,
-    Never,
-    Predicate,
-    WaitAll,
-    WaitAny,
-    WaitCondition,
-    WithTimeout,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "admissibility": ("AdmissibilityMonitor", "AdmissibilityReport"),
+        "buffer": ("MessageBuffer",),
+        "message": ("Envelope", "MessageId", "Payload"),
+        "pattern": ("PatternEntry", "PatternView"),
+        "process": ("Program", "SimProcess"),
+        "rounds": ("RoundAnalyzer", "RoundBoundaries"),
+        "scheduler": ("Simulation", "SimulationResult"),
+        "tape": ("RandomTape", "TapeCollection"),
+        "trace": ("Run", "TraceEvent"),
+        "waits": (
+            "ClockAtLeast",
+            "MessageCount",
+            "Never",
+            "Predicate",
+            "WaitAll",
+            "WaitAny",
+            "WaitCondition",
+            "WithTimeout",
+        ),
+    },
 )
 
 __all__ = [

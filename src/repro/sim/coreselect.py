@@ -22,9 +22,13 @@ than being silently coerced.
 
 from __future__ import annotations
 
+import functools
 import os
 
 from repro.errors import ConfigurationError
+from repro.telemetry.log import get_logger
+
+_log = get_logger("sim")
 
 #: Recognised core names, in documentation order.
 CORE_NAMES = ("reference", "fast")
@@ -73,6 +77,30 @@ def numpy_allowed(name: str = "REPRO_SIM_NUMPY") -> bool:
     raise ConfigurationError(
         f"{name} must be a boolean flag (0/1/true/false/on/off), got {raw!r}"
     )
+
+
+def numpy_if_allowed():
+    """The numpy module, or ``None`` when it is switched off or absent.
+
+    numpy is imported here, at the first call that
+    :func:`numpy_allowed` lets through, and not when :mod:`repro.sim`
+    is imported: a process that never reaches a vectorised path (a
+    service node, a short trial) never pays for it.  Only
+    ``ImportError`` reads as "absent", and it is logged once with its
+    reason; anything else a damaged install raises propagates.
+    """
+    return _import_numpy() if numpy_allowed() else None
+
+
+@functools.cache
+def _import_numpy():
+    """The one ``import numpy`` of this process: the module or ``None``."""
+    try:
+        import numpy
+    except ImportError as exc:
+        _log.info("numpy unavailable (%s): pure-Python paths in use", exc)
+        return None
+    return numpy
 
 
 def set_default_sim_core(core: str | None) -> None:

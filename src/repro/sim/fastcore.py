@@ -27,8 +27,9 @@ reference core (:class:`repro.sim.scheduler.Simulation`):
   declined, and the caller runs :class:`FastSimulation`, which is
   always safe.
 
-Numpy use is optional everywhere (``REPRO_SIM_NUMPY=0`` disables it;
-absence of numpy degrades silently to the pure-Python fallbacks).
+Numpy use is optional everywhere (``REPRO_SIM_NUMPY=0`` disables it; an
+install without numpy takes the pure-Python fallbacks, logged once by
+:func:`repro.sim.coreselect.numpy_if_allowed`).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from bisect import bisect_left, bisect_right
 from repro.adversary.base import CycleAdversary, DeliveryPolicy
 from repro.errors import AnalysisError, SchedulingError
 from repro.sim.board import BulletinBoard
-from repro.sim.coreselect import numpy_allowed
+from repro.sim.coreselect import numpy_if_allowed
 from repro.sim.decisions import StepDecision
 from repro.sim.message import Envelope, ReceivedPayload
 from repro.sim.process import SimProcess
@@ -50,11 +51,6 @@ from repro.telemetry.log import get_logger
 from repro.trace import spans as trace_spans
 from repro.types import ProcessStatus
 
-try:  # pragma: no cover - exercised via the fallback tests
-    import numpy as _np
-except Exception:  # pragma: no cover
-    _np = None
-
 _log = get_logger("sim.fastcore")
 
 #: Upper bound on rounds, mirrored from :mod:`repro.sim.rounds`.
@@ -62,10 +58,6 @@ _MAX_ROUNDS = 10_000
 
 #: Sentinel for payload types that declare no ``board_key``.
 _NO_KEY = object()
-
-
-def _use_numpy() -> bool:
-    return _np is not None and numpy_allowed()
 
 
 # ---------------------------------------------------------------------------
@@ -89,17 +81,18 @@ def _late_flags(
     count = len(send_events)
     if count == 0:
         return []
-    if _use_numpy():
-        sends = _np.asarray(send_events, dtype=_np.int64)
-        recvs = _np.asarray(receive_events, dtype=_np.int64)
-        worst = _np.zeros(count, dtype=_np.int64)
+    np = numpy_if_allowed()
+    if np is not None:
+        sends = np.asarray(send_events, dtype=np.int64)
+        recvs = np.asarray(receive_events, dtype=np.int64)
+        worst = np.zeros(count, dtype=np.int64)
         for steps in pid_steps:
             if not steps:
                 continue
-            arr = _np.asarray(steps, dtype=_np.int64)
-            counts = _np.searchsorted(arr, recvs, side="left")
-            counts -= _np.searchsorted(arr, sends, side="right")
-            _np.maximum(worst, counts, out=worst)
+            arr = np.asarray(steps, dtype=np.int64)
+            counts = np.searchsorted(arr, recvs, side="left")
+            counts -= np.searchsorted(arr, sends, side="right")
+            np.maximum(worst, counts, out=worst)
         return (worst > K).tolist()
     flags = []
     for send, recv in zip(send_events, receive_events):

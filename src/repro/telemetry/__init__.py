@@ -22,25 +22,32 @@ Three layers, all optional and all off by default:
 See ``docs/OBSERVABILITY.md`` for the event schema and CLI examples.
 """
 
-from repro.telemetry.log import LOG_LEVELS, configure_logging, get_logger
-from repro.telemetry.registry import (
-    COUNT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    active_registry,
-    count,
-    disable_telemetry,
-    enable_telemetry,
-    enabled,
-    get_registry,
-    observe,
-    set_gauge,
-    set_registry,
-    use_registry,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "log": ("LOG_LEVELS", "configure_logging", "get_logger"),
+        "registry": (
+            "COUNT_BUCKETS",
+            "Counter",
+            "Gauge",
+            "Histogram",
+            "MetricsRegistry",
+            "active_registry",
+            "count",
+            "disable_telemetry",
+            "enable_telemetry",
+            "enabled",
+            "get_registry",
+            "observe",
+            "set_gauge",
+            "set_registry",
+            "use_registry",
+        ),
+        "server": ("MetricsServer", "serving_metrics"),
+    },
 )
-from repro.telemetry.server import MetricsServer, serving_metrics
 
 __all__ = [
     "COUNT_BUCKETS",

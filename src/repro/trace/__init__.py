@@ -33,36 +33,43 @@ CLI: ``--trace-spans PATH`` on ``run-commit`` / ``faults campaign`` /
 critical-path`` consumes the file.  See ``docs/OBSERVABILITY.md``.
 """
 
-from repro.trace.build import record_run
-from repro.trace.critical_path import (
-    CriticalPath,
-    Hop,
-    critical_path_from_run,
-    critical_paths_from_records,
-)
-from repro.trace.export import (
-    CHROME_SCHEMA_NOTE,
-    SPAN_TRACE_SCHEMA,
-    SPAN_TRACE_VERSION,
-    SpanTrace,
-    read_span_trace,
-    recorder_to_records,
-    summarize_trace,
-    to_chrome_trace,
-    trace_from_records,
-    write_chrome_trace,
-    write_span_trace,
-)
-from repro.trace.spans import (
-    CausalEdge,
-    PointEvent,
-    Span,
-    SpanRecorder,
-    active_recorder,
-    disable_tracing,
-    enable_tracing,
-    tracing_enabled,
-    use_recorder,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "build": ("record_run",),
+        "critical_path": (
+            "CriticalPath",
+            "Hop",
+            "critical_path_from_run",
+            "critical_paths_from_records",
+        ),
+        "export": (
+            "CHROME_SCHEMA_NOTE",
+            "SPAN_TRACE_SCHEMA",
+            "SPAN_TRACE_VERSION",
+            "SpanTrace",
+            "read_span_trace",
+            "recorder_to_records",
+            "summarize_trace",
+            "to_chrome_trace",
+            "trace_from_records",
+            "write_chrome_trace",
+            "write_span_trace",
+        ),
+        "spans": (
+            "CausalEdge",
+            "PointEvent",
+            "Span",
+            "SpanRecorder",
+            "active_recorder",
+            "disable_tracing",
+            "enable_tracing",
+            "tracing_enabled",
+            "use_recorder",
+        ),
+    },
 )
 
 __all__ = [

@@ -229,9 +229,7 @@ def server_with_history(closed, live_decided=3, peers=PEERS, **kwargs):
     )
     mux = InstanceMux(server.node.config)
     for txn in range(1, closed + live_decided + 1):
-        instance = mux.ensure(txn)
-        instance.transfer_decision = txn % 2
-        instance.decision_logged = True
+        mux.adopt_transfer(txn, txn % 2)
         if txn <= closed:
             mux.close_txn(txn)
     server.node.mux = mux

@@ -273,10 +273,9 @@ class TestNodeRobustness:
             fsync=False,
         )
         for txn in range(1, 41):
-            instance = node.mux.ensure(txn)
+            node.mux.ensure(txn)
             if txn != 40:  # 40 stays undecided
-                instance.transfer_decision = txn % 2
-                instance.decision_logged = True
+                node.mux.adopt_transfer(txn, txn % 2)
             if txn <= 30:
                 node.mux.close_txn(txn)
 

@@ -222,9 +222,7 @@ class TestDuplicateSubmission:
         async def scenario():
             runner = asyncio.ensure_future(node.run())
             await asyncio.sleep(0.01)
-            instance = node.mux.ensure(5)
-            instance.transfer_decision = 1
-            instance.decision_logged = True
+            node.mux.adopt_transfer(5, 1)
             node.mux.close_txn(5)
             with pytest.raises(ServiceError, match="already decided"):
                 node.submit_txn(5)
@@ -529,9 +527,7 @@ class TestMuxStepSemantics:
 
     def test_closed_stub_hit_reported(self):
         mux = InstanceMux(multi_config(pid=1))
-        instance = mux.ensure(2)
-        instance.transfer_decision = 1
-        instance.decision_logged = True
+        mux.adopt_transfer(2, 1)
         mux.close_txn(2)
         payload = RawPayload(data="x")
         effects = mux.apply_step([(0, [(2, (payload,))])])
@@ -552,8 +548,7 @@ class TestMuxStepSemantics:
         mux.apply_step([(0, [(txn, (go,)) for txn in (9, 3, 6)])])
         assert list(mux.live) == [9, 3, 6] == list(mux.instances)
         for txn, value in ((9, 1), (6, 0)):
-            mux.get(txn).transfer_decision = value
-            mux.get(txn).decision_logged = True
+            mux.adopt_transfer(txn, value)
         assert mux.closable_txns() == [6, 9]
         assert mux.undecided_txns() == [3]
         mux.close_txn(9)
@@ -570,8 +565,44 @@ class TestMuxStepSemantics:
         process.on_step = lambda inbound: (stepped.append(3), real_step(inbound))[1]
         effects = mux.apply_step([(0, [(9, (go,))])])
         assert stepped == [3] and effects.closed_hits == [(0, 9)]
-        mux.get(3).transfer_decision = 1
+        mux.adopt_transfer(3, 1)
         assert mux.idle and mux.decisions() == {9: 1, 6: 0, 3: 1}
+
+    def test_undecided_index_matches_a_scan_of_live_after_every_change(
+        self, monkeypatch
+    ):
+        """``idle``, ``runnable`` and ``undecided_txns`` read an index of
+        the undecided instances instead of scanning ``live``: after every
+        step, adopted transfer and close, on live nodes and in replay, it
+        holds exactly what the scan would find, in the same order."""
+        seen = set()
+
+        def checked(method):
+            def call(mux, *args, **kwargs):
+                result = method(mux, *args, **kwargs)
+                assert list(mux._undecided) == [
+                    txn
+                    for txn, instance in mux.live.items()
+                    if instance.decision is None
+                ]
+                seen.add(method.__name__)
+                return result
+
+            return call
+
+        for name in ("apply_step", "adopt_transfer", "close_txn"):
+            monkeypatch.setattr(
+                InstanceMux, name, checked(getattr(InstanceMux, name))
+            )
+        for seed in (21, 22, 23):
+            plan = FaultPlan(
+                n=3, crashes=(CrashFault(pid=1, cycle=2, recover_cycle=12),)
+            )
+            _, result = run_multi_cluster(
+                1, 3, 8, plan=plan, seed=seed, rate=2000.0, snapshot_every=4
+            )
+            assert result.outcome == TERMINATED and result.recoveries == 1
+        assert seen == {"apply_step", "adopt_transfer", "close_txn"}
 
     def test_runnable_means_an_undecided_instance_armed_a_satisfied_wait(self):
         mux = InstanceMux(multi_config(pid=1))
@@ -589,5 +620,5 @@ class TestMuxStepSemantics:
         # A decided instance never asks for a step, whatever its wait.
         other = InstanceMux(multi_config(pid=1))
         other.apply_step([(0, [(2, (go,))])])
-        other.get(2).transfer_decision = 1
+        other.adopt_transfer(2, 1)
         assert not other.runnable
