@@ -1,9 +1,10 @@
-"""Sim-core A/B benchmark: fast core vs reference on commit trials.
+"""Sim-core A/B benchmark: fast core vs reference on commit and campaign trials.
 
 Built on :mod:`abharness`: interleaved best-of-N rounds alternating the
 two cores over identical trial batches, so machine drift cancels.
-Correctness before speed — the per-trial :class:`RunMetrics` bundles
-must be equal across cores before any timing is believed.
+Correctness before speed — the per-trial results (:class:`RunMetrics`
+bundles, campaign records) must be equal across cores before any
+timing is believed.
 
 The artifact (``benchmarks/results/BENCH_sim_core.json``, or
 ``BENCH_sim_core_nonumpy.json`` when ``REPRO_SIM_NUMPY`` disables the
@@ -14,7 +15,11 @@ honestly instead of flaking; a fast core slower than 3x the reference
 means the trials fell off the fused sweep.  One row re-times the same
 adversary under the ``granular`` zoo model (floor 2.0x, same policy):
 zoo policies reach the sweep through the delivery hold contract, and
-this row is what notices if they stop.
+this row is what notices if they stop.  The campaign row runs the fault
+campaign's sim track over a fixed window of plans (n=5, t=2, 12 plans of
+which 3 are over budget and run to the step horizon), chosen the way
+``benchmarks/e2e/simmix.py`` chooses its window; it is what notices if
+campaign trials stop reaching the sweep.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from abharness import best_of, interleaved_rounds, timing_summary, write_results
 
 from repro.adversary.standard import OnTimeAdversary
 from repro.analysis.montecarlo import CommitTrialConfig, run_commit_trial
+from repro.faults.campaign import CampaignConfig, case_from_config, run_campaign_trial
 from repro.models import set_default_timing_model
 from repro.sim.coreselect import numpy_allowed, set_default_sim_core
 
@@ -38,6 +44,11 @@ ROWS = (
     ("granular n=15", 15, 30, "granular", 2.0),
 )
 
+#: The campaign row: processors, budget, plans in the window, and how
+#: many of them are over budget (the campaign's default 0.25, made exact).
+CAMPAIGN_N, CAMPAIGN_T = 5, 2
+WINDOW_PLANS, WINDOW_OVER_BUDGET = 12, 3
+
 #: Interleaved rounds per row; best-of cancels scheduler noise.
 ROUNDS = 5
 
@@ -50,53 +61,103 @@ def _config(n: int) -> CommitTrialConfig:
     )
 
 
-def _batch(config: CommitTrialConfig, trials: int, core: str, model=None):
+def _find_window(config: CampaignConfig, start: int) -> int:
+    """First base seed ``>= start`` whose ``WINDOW_PLANS`` consecutive
+    plans hold exactly ``WINDOW_OVER_BUDGET`` over-budget ones."""
+    flags = [
+        not case_from_config(config, seed).within_budget
+        for seed in range(start, start + WINDOW_PLANS)
+    ]
+    base = start
+    while sum(flags) != WINDOW_OVER_BUDGET:
+        flags.pop(0)
+        flags.append(
+            not case_from_config(config, base + WINDOW_PLANS).within_budget
+        )
+        base += 1
+    return base
+
+
+def _commit_workload(n: int, trials: int):
+    config = _config(n)
+    return lambda: [run_commit_trial(config, seed) for seed in range(trials)]
+
+
+def _campaign_workload(config: CampaignConfig, base: int):
+    seeds = range(base, base + WINDOW_PLANS)
+    return lambda: [run_campaign_trial(config, seed) for seed in seeds]
+
+
+def _events(result) -> int:
+    """Simulated events of one trial result, either kind."""
+    if isinstance(result, dict):
+        return result["tracks"]["sim"]["events"]
+    return result.events
+
+
+def _batch(workload, core: str, model=None):
     set_default_sim_core(core)
     set_default_timing_model(model)
     try:
-        return [run_commit_trial(config, seed) for seed in range(trials)]
+        return workload()
     finally:
         set_default_sim_core(None)
         set_default_timing_model(None)
 
 
+def _measure(label: str, workload, model, floor: float) -> dict:
+    # Correctness first: identical results, then identical event totals
+    # are implied — events/s comparisons are apples-to-apples.
+    reference = _batch(workload, "reference", model)
+    fast = _batch(workload, "fast", model)
+    assert fast == reference, f"fast core diverged from reference at {label}"
+    events = sum(_events(result) for result in reference)
+
+    timings = interleaved_rounds(
+        {
+            core: lambda r, core=core: _batch(workload, core, model)
+            for core in ("reference", "fast")
+        },
+        ROUNDS,
+    )
+    bests = best_of(timings)
+    return {
+        "trials": len(reference),
+        "model": model or "realistic",
+        "min_speedup_asserted": floor,
+        "events": events,
+        "timings": timing_summary(timings),
+        "events_per_second": {
+            core: events / best for core, best in bests.items()
+        },
+        "speedup": bests["reference"] / bests["fast"],
+    }
+
+
 def test_sim_core_speedup():
     sizes = {}
     for label, n, trials, model, floor in ROWS:
-        config = _config(n)
-
-        # Correctness first: identical metrics, then identical event
-        # totals are implied — events/s comparisons are apples-to-apples.
-        reference_metrics = _batch(config, trials, "reference", model)
-        fast_metrics = _batch(config, trials, "fast", model)
-        assert fast_metrics == reference_metrics, (
-            f"fast core diverged from reference at {label}"
+        sizes[label] = _measure(
+            label, _commit_workload(n, trials), model, floor
         )
-        events = sum(m.events for m in reference_metrics)
-
-        timings = interleaved_rounds(
-            {
-                core: lambda r, core=core: _batch(config, trials, core, model)
-                for core in ("reference", "fast")
-            },
-            ROUNDS,
-        )
-        bests = best_of(timings)
-        speedup = bests["reference"] / bests["fast"]
-        sizes[label] = {
-            "trials": trials,
-            "model": model or "realistic",
-            "min_speedup_asserted": floor,
-            "events": events,
-            "timings": timing_summary(timings),
-            "events_per_second": {
-                core: events / best for core, best in bests.items()
-            },
-            "speedup": speedup,
-        }
+    config = CampaignConfig(
+        n=CAMPAIGN_N, t=CAMPAIGN_T, plans=WINDOW_PLANS, tracks=("sim",)
+    )
+    base = _find_window(config, 0)
+    label = f"campaign n={CAMPAIGN_N}"
+    sizes[label] = _measure(
+        label, _campaign_workload(config, base), None, MIN_SPEEDUP
+    )
+    sizes[label]["window"] = {
+        "base_seed": base,
+        "plans": WINDOW_PLANS,
+        "over_budget": WINDOW_OVER_BUDGET,
+        "t": CAMPAIGN_T,
+    }
 
     document = {
         "adversary": "OnTimeAdversary(K=4)",
+        "campaign_adversary": "compiled FaultPlan (repro faults campaign)",
         "rounds": ROUNDS,
         "numpy_enabled": numpy_allowed(),
         "min_speedup_asserted": MIN_SPEEDUP,

@@ -113,10 +113,11 @@ def run_commit_trial(
     """Run one commit trial and extract its metrics.
 
     Executes on the resolved simulation core (``core`` / ``--sim-core`` /
-    ``REPRO_SIM_CORE``).  The fast core first offers the trial to its
-    fused metrics-only sweep (:func:`repro.sim.fastcore.sweep_trial`);
-    when that declines, and on the reference core always, the trial runs
-    on ``simulation_class(core)`` and the metrics are read off its trace.
+    ``REPRO_SIM_CORE``).  On the fast core a trial that passes
+    :func:`repro.sim.fastcore.sweep_gate` runs on the fused sweep
+    (:func:`repro.sim.fastcore.sweep_trial`); otherwise, and on
+    the reference core always, the trial runs on
+    ``simulation_class(core)`` and the metrics are read off its trace.
     Either way the metrics are equal.  Batches pickle ``(config, seed)``
     for the engine's worker pool, which installs the parent's core.
     """
@@ -142,11 +143,12 @@ def run_commit_trial(
     )
     swept = None
     if core == "fast":
-        from repro.sim.fastcore import sweep_trial
+        from repro.sim.fastcore import sweep_gate, sweep_trial
 
-        swept = sweep_trial(
-            programs, adversary, config.K, t, seed, config.max_steps
-        )
+        if sweep_gate(adversary):
+            swept = sweep_trial(
+                programs, adversary, config.K, t, seed, config.max_steps
+            )
     if swept is not None:
         metrics, decisions, nonfaulty = swept
     else:

@@ -160,9 +160,17 @@ def run_core_case(config: CampaignConfig, seed: int) -> dict[str, Any]:
     byte-for-byte — events, envelopes, decisions, pattern histories,
     everything the trace format captures.  This is the enforcement
     point of the fast core's byte-identical-``Run`` contract.
+
+    The case's campaign record is compared too: the one the fast core's
+    sim track produces (on the fused sweep when eligible, which builds
+    no ``Run``) must equal the one read off the reference run.
     """
-    from repro.faults.campaign import case_from_config
-    from repro.faults.sim_compile import compile_to_adversary
+    from repro.faults.campaign import (
+        case_from_config,
+        run_sim_track,
+        sim_track_adversary,
+        sim_track_record,
+    )
     from repro.faults.variants import make_programs
     from repro.sim.coreselect import simulation_class
     from repro.telemetry.runio import run_to_records
@@ -170,12 +178,13 @@ def run_core_case(config: CampaignConfig, seed: int) -> dict[str, Any]:
     case = case_from_config(config, seed)
     serialized: dict[str, str] = {}
     outcomes: dict[str, Any] = {}
+    campaign_records: dict[str, Any] = {}
     for core in ("reference", "fast"):
         simulation = simulation_class(core)(
             programs=make_programs(
                 case.program, case.n, case.t, case.votes, case.K
             ),
-            adversary=compile_to_adversary(case.plan, K=case.K),
+            adversary=sim_track_adversary(case),
             K=case.K,
             t=case.t,
             seed=case.seed,
@@ -192,15 +201,29 @@ def run_core_case(config: CampaignConfig, seed: int) -> dict[str, Any]:
             ],
             "events": result.run.event_count,
         }
+        if core == "reference":
+            campaign_records[core] = sim_track_record(
+                result.terminated,
+                outcomes[core]["decisions"],
+                result.run.faulty(),
+                result.run.event_count,
+            )
+    campaign_records["fast"] = run_sim_track(case, core="fast")
+    runs_match = serialized["reference"] == serialized["fast"]
+    records_match = campaign_records["fast"] == campaign_records["reference"]
     record: dict[str, Any] = {
         "seed": seed,
-        "match": serialized["reference"] == serialized["fast"],
+        "match": runs_match and records_match,
         "events": outcomes["reference"]["events"],
     }
     if not record["match"]:
         record["plan"] = case.plan.to_dict()
         record["reference"] = outcomes["reference"]
         record["fast"] = outcomes["fast"]
+        record["runs_match"] = runs_match
+        record["records_match"] = records_match
+        if not records_match:
+            record["campaign_records"] = campaign_records
     return record
 
 
@@ -212,8 +235,10 @@ def run_core_differential(
     Same plan/vote drawing as the campaign (so findings are replayable
     with the campaign tooling), but the comparison axis is the
     *execution core* rather than the track: every case must produce a
-    byte-identical serialized ``Run`` under ``reference`` and ``fast``.
-    Any divergence is a finding — there is no benign drift here.
+    byte-identical serialized ``Run`` under ``reference`` and ``fast``,
+    and the fast core's campaign record (from the fused sweep) must
+    equal the one read off the reference run.  Any divergence is a
+    finding — there is no benign drift here.
     """
     from repro.engine.executor import run_trials
 

@@ -52,7 +52,7 @@ from repro.sim.decisions import (
     decision_from_dict,
     decision_to_dict,
 )
-from repro.sim.coreselect import simulation_class
+from repro.sim.coreselect import resolve_sim_core, simulation_class
 from repro.sim.scheduler import Simulation
 from repro.telemetry import registry as telemetry
 from repro.telemetry.log import get_logger
@@ -464,45 +464,83 @@ def case_from_config(config: CampaignConfig, seed: int) -> TrialCase:
     )
 
 
-def _run_sim_track(case: TrialCase) -> dict[str, Any]:
+def sim_track_adversary(case: TrialCase):
+    """The adversary that runs ``case`` on the sim track."""
     if case.schedule is not None:
         # The scripted prefix is the counterexample; the deliver-all
         # fallback (which never consults cycle bookkeeping) completes
         # the run deterministically once the script runs out.
-        adversary = ScriptedAdversary(
+        return ScriptedAdversary(
             case.schedule,
             then=CycleAdversary(seed=case.seed, delivery=DeliverAll()),
         )
-    elif case.model == DEFAULT_MODEL:
-        adversary = compile_to_adversary(case.plan, K=case.K)
-    else:
-        # Non-realistic models own their delivery randomness; seeding it
-        # from MODEL_TIMING_STREAM keeps the draw strictly after every
-        # historical per-trial stream.
-        adversary = resolve_model(case.model).compile_plan(
-            case.plan,
-            K=case.K,
-            seed=derive(case.seed, MODEL_TIMING_STREAM),
-        )
-    simulation = simulation_class()(
-        programs=make_programs(
-            case.program, case.n, case.t, case.votes, case.K
-        ),
+    if case.model == DEFAULT_MODEL:
+        return compile_to_adversary(case.plan, K=case.K)
+    # Non-realistic models own their delivery randomness; seeding it
+    # from MODEL_TIMING_STREAM keeps the draw strictly after every
+    # historical per-trial stream.
+    return resolve_model(case.model).compile_plan(
+        case.plan,
+        K=case.K,
+        seed=derive(case.seed, MODEL_TIMING_STREAM),
+    )
+
+
+def sim_track_record(
+    terminated: bool,
+    decisions: list[int | None],
+    crashed: set[int],
+    events: int,
+) -> dict[str, Any]:
+    """The sim track's result record, whichever core produced it.
+
+    These four fields are all the safety monitor and the report read.
+    """
+    return {
+        "outcome": TERMINATED if terminated else NONTERMINATED,
+        "decisions": decisions,
+        "crashed": sorted(crashed),
+        "events": events,
+    }
+
+
+def run_sim_track(case: TrialCase, core: str | None = None) -> dict[str, Any]:
+    """Run ``case`` on the sim track of the resolved core.
+
+    On the fast core a trial that passes
+    :func:`repro.sim.fastcore.sweep_gate` runs on the fused sweep, which
+    builds no trace; otherwise ``simulation_class(core)`` runs it.  The
+    record is the same either way.
+    """
+    programs = make_programs(case.program, case.n, case.t, case.votes, case.K)
+    adversary = sim_track_adversary(case)
+    if resolve_sim_core(core) == "fast":
+        # Imported here so that importing the campaign does not load the
+        # fast core.
+        from repro.sim.fastcore import sweep_gate, sweep_run
+
+        if sweep_gate(adversary):
+            processes, crashed, _envs, _steps, events, terminated = sweep_run(
+                programs, adversary, case.K, case.t, case.seed, case.max_steps
+            )
+            return sim_track_record(
+                terminated, [p.decision for p in processes], crashed, events
+            )
+    result = simulation_class(core)(
+        programs=programs,
         adversary=adversary,
         K=case.K,
         t=case.t,
         seed=case.seed,
         max_steps=case.max_steps,
-    )
-    result = simulation.run()
+    ).run()
     run = result.run
-    decisions = [run.decisions[pid] for pid in range(case.n)]
-    return {
-        "outcome": TERMINATED if result.terminated else NONTERMINATED,
-        "decisions": decisions,
-        "crashed": sorted(run.faulty()),
-        "events": run.event_count,
-    }
+    return sim_track_record(
+        result.terminated,
+        [run.decisions[pid] for pid in range(case.n)],
+        run.faulty(),
+        run.event_count,
+    )
 
 
 def _run_runtime_track(case: TrialCase) -> dict[str, Any]:
@@ -715,7 +753,7 @@ def execute_trial_case(case: TrialCase) -> dict[str, Any]:
     tracks: dict[str, Any] = {}
     for track in case.tracks:
         if track == "sim":
-            outcome = _run_sim_track(case)
+            outcome = run_sim_track(case)
         elif track == "service":
             outcome = _run_service_track(case)
         else:

@@ -5,8 +5,10 @@ Two cores execute the paper's model:
 * ``reference`` — :class:`repro.sim.scheduler.Simulation`, the readable
   object-graph kernel that the rest of the repo is specified against;
 * ``fast`` — :class:`repro.sim.fastcore.FastSimulation`, a drop-in
-  subclass with a slimmed per-event path plus a fused sweep mode for
-  Monte-Carlo trials (:func:`repro.sim.fastcore.sweep_trial`).
+  subclass with a slimmed per-event path, plus a fused sweep that runs
+  every trial whose result is read off flat state rather than a trace
+  (commit Monte-Carlo trials and fault-campaign sim-track trials) when
+  :func:`repro.sim.fastcore.sweep_gate` admits it.
 
 The contract is byte-identical ``Run`` traces, decisions, and pattern
 histories; ``repro faults diff --cores`` and the golden-trace tests in

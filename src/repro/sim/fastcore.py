@@ -12,20 +12,23 @@ reference core (:class:`repro.sim.scheduler.Simulation`):
   fallback otherwise) instead of the per-envelope × per-processor bisect
   storm the first ``is_on_time`` query would trigger.
 
-* the *sweep* path (:func:`sweep_trial`) — a fused cycle driver for
-  metrics-only Monte-Carlo trials.  When the adversary is a stock
-  :class:`~repro.adversary.base.CycleAdversary` whose delivery policy
-  keeps to the hold contract (does not override ``select``) and no
-  observer is attached (no telemetry, no span recorder), the driver
-  replays the exact decide/apply semantics of the reference pair while
-  skipping everything a :class:`RunMetrics` bundle cannot observe:
+* the *sweep* path (:func:`sweep_run`) — a fused cycle driver for
+  trials whose result is read off flat state rather than a trace:
+  commit Monte-Carlo trials (:func:`sweep_trial`, a
+  :class:`RunMetrics` bundle) and fault-campaign sim-track trials
+  (outcome, decisions, crashed set, event count).  When the adversary
+  is a stock :class:`~repro.adversary.base.CycleAdversary` whose
+  delivery policy keeps to the hold contract (does not override
+  ``select``) and no observer is attached (no telemetry, no span
+  recorder), the driver replays the exact decide/apply semantics of the
+  reference pair while skipping everything neither result can observe:
   pattern entries, trace events, envelope objects, pending-metadata
   caches, and all bulletin-board activity of returned processors.  The
   policy's own contract methods, its own hold memo and the adversary's
   own ``rng`` are used, so RNG draw order is the reference's and the
-  produced metrics are equal as Python objects.  Anything else is
-  declined, and the caller runs :class:`FastSimulation`, which is
-  always safe.
+  produced results are equal as Python objects.  :func:`sweep_gate` is
+  the one eligibility rule both callers apply; a declined trial runs
+  :class:`FastSimulation`, which is always safe.
 
 Numpy use is optional everywhere (``REPRO_SIM_NUMPY=0`` disables it; an
 install without numpy takes the pure-Python fallbacks, logged once by
@@ -300,7 +303,7 @@ class FastSimulation(Simulation):
 
 
 # ---------------------------------------------------------------------------
-# Sweep mode: fused metrics-only commit trials
+# Sweep mode: fused trials that build no trace
 # ---------------------------------------------------------------------------
 
 
@@ -475,17 +478,43 @@ def _observed() -> bool:
 
 def sweep_eligible(adversary) -> bool:
     """Whether the fused sweep driver can replicate this run: no observer
-    is active and the adversary passes :func:`adversary_sweep_supported`."""
+    is active and the adversary passes :func:`adversary_sweep_supported`.
+    The rule :func:`sweep_gate` applies, without counting."""
     return not _observed() and adversary_sweep_supported(adversary)
 
 
-def _sweep_run(programs, adversary, K, t, seed, max_steps):
+def sweep_gate(adversary) -> bool:
+    """Whether a fast-core trial runs on the fused sweep.
+
+    The one eligibility rule, applied by every fast-core trial that can
+    run on the sweep (:func:`~repro.analysis.montecarlo.run_commit_trial`
+    and the fault campaign's sim track).  A declined trial runs
+    :class:`FastSimulation`.  Declining an adversary the sweep cannot
+    replicate (off the hold contract, scripted, consumed) is a
+    performance cliff and is counted in ``sim_fastcore_fallbacks_total``;
+    declining because an observer is active is deliberate and is not.
+    """
+    if not adversary_sweep_supported(adversary):
+        telemetry.count(
+            "sim_fastcore_fallbacks_total",
+            help="fast-core trials that fell back from the fused sweep to "
+            "FastSimulation because the adversary or its delivery policy "
+            "overrides what the sweep replicates",
+            adversary=type(adversary).__name__,
+        )
+        return False
+    return not _observed()
+
+
+def sweep_run(programs, adversary, K, t, seed, max_steps):
     """Execute one trial on the fused driver; returns flat run state.
 
-    This is ``CycleAdversary.decide`` + ``Simulation.apply`` fused into
-    one loop over flat structures.  Every branch mirrors a line of the
-    reference pair; RNG draws go through the adversary's own generator
-    in the reference order.
+    ``(processes, crashed, envelopes, pid_steps, event_count,
+    terminated)``.  This is ``CycleAdversary.decide`` +
+    ``Simulation.apply`` fused into one loop over flat structures.
+    Every branch mirrors a line of the reference pair; RNG draws go
+    through the adversary's own generator in the reference order.  The
+    caller has passed :func:`sweep_gate`.
     """
     n = len(programs)
     check_simulation_arguments(programs, K, t, max_steps)
@@ -500,7 +529,7 @@ def _sweep_run(programs, adversary, K, t, seed, max_steps):
         process.board = _SweepBoard(key_memo)
 
     select = _fast_selector(adversary.delivery, adversary.rng)
-    assert select is not None  # guarded by sweep_eligible
+    assert select is not None  # guarded by sweep_gate
     pending_crashes = list(adversary.crash_plan)
 
     cycle = 0
@@ -709,35 +738,13 @@ def _sweep_metrics(programs, processes, crashed, all_envs, pid_steps, event_coun
 
 
 def sweep_trial(programs, adversary, K, t, seed, max_steps):
-    """Run one metrics-only trial on the fused sweep, if it can be.
+    """Run one metrics-only trial on the fused sweep.
 
-    Returns ``(metrics, decisions, nonfaulty)`` — the
+    Returns ``(metrics, decisions, nonfaulty)``: the
     :class:`~repro.analysis.metrics.RunMetrics` equal to the reference
     core's for the same arguments, plus the facts the caller's validity
-    checks need — or ``None`` when the trial has to build a trace:
-    an observer is active (deliberate, uncounted), or the adversary is
-    off the hold contract (a performance cliff, counted in
-    ``sim_fastcore_fallbacks_total``).
+    checks need.  The caller has passed :func:`sweep_gate`.
     """
-    if not adversary_sweep_supported(adversary):
-        telemetry.count(
-            "sim_fastcore_fallbacks_total",
-            help="fast-core trials that fell back from the fused sweep to "
-            "FastSimulation because the adversary or its delivery policy "
-            "overrides what the sweep replicates",
-            adversary=type(adversary).__name__,
-        )
-        return None
-    if _observed():
-        return None
     return _sweep_metrics(
-        programs, *_sweep_run(programs, adversary, K, t, seed, max_steps), K
+        programs, *sweep_run(programs, adversary, K, t, seed, max_steps), K
     )
-
-
-def fast_commit_trial(config, seed: int):
-    """One commit Monte-Carlo trial on the fast core, whatever the ambient
-    core: ``run_commit_trial(config, seed, core="fast")``."""
-    from repro.analysis.montecarlo import run_commit_trial
-
-    return run_commit_trial(config, seed, core="fast")

@@ -4,16 +4,24 @@ import json
 
 import pytest
 
+from repro.adversary.base import CycleAdversary, DeliveryPolicy
 from repro.errors import ConfigurationError
+from repro.faults import campaign
 from repro.faults.campaign import (
     CAMPAIGN_SCHEMA,
     CampaignConfig,
+    case_from_config,
     render_campaign_summary,
     run_campaign,
     run_campaign_trial,
+    run_sim_track,
     write_campaign_report,
 )
+from repro.models import model_names
 from repro.runtime.cluster import NONTERMINATED, TERMINATED
+from repro.sim.coreselect import set_default_sim_core
+from repro.sim.fastcore import FastSimulation
+from repro.telemetry import registry as telemetry
 
 # Small but real: both tracks, a handful of plans.
 QUICK = CampaignConfig(n=5, plans=4, base_seed=31)
@@ -172,3 +180,134 @@ class TestScheduledCases:
         assert 0 in sim["crashed"]
         # The deliver-all fallback completes the run after the script.
         assert sim["outcome"] in (TERMINATED, NONTERMINATED)
+
+
+# -- the fast core's sim track: fused sweep, one eligibility rule -----------
+
+FALLBACKS = "sim_fastcore_fallbacks_total"
+
+#: Small horizon so over-budget plans reach it cheaply.
+SWEEP_STEPS = 2_000
+
+
+class _OldestFirst(DeliveryPolicy):
+    """Overrides ``select``: only the reference path knows what it does."""
+
+    def select(self, view, pid, pending, ctx):
+        return tuple(m.message_id for m in pending[:1])
+
+
+@pytest.fixture
+def ambient_core():
+    set_default_sim_core(None)
+    yield set_default_sim_core
+    set_default_sim_core(None)
+
+
+@pytest.fixture
+def metrics():
+    registry = telemetry.enable_telemetry()
+    registry.reset()
+    yield registry
+    registry.reset()
+    telemetry.disable_telemetry()
+
+
+@pytest.fixture
+def fast_simulations(monkeypatch):
+    """Counts ``FastSimulation`` constructions."""
+    built = []
+    original = FastSimulation.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(FastSimulation, "__init__", spy)
+    return built
+
+
+def _records(config, seeds, core, set_core):
+    set_core(core)
+    try:
+        return [run_campaign_trial(config, seed) for seed in seeds]
+    finally:
+        set_core(None)
+
+
+def _fallback_samples(registry):
+    snapshot = registry.snapshot()
+    if FALLBACKS not in snapshot:
+        return []
+    return [
+        (sample["labels"]["adversary"], sample["value"])
+        for sample in snapshot[FALLBACKS]["samples"]
+    ]
+
+
+class TestFastCoreSimTrack:
+    def test_records_equal_across_cores_for_every_model(
+        self, ambient_core, fast_simulations
+    ):
+        horizon = 0
+        for model in model_names():
+            for n in (3, 4, 5):
+                config = CampaignConfig(
+                    n=n,
+                    plans=3,
+                    tracks=("sim",),
+                    model=model,
+                    over_budget_fraction=0.5,
+                    max_steps=SWEEP_STEPS,
+                )
+                seeds = range(3)
+                reference = _records(config, seeds, "reference", ambient_core)
+                fast = _records(config, seeds, "fast", ambient_core)
+                assert fast == reference, (model, n)
+                horizon += sum(
+                    record["tracks"]["sim"]["events"] >= SWEEP_STEPS
+                    for record in reference
+                )
+        assert horizon > 0
+        # Every fast-side trial ran on the sweep: no trace was built.
+        assert fast_simulations == []
+
+    _scheduled_case = TestScheduledCases._scheduled_case
+
+    def test_scheduled_case_falls_back_and_is_counted(
+        self, metrics, fast_simulations
+    ):
+        case = self._scheduled_case()
+        reference = run_sim_track(case, core="reference")
+        assert run_sim_track(case, core="fast") == reference
+        assert len(fast_simulations) == 1
+        assert _fallback_samples(metrics) == [("ScriptedAdversary", 1)]
+
+    def test_active_registry_falls_back_uncounted(
+        self, metrics, fast_simulations
+    ):
+        config = CampaignConfig(n=5, plans=2, tracks=("sim",))
+        case = case_from_config(config, 0)
+        reference = run_sim_track(case, core="reference")
+        assert run_sim_track(case, core="fast") == reference
+        assert len(fast_simulations) == 1
+        assert FALLBACKS not in metrics.snapshot()
+
+    def test_select_override_falls_back_and_is_counted(
+        self, metrics, fast_simulations, monkeypatch
+    ):
+        monkeypatch.setattr(
+            campaign,
+            "compile_to_adversary",
+            lambda plan, K: CycleAdversary(seed=0, delivery=_OldestFirst()),
+        )
+        config = CampaignConfig(
+            n=5, plans=2, tracks=("sim",), max_steps=SWEEP_STEPS
+        )
+        trials = 2
+        for seed in range(trials):
+            case = case_from_config(config, seed)
+            reference = run_sim_track(case, core="reference")
+            assert run_sim_track(case, core="fast") == reference
+        assert len(fast_simulations) == trials
+        assert _fallback_samples(metrics) == [("CycleAdversary", trials)]

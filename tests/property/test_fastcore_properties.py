@@ -39,7 +39,6 @@ from repro.models.policies import (
 )
 from repro.sim.fastcore import (
     FastSimulation,
-    fast_commit_trial,
     sweep_eligible,
 )
 from repro.sim.scheduler import Simulation
@@ -128,9 +127,8 @@ class TestTrialEquivalence:
             K=K,
             max_steps=20_000,
         )
-        assert fast_commit_trial(config, seed) == run_commit_trial(
-            config, seed
-        )
+        fast = run_commit_trial(config, seed, core="fast")
+        assert fast == run_commit_trial(config, seed)
 
     @QUICK
     @given(
@@ -152,9 +150,8 @@ class TestTrialEquivalence:
             K=4,
             max_steps=20_000,
         )
-        assert fast_commit_trial(config, seed) == run_commit_trial(
-            config, seed
-        )
+        fast = run_commit_trial(config, seed, core="fast")
+        assert fast == run_commit_trial(config, seed)
 
 
 def _stock_policy_classes():
@@ -207,9 +204,8 @@ class TestHoldContract:
             votes=votes, adversary_factory=adversary, t=t, K=4, max_steps=6_000
         )
         assert sweep_eligible(adversary(seed))
-        assert fast_commit_trial(config, seed) == run_commit_trial(
-            config, seed, core="reference"
-        )
+        fast = run_commit_trial(config, seed, core="fast")
+        assert fast == run_commit_trial(config, seed, core="reference")
 
 
 class TestRunEquivalence:

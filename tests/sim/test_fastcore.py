@@ -6,8 +6,8 @@ Two layers of contract, matching the two layers of the fast core:
   ``Run`` equality *and* equality of the serialized run-trace records
   (:func:`repro.telemetry.runio.run_to_records`), which covers events,
   envelopes, decisions, and pattern histories;
-* the sweep path of :func:`fast_commit_trial` produces metrics equal
-  (as Python objects) to the reference trial runner's.
+* the sweep path of ``run_commit_trial(..., core="fast")`` produces
+  metrics equal (as Python objects) to the reference trial runner's.
 """
 
 import pytest
@@ -26,7 +26,7 @@ from repro.core.commit import CommitProgram
 from repro.faults.plan import FaultPlan
 from repro.faults.sim_compile import compile_to_adversary
 from repro.sim.coreselect import set_default_sim_core
-from repro.sim.fastcore import FastSimulation, fast_commit_trial, sweep_eligible
+from repro.sim.fastcore import FastSimulation, sweep_eligible
 from repro.sim.scheduler import Simulation
 from repro.telemetry.runio import run_to_records
 
@@ -177,9 +177,8 @@ class TestSweepTrials:
             votes=[1, 1, 0, 1, 1, 1, 0], adversary_factory=factory, K=4
         )
         for seed in range(8):
-            assert fast_commit_trial(config, seed) == run_commit_trial(
-                config, seed
-            )
+            fast = run_commit_trial(config, seed, core="fast")
+            assert fast == run_commit_trial(config, seed)
 
     def test_sweep_with_crashes(self):
         config = CommitTrialConfig(
@@ -192,7 +191,7 @@ class TestSweepTrials:
             K=4,
         )
         for seed in range(6):
-            metrics = fast_commit_trial(config, seed)
+            metrics = run_commit_trial(config, seed, core="fast")
             assert metrics == run_commit_trial(config, seed)
             assert metrics.crashes == 1
 
@@ -204,7 +203,7 @@ class TestSweepTrials:
             max_steps=30,
         )
         for seed in range(4):
-            metrics = fast_commit_trial(config, seed)
+            metrics = run_commit_trial(config, seed, core="fast")
             assert metrics == run_commit_trial(config, seed)
             assert not metrics.terminated
 
@@ -218,9 +217,8 @@ class TestSweepTrials:
             K=4,
         )
         for seed in range(4):
-            assert fast_commit_trial(config, seed) == run_commit_trial(
-                config, seed
-            )
+            fast = run_commit_trial(config, seed, core="fast")
+            assert fast == run_commit_trial(config, seed)
 
     def test_consumed_adversary_not_sweep_eligible(self):
         adversary = OnTimeAdversary(K=4, seed=0)
@@ -273,3 +271,26 @@ class TestWholePipelinesAcrossCores:
         report = run_core_differential(config)
         assert report["summary"]["findings"] == 0
         assert report["summary"]["events_compared"] > 0
+
+    def test_core_differential_compares_the_campaign_record(
+        self, monkeypatch
+    ):
+        # The fast core's campaign record comes from the fused sweep,
+        # which builds no Run; the oracle holds it to the reference run.
+        from repro.counterexample.oracle import run_core_case
+        from repro.faults import campaign
+
+        config = campaign.CampaignConfig(n=4, plans=1, max_steps=8_000)
+        assert run_core_case(config, 0)["match"]
+        honest = campaign.run_sim_track
+
+        def off_by_one(case, core=None):
+            record = honest(case, core)
+            return {**record, "events": record["events"] + 1}
+
+        monkeypatch.setattr(campaign, "run_sim_track", off_by_one)
+        finding = run_core_case(config, 0)
+        assert not finding["match"]
+        assert finding["runs_match"] and not finding["records_match"]
+        records = finding["campaign_records"]
+        assert records["fast"]["events"] == records["reference"]["events"] + 1

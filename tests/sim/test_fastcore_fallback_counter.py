@@ -30,7 +30,6 @@ from repro.models import resolve_model, set_default_timing_model
 from repro.sim.coreselect import set_default_sim_core
 from repro.sim.fastcore import (
     adversary_sweep_supported,
-    fast_commit_trial,
     sweep_eligible,
 )
 from repro.telemetry import registry as telemetry
@@ -124,7 +123,7 @@ class TestWhitelistedNeverCounted:
     def test_whitelisted_trials_never_increment(self, metrics):
         config = _realistic_config()
         for seed in range(5):
-            fast_commit_trial(config, seed)
+            run_commit_trial(config, seed, core="fast")
         assert _counter_total(metrics) == 0
         assert COUNTER not in metrics.snapshot()
 
@@ -140,7 +139,7 @@ class TestWhitelistedNeverCounted:
         config = _model_config(model_name)
         assert adversary_sweep_supported(config.adversary_factory(0))
         for seed in range(3):
-            fast_commit_trial(config, seed)
+            run_commit_trial(config, seed, core="fast")
         assert COUNTER not in metrics.snapshot()
 
     @pytest.mark.parametrize("model_name", ZOO)
@@ -163,7 +162,8 @@ class TestWhitelistedNeverCounted:
         config = _model_config(model_name)
         for seed in range(200):
             assert sweep_eligible(config.adversary_factory(seed))
-            assert fast_commit_trial(config, seed) == run_commit_trial(
+            fast = run_commit_trial(config, seed, core="fast")
+            assert fast == run_commit_trial(
                 config, seed, core="reference"
             ), (model_name, seed)
 
@@ -171,13 +171,12 @@ class TestWhitelistedNeverCounted:
         config = _policy_config(lambda: _SlowerDelays(1, 3))
         assert sweep_eligible(config.adversary_factory(0))
         for seed in range(20):
-            assert fast_commit_trial(config, seed) == run_commit_trial(
-                config, seed, core="reference"
-            )
+            fast = run_commit_trial(config, seed, core="fast")
+            assert fast == run_commit_trial(config, seed, core="reference")
 
     def test_hold_override_never_increments(self, metrics):
         config = _policy_config(lambda: _SlowerDelays(1, 3))
-        fast_commit_trial(config, 0)
+        run_commit_trial(config, 0, core="fast")
         assert COUNTER not in metrics.snapshot()
 
 
@@ -191,7 +190,7 @@ class TestOffWhitelistCounted:
         config = _policy_config(_OldestFirst)
         trials = 3
         for seed in range(trials):
-            fast_commit_trial(config, seed)
+            run_commit_trial(config, seed, core="fast")
         assert _counter_total(metrics) == trials
         [sample] = metrics.snapshot()[COUNTER]["samples"]
         assert sample["labels"] == {"adversary": "CycleAdversary"}
@@ -199,11 +198,10 @@ class TestOffWhitelistCounted:
     def test_select_override_still_matches_the_reference(self):
         config = _policy_config(_OldestFirst)
         for seed in range(5):
-            assert fast_commit_trial(config, seed) == run_commit_trial(
-                config, seed, core="reference"
-            )
+            fast = run_commit_trial(config, seed, core="fast")
+            assert fast == run_commit_trial(config, seed, core="reference")
 
     def test_disabled_telemetry_records_nothing(self):
         assert not telemetry.enabled()
-        fast_commit_trial(_policy_config(_OldestFirst), 0)
+        run_commit_trial(_policy_config(_OldestFirst), 0, core="fast")
         assert not telemetry.enabled()
