@@ -1,4 +1,4 @@
-"""Sim-core A/B benchmark: fast core vs reference on commit and campaign trials.
+"""Sim-core A/B benchmark: fast core vs reference on commit, campaign and atlas trials.
 
 Built on :mod:`abharness`: interleaved best-of-N rounds alternating the
 two cores over identical trial batches, so machine drift cancels.
@@ -19,17 +19,25 @@ this row is what notices if they stop.  The campaign row runs the fault
 campaign's sim track over a fixed window of plans (n=5, t=2, 12 plans of
 which 3 are over budget and run to the step horizon), chosen the way
 ``benchmarks/e2e/simmix.py`` chooses its window; it is what notices if
-campaign trials stop reaching the sweep.
+campaign trials stop reaching the sweep.  The atlas row runs degradation
+atlas cells (``repro models atlas``): every protocol of the battery under
+every timing model of the zoo, default :class:`AtlasConfig`, the first
+``ATLAS_SEEDS`` seeds; it is what notices if atlas cells stop reaching
+the sweep.  Atlas records carry no event count, so that row's rate is
+in cells per second.
 """
 
 from __future__ import annotations
+
+import json
 
 from abharness import best_of, interleaved_rounds, timing_summary, write_results
 
 from repro.adversary.standard import OnTimeAdversary
 from repro.analysis.montecarlo import CommitTrialConfig, run_commit_trial
 from repro.faults.campaign import CampaignConfig, case_from_config, run_campaign_trial
-from repro.models import set_default_timing_model
+from repro.models import model_names, set_default_timing_model
+from repro.models.atlas import ATLAS_PROTOCOLS, AtlasConfig, _atlas_trial
 from repro.sim.coreselect import numpy_allowed, set_default_sim_core
 
 #: Assertion floor for the fast core's speedup (see module docstring).
@@ -48,6 +56,9 @@ ROWS = (
 #: many of them are over budget (the campaign's default 0.25, made exact).
 CAMPAIGN_N, CAMPAIGN_T = 5, 2
 WINDOW_PLANS, WINDOW_OVER_BUDGET = 12, 3
+
+#: Seeds per (protocol, model) cell of the atlas row.
+ATLAS_SEEDS = 5
 
 #: Interleaved rounds per row; best-of cancels scheduler noise.
 ROUNDS = 5
@@ -88,9 +99,22 @@ def _campaign_workload(config: CampaignConfig, base: int):
     return lambda: [run_campaign_trial(config, seed) for seed in seeds]
 
 
-def _events(result) -> int:
-    """Simulated events of one trial result, either kind."""
+def _atlas_workload():
+    config_json = json.dumps(AtlasConfig().to_dict(), sort_keys=True)
+    cells = [
+        (protocol, model, seed)
+        for protocol in ATLAS_PROTOCOLS
+        for model in model_names()
+        for seed in range(ATLAS_SEEDS)
+    ]
+    return lambda: [_atlas_trial(config_json, *cell) for cell in cells]
+
+
+def _events(result) -> int | None:
+    """Simulated events of one trial result; ``None`` for an atlas cell."""
     if isinstance(result, dict):
+        if "tracks" not in result:
+            return None
         return result["tracks"]["sim"]["events"]
     return result.events
 
@@ -111,7 +135,8 @@ def _measure(label: str, workload, model, floor: float) -> dict:
     reference = _batch(workload, "reference", model)
     fast = _batch(workload, "fast", model)
     assert fast == reference, f"fast core diverged from reference at {label}"
-    events = sum(_events(result) for result in reference)
+    counts = [_events(result) for result in reference]
+    events = None if None in counts else sum(counts)
 
     timings = interleaved_rounds(
         {
@@ -121,17 +146,22 @@ def _measure(label: str, workload, model, floor: float) -> dict:
         ROUNDS,
     )
     bests = best_of(timings)
-    return {
+    entry = {
         "trials": len(reference),
         "model": model or "realistic",
         "min_speedup_asserted": floor,
-        "events": events,
         "timings": timing_summary(timings),
-        "events_per_second": {
-            core: events / best for core, best in bests.items()
+        "trials_per_second": {
+            core: len(reference) / best for core, best in bests.items()
         },
         "speedup": bests["reference"] / bests["fast"],
     }
+    if events is not None:
+        entry["events"] = events
+        entry["events_per_second"] = {
+            core: events / best for core, best in bests.items()
+        }
+    return entry
 
 
 def test_sim_core_speedup():
@@ -153,6 +183,14 @@ def test_sim_core_speedup():
         "plans": WINDOW_PLANS,
         "over_budget": WINDOW_OVER_BUDGET,
         "t": CAMPAIGN_T,
+    }
+    label = "atlas cells n=5"
+    sizes[label] = _measure(label, _atlas_workload(), None, MIN_SPEEDUP)
+    sizes[label]["model"] = "every zoo model"
+    sizes[label]["grid"] = {
+        "protocols": list(ATLAS_PROTOCOLS),
+        "models": list(model_names()),
+        "seeds": ATLAS_SEEDS,
     }
 
     document = {

@@ -18,16 +18,14 @@ from repro.analysis.metrics import (
     RunMetrics,
     abort_validity_holds,
     commit_validity_holds,
-    extract_metrics,
 )
 from repro.analysis.stats import Summary, proportion, summarize
-from repro.core.api import ProtocolOutcome
 from repro.core.commit import CommitProgram
 from repro.core.halting import HaltingMode
 from repro.engine.executor import run_trials
 from repro.errors import InsufficientDataError
 from repro.models import apply_active_model
-from repro.sim.coreselect import resolve_sim_core, simulation_class
+from repro.sim.coreselect import run_sim_trial
 
 
 @dataclass
@@ -112,16 +110,13 @@ def run_commit_trial(
 ) -> RunMetrics:
     """Run one commit trial and extract its metrics.
 
-    Executes on the resolved simulation core (``core`` / ``--sim-core`` /
-    ``REPRO_SIM_CORE``).  On the fast core a trial that passes
-    :func:`repro.sim.fastcore.sweep_gate` runs on the fused sweep
-    (:func:`repro.sim.fastcore.sweep_trial`); otherwise, and on
-    the reference core always, the trial runs on
-    ``simulation_class(core)`` and the metrics are read off its trace.
-    Either way the metrics are equal.  Batches pickle ``(config, seed)``
-    for the engine's worker pool, which installs the parent's core.
+    Executes through :func:`repro.sim.coreselect.run_sim_trial` on the
+    resolved core (``core`` / ``--sim-core`` / ``REPRO_SIM_CORE``): the
+    fused sweep when the fast core is selected and the trial is
+    eligible, the reference ``Simulation`` otherwise.  Either way the
+    metrics are equal.  Batches pickle ``(config, seed)`` for the
+    engine's worker pool, which installs the parent's core.
     """
-    core = resolve_sim_core(core)
     votes = config.votes_for(seed)
     n = len(votes)
     t = config.t if config.t is not None else (n - 1) // 2
@@ -141,37 +136,17 @@ def run_commit_trial(
     adversary = apply_active_model(
         config.adversary_factory(seed), K=config.K, seed=seed
     )
-    swept = None
-    if core == "fast":
-        from repro.sim.fastcore import sweep_gate, sweep_trial
-
-        if sweep_gate(adversary):
-            swept = sweep_trial(
-                programs, adversary, config.K, t, seed, config.max_steps
-            )
-    if swept is not None:
-        metrics, decisions, nonfaulty = swept
-    else:
-        simulation = simulation_class(core)(
-            programs=programs,
-            adversary=adversary,
-            K=config.K,
-            t=t,
-            seed=seed,
-            max_steps=config.max_steps,
-        )
-        attach = getattr(adversary, "attach", None)
-        if attach is not None:
-            attach(simulation)
-        outcome = ProtocolOutcome(result=simulation.run())
-        metrics = extract_metrics(outcome, programs=programs)
-        decisions, nonfaulty = outcome.run.decisions, outcome.run.nonfaulty()
-    if not abort_validity_holds(votes, decisions, nonfaulty):
+    trial = run_sim_trial(
+        programs, adversary, config.K, t, seed, config.max_steps, core
+    )
+    metrics = trial.metrics()
+    nonfaulty = set(range(n)) - trial.crashed
+    if not abort_validity_holds(votes, trial.decisions, nonfaulty):
         raise AssertionError(
             f"abort validity violated in commit trial seed={seed}"
         )
     if not commit_validity_holds(
-        votes, decisions, nonfaulty, metrics.crashes == 0, metrics.on_time
+        votes, trial.decisions, nonfaulty, metrics.crashes == 0, metrics.on_time
     ):
         raise AssertionError(
             f"commit validity violated in commit trial seed={seed}"

@@ -28,7 +28,7 @@ Commands:
 * ``faults diff`` — run the cross-track differential oracle and report
   semantic divergence between the simulator and the runtime; with
   ``--cores``, compare the reference and fast *execution cores* on
-  byte-identical serialized runs instead;
+  equal campaign records and run metrics instead;
 * ``mc explore`` — bounded exhaustive model checking of one protocol
   variant with sleep-set partial-order reduction; exits 1 on any safety
   violation and cuts per-class counterexample artifacts with
@@ -45,10 +45,11 @@ Commands:
   ending at each decision and attribute the decision round to it.
 
 ``run-commit``, ``faults campaign``, and ``mc explore`` accept
-``--trace-spans PATH`` (record a causal span trace of the run),
+``--trace-spans PATH`` (record a causal span trace of the run) and
 ``--serve-metrics PORT`` (serve live ``/metrics`` + ``/healthz`` on a
-background thread for the duration of the command), and ``--sim-core
-{reference,fast}`` (select the simulation execution core; see
+background thread for the duration of the command).  ``faults
+campaign`` and ``models atlas`` accept ``--sim-core {reference,fast}``
+(``fast`` runs eligible trials on the fused sweep; see
 ``docs/PERFORMANCE.md``).
 
 The global ``--log-level`` flag configures the ``repro`` logging channel
@@ -76,7 +77,6 @@ from importlib import import_module
 from typing import Sequence
 
 from repro import __version__
-from repro._lazy import lazy_exports
 
 #: The one exit-code scheme every subcommand reports through.  Shown in
 #: ``repro --help`` and mirrored in ``docs/FAULTS.md``.
@@ -130,23 +130,7 @@ COMMANDS = {
     "trace": "trace",
 }
 
-# Names tests and ``benchmarks/e2e`` import from ``repro.cli``.
-__getattr__, __dir__ = lazy_exports(
-    globals(),
-    {
-        "run": ("ADVERSARY_CHOICES", "build_adversary"),
-        "common": ("_install_sim_core", "_install_timing_model"),
-    },
-)
-
-__all__ = [
-    "ADVERSARY_CHOICES",
-    "COMMANDS",
-    "EXIT_CODES",
-    "build_adversary",
-    "build_parser",
-    "main",
-]
+__all__ = ["COMMANDS", "EXIT_CODES", "build_parser", "main"]
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -9,8 +9,6 @@ import sys
 from repro.cli.common import (
     _add_model_arg,
     _add_observability_args,
-    _add_sim_core_arg,
-    _install_sim_core,
     _parse_votes,
     _with_observability,
 )
@@ -29,7 +27,6 @@ def _cmd_mc_explore(args) -> int:
         write_violation_artifacts,
     )
 
-    _install_sim_core(args.sim_core)
     registry = None
     if args.stats:
         from repro.telemetry.registry import enable_telemetry
@@ -260,7 +257,6 @@ def register(sub) -> None:
         action="store_true",
         help="embed a telemetry snapshot in the report",
     )
-    _add_sim_core_arg(explore_parser)
     _add_model_arg(explore_parser)
     _add_observability_args(explore_parser)
     explore_parser.set_defaults(fn=cmd_mc_explore)

@@ -11,8 +11,6 @@ from typing import TYPE_CHECKING, Sequence
 from repro.cli.common import (
     _add_model_arg,
     _add_observability_args,
-    _add_sim_core_arg,
-    _install_sim_core,
     _install_timing_model,
     _parse_pids,
     _parse_votes,
@@ -90,8 +88,6 @@ def cmd_run_commit(args) -> int:
 def _cmd_run_commit(args) -> int:
     from repro.core.api import run_commit
     from repro.engine.executor import set_default_workers
-
-    _install_sim_core(args.sim_core)
 
     registry = None
     if args.json:
@@ -316,7 +312,6 @@ def register(sub) -> None:
             "(default: cpu count via REPRO_WORKERS/os.cpu_count)"
         ),
     )
-    _add_sim_core_arg(run_parser)
     _add_model_arg(run_parser)
     _add_observability_args(run_parser)
     run_parser.set_defaults(fn=cmd_run_commit)

@@ -25,7 +25,6 @@ from repro.core.commit import CommitProgram
 from repro.core.halting import HaltingMode
 from repro.errors import ConfigurationError
 from repro.sim.rounds import RoundAnalyzer
-from repro.sim.coreselect import simulation_class
 from repro.sim.scheduler import Simulation, SimulationResult
 from repro.types import Decision, Vote
 
@@ -152,7 +151,7 @@ def run_commit(
     ]
     if adversary is None:
         adversary = SynchronousAdversary(seed=seed)
-    simulation = simulation_class()(
+    simulation = Simulation(
         programs=programs,
         adversary=adversary,
         K=K,
@@ -217,7 +216,7 @@ def run_agreement(
     ]
     if adversary is None:
         adversary = SynchronousAdversary(seed=seed)
-    simulation = simulation_class()(
+    simulation = Simulation(
         programs=programs,
         adversary=adversary,
         K=K,

@@ -31,7 +31,6 @@ in the summary — visible, but not a finding.
 from __future__ import annotations
 
 import dataclasses
-import json
 from functools import partial
 from typing import Any
 
@@ -155,75 +154,56 @@ def run_differential(
 def run_core_case(config: CampaignConfig, seed: int) -> dict[str, Any]:
     """Execute trial ``seed``'s sim-track case on both execution cores.
 
-    The two runs are serialized through the run-trace schema
-    (:func:`repro.telemetry.runio.run_to_records`) and compared
-    byte-for-byte — events, envelopes, decisions, pattern histories,
-    everything the trace format captures.  This is the enforcement
-    point of the fast core's byte-identical-``Run`` contract.
-
-    The case's campaign record is compared too: the one the fast core's
-    sim track produces (on the fused sweep when eligible, which builds
-    no ``Run``) must equal the one read off the reference run.
+    The reference core runs the case on ``Simulation``; the fast core
+    runs it the way a fast-core campaign does (on the fused sweep when
+    :func:`repro.sim.fastcore.sweep_gate` admits it, and the sweep
+    builds no ``Run``).  Two things read off each side are compared:
+    the campaign record, and the :class:`~repro.analysis.metrics.RunMetrics`
+    bundle (the sweep's ``sweep_metrics`` against the reference's
+    ``extract_metrics``).  This is the enforcement point of the fast
+    core's equal-results contract.
     """
     from repro.faults.campaign import (
         case_from_config,
-        run_sim_track,
         sim_track_adversary,
         sim_track_record,
     )
     from repro.faults.variants import make_programs
-    from repro.sim.coreselect import simulation_class
-    from repro.telemetry.runio import run_to_records
+    from repro.sim.coreselect import run_sim_trial
 
     case = case_from_config(config, seed)
-    serialized: dict[str, str] = {}
-    outcomes: dict[str, Any] = {}
-    campaign_records: dict[str, Any] = {}
+    records: dict[str, Any] = {}
+    metrics: dict[str, Any] = {}
     for core in ("reference", "fast"):
-        simulation = simulation_class(core)(
-            programs=make_programs(
-                case.program, case.n, case.t, case.votes, case.K
-            ),
-            adversary=sim_track_adversary(case),
-            K=case.K,
-            t=case.t,
-            seed=case.seed,
-            max_steps=case.max_steps,
+        trial = run_sim_trial(
+            make_programs(case.program, case.n, case.t, case.votes, case.K),
+            sim_track_adversary(case),
+            case.K,
+            case.t,
+            case.seed,
+            case.max_steps,
+            core,
         )
-        result = simulation.run()
-        serialized[core] = json.dumps(
-            run_to_records(result.run), sort_keys=True
-        )
-        outcomes[core] = {
-            "terminated": result.terminated,
-            "decisions": [
-                result.run.decisions[pid] for pid in range(case.n)
-            ],
-            "events": result.run.event_count,
-        }
-        if core == "reference":
-            campaign_records[core] = sim_track_record(
-                result.terminated,
-                outcomes[core]["decisions"],
-                result.run.faulty(),
-                result.run.event_count,
-            )
-    campaign_records["fast"] = run_sim_track(case, core="fast")
-    runs_match = serialized["reference"] == serialized["fast"]
-    records_match = campaign_records["fast"] == campaign_records["reference"]
+        records[core] = sim_track_record(trial)
+        metrics[core] = trial.metrics()
+    records_match = records["fast"] == records["reference"]
+    metrics_match = metrics["fast"] == metrics["reference"]
     record: dict[str, Any] = {
         "seed": seed,
-        "match": runs_match and records_match,
-        "events": outcomes["reference"]["events"],
+        "match": records_match and metrics_match,
+        "events": records["reference"]["events"],
     }
     if not record["match"]:
         record["plan"] = case.plan.to_dict()
-        record["reference"] = outcomes["reference"]
-        record["fast"] = outcomes["fast"]
-        record["runs_match"] = runs_match
         record["records_match"] = records_match
+        record["metrics_match"] = metrics_match
         if not records_match:
-            record["campaign_records"] = campaign_records
+            record["campaign_records"] = records
+        if not metrics_match:
+            record["metrics"] = {
+                core: dataclasses.asdict(value)
+                for core, value in metrics.items()
+            }
     return record
 
 
@@ -234,11 +214,10 @@ def run_core_differential(
 
     Same plan/vote drawing as the campaign (so findings are replayable
     with the campaign tooling), but the comparison axis is the
-    *execution core* rather than the track: every case must produce a
-    byte-identical serialized ``Run`` under ``reference`` and ``fast``,
-    and the fast core's campaign record (from the fused sweep) must
-    equal the one read off the reference run.  Any divergence is a
-    finding — there is no benign drift here.
+    *execution core* rather than the track: every case must produce an
+    equal campaign record and an equal ``RunMetrics`` bundle under
+    ``reference`` and ``fast`` (see :func:`run_core_case`).  Any
+    divergence is a finding — there is no benign drift here.
     """
     from repro.engine.executor import run_trials
 

@@ -52,8 +52,7 @@ from repro.sim.decisions import (
     decision_from_dict,
     decision_to_dict,
 )
-from repro.sim.coreselect import resolve_sim_core, simulation_class
-from repro.sim.scheduler import Simulation
+from repro.sim.coreselect import SimTrial, run_sim_trial
 from repro.telemetry import registry as telemetry
 from repro.telemetry.log import get_logger
 from repro.trace import spans as trace_spans
@@ -486,60 +485,35 @@ def sim_track_adversary(case: TrialCase):
     )
 
 
-def sim_track_record(
-    terminated: bool,
-    decisions: list[int | None],
-    crashed: set[int],
-    events: int,
-) -> dict[str, Any]:
+def sim_track_record(trial: SimTrial) -> dict[str, Any]:
     """The sim track's result record, whichever core produced it.
 
     These four fields are all the safety monitor and the report read.
     """
     return {
-        "outcome": TERMINATED if terminated else NONTERMINATED,
-        "decisions": decisions,
-        "crashed": sorted(crashed),
-        "events": events,
+        "outcome": TERMINATED if trial.terminated else NONTERMINATED,
+        "decisions": trial.decisions,
+        "crashed": sorted(trial.crashed),
+        "events": trial.events,
     }
 
 
 def run_sim_track(case: TrialCase, core: str | None = None) -> dict[str, Any]:
     """Run ``case`` on the sim track of the resolved core.
 
-    On the fast core a trial that passes
-    :func:`repro.sim.fastcore.sweep_gate` runs on the fused sweep, which
-    builds no trace; otherwise ``simulation_class(core)`` runs it.  The
-    record is the same either way.
+    :func:`repro.sim.coreselect.run_sim_trial` picks the fused sweep or
+    the reference ``Simulation``; the record is the same either way.
     """
-    programs = make_programs(case.program, case.n, case.t, case.votes, case.K)
-    adversary = sim_track_adversary(case)
-    if resolve_sim_core(core) == "fast":
-        # Imported here so that importing the campaign does not load the
-        # fast core.
-        from repro.sim.fastcore import sweep_gate, sweep_run
-
-        if sweep_gate(adversary):
-            processes, crashed, _envs, _steps, events, terminated = sweep_run(
-                programs, adversary, case.K, case.t, case.seed, case.max_steps
-            )
-            return sim_track_record(
-                terminated, [p.decision for p in processes], crashed, events
-            )
-    result = simulation_class(core)(
-        programs=programs,
-        adversary=adversary,
-        K=case.K,
-        t=case.t,
-        seed=case.seed,
-        max_steps=case.max_steps,
-    ).run()
-    run = result.run
     return sim_track_record(
-        result.terminated,
-        [run.decisions[pid] for pid in range(case.n)],
-        run.faulty(),
-        run.event_count,
+        run_sim_trial(
+            make_programs(case.program, case.n, case.t, case.votes, case.K),
+            sim_track_adversary(case),
+            case.K,
+            case.t,
+            case.seed,
+            case.max_steps,
+            core,
+        )
     )
 
 

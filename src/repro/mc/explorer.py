@@ -60,7 +60,6 @@ from repro.sim.decisions import (
     decision_to_dict,
 )
 from repro.sim.pattern import PatternView
-from repro.sim.coreselect import simulation_class
 from repro.sim.scheduler import Simulation
 from repro.telemetry import registry as telemetry
 from repro.telemetry.registry import MetricsRegistry
@@ -233,7 +232,7 @@ class _SubtreeExplorer:
 
     def fresh_sim(self) -> Simulation:
         config = self.config
-        return simulation_class()(
+        return Simulation(
             programs=make_programs(
                 config.program, config.n, config.t, self.votes, config.K
             ),

@@ -30,8 +30,7 @@ from functools import partial
 from pathlib import Path
 from typing import Any
 
-from repro.core.api import ProtocolOutcome, shared_coins
-from repro.analysis.metrics import extract_metrics
+from repro.core.api import shared_coins
 from repro.core.agreement import AgreementProgram
 from repro.engine.executor import run_trials
 from repro.engine.seeds import (
@@ -46,7 +45,7 @@ from repro.faults.plan import FaultPlan
 from repro.faults.safety import SafetyMonitor
 from repro.faults.variants import make_programs, resolve_variant
 from repro.models.base import model_names, resolve_model
-from repro.sim.coreselect import simulation_class
+from repro.sim.coreselect import run_sim_trial
 
 #: Schema tag of the atlas report document.
 ATLAS_SCHEMA = "repro.model-atlas v1"
@@ -199,26 +198,21 @@ def _atlas_trial(
     adversary = resolve_model(model_name).compile_plan(
         plan, K=config.K, seed=derive(seed, MODEL_TIMING_STREAM)
     )
-    programs = _programs_for(config, protocol, votes, seed)
-    simulation = simulation_class()(
-        programs=programs,
-        adversary=adversary,
-        K=config.K,
-        t=config.resolved_t,
-        seed=seed,
-        max_steps=config.max_steps,
+    trial = run_sim_trial(
+        _programs_for(config, protocol, votes, seed),
+        adversary,
+        config.K,
+        config.resolved_t,
+        seed,
+        config.max_steps,
     )
-    result = simulation.run()
-    run = result.run
-    decisions = {pid: run.decisions[pid] for pid in range(config.n)}
-    crashed = set(run.faulty())
     monitor = SafetyMonitor(
         n=config.n, t=config.resolved_t, votes=list(votes)
     )
     report = monitor.check(
-        decisions=decisions,
-        crashed=crashed,
-        terminated=result.terminated,
+        decisions=dict(enumerate(trial.decisions)),
+        crashed=trial.crashed,
+        terminated=trial.terminated,
         expect_termination=False,
         benign=False,
     )
@@ -229,13 +223,11 @@ def _atlas_trial(
         violations = [
             v for v in violations if v["property"] == "agreement"
         ]
-    metrics = extract_metrics(
-        ProtocolOutcome(result=result), programs=programs
-    )
+    metrics = trial.metrics()
     return {
-        "terminated": result.terminated,
-        "decisions": [decisions[pid] for pid in range(config.n)],
-        "crashed": sorted(crashed),
+        "terminated": trial.terminated,
+        "decisions": trial.decisions,
+        "crashed": sorted(trial.crashed),
         "within_budget": plan.within_budget(config.resolved_t),
         "rounds": metrics.rounds,
         "decision_ticks": metrics.ticks,

@@ -1,18 +1,21 @@
 """Execution-core selection for the simulation track.
 
-Two cores execute the paper's model:
+One kernel executes the paper's model,
+:class:`repro.sim.scheduler.Simulation`, the readable object-graph
+kernel that the rest of the repo is specified against.  The core names
+say whether a trial whose result is read off flat state rather than a
+trace (a commit Monte-Carlo trial, a fault-campaign sim-track trial, an
+atlas cell) may run on the fused sweep of :mod:`repro.sim.fastcore`:
 
-* ``reference`` — :class:`repro.sim.scheduler.Simulation`, the readable
-  object-graph kernel that the rest of the repo is specified against;
-* ``fast`` — :class:`repro.sim.fastcore.FastSimulation`, a drop-in
-  subclass with a slimmed per-event path, plus a fused sweep that runs
-  every trial whose result is read off flat state rather than a trace
-  (commit Monte-Carlo trials and fault-campaign sim-track trials) when
-  :func:`repro.sim.fastcore.sweep_gate` admits it.
+* ``reference`` — never; every trial runs on ``Simulation``;
+* ``fast`` — when :func:`repro.sim.fastcore.sweep_gate` admits the
+  trial, and on ``Simulation`` otherwise.
 
-The contract is byte-identical ``Run`` traces, decisions, and pattern
-histories; ``repro faults diff --cores`` and the golden-trace tests in
-``tests/sim/test_fastcore.py`` enforce it.
+:func:`run_sim_trial` makes that choice, for every caller.  The contract
+is results equal as Python objects; ``repro faults diff --cores`` and
+``tests/sim/test_fastcore.py`` enforce it.  Anything that needs the
+trace itself (``run-commit``, the model checker, replay) constructs
+``Simulation`` directly.
 
 Selection mirrors the ``REPRO_WORKERS`` treatment exactly: explicit
 argument beats the process-wide override (set by ``--sim-core``), which
@@ -26,6 +29,9 @@ from __future__ import annotations
 
 import functools
 import os
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Any, Callable
 
 from repro.errors import ConfigurationError
 from repro.telemetry.log import get_logger
@@ -108,9 +114,9 @@ def _import_numpy():
 def set_default_sim_core(core: str | None) -> None:
     """Install (or clear, with ``None``) the process-wide core override.
 
-    ``--sim-core`` routes through here so that every simulation built for
-    the rest of the process — including ones constructed deep inside
-    campaign and model-checker plumbing — uses the requested core.
+    ``--sim-core`` routes through here so that every trial run for the
+    rest of the process — including ones deep inside campaign and atlas
+    plumbing — uses the requested core.
     """
     global _DEFAULT_CORE
     if core is not None and core not in CORE_NAMES:
@@ -135,18 +141,86 @@ def resolve_sim_core(core: str | None = None) -> str:
     return core_from_env()
 
 
-def simulation_class(core: str | None = None):
-    """Return the ``Simulation`` class implementing the resolved core."""
-    resolved = resolve_sim_core(core)
-    if resolved == "fast":
-        from repro.sim.fastcore import FastSimulation
+@dataclass(frozen=True)
+class SimTrial:
+    """One trial's result, whichever kernel ran it.
 
-        return FastSimulation
+    The four fields are the campaign record's
+    (:func:`repro.faults.campaign.sim_track_record`).  :meth:`metrics`
+    builds the :class:`~repro.analysis.metrics.RunMetrics` bundle on
+    request, so a caller that reads none pays for no lateness or round
+    analysis.
+    """
+
+    terminated: bool
+    decisions: list[int | None]
+    crashed: set[int]
+    events: int
+    _metrics: Callable[[], Any] = field(repr=False, compare=False)
+
+    def metrics(self):
+        """The trial's :class:`~repro.analysis.metrics.RunMetrics`."""
+        return self._metrics()
+
+
+def run_sim_trial(
+    programs,
+    adversary,
+    K: int,
+    t: int,
+    seed: int,
+    max_steps: int,
+    core: str | None = None,
+) -> SimTrial:
+    """Run one trial on the resolved core: the one sweep-or-reference choice.
+
+    On the fast core a trial that :func:`repro.sim.fastcore.sweep_gate`
+    admits runs on the fused sweep, which builds no trace.  Every other
+    trial, and every trial on the reference core, runs on
+    :class:`repro.sim.scheduler.Simulation` (with the adversary's
+    ``attach`` hook, if it has one).  The result is equal either way.
+    """
+    if resolve_sim_core(core) == "fast":
+        # Imported here so that a process that never selects the fast
+        # core never loads it.
+        from repro.sim.fastcore import sweep_gate, sweep_metrics, sweep_run
+
+        if sweep_gate(adversary):
+            swept = sweep_run(programs, adversary, K, t, seed, max_steps)
+            processes, crashed, _envs, _steps, events, terminated = swept
+            return SimTrial(
+                terminated,
+                [process.decision for process in processes],
+                crashed,
+                events,
+                partial(sweep_metrics, programs, *swept, K),
+            )
     from repro.sim.scheduler import Simulation
 
-    return Simulation
+    simulation = Simulation(
+        programs=programs,
+        adversary=adversary,
+        K=K,
+        t=t,
+        seed=seed,
+        max_steps=max_steps,
+    )
+    attach = getattr(adversary, "attach", None)
+    if attach is not None:
+        attach(simulation)
+    result = simulation.run()
+    run = result.run
+    return SimTrial(
+        result.terminated,
+        [run.decisions[pid] for pid in range(run.n)],
+        run.faulty(),
+        run.event_count,
+        partial(_reference_metrics, result, programs),
+    )
 
 
-def make_simulation(*args, core: str | None = None, **kwargs):
-    """Construct a simulation on the resolved core (convenience factory)."""
-    return simulation_class(core)(*args, **kwargs)
+def _reference_metrics(result, programs):
+    from repro.analysis.metrics import extract_metrics
+    from repro.core.api import ProtocolOutcome
+
+    return extract_metrics(ProtocolOutcome(result=result), programs=programs)

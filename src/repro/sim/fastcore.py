@@ -1,34 +1,23 @@
-"""The fast execution core: slim event path + vectorised trial sweeps.
+"""The fused sweep: trials whose result is read off flat state.
 
-Two layers, both contract-bound to byte-identical results versus the
-reference core (:class:`repro.sim.scheduler.Simulation`):
-
-* :class:`FastSimulation` — a drop-in ``Simulation`` subclass producing
-  byte-identical ``Run`` traces, decisions, and pattern histories.  It
-  eliminates the double construction of delivered payloads (the reference
-  scheduler builds a ``ReceivedPayload`` which ``on_step`` immediately
-  re-wraps), and assembles the lateness caches of the built ``Run`` from
-  flat per-processor step-index arrays (numpy when present, bisect
-  fallback otherwise) instead of the per-envelope × per-processor bisect
-  storm the first ``is_on_time`` query would trigger.
-
-* the *sweep* path (:func:`sweep_run`) — a fused cycle driver for
-  trials whose result is read off flat state rather than a trace:
-  commit Monte-Carlo trials (:func:`sweep_trial`, a
-  :class:`RunMetrics` bundle) and fault-campaign sim-track trials
-  (outcome, decisions, crashed set, event count).  When the adversary
-  is a stock :class:`~repro.adversary.base.CycleAdversary` whose
-  delivery policy keeps to the hold contract (does not override
-  ``select``) and no observer is attached (no telemetry, no span
-  recorder), the driver replays the exact decide/apply semantics of the
-  reference pair while skipping everything neither result can observe:
-  pattern entries, trace events, envelope objects, pending-metadata
-  caches, and all bulletin-board activity of returned processors.  The
-  policy's own contract methods, its own hold memo and the adversary's
-  own ``rng`` are used, so RNG draw order is the reference's and the
-  produced results are equal as Python objects.  :func:`sweep_gate` is
-  the one eligibility rule both callers apply; a declined trial runs
-  :class:`FastSimulation`, which is always safe.
+:func:`sweep_run` is a fused cycle driver for every trial whose result
+is read off flat state rather than a trace: commit Monte-Carlo trials
+and atlas cells (a :class:`RunMetrics` bundle, :func:`sweep_metrics`)
+and fault-campaign sim-track trials (outcome, decisions, crashed set,
+event count).  When the adversary is a stock
+:class:`~repro.adversary.base.CycleAdversary` whose delivery policy
+keeps to the hold contract (does not override ``select``) and no
+observer is attached (no telemetry, no span recorder), the driver
+replays the exact decide/apply semantics of the reference pair
+(:class:`repro.sim.scheduler.Simulation`) while skipping everything
+neither result can observe: pattern entries, trace events, envelope
+objects, pending-metadata caches, and all bulletin-board activity of
+returned processors.  The policy's own contract methods, its own hold
+memo and the adversary's own ``rng`` are used, so RNG draw order is the
+reference's and the produced results are equal as Python objects.
+:func:`sweep_gate` is the one eligibility rule, applied by
+:func:`repro.sim.coreselect.run_sim_trial`; a declined trial runs on
+``Simulation``, which is always safe.
 
 Numpy use is optional everywhere (``REPRO_SIM_NUMPY=0`` disables it; an
 install without numpy takes the pure-Python fallbacks, logged once by
@@ -40,15 +29,13 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 
 from repro.adversary.base import CycleAdversary, DeliveryPolicy
-from repro.errors import AnalysisError, SchedulingError
+from repro.errors import AnalysisError
 from repro.sim.board import BulletinBoard
 from repro.sim.coreselect import numpy_if_allowed
-from repro.sim.decisions import StepDecision
-from repro.sim.message import Envelope, ReceivedPayload
+from repro.sim.message import ReceivedPayload
 from repro.sim.process import SimProcess
-from repro.sim.scheduler import Simulation, check_simulation_arguments
+from repro.sim.scheduler import check_simulation_arguments
 from repro.sim.tape import TapeCollection
-from repro.sim.trace import Run
 from repro.telemetry import registry as telemetry
 from repro.telemetry.log import get_logger
 from repro.trace import spans as trace_spans
@@ -106,22 +93,6 @@ def _late_flags(
                 break
         flags.append(late)
     return flags
-
-
-def _flat_late_envelopes(
-    K: int, pid_steps: list[list[int]], envelopes: dict
-) -> list[Envelope]:
-    """The late-message list in ``envelopes.values()`` order."""
-    delivered = [
-        env for env in envelopes.values() if env.receive_event is not None
-    ]
-    flags = _late_flags(
-        K,
-        pid_steps,
-        [env.send_event for env in delivered],
-        [env.receive_event for env in delivered],
-    )
-    return [env for env, late in zip(delivered, flags) if late]
 
 
 # ---------------------------------------------------------------------------
@@ -194,112 +165,6 @@ def _flat_max_decision_round(
         if best is None or index > best:
             best = index
     return best
-
-
-# ---------------------------------------------------------------------------
-# FastSimulation: byte-identical trace mode
-# ---------------------------------------------------------------------------
-
-
-class FastSimulation(Simulation):
-    """Reference semantics on a slimmed per-event path.
-
-    Behavioural contract: every observable of the reference core —
-    ``Run`` traces, pattern histories, buffer/board/process state at any
-    prefix — is byte-identical.  The golden-trace and hypothesis suites
-    in ``tests/sim/test_fastcore.py`` and
-    ``tests/property/test_fastcore_properties.py`` pin this.
-    """
-
-    core_name = "fast"
-
-    def _apply_step(self, decision: StepDecision) -> None:
-        pid = decision.pid
-        if pid in self._crashed:
-            raise SchedulingError(f"cannot step crashed processor {pid}")
-        buffer = self.buffers[pid]
-        envelopes = buffer.take(decision.deliver)
-        process = self.processes[pid]
-        was_running = process.status is ProcessStatus.RUNNING
-        # Inlined SimProcess.on_step without the payload re-wrap: the
-        # delivered ReceivedPayload is built once, with the post-step
-        # clock, and posted directly — field-for-field the entry the
-        # reference path posts.
-        process.clock += 1
-        process.tape.next_step_value()
-        clock_after = process.clock
-        received: list[ReceivedPayload] = []
-        if envelopes:
-            board_post = process.board.post
-            event_index = self.event_count
-            for env in envelopes:
-                env.receive_event = event_index
-                sender = env.sender
-                message_id = env.message_id
-                for payload in env.payloads:
-                    entry = ReceivedPayload(
-                        sender=sender,
-                        payload=payload,
-                        receive_clock=clock_after,
-                        message_id=message_id,
-                    )
-                    received.append(entry)
-                    board_post(entry)
-        if process.status is ProcessStatus.RUNNING:
-            process._advance()
-        outgoing = process._flush_outbox()
-        if was_running and process.status is not ProcessStatus.RUNNING:
-            self._running_count -= 1
-        sent_envelopes: list[Envelope] = []
-        for recipient, payloads in outgoing:
-            env = self._factory.build(
-                sender=pid,
-                recipient=recipient,
-                payloads=payloads,
-                send_event=self.event_count,
-                send_clock=clock_after,
-            )
-            self._envelopes[env.message_id] = env
-            self.buffers[recipient].add(env)
-            sent_envelopes.append(env)
-        if sent_envelopes:
-            self._last_send_event[pid] = self.event_count
-        self._step_counts[pid] += 1
-        self._pid_step_events[pid].append(self.event_count)
-        if self._telemetry is not None:
-            self._m_events.inc(kind="step")
-            if sent_envelopes:
-                self._m_envelopes.inc(len(sent_envelopes))
-                for env in sent_envelopes:
-                    for payload in env.payloads:
-                        self._m_sent.inc(kind=type(payload).__name__)
-            for item in received:
-                self._m_delivered.inc(kind=type(item.payload).__name__)
-        self._record_event(
-            kind="step",
-            actor=pid,
-            delivered=tuple(env.message_id for env in envelopes),
-            sent=tuple(env.message_id for env in sent_envelopes),
-            envelopes_sent=sent_envelopes,
-        )
-
-    def build_run(self) -> Run:
-        """Assemble the run with pre-warmed lateness caches.
-
-        The caches are ``compare=False`` fields of :class:`Run`, so the
-        built run still compares equal to a reference run; warming them
-        from the scheduler's flat step-index arrays just spares the first
-        ``is_on_time``/``late_messages`` caller the bisect storm.
-        """
-        run = super().build_run()
-        run._step_indices = {
-            pid: list(steps)
-            for pid, steps in enumerate(self._pid_step_events)
-        }
-        run._late_cache = _flat_late_envelopes(
-            self.K, self._pid_step_events, run.envelopes
-        )
-        return run
 
 
 # ---------------------------------------------------------------------------
@@ -476,20 +341,14 @@ def _observed() -> bool:
     )
 
 
-def sweep_eligible(adversary) -> bool:
-    """Whether the fused sweep driver can replicate this run: no observer
-    is active and the adversary passes :func:`adversary_sweep_supported`.
-    The rule :func:`sweep_gate` applies, without counting."""
-    return not _observed() and adversary_sweep_supported(adversary)
-
-
 def sweep_gate(adversary) -> bool:
     """Whether a fast-core trial runs on the fused sweep.
 
-    The one eligibility rule, applied by every fast-core trial that can
-    run on the sweep (:func:`~repro.analysis.montecarlo.run_commit_trial`
-    and the fault campaign's sim track).  A declined trial runs
-    :class:`FastSimulation`.  Declining an adversary the sweep cannot
+    The one eligibility rule, applied by
+    :func:`repro.sim.coreselect.run_sim_trial` to every fast-core trial
+    (commit trials, the fault campaign's sim track, atlas cells).  A
+    declined trial runs on the reference ``Simulation``.  Declining an
+    adversary the sweep cannot
     replicate (off the hold contract, scripted, consumed) is a
     performance cliff and is counted in ``sim_fastcore_fallbacks_total``;
     declining because an observer is active is deliberate and is not.
@@ -498,7 +357,7 @@ def sweep_gate(adversary) -> bool:
         telemetry.count(
             "sim_fastcore_fallbacks_total",
             help="fast-core trials that fell back from the fused sweep to "
-            "FastSimulation because the adversary or its delivery policy "
+            "the reference Simulation because the adversary or its delivery policy "
             "overrides what the sweep replicates",
             adversary=type(adversary).__name__,
         )
@@ -676,12 +535,12 @@ def sweep_run(programs, adversary, K, t, seed, max_steps):
     return processes, crashed, all_envs, pid_steps, event_count, running == 0
 
 
-def _sweep_metrics(programs, processes, crashed, all_envs, pid_steps, event_count, terminated, K):
+def sweep_metrics(programs, processes, crashed, all_envs, pid_steps, event_count, terminated, K):
     """Assemble the :class:`RunMetrics` bundle from flat sweep state.
 
+    Takes ``programs``, then :func:`sweep_run`'s result, then ``K``.
     Field-for-field the computation of ``extract_metrics`` +
-    ``metrics_from_run`` on the equivalent ``Run``.  Returned with the
-    per-pid decisions and the nonfaulty set it was computed from.
+    ``metrics_from_run`` on the equivalent ``Run``.
     """
     from repro.analysis.metrics import RunMetrics, stage_statistics
 
@@ -721,7 +580,7 @@ def _sweep_metrics(programs, processes, crashed, all_envs, pid_steps, event_coun
             [env.receive_event for env in delivered],
         )
     )
-    metrics = RunMetrics(
+    return RunMetrics(
         terminated=terminated,
         consistent=len(decision_values) <= 1,
         decision=decision,
@@ -733,18 +592,4 @@ def _sweep_metrics(programs, processes, crashed, all_envs, pid_steps, event_coun
         crashes=len(faulty),
         on_time=on_time,
         **stage_statistics(programs, nonfaulty),
-    )
-    return metrics, decisions, nonfaulty
-
-
-def sweep_trial(programs, adversary, K, t, seed, max_steps):
-    """Run one metrics-only trial on the fused sweep.
-
-    Returns ``(metrics, decisions, nonfaulty)``: the
-    :class:`~repro.analysis.metrics.RunMetrics` equal to the reference
-    core's for the same arguments, plus the facts the caller's validity
-    checks need.  The caller has passed :func:`sweep_gate`.
-    """
-    return _sweep_metrics(
-        programs, *sweep_run(programs, adversary, K, t, seed, max_steps), K
     )

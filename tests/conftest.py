@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.adversary.standard import SynchronousAdversary
 from repro.core.agreement import AgreementProgram
@@ -11,6 +12,21 @@ from repro.core.commit import CommitProgram
 from repro.engine import seeds as seed_scheme
 from repro.sim.scheduler import Simulation
 from repro.telemetry.registry import MetricsRegistry, set_registry
+
+# Hypothesis profiles.  ``tier1`` is the default: every property test
+# draws the same examples on every run and keeps no example database,
+# so the suite passes or fails the same way from any checkout.
+# ``randomized`` draws fresh examples and prints how to reproduce a
+# failure; select it with ``pytest --hypothesis-profile randomized``.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile(
+    "randomized", derandomize=False, database=None, print_blob=True
+)
+
+
+def pytest_configure(config):
+    if not config.getoption("hypothesis_profile", None):
+        settings.load_profile("tier1")
 
 
 @pytest.fixture(autouse=True)
@@ -24,6 +40,24 @@ def _isolated_telemetry():
     previous = set_registry(MetricsRegistry(enabled=False))
     yield
     set_registry(previous)
+
+
+@pytest.fixture
+def simulations(monkeypatch):
+    """Records every ``Simulation`` the test constructs.
+
+    The fast core's contract tests read it: a trial the fused sweep
+    takes builds none, a trial it declines builds exactly one.
+    """
+    built = []
+    original = Simulation.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Simulation, "__init__", spy)
+    return built
 
 
 @pytest.fixture(autouse=True)

@@ -10,7 +10,7 @@ import pytest
 
 from repro.adversary.standard import OnTimeAdversary
 from repro.analysis.montecarlo import CommitTrialConfig, run_commit_batch
-from repro.cli import _install_sim_core, _install_timing_model
+from repro.cli.common import _install_sim_core, _install_timing_model
 from repro.engine.executor import (
     TrialEngine,
     default_workers,

@@ -20,7 +20,6 @@ from repro.faults.campaign import (
 from repro.models import model_names
 from repro.runtime.cluster import NONTERMINATED, TERMINATED
 from repro.sim.coreselect import set_default_sim_core
-from repro.sim.fastcore import FastSimulation
 from repro.telemetry import registry as telemetry
 
 # Small but real: both tracks, a handful of plans.
@@ -213,20 +212,6 @@ def metrics():
     telemetry.disable_telemetry()
 
 
-@pytest.fixture
-def fast_simulations(monkeypatch):
-    """Counts ``FastSimulation`` constructions."""
-    built = []
-    original = FastSimulation.__init__
-
-    def spy(self, *args, **kwargs):
-        built.append(self)
-        original(self, *args, **kwargs)
-
-    monkeypatch.setattr(FastSimulation, "__init__", spy)
-    return built
-
-
 def _records(config, seeds, core, set_core):
     set_core(core)
     try:
@@ -247,9 +232,9 @@ def _fallback_samples(registry):
 
 class TestFastCoreSimTrack:
     def test_records_equal_across_cores_for_every_model(
-        self, ambient_core, fast_simulations
+        self, ambient_core, simulations
     ):
-        horizon = 0
+        horizon = fast_built = 0
         for model in model_names():
             for n in (3, 4, 5):
                 config = CampaignConfig(
@@ -262,7 +247,9 @@ class TestFastCoreSimTrack:
                 )
                 seeds = range(3)
                 reference = _records(config, seeds, "reference", ambient_core)
+                del simulations[:]
                 fast = _records(config, seeds, "fast", ambient_core)
+                fast_built += len(simulations)
                 assert fast == reference, (model, n)
                 horizon += sum(
                     record["tracks"]["sim"]["events"] >= SWEEP_STEPS
@@ -270,31 +257,33 @@ class TestFastCoreSimTrack:
                 )
         assert horizon > 0
         # Every fast-side trial ran on the sweep: no trace was built.
-        assert fast_simulations == []
+        assert fast_built == 0
 
     _scheduled_case = TestScheduledCases._scheduled_case
 
     def test_scheduled_case_falls_back_and_is_counted(
-        self, metrics, fast_simulations
+        self, metrics, simulations
     ):
         case = self._scheduled_case()
         reference = run_sim_track(case, core="reference")
+        del simulations[:]
         assert run_sim_track(case, core="fast") == reference
-        assert len(fast_simulations) == 1
+        assert len(simulations) == 1
         assert _fallback_samples(metrics) == [("ScriptedAdversary", 1)]
 
     def test_active_registry_falls_back_uncounted(
-        self, metrics, fast_simulations
+        self, metrics, simulations
     ):
         config = CampaignConfig(n=5, plans=2, tracks=("sim",))
         case = case_from_config(config, 0)
         reference = run_sim_track(case, core="reference")
+        del simulations[:]
         assert run_sim_track(case, core="fast") == reference
-        assert len(fast_simulations) == 1
+        assert len(simulations) == 1
         assert FALLBACKS not in metrics.snapshot()
 
     def test_select_override_falls_back_and_is_counted(
-        self, metrics, fast_simulations, monkeypatch
+        self, metrics, simulations, monkeypatch
     ):
         monkeypatch.setattr(
             campaign,
@@ -304,10 +293,12 @@ class TestFastCoreSimTrack:
         config = CampaignConfig(
             n=5, plans=2, tracks=("sim",), max_steps=SWEEP_STEPS
         )
-        trials = 2
+        trials, fast_built = 2, 0
         for seed in range(trials):
             case = case_from_config(config, seed)
             reference = run_sim_track(case, core="reference")
+            del simulations[:]
             assert run_sim_track(case, core="fast") == reference
-        assert len(fast_simulations) == trials
+            fast_built += len(simulations)
+        assert fast_built == trials
         assert _fallback_samples(metrics) == [("CycleAdversary", trials)]

@@ -1,19 +1,27 @@
 """The degradation atlas: shape, determinism, the gate, rendering."""
 
+import hashlib
 import json
 
 import pytest
 
 from repro.cli import main
+from repro.engine.seeds import MODEL_TIMING_STREAM, derive
 from repro.errors import ConfigurationError
+from repro.models import model_names, resolve_model
 from repro.models.atlas import (
+    ATLAS_PROTOCOLS,
     ATLAS_SCHEMA,
     AtlasConfig,
+    _atlas_trial,
+    _draw_plan,
     reference_protocol_safe,
     render_atlas,
     run_atlas,
     write_atlas_report,
 )
+from repro.sim.coreselect import set_default_sim_core
+from repro.sim.fastcore import adversary_sweep_supported
 
 SMALL = dict(n=4, t=1, trials=3, max_steps=3_000)
 
@@ -134,3 +142,72 @@ class TestAtlasCLI:
         code = main(self._args("--models", "nosuch"))
         assert code == 2
         assert "unknown timing model" in capsys.readouterr().err
+
+
+class TestAtlasAcrossCores:
+    """Atlas cells run on the fused sweep on the fast core, and every
+    cell record equals the reference kernel's."""
+
+    @pytest.fixture(autouse=True)
+    def _clear_override(self):
+        set_default_sim_core(None)
+        yield
+        set_default_sim_core(None)
+
+    def test_cell_records_equal_and_fast_side_builds_no_simulation(
+        self, simulations
+    ):
+        config = AtlasConfig(n=5, trials=1, max_steps=3_000)
+        config_json = json.dumps(config.to_dict(), sort_keys=True)
+        for seed in range(3):
+            plan = _draw_plan(config, seed)
+            for model in model_names():
+                adversary = resolve_model(model).compile_plan(
+                    plan, K=config.K, seed=derive(seed, MODEL_TIMING_STREAM)
+                )
+                assert adversary_sweep_supported(adversary), model
+                for protocol in ATLAS_PROTOCOLS:
+                    cell = (config_json, protocol, model, seed)
+                    set_default_sim_core("reference")
+                    reference = _atlas_trial(*cell)
+                    set_default_sim_core("fast")
+                    del simulations[:]
+                    assert _atlas_trial(*cell) == reference, cell[1:]
+                    assert simulations == [], cell[1:]
+
+    #: sha256 of the report below, as written before atlas cells moved
+    #: onto the sweep (when both cores built a trace for every cell).
+    SMALL_REPORT_SHA256 = (
+        "6ddf49f6f802077779c73d2c24655465d0e9a99fc9ce75e28c72ac12e7fd6539"
+    )
+
+    def test_cli_reports_byte_identical_across_cores(self, tmp_path, capsys):
+        digests = {}
+        for core in ("reference", "fast"):
+            out = tmp_path / f"atlas-{core}.json"
+            code = main(
+                [
+                    "models",
+                    "atlas",
+                    "--n",
+                    "4",
+                    "--t",
+                    "1",
+                    "--trials",
+                    "3",
+                    "--max-steps",
+                    "3000",
+                    "--workers",
+                    "1",
+                    "--sim-core",
+                    core,
+                    "--out",
+                    str(out),
+                ]
+            )
+            assert code == 0
+            digests[core] = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digests == {
+            "reference": self.SMALL_REPORT_SHA256,
+            "fast": self.SMALL_REPORT_SHA256,
+        }

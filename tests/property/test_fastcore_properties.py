@@ -1,12 +1,12 @@
-"""Hypothesis equivalence properties: fast core ≡ reference core.
+"""Hypothesis equivalence properties: fused sweep ≡ reference kernel.
 
-Randomized vote vectors, fault plans, and scripted-adversary schedules
-(including the model checker's prefix re-execution shape) must produce
-identical observables under both execution cores — byte-identical
-serialized runs for the full-trace layer, object-equal metrics for the
-sweep layer.
+Randomized vote vectors, fault plans and delivery policies must produce
+object-equal results on both execution cores: the ``RunMetrics`` bundle
+of a commit trial, and the campaign record plus ``RunMetrics`` of a
+fault-plan trial.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +26,6 @@ from repro.adversary.standard import (
     SynchronousAdversary,
     _SpikeDelays,
 )
-from repro.adversary.scripted import ScriptedAdversary
 from repro.analysis.montecarlo import CommitTrialConfig, run_commit_trial
 from repro.core.commit import CommitProgram
 from repro.faults.plan import FaultPlan
@@ -37,12 +36,8 @@ from repro.models.policies import (
     RoundClosedPolicy,
     _ModelPolicy,
 )
-from repro.sim.fastcore import (
-    FastSimulation,
-    sweep_eligible,
-)
-from repro.sim.scheduler import Simulation
-from repro.telemetry.runio import run_to_records
+from repro.sim.coreselect import run_sim_trial
+from repro.sim.fastcore import adversary_sweep_supported
 
 QUICK = settings(
     max_examples=25,
@@ -88,28 +83,6 @@ def _programs(votes, K, t):
     ]
 
 
-def _run(sim_class, votes, adversary, K, t, seed, max_steps=20_000):
-    simulation = sim_class(
-        programs=_programs(votes, K, t),
-        adversary=adversary,
-        K=K,
-        t=t,
-        seed=seed,
-        max_steps=max_steps,
-    )
-    attach = getattr(adversary, "attach", None)
-    if attach is not None:
-        attach(simulation)
-    return simulation.run()
-
-
-def _assert_cores_agree(votes, adversary_factory, K, t, seed):
-    reference = _run(Simulation, votes, adversary_factory(), K, t, seed)
-    fast = _run(FastSimulation, votes, adversary_factory(), K, t, seed)
-    assert fast.run == reference.run
-    assert run_to_records(fast.run) == run_to_records(reference.run)
-
-
 class TestTrialEquivalence:
     @QUICK
     @given(
@@ -152,6 +125,32 @@ class TestTrialEquivalence:
         )
         fast = run_commit_trial(config, seed, core="fast")
         assert fast == run_commit_trial(config, seed)
+
+
+class TestKnownCounterexamples:
+    """Examples that fail today, on both cores, because of a known
+    defect: pinned so that the fix has to flip them.
+
+    The lateness defect of ROADMAP.md item 1: a vote held back for 3K
+    cycles is never delivered before all three processors time out and
+    decide ABORT, ``Run.is_late`` answers False for an undelivered
+    envelope, so the run reads on time with all-commit votes and the
+    trial's own commit-validity check fires.
+    """
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="undelivered overdue messages are not counted as late",
+    )
+    @pytest.mark.parametrize("core", ["reference", "fast"])
+    def test_late_vote_k3_seed47(self, core):
+        config = CommitTrialConfig(
+            votes=[1, 1, 1],
+            adversary_factory=lambda s: LateMessageAdversary(K=3, seed=s),
+            K=3,
+        )
+        run_commit_trial(config, 47, core=core)
 
 
 def _stock_policy_classes():
@@ -203,12 +202,12 @@ class TestHoldContract:
         config = CommitTrialConfig(
             votes=votes, adversary_factory=adversary, t=t, K=4, max_steps=6_000
         )
-        assert sweep_eligible(adversary(seed))
+        assert adversary_sweep_supported(adversary(seed))
         fast = run_commit_trial(config, seed, core="fast")
         assert fast == run_commit_trial(config, seed, core="reference")
 
 
-class TestRunEquivalence:
+class TestFaultPlanTrials:
     @QUICK
     @given(
         votes=votes_strategy,
@@ -221,42 +220,18 @@ class TestRunEquivalence:
         plan = FaultPlan.random(
             n=n, t=t, seed=plan_seed, K=4, over_budget=over_budget and t < n - 1
         )
-        _assert_cores_agree(
-            votes, lambda: compile_to_adversary(plan, K=4), 4, t, plan_seed
-        )
-
-    @QUICK
-    @given(
-        votes=votes_strategy,
-        seed=st.integers(0, 2**16),
-        prefix_length=st.integers(0, 30),
-    )
-    def test_scripted_prefix_re_execution(self, votes, seed, prefix_length):
-        # The model checker's unit of work: replay a recorded decision
-        # prefix on a fresh simulation, then complete deterministically.
-        n = len(votes)
-        t = (n - 1) // 2
-        recorder = Simulation(
-            programs=_programs(votes, 4, t),
-            adversary=OnTimeAdversary(K=4, seed=seed),
-            K=4,
-            t=t,
-            seed=seed,
-            max_steps=20_000,
-        )
-        schedule = []
-        while (
-            not recorder.all_nonfaulty_done()
-            and len(schedule) < prefix_length
-        ):
-            decision = recorder.adversary.decide(recorder.view)
-            schedule.append(decision)
-            recorder.apply(decision)
-
-        def scripted():
-            return ScriptedAdversary(
-                tuple(schedule),
-                then=CycleAdversary(seed=seed, delivery=DeliverAll()),
+        assert adversary_sweep_supported(compile_to_adversary(plan, K=4))
+        reference, fast = (
+            run_sim_trial(
+                _programs(votes, 4, t),
+                compile_to_adversary(plan, K=4),
+                4,
+                t,
+                plan_seed,
+                20_000,
+                core,
             )
-
-        _assert_cores_agree(votes, scripted, 4, t, seed)
+            for core in ("reference", "fast")
+        )
+        assert fast == reference
+        assert fast.metrics() == reference.metrics()

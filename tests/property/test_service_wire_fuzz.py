@@ -10,8 +10,9 @@ by value, and two things are required of the result:
   ``ServiceServer._client_request`` without raising, and the node's run
   loop is still stepping afterwards.
 
-The examples are derandomized and kept out of the example database, so
-every run of the suite draws the same ones.
+Derandomizing and the example database come from the suite's Hypothesis
+profile (``tests/conftest.py``): under the default ``tier1`` profile
+every run of the suite draws the same examples.
 """
 
 import asyncio
@@ -140,7 +141,7 @@ def decoded(line):
         return None
 
 
-@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(st.one_of(mutated_lines(), st.binary(max_size=120)))
 def test_decode_returns_an_envelope_or_raises_service_error(line):
     envelope = decoded(line)  # any other exception fails the test
@@ -165,7 +166,7 @@ def test_the_seed_lines_decode_and_near_misses_do_not():
         assert decoded(line + b"\n") is None
 
 
-@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(st.lists(mutated_lines(), min_size=1, max_size=6))
 def test_what_decodes_is_absorbed_and_the_node_keeps_stepping(lines):
     envelopes = [e for e in map(decoded, lines) if e is not None]

@@ -6,14 +6,10 @@ from repro.errors import ConfigurationError
 from repro.sim.coreselect import (
     CORE_NAMES,
     core_from_env,
-    make_simulation,
     numpy_allowed,
     resolve_sim_core,
     set_default_sim_core,
-    simulation_class,
 )
-from repro.sim.fastcore import FastSimulation
-from repro.sim.scheduler import Simulation
 
 
 @pytest.fixture(autouse=True)
@@ -81,42 +77,14 @@ class TestResolution:
         with pytest.raises(ConfigurationError, match="sim core"):
             set_default_sim_core("turbo")
 
+    def test_core_names_cover_both(self):
+        assert CORE_NAMES == ("reference", "fast")
+
     def test_clearing_override_restores_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_CORE", "fast")
         set_default_sim_core("reference")
         set_default_sim_core(None)
         assert resolve_sim_core() == "fast"
-
-
-class TestSimulationClass:
-    def test_reference_maps_to_simulation(self):
-        assert simulation_class("reference") is Simulation
-
-    def test_fast_maps_to_fast_simulation(self):
-        cls = simulation_class("fast")
-        assert cls is FastSimulation
-        assert issubclass(cls, Simulation)
-
-    def test_core_names_cover_both(self):
-        assert CORE_NAMES == ("reference", "fast")
-
-    def test_make_simulation_builds_on_resolved_core(self):
-        from repro.adversary.standard import SynchronousAdversary
-        from repro.core.commit import CommitProgram
-
-        programs = [
-            CommitProgram(pid=pid, n=3, t=1, initial_vote=1, K=2)
-            for pid in range(3)
-        ]
-        simulation = make_simulation(
-            programs=programs,
-            adversary=SynchronousAdversary(seed=0),
-            K=2,
-            t=1,
-            seed=0,
-            core="fast",
-        )
-        assert type(simulation) is FastSimulation
 
 
 class TestNumpyAllowed:

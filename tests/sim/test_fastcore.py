@@ -1,14 +1,16 @@
-"""Golden cross-core tests: the fast core must match the reference.
+"""Golden cross-core tests: the fused sweep must match the reference.
 
-Two layers of contract, matching the two layers of the fast core:
+The fast core is the reference ``Simulation`` plus the fused sweep, and
+:func:`repro.sim.coreselect.run_sim_trial` is the one place that picks
+between them.  Two contracts:
 
-* :class:`FastSimulation` produces byte-identical runs — checked as
-  ``Run`` equality *and* equality of the serialized run-trace records
-  (:func:`repro.telemetry.runio.run_to_records`), which covers events,
-  envelopes, decisions, and pattern histories;
-* the sweep path of ``run_commit_trial(..., core="fast")`` produces
-  metrics equal (as Python objects) to the reference trial runner's.
+* a trial the sweep takes gives what the reference kernel gives — the
+  four campaign-record fields and the ``RunMetrics`` bundle, equal as
+  Python objects — and builds no ``Simulation``;
+* a trial the sweep declines runs on the reference kernel itself.
 """
+
+import dataclasses
 
 import pytest
 
@@ -25,10 +27,9 @@ from repro.analysis.montecarlo import CommitTrialConfig, run_commit_trial
 from repro.core.commit import CommitProgram
 from repro.faults.plan import FaultPlan
 from repro.faults.sim_compile import compile_to_adversary
-from repro.sim.coreselect import set_default_sim_core
-from repro.sim.fastcore import FastSimulation, sweep_eligible
+from repro.sim.coreselect import run_sim_trial, set_default_sim_core
+from repro.sim.fastcore import adversary_sweep_supported
 from repro.sim.scheduler import Simulation
-from repro.telemetry.runio import run_to_records
 
 
 def _programs(votes, K=4, t=None):
@@ -41,39 +42,30 @@ def _programs(votes, K=4, t=None):
     ]
 
 
-def _run(sim_class, votes, adversary, K=4, t=None, seed=0, max_steps=50_000):
-    n = len(votes)
+def _trial(core, votes, adversary, K=4, t=None, seed=0, max_steps=50_000):
     if t is None:
-        t = (n - 1) // 2
-    simulation = sim_class(
-        programs=_programs(votes, K=K, t=t),
-        adversary=adversary,
-        K=K,
-        t=t,
-        seed=seed,
-        max_steps=max_steps,
+        t = (len(votes) - 1) // 2
+    return run_sim_trial(
+        _programs(votes, K=K, t=t), adversary, K, t, seed, max_steps, core
     )
-    attach = getattr(adversary, "attach", None)
-    if attach is not None:
-        attach(simulation)
-    return simulation.run()
-
-def assert_byte_identical(votes, adversary_factory, K=4, seed=0, **kwargs):
-    """Run both cores from fresh adversaries; require identical runs."""
-    reference = _run(
-        Simulation, votes, adversary_factory(), K=K, seed=seed, **kwargs
-    )
-    fast = _run(
-        FastSimulation, votes, adversary_factory(), K=K, seed=seed, **kwargs
-    )
-    assert fast.run == reference.run
-    assert run_to_records(fast.run) == run_to_records(reference.run)
-    assert fast.terminated == reference.terminated
-    assert fast.run.decisions == reference.run.decisions
-    return reference, fast
 
 
-class TestFastSimulationGoldenTraces:
+def assert_cores_agree(simulations, votes, adversary_factory, **kwargs):
+    """Run both cores from fresh adversaries; require equal results.
+
+    Returns the two trials and how many ``Simulation`` objects the fast
+    side built.
+    """
+    reference = _trial("reference", votes, adversary_factory(), **kwargs)
+    del simulations[:]
+    fast = _trial("fast", votes, adversary_factory(), **kwargs)
+    built = len(simulations)
+    assert fast == reference
+    assert fast.metrics() == reference.metrics()
+    return reference, fast, built
+
+
+class TestSweepGoldenTrials:
     @pytest.mark.parametrize("seed", [0, 1, 7, 23])
     @pytest.mark.parametrize(
         "factory",
@@ -84,49 +76,76 @@ class TestFastSimulationGoldenTraces:
         ],
         ids=["synchronous", "ontime", "late"],
     )
-    def test_standard_adversaries(self, factory, seed):
-        assert_byte_identical(
-            [1, 1, 0, 1, 1], lambda: factory(seed), seed=seed
+    def test_standard_adversaries(self, simulations, factory, seed):
+        _, _, built = assert_cores_agree(
+            simulations, [1, 1, 0, 1, 1], lambda: factory(seed), seed=seed
         )
+        assert built == 0
 
-    def test_all_commit_votes(self):
-        assert_byte_identical(
-            [1] * 7, lambda: OnTimeAdversary(K=4, seed=3), seed=3
+    def test_all_commit_votes(self, simulations):
+        reference, _, built = assert_cores_agree(
+            simulations, [1] * 7, lambda: OnTimeAdversary(K=4, seed=3), seed=3
         )
+        assert built == 0
+        assert reference.decisions == [1] * 7
 
-    def test_crash_plan(self):
-        assert_byte_identical(
+    def test_crash_plan(self, simulations):
+        reference, _, built = assert_cores_agree(
+            simulations,
             [1, 1, 1, 1, 1],
             lambda: ScheduledCrashAdversary(
                 [CrashAt(cycle=2, pid=1), CrashAt(cycle=4, pid=3)], seed=5
             ),
             seed=5,
         )
-
-    def test_random_adversary(self):
-        assert_byte_identical(
-            [1, 0, 1, 1, 0],
-            lambda: RandomAdversary(seed=11, deliver_probability=0.6),
-            seed=11,
-        )
+        assert built == 0
+        assert reference.crashed == {1, 3}
 
     @pytest.mark.parametrize("plan_seed", [0, 4, 9])
-    def test_fault_plan_adversary(self, plan_seed):
+    def test_fault_plan_adversary(self, simulations, plan_seed):
         plan = FaultPlan.random(n=5, t=2, seed=plan_seed, K=4)
-        assert_byte_identical(
+        _, _, built = assert_cores_agree(
+            simulations,
             [1, 1, 1, 0, 1],
             lambda: compile_to_adversary(plan, K=4),
             seed=plan_seed,
             max_steps=20_000,
         )
+        assert built == 0
 
-    def test_scripted_prefix_replay(self):
+    def test_late_messages_counted_alike(self, simulations):
+        # The sweep's flat lateness flags against Run.is_on_time.
+        reference, _, built = assert_cores_agree(
+            simulations,
+            [1, 1, 1, 1, 1, 1, 1],
+            lambda: LateMessageAdversary(K=3, seed=6),
+            K=3,
+            seed=6,
+        )
+        assert built == 0
+        assert not reference.metrics().on_time
+
+
+class TestDeclinedTrials:
+    """What the sweep declines runs on the reference kernel, once."""
+
+    def test_random_adversary(self, simulations):
+        # RandomAdversary is not a CycleAdversary.
+        assert not adversary_sweep_supported(RandomAdversary(seed=0))
+        _, _, built = assert_cores_agree(
+            simulations,
+            [1, 0, 1, 1, 0],
+            lambda: RandomAdversary(seed=11, deliver_probability=0.6),
+            seed=11,
+        )
+        assert built == 1
+
+    def test_scripted_prefix_replay(self, simulations):
         # Record a schedule on the reference core, then replay it as a
         # scripted prefix on both cores — the campaign's replay shape.
-        adversary = OnTimeAdversary(K=4, seed=2)
         simulation = Simulation(
             programs=_programs([1, 1, 1, 1, 1]),
-            adversary=adversary,
+            adversary=OnTimeAdversary(K=4, seed=2),
             K=4,
             t=2,
             seed=2,
@@ -143,23 +162,29 @@ class TestFastSimulationGoldenTraces:
                 then=CycleAdversary(seed=2, delivery=DeliverAll()),
             )
 
-        assert_byte_identical([1, 1, 1, 1, 1], scripted, seed=2)
-
-    def test_warm_late_cache_matches_cold(self):
-        reference, fast = assert_byte_identical(
-            [1, 1, 1, 1, 1, 1, 1],
-            lambda: LateMessageAdversary(K=3, seed=6),
-            K=3,
-            seed=6,
+        _, _, built = assert_cores_agree(
+            simulations, [1, 1, 1, 1, 1], scripted, seed=2
         )
-        assert fast.run.late_messages() == reference.run.late_messages()
-        assert fast.run.is_on_time() == reference.run.is_on_time()
-        assert [
-            fast.run.is_late(env) for env in fast.run.envelopes.values()
-        ] == [
-            reference.run.is_late(env)
-            for env in reference.run.envelopes.values()
-        ]
+        assert built == 1
+
+
+class TestMetricsOnRequest:
+    def test_records_build_no_metrics(self, monkeypatch):
+        # A campaign record reads four fields; neither core may pay for
+        # the RunMetrics bundle unless asked.
+        from repro.analysis import metrics
+        from repro.sim import fastcore
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("metrics built without a request")
+
+        monkeypatch.setattr(fastcore, "sweep_metrics", forbidden)
+        monkeypatch.setattr(metrics, "extract_metrics", forbidden)
+        for core in ("reference", "fast"):
+            trial = _trial(core, [1, 1, 1, 1, 1], OnTimeAdversary(K=4, seed=1))
+            assert trial.terminated
+            with pytest.raises(AssertionError, match="without a request"):
+                trial.metrics()
 
 
 class TestSweepTrials:
@@ -209,8 +234,8 @@ class TestSweepTrials:
 
     def test_fallback_for_non_whitelisted_adversary(self):
         # RandomAdversary is not a CycleAdversary: the sweep must refuse
-        # it and the FastSimulation fallback must still match.
-        assert not sweep_eligible(RandomAdversary(seed=0))
+        # it and the reference kernel must run the fast-core trial.
+        assert not adversary_sweep_supported(RandomAdversary(seed=0))
         config = CommitTrialConfig(
             votes=[1, 1, 1, 0, 1],
             adversary_factory=lambda seed: RandomAdversary(seed=seed),
@@ -220,11 +245,17 @@ class TestSweepTrials:
             fast = run_commit_trial(config, seed, core="fast")
             assert fast == run_commit_trial(config, seed)
 
-    def test_consumed_adversary_not_sweep_eligible(self):
+    def test_consumed_adversary_not_sweep_supported(self):
         adversary = OnTimeAdversary(K=4, seed=0)
-        assert sweep_eligible(adversary)
-        _run(Simulation, [1, 1, 1], adversary, max_steps=10)
-        assert not sweep_eligible(adversary)
+        assert adversary_sweep_supported(adversary)
+        Simulation(
+            programs=_programs([1, 1, 1]),
+            adversary=adversary,
+            K=4,
+            t=1,
+            max_steps=10,
+        ).run()
+        assert not adversary_sweep_supported(adversary)
 
 
 class TestWholePipelinesAcrossCores:
@@ -251,18 +282,6 @@ class TestWholePipelinesAcrossCores:
         fast = self._with_core("fast", lambda: run_campaign(config))
         assert fast == reference
 
-    def test_mc_exploration_reports_identical(self):
-        from repro.mc import MCConfig, explore
-
-        config = MCConfig(
-            n=3, t=1, K=2, max_cycles=5, crash_budget=1, votes=(1, 1, 0)
-        )
-        reference = self._with_core(
-            "reference", lambda: explore(config).to_dict()
-        )
-        fast = self._with_core("fast", lambda: explore(config).to_dict())
-        assert fast == reference
-
     def test_core_differential_finds_nothing(self):
         from repro.counterexample import run_core_differential
         from repro.faults.campaign import CampaignConfig
@@ -278,19 +297,51 @@ class TestWholePipelinesAcrossCores:
         # The fast core's campaign record comes from the fused sweep,
         # which builds no Run; the oracle holds it to the reference run.
         from repro.counterexample.oracle import run_core_case
-        from repro.faults import campaign
+        from repro.faults.campaign import CampaignConfig
+        from repro.sim import fastcore
 
-        config = campaign.CampaignConfig(n=4, plans=1, max_steps=8_000)
+        config = CampaignConfig(n=4, plans=1, max_steps=8_000)
         assert run_core_case(config, 0)["match"]
-        honest = campaign.run_sim_track
+        honest = fastcore.sweep_run
 
-        def off_by_one(case, core=None):
-            record = honest(case, core)
-            return {**record, "events": record["events"] + 1}
+        def off_by_one(*args):
+            *state, events, terminated = honest(*args)
+            return (*state, events + 1, terminated)
 
-        monkeypatch.setattr(campaign, "run_sim_track", off_by_one)
+        monkeypatch.setattr(fastcore, "sweep_run", off_by_one)
         finding = run_core_case(config, 0)
         assert not finding["match"]
-        assert finding["runs_match"] and not finding["records_match"]
+        assert not finding["records_match"]
         records = finding["campaign_records"]
         assert records["fast"]["events"] == records["reference"]["events"] + 1
+
+    @pytest.mark.parametrize("field", ["rounds", "messages", "on_time"])
+    def test_core_differential_compares_the_run_metrics(
+        self, monkeypatch, field
+    ):
+        # One wrong RunMetrics field of the sweep's is a finding, even
+        # with the campaign record right.
+        from repro.counterexample.oracle import run_core_case
+        from repro.faults.campaign import CampaignConfig
+        from repro.sim import fastcore
+
+        config = CampaignConfig(n=4, plans=1, max_steps=8_000)
+        honest = fastcore.sweep_metrics
+
+        def one_field_wrong(*args):
+            metrics = honest(*args)
+            value = getattr(metrics, field)
+            wrong = (not value) if isinstance(value, bool) else value + 1
+            return dataclasses.replace(metrics, **{field: wrong})
+
+        monkeypatch.setattr(fastcore, "sweep_metrics", one_field_wrong)
+        finding = run_core_case(config, 0)
+        assert not finding["match"]
+        assert finding["records_match"] and not finding["metrics_match"]
+        reported = finding["metrics"]
+        assert reported["fast"][field] != reported["reference"][field]
+        others = set(reported["fast"]) - {field}
+        assert all(
+            reported["fast"][key] == reported["reference"][key]
+            for key in others
+        )

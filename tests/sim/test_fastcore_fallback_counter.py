@@ -28,10 +28,7 @@ from repro.faults.plan import FaultPlan
 from repro.faults.sim_compile import compile_to_adversary
 from repro.models import resolve_model, set_default_timing_model
 from repro.sim.coreselect import set_default_sim_core
-from repro.sim.fastcore import (
-    adversary_sweep_supported,
-    sweep_eligible,
-)
+from repro.sim.fastcore import adversary_sweep_supported, sweep_gate
 from repro.telemetry import registry as telemetry
 
 N, T, K = 5, 2, 4
@@ -132,7 +129,8 @@ class TestWhitelistedNeverCounted:
         # sweep — deliberately, and deliberately uncounted.
         adversary = _realistic_config().adversary_factory(0)
         assert adversary_sweep_supported(adversary)
-        assert not sweep_eligible(adversary)
+        assert not sweep_gate(adversary)
+        assert COUNTER not in metrics.snapshot()
 
     @pytest.mark.parametrize("model_name", ZOO)
     def test_zoo_models_never_increment(self, metrics, model_name):
@@ -161,7 +159,7 @@ class TestWhitelistedNeverCounted:
     def test_200_seeds_match_reference(self, model_name):
         config = _model_config(model_name)
         for seed in range(200):
-            assert sweep_eligible(config.adversary_factory(seed))
+            assert adversary_sweep_supported(config.adversary_factory(seed))
             fast = run_commit_trial(config, seed, core="fast")
             assert fast == run_commit_trial(
                 config, seed, core="reference"
@@ -169,7 +167,7 @@ class TestWhitelistedNeverCounted:
 
     def test_hold_override_stays_on_the_sweep(self):
         config = _policy_config(lambda: _SlowerDelays(1, 3))
-        assert sweep_eligible(config.adversary_factory(0))
+        assert adversary_sweep_supported(config.adversary_factory(0))
         for seed in range(20):
             fast = run_commit_trial(config, seed, core="fast")
             assert fast == run_commit_trial(config, seed, core="reference")

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.analysis.metrics import metrics_from_run
-from repro.cli import ADVERSARY_CHOICES, build_adversary
+from repro.cli.run import ADVERSARY_CHOICES, build_adversary
 from repro.core.api import run_commit
 from repro.errors import AnalysisError
 from repro.telemetry.runio import (

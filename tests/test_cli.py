@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.cli import build_adversary, main
+from repro.cli import main
+from repro.cli.run import build_adversary
 
 
 class TestRunCommit:
@@ -467,16 +468,16 @@ class TestSimCoreSelection:
         monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
         set_default_sim_core(None)
 
+    CAMPAIGN = ["faults", "campaign", "--tracks", "sim", "--plans", "2"]
+
     def test_sim_core_flag_runs_fast_core(self, capsys):
-        code = main(
-            ["run-commit", "--votes", "1,1,1", "--sim-core", "fast"]
-        )
+        code = main([*self.CAMPAIGN, "--sim-core", "fast"])
         assert code == 0
-        assert "decision: COMMIT" in capsys.readouterr().out
+        assert "SAFE" in capsys.readouterr().out
 
     def test_bad_env_core_is_a_usage_error(self, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_SIM_CORE", "turbo")
-        code = main(["run-commit", "--votes", "1,1,1"])
+        code = main([*self.CAMPAIGN, "--workers", "1"])
         assert code == 2
         err = capsys.readouterr().err
         assert "error:" in err
@@ -484,8 +485,16 @@ class TestSimCoreSelection:
 
     def test_unknown_flag_value_rejected_by_argparse(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["run-commit", "--sim-core", "turbo"])
+            main([*self.CAMPAIGN, "--sim-core", "turbo"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("command", [["run-commit"], ["mc", "explore"]])
+    def test_trace_commands_take_no_core(self, command, capsys):
+        # They construct the reference kernel directly: nothing to select.
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, "--sim-core", "fast"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_cores_diff_oracle_clean(self, capsys):
         code = main(
