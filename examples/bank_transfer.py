@@ -1,20 +1,24 @@
 #!/usr/bin/env python3
-"""A distributed bank transfer on the asyncio runtime.
+"""A distributed bank transfer on the commit service.
 
 The scenario the paper's introduction motivates: one transaction touches
 several database shards concurrently, and all of them must install it or
 none may.  Here a transfer debits shard A and credits shard B while an
 audit shard logs it; the three shards plus two replicas run Protocol 2
-over the asyncio transport (real concurrency, jittery delays), once
-cleanly and once with a replica crashing mid-protocol.
+as durable service nodes on the in-memory bus (real asyncio concurrency,
+jittery delays), once cleanly and once with a replica crashing
+mid-protocol.
 
 Run:  python examples/bank_transfer.py
 """
 
+import asyncio
 from dataclasses import dataclass, field
 
-from repro import Vote
-from repro.runtime import CrashInjection, UniformDelay, run_commit_cluster
+from repro import Decision, Vote
+from repro.faults.plan import CrashFault, FaultPlan
+from repro.runtime.delays import UniformDelay
+from repro.service.cluster import ServiceCluster, node_configs
 
 
 @dataclass
@@ -42,20 +46,26 @@ class Shard:
 
 
 def transfer(shards, votes, crashes=(), seed=0):
-    """Run the commit protocol for one staged transfer."""
-    result = run_commit_cluster(
-        votes,
-        K=8,
-        delay_model=UniformDelay(low=0.0005, high=0.003),
-        crashes=crashes,
+    """Run the commit protocol for one staged transfer.
+
+    ``crashes`` are fail-stop: a node killed at its cycle (one cycle is
+    one 2 ms tick) and never restarted.
+    """
+    n = len(votes)
+    cluster = ServiceCluster(
+        node_configs(n=n, t=(n - 1) // 2, votes=votes, K=8, seed=seed),
+        FaultPlan(n=n, crashes=tuple(crashes)),
         seed=seed,
-        deadline=15.0,
+        delay=UniformDelay(low=0.0005, high=0.003),
+        K=8,
     )
-    decision = result.unanimous_decision
+    result = asyncio.run(cluster.run(deadline=15.0))
     assert result.consistent, "conflicting decisions would corrupt the bank!"
+    (value,) = result.decision_values()
+    decision = Decision.from_bit(value)
     for shard in shards:
-        shard.finish(commit=(decision is not None and decision.name == "COMMIT"))
-    return result
+        shard.finish(commit=decision is Decision.COMMIT)
+    return result, decision
 
 
 def main() -> None:
@@ -73,8 +83,8 @@ def main() -> None:
         Vote.COMMIT,  # replicas always follow
         Vote.COMMIT,
     ]
-    result = transfer(shards, votes, seed=1)
-    print(f"transfer 1 decided {result.unanimous_decision.name}")
+    _, decision = transfer(shards, votes, seed=1)
+    print(f"transfer 1 decided {decision.name}")
     print(f"  alice={shard_a.balances['alice']}  bob={shard_b.balances['bob']}")
     assert shard_a.balances["alice"] == 40
     assert shard_b.balances["bob"] == 70
@@ -88,8 +98,8 @@ def main() -> None:
         Vote.COMMIT,
         Vote.COMMIT,
     ]
-    result = transfer(shards, votes, seed=2)
-    print(f"transfer 2 decided {result.unanimous_decision.name} (overdraft)")
+    _, decision = transfer(shards, votes, seed=2)
+    print(f"transfer 2 decided {decision.name} (overdraft)")
     assert shard_a.balances["alice"] == 40  # unchanged
 
     # --- Transfer 3: a replica crashes mid-protocol.  t = 2 of n = 5 may
@@ -101,18 +111,13 @@ def main() -> None:
         Vote.COMMIT,
         Vote.COMMIT,
     ]
-    result = transfer(
-        shards,
-        votes,
-        crashes=[CrashInjection(pid=4, after_seconds=0.004)],
-        seed=3,
+    result, decision = transfer(
+        shards, votes, crashes=[CrashFault(pid=4, cycle=2)], seed=3
     )
-    survivors = [r for r in result.nodes if r.pid != 4]
-    print(
-        f"transfer 3 decided {result.unanimous_decision.name} "
-        f"with replica-2 crashed"
-    )
-    assert all(r.decision is not None for r in survivors)
+    survivors = [s for s in result.nodes if s.pid not in result.permanently_crashed]
+    print(f"transfer 3 decided {decision.name} with replica-2 crashed")
+    assert result.permanently_crashed == {4}
+    assert all(s.decision is not None for s in survivors)
     print(f"  alice={shard_a.balances['alice']}  bob={shard_b.balances['bob']}")
     print("ledger consistent across all shards.")
 

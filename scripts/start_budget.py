@@ -56,7 +56,6 @@ FORBIDDEN = (
     "repro.trace.critical_path",
     "repro.service.load",
     "repro.service.cluster",
-    "repro.runtime.cluster",
 )
 
 #: Runs ``python -m repro <argv>`` in this interpreter and prints

@@ -11,8 +11,8 @@ transaction commit protocol and its almost-asynchronous model:
 * :mod:`repro.adversary` — pattern-only adversaries (plus one
   deliberately content-aware attacker);
 * :mod:`repro.protocols` — baselines: Ben-Or with local coins, 2PC, 3PC;
-* :mod:`repro.runtime` — an asyncio deployment substrate running the same
-  protocol state machines;
+* :mod:`repro.service` — the same protocol state machines as a durable
+  crash-recovery commit service, over TCP or an in-memory bus;
 * :mod:`repro.analysis` — Monte-Carlo trials, statistics, sweeps;
 * :mod:`repro.lowerbound` — the lockstep model and the executable
   constructions behind Theorems 14 and 17;

@@ -14,7 +14,7 @@ Commands:
 * ``stats`` — print a telemetry registry snapshot (JSON or
   Prometheus-style text) for one or more archived JSONL traces;
 * ``faults campaign`` — sweep seeded randomized FaultPlans across the
-  simulator and asyncio tracks, check the paper's invariants on every
+  simulator and service tracks, check the paper's invariants on every
   trial, and write a machine-readable campaign report; exits 1 on any
   safety violation, 2 (with ``--fail-on-liveness``) on liveness-only
   violations, and cuts per-violation replay artifacts with
@@ -26,7 +26,7 @@ Commands:
   by scanning a campaign) to a locally-minimal FaultPlan that still
   violates safety;
 * ``faults diff`` — run the cross-track differential oracle and report
-  semantic divergence between the simulator and the runtime; with
+  semantic divergence between the simulator and the service; with
   ``--cores``, compare the reference and fast *execution cores* on
   equal campaign records and run metrics instead;
 * ``mc explore`` — bounded exhaustive model checking of one protocol

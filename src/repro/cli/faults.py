@@ -174,6 +174,7 @@ def cmd_faults_diff(args) -> int:
         over_budget_fraction=args.over_budget_fraction,
         all_commit_fraction=args.all_commit_fraction,
         program=args.variant,
+        model=args.model if args.model is not None else "realistic",
     )
     if args.cores:
         report = run_core_differential(config, workers=args.workers)
@@ -225,10 +226,10 @@ def register(sub) -> None:
     )
     campaign_parser.add_argument(
         "--tracks",
-        default="sim,runtime",
+        default="sim,service",
         help=(
-            "comma-separated tracks to run: sim, runtime, service "
-            "(service is the crash-recovery track and runs alone)"
+            "comma-separated tracks to run: sim, service (kill/recover "
+            "plans, --txns and --shards need service alone)"
         ),
     )
     campaign_parser.add_argument(
@@ -241,7 +242,7 @@ def register(sub) -> None:
         "--deadline",
         type=float,
         default=8.0,
-        help="runtime-track budget per trial, in virtual seconds",
+        help="service-track budget per trial, in virtual seconds",
     )
     campaign_parser.add_argument(
         "--over-budget-fraction",
@@ -423,7 +424,7 @@ def register(sub) -> None:
         "diff",
         help=(
             "run the cross-track differential oracle: every plan on both "
-            "the simulator and the runtime, flagging semantic divergence"
+            "the simulator and the service, flagging semantic divergence"
         ),
     )
     diff_parser.add_argument(
@@ -449,7 +450,7 @@ def register(sub) -> None:
         "--deadline",
         type=float,
         default=8.0,
-        help="runtime-track budget per trial, in virtual seconds",
+        help="service-track budget per trial, in virtual seconds",
     )
     diff_parser.add_argument(
         "--over-budget-fraction",
@@ -486,6 +487,7 @@ def register(sub) -> None:
     diff_parser.add_argument(
         "--out", default=None, help="write the differential report JSON here"
     )
+    _add_model_arg(diff_parser)
     diff_parser.add_argument(
         "--json",
         action="store_true",

@@ -163,7 +163,7 @@ def cmd_service_load(args) -> int:
 
 def _cmd_service_load(args) -> int:
     from repro.errors import ReproError
-    from repro.runtime.cluster import TERMINATED
+    from repro.faults.safety import TERMINATED
     from repro.service.load import run_load
 
     if args.txns is not None:

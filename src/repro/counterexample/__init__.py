@@ -15,7 +15,8 @@ raw finding into something a human can act on:
   through :mod:`repro.engine`;
 * :mod:`repro.counterexample.oracle` — a cross-track differential oracle
   that runs every plan on both the deterministic simulator and the
-  virtual-clock runtime and reports semantic divergence (mismatched
+  commit service on the virtual clock and reports semantic divergence
+  (mismatched
   violated-property sets, or termination disagreement where termination
   is guaranteed) as first-class findings.
 """

@@ -1,11 +1,12 @@
-"""Cross-track differential oracle: simulator vs runtime, plan by plan.
+"""Cross-track differential oracle: simulator vs service, plan by plan.
 
 The repo executes every FaultPlan on two independent stacks — the
-deterministic cycle simulator and the asyncio runtime on a virtual
-clock.  They share *no* scheduling code, so semantic disagreement
-between them is a first-class finding: either one compiler mistranslates
-the plan, one track's protocol implementation is wrong, or the safety
-monitor is inconsistent.
+deterministic cycle simulator and the crash-recovery commit service
+co-hosted on a virtual clock (:mod:`repro.service.cluster`, where a
+fail-stop crash is a kill with no restart).  They share *no* scheduling
+code, so semantic disagreement between them is a first-class finding:
+either one track mistranslates the plan, one track's hosting of the
+protocol is wrong, or the safety monitor is inconsistent.
 
 What counts as divergence is deliberately narrow.  The tracks schedule
 messages differently, and Protocol 2's commit/abort decision is
@@ -38,11 +39,12 @@ from repro.faults.campaign import (
     CampaignConfig,
     run_campaign,
 )
-from repro.faults.safety import SAFETY_PROPERTIES
-from repro.runtime.cluster import TERMINATED
+from repro.faults.safety import SAFETY_PROPERTIES, TERMINATED
 
-#: Schema tag of the differential report document.
-DIFFERENTIAL_SCHEMA = "repro.fault-differential v1"
+#: Schema tag of the differential report document.  v2: the second
+#: track, and each finding's key for it, is ``service`` (v1 compared the
+#: removed fail-stop ``runtime`` track).
+DIFFERENTIAL_SCHEMA = "repro.fault-differential v2"
 
 #: Schema tag of the cross-core differential report document.
 CORE_DIFFERENTIAL_SCHEMA = "repro.core-differential v1"
@@ -76,34 +78,34 @@ def classify_trial(record: dict[str, Any]) -> dict[str, Any]:
     "termination_drift": bool}``; the input must carry both tracks.
     """
     sim = record["tracks"]["sim"]
-    runtime = record["tracks"]["runtime"]
+    service = record["tracks"]["service"]
     findings: list[dict[str, Any]] = []
     sim_safety = _safety_set(sim)
-    runtime_safety = _safety_set(runtime)
-    if sim_safety != runtime_safety:
+    service_safety = _safety_set(service)
+    if sim_safety != service_safety:
         findings.append(
             {
                 "kind": "safety-mismatch",
                 "seed": record["seed"],
                 "sim": sim_safety,
-                "runtime": runtime_safety,
+                "service": service_safety,
             }
         )
     sim_terminated = sim["outcome"] == TERMINATED
-    runtime_terminated = runtime["outcome"] == TERMINATED
-    termination_differs = sim_terminated != runtime_terminated
+    service_terminated = service["outcome"] == TERMINATED
+    termination_differs = sim_terminated != service_terminated
     if termination_differs and record["expect_termination"]:
         findings.append(
             {
                 "kind": "termination-mismatch",
                 "seed": record["seed"],
                 "sim": sim["outcome"],
-                "runtime": runtime["outcome"],
+                "service": service["outcome"],
             }
         )
     return {
         "findings": findings,
-        "decision_drift": _decision_class(sim) != _decision_class(runtime),
+        "decision_drift": _decision_class(sim) != _decision_class(service),
         "termination_drift": termination_differs
         and not record["expect_termination"],
     }
@@ -119,7 +121,7 @@ def run_differential(
     oracle can be pointed at broken variants too.  The report embeds the
     violating plans, making every finding replayable.
     """
-    config = dataclasses.replace(config, tracks=("sim", "runtime"))
+    config = dataclasses.replace(config, tracks=("sim", "service"))
     campaign = run_campaign(config, workers=workers)
     findings: list[dict[str, Any]] = []
     decision_drift = 0

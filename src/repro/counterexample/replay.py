@@ -5,7 +5,7 @@ An artifact captures one :class:`~repro.faults.campaign.TrialCase`
 variant) together with the per-track results observed when the
 violation was found.  Because both campaign and replay execute through
 :func:`~repro.faults.campaign.execute_trial_case`, and both tracks are
-deterministic in the case (the simulator by construction, the runtime
+deterministic in the case (the simulator by construction, the service
 via the virtual clock and per-envelope RNG streams), re-running the
 case must reproduce the recorded results *byte for byte* —
 :func:`verify_replay` checks exactly that and reports any drift.

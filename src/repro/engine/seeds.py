@@ -62,21 +62,11 @@ CAMPAIGN_VOTE_STREAM = 9_700_417
 #: fault campaigns.
 CAMPAIGN_SHAPE_STREAM = 9_999_991
 
-#: Keyed stream of one transport envelope's fault randomness (first-send
-#: verdict and delay, retransmission attempts, backoff jitter); keyed by
-#: ``(recipient, seq)`` so concurrent retransmit loops never contend on
-#: one shared generator (see :mod:`repro.runtime.transport`).
-ENVELOPE_STREAM = 11_939_999
-
-#: Keyed stream of one envelope's acknowledgement randomness (reverse
-#: link verdict and ack delay), keyed like :data:`ENVELOPE_STREAM`.
-ACK_STREAM = 13_466_917
-
 #: Keyed stream of one *service* envelope's randomness (link-fault
 #: verdict, delivery delay, retransmission backoff jitter), keyed by
-#: ``(sender, incarnation, seq)`` so the crash-recovery track's draws
-#: are schedule-independent like the runtime transport's
-#: (:mod:`repro.service.bus`).
+#: ``(sender, incarnation, seq, recipient, attempt)`` so each
+#: transmission's draws are independent of how the event loop
+#: interleaves concurrent retransmit loops (:mod:`repro.service.bus`).
 SERVICE_ENVELOPE_STREAM = 15_485_863
 
 #: Per-node stream of service-layer tape seeds and handshake jitter,

@@ -59,14 +59,6 @@ class ConfigurationError(ProtocolError):
     """
 
 
-class RuntimeTransportError(ReproError):
-    """Base class for asyncio-runtime transport failures."""
-
-
-class NodeCrashedError(RuntimeTransportError):
-    """An operation was attempted on a node that has been crashed."""
-
-
 class ServiceError(ReproError):
     """Base class for deployable commit-service failures."""
 

@@ -4,13 +4,14 @@ This package closes the gap between *what faults a trial suffers* and
 *where the trial runs*.  A :class:`FaultPlan` declares a schedule —
 crash-at-cycle, partition windows, per-link loss/duplication/reorder
 probabilities, delay overrides — in track-neutral cycle time, and two
-compilers realise it:
+tracks realise it:
 
 * :func:`compile_to_adversary` → a
   :class:`~repro.adversary.base.CycleAdversary` for the deterministic
   simulator;
-* :func:`compile_to_runtime` → transport link hooks, crash injections,
-  and a retransmission config for the asyncio runtime.
+* :class:`~repro.service.cluster.ServiceCluster` → kills (and restarts)
+  of durable commit-service nodes plus per-attempt link faults on the
+  in-memory bus.
 
 The :class:`SafetyMonitor` machine-checks the paper's invariants
 (agreement, validity, nonblocking-within-budget) on every trial, and
@@ -41,15 +42,11 @@ __getattr__, __dir__ = lazy_exports(
             "LinkLoss",
             "PartitionWindow",
         ),
-        "runtime_compile": (
-            "PlanLinkFaults",
-            "cluster_from_plan",
-            "compile_to_runtime",
-            "plan_reliability",
-        ),
         "safety": (
             "LIVENESS_PROPERTIES",
+            "NONTERMINATED",
             "SAFETY_PROPERTIES",
+            "TERMINATED",
             "SafetyMonitor",
             "SafetyReport",
             "Violation",
@@ -74,21 +71,19 @@ __all__ = [
     "LIVENESS_PROPERTIES",
     "LinkDelay",
     "LinkLoss",
+    "NONTERMINATED",
     "PROGRAM_VARIANTS",
     "PartitionWindow",
-    "PlanLinkFaults",
     "SAFETY_PROPERTIES",
     "SafetyMonitor",
     "SafetyReport",
+    "TERMINATED",
     "TrialCase",
     "Violation",
     "case_from_config",
-    "cluster_from_plan",
     "compile_to_adversary",
-    "compile_to_runtime",
     "execute_trial_case",
     "make_programs",
-    "plan_reliability",
     "render_campaign_summary",
     "resolve_variant",
     "run_campaign",

@@ -3,19 +3,20 @@
 A campaign is a batch of independent trials.  Trial ``i`` derives one
 randomized :class:`~repro.faults.plan.FaultPlan` and one vote vector
 from ``base_seed + i``, executes the plan on the deterministic
-simulator and/or the asyncio runtime (on the virtual-clock loop, so
-trials are fast and reproducible), and machine-checks the paper's
-invariants with the :class:`~repro.faults.safety.SafetyMonitor`.
+simulator and/or the commit service (a co-hosted cluster on the
+virtual-clock loop, so trials are fast and reproducible), and
+machine-checks the paper's invariants with the
+:class:`~repro.faults.safety.SafetyMonitor`.
 
 Trials fan out through the :mod:`repro.engine` executor, inheriting its
 guarantee that results are byte-identical to the serial loop at any
-worker count; combined with the virtual clock on the runtime track the
+worker count; combined with the virtual clock on the service track the
 whole campaign *report* is reproducible from ``(config, base_seed)``
 alone — rerun it anywhere and diff the JSON.
 
 The report (``repro.fault-campaign v1``) embeds every plan, so any
 violation ever found is replayable: feed the plan dict back through
-:meth:`FaultPlan.from_dict` and either compiler.
+:meth:`FaultPlan.from_dict` and either track.
 """
 
 from __future__ import annotations
@@ -39,13 +40,10 @@ from repro.engine.seeds import (
 )
 from repro.errors import AnalysisError, ConfigurationError
 from repro.faults.plan import FaultPlan
-from repro.faults.runtime_compile import cluster_from_plan
-from repro.faults.safety import SafetyMonitor
+from repro.faults.safety import NONTERMINATED, TERMINATED, SafetyMonitor
 from repro.faults.sim_compile import compile_to_adversary
 from repro.faults.variants import make_programs, resolve_variant
 from repro.models import DEFAULT_MODEL, resolve_model
-from repro.runtime.cluster import NONTERMINATED, TERMINATED
-from repro.runtime.virtualtime import run_virtual
 from repro.sim.decisions import (
     CrashDecision,
     Decision,
@@ -62,11 +60,26 @@ _log = get_logger("faults.campaign")
 #: Schema tag of the campaign report document.
 CAMPAIGN_SCHEMA = "repro.fault-campaign v1"
 
-#: The executable tracks a campaign can sweep.  ``sim`` and ``runtime``
-#: execute the fail-stop model; ``service`` executes the crash-recovery
-#: model (durable WALs, kill/restart, replay — :mod:`repro.service`) and
-#: is the only track that accepts plans with ``recover_cycle`` entries.
-TRACKS = ("sim", "runtime", "service")
+#: The executable tracks a campaign can sweep.  ``sim`` executes the
+#: paper's fail-stop model; ``service`` runs the crash-recovery commit
+#: service (durable WALs, kill/restart, replay — :mod:`repro.service`),
+#: which executes a fail-stop crash as a kill with no restart and is the
+#: only track that accepts plans with ``recover_cycle`` entries.
+TRACKS = ("sim", "service")
+
+
+def _check_tracks(tracks: tuple[str, ...]) -> None:
+    for track in tracks:
+        if track == "runtime":
+            raise ConfigurationError(
+                "the fail-stop 'runtime' track was removed: the service "
+                "track runs fail-stop plans as kills with no restart; "
+                "re-cut this case with --tracks sim,service"
+            )
+        if track not in TRACKS:
+            raise ConfigurationError(
+                f"unknown track {track!r}; choose from {TRACKS}"
+            )
 
 
 @dataclass(frozen=True)
@@ -81,8 +94,9 @@ class CampaignConfig:
         tracks: which tracks each plan runs on.
         K: the protocols' on-time bound.
         max_steps: simulator horizon per trial.
-        deadline: runtime-track budget in *virtual* seconds per trial.
-        tick_interval: runtime node step granularity.
+        deadline: service-track budget in *virtual* seconds per trial.
+        tick_interval: service node step granularity (seconds per plan
+            cycle).
         over_budget_fraction: fraction of trials drawing a plan with
             more than ``t`` crashes (the graceful-degradation regime).
         all_commit_fraction: fraction of trials voting all-COMMIT; the
@@ -93,8 +107,8 @@ class CampaignConfig:
             fixture the counterexample pipeline validates against).
         recovery_probability: chance that each drawn crash is a
             kill/recover pair instead of a fail-stop crash.  Nonzero
-            values require ``tracks == ("service",)`` — the fail-stop
-            tracks cannot execute recoveries.
+            values require ``tracks == ("service",)`` — the sim track
+            cannot execute recoveries.
         txns: transactions per trial.  ``1`` is the classic
             one-commit campaign; larger values drive an open-loop
             multi-transaction workload through the service track's
@@ -116,7 +130,7 @@ class CampaignConfig:
     t: int | None = None
     plans: int = 100
     base_seed: int = 0
-    tracks: tuple[str, ...] = ("sim", "runtime")
+    tracks: tuple[str, ...] = ("sim", "service")
     K: int = 4
     max_steps: int = 20_000
     deadline: float = 8.0
@@ -139,11 +153,7 @@ class CampaignConfig:
             )
         if not self.tracks:
             raise ConfigurationError("need at least one track")
-        for track in self.tracks:
-            if track not in TRACKS:
-                raise ConfigurationError(
-                    f"unknown track {track!r}; choose from {TRACKS}"
-                )
+        _check_tracks(self.tracks)
         if not 0.0 <= self.over_budget_fraction <= 1.0:
             raise ConfigurationError(
                 f"over_budget_fraction out of [0, 1]: "
@@ -243,7 +253,7 @@ class TrialCase:
     track instead of a FaultPlan distribution: the scripted prefix is
     replayed verbatim, then a fair deliver-all fallback completes the
     run so the final state is well-defined.  Scheduled cases are
-    sim-only — the decision sequence has no runtime-track analogue.
+    sim-only — the decision sequence has no service-track analogue.
     """
 
     n: int
@@ -252,7 +262,7 @@ class TrialCase:
     votes: tuple[int, ...]
     plan: FaultPlan
     seed: int
-    tracks: tuple[str, ...] = ("sim", "runtime")
+    tracks: tuple[str, ...] = ("sim", "service")
     max_steps: int = 20_000
     deadline: float = 8.0
     tick_interval: float = 0.002
@@ -286,11 +296,16 @@ class TrialCase:
                     f"{self.n * self.shards} processors, got "
                     f"plan.n={self.plan.n}"
                 )
-        for track in self.tracks:
-            if track not in TRACKS:
-                raise ConfigurationError(
-                    f"unknown track {track!r}; choose from {TRACKS}"
-                )
+        _check_tracks(self.tracks)
+        if "service" in self.tracks and self.n <= 2 * self.t:
+            # With n - t <= t a process's own messages satisfy its waits,
+            # so it never blocks; the simulator stops such a run at its
+            # step horizon, but a service node chases runnable steps
+            # within one pass and the clock never reaches the deadline.
+            raise ConfigurationError(
+                f"the service track needs n > 2t, got n={self.n}, "
+                f"t={self.t}; run sub-resilient cases on the sim track"
+            )
         if self.schedule is not None and self.tracks != ("sim",):
             raise ConfigurationError(
                 "scheduled cases are sim-only: a scripted decision "
@@ -517,35 +532,6 @@ def run_sim_track(case: TrialCase, core: str | None = None) -> dict[str, Any]:
     )
 
 
-def _run_runtime_track(case: TrialCase) -> dict[str, Any]:
-    plan = case.plan
-    if case.model != DEFAULT_MODEL:
-        plan = resolve_model(case.model).runtime_plan(plan, K=case.K)
-    cluster = cluster_from_plan(
-        programs=make_programs(
-            case.program, case.n, case.t, case.votes, case.K
-        ),
-        plan=plan,
-        tick_interval=case.tick_interval,
-        K=case.K,
-    )
-    result = run_virtual(cluster.run(deadline=case.deadline))
-    decisions = [result.decisions()[pid] for pid in range(case.n)]
-    stats = result.transport_stats
-    return {
-        "outcome": result.outcome,
-        "decisions": decisions,
-        "crashed": sorted(result.crashed_pids()),
-        "transport": {
-            "sent": stats.get("sent", 0),
-            "retransmitted": stats.get("retransmitted", 0),
-            "duplicated": stats.get("duplicated", 0),
-            "duplicates_dropped": stats.get("duplicates_dropped", 0),
-            "dropped_by_faults": stats.get("dropped_by_faults", 0),
-        },
-    }
-
-
 def _run_service_multi_track(case: TrialCase) -> dict[str, Any]:
     """Execute a multi-transaction case and check safety per txn.
 
@@ -557,6 +543,7 @@ def _run_service_multi_track(case: TrialCase) -> dict[str, Any]:
     derived per-transaction votes) and merges them — the generic
     whole-cluster check in :func:`execute_trial_case` does not apply.
     """
+    from repro.runtime.virtualtime import run_virtual
     from repro.service.cluster import (
         ServiceCluster,
         TxnWorkload,
@@ -580,7 +567,7 @@ def _run_service_multi_track(case: TrialCase) -> dict[str, Any]:
     )
     cluster = ServiceCluster(
         configs,
-        case.plan,
+        resolve_model(case.model).service_plan(case.plan, K=case.K),
         seed=case.seed,
         tick_interval=case.tick_interval,
         snapshot_every=32,
@@ -664,10 +651,11 @@ def _run_service_multi_track(case: TrialCase) -> dict[str, Any]:
 
 
 def _run_service_track(case: TrialCase) -> dict[str, Any]:
-    # Imported here (not at module top) to keep the fail-stop campaign
-    # path free of the service subsystem's import cost.
+    # Imported here (not at module top) so that a sim-only campaign
+    # never pays the service subsystem's import cost.
     if case.multi_txn:
         return _run_service_multi_track(case)
+    from repro.runtime.virtualtime import run_virtual
     from repro.service.cluster import ServiceCluster, node_configs
 
     cluster = ServiceCluster(
@@ -679,7 +667,7 @@ def _run_service_track(case: TrialCase) -> dict[str, Any]:
             seed=case.seed,
             variant=case.program,
         ),
-        case.plan,
+        resolve_model(case.model).service_plan(case.plan, K=case.K),
         seed=case.seed,
         tick_interval=case.tick_interval,
         snapshot_every=32,
@@ -712,7 +700,7 @@ def execute_trial_case(case: TrialCase) -> dict[str, Any]:
     trial_span = None
     if tracer is not None:
         # Campaign-track time axis is the trial index (= seed offset);
-        # sim/runtime child spans carry their own fine-grained axes.
+        # sim and service child spans carry their own time axes.
         trial_span = tracer.begin_span(
             f"trial-{case.seed}",
             kind="trial",
@@ -728,10 +716,8 @@ def execute_trial_case(case: TrialCase) -> dict[str, Any]:
     for track in case.tracks:
         if track == "sim":
             outcome = run_sim_track(case)
-        elif track == "service":
-            outcome = _run_service_track(case)
         else:
-            outcome = _run_runtime_track(case)
+            outcome = _run_service_track(case)
         if "safety" not in outcome:
             report = monitor.check(
                 decisions={
@@ -824,9 +810,6 @@ def _summarize(config: CampaignConfig, records: list[dict]) -> dict[str, Any]:
         decisions = {"commit": 0, "abort": 0, "undecided": 0}
         safety_violations = 0
         liveness_violations = 0
-        retransmitted = 0
-        duplicates_dropped = 0
-        dropped_by_faults = 0
         recoveries = 0
         transfer_decisions = 0
         for record in records:
@@ -846,11 +829,6 @@ def _summarize(config: CampaignConfig, records: list[dict]) -> dict[str, Any]:
                     liveness_violations += 1
                 else:
                     safety_violations += 1
-            transport = data.get("transport")
-            if transport:
-                retransmitted += transport["retransmitted"]
-                duplicates_dropped += transport["duplicates_dropped"]
-                dropped_by_faults += transport["dropped_by_faults"]
             recoveries += data.get("recoveries", 0)
             transfer_decisions += data.get("transfer_decisions", 0)
         track_summary: dict[str, Any] = {
@@ -859,12 +837,6 @@ def _summarize(config: CampaignConfig, records: list[dict]) -> dict[str, Any]:
             "safety_violations": safety_violations,
             "liveness_violations": liveness_violations,
         }
-        if track == "runtime":
-            track_summary["transport"] = {
-                "retransmitted": retransmitted,
-                "duplicates_dropped": duplicates_dropped,
-                "dropped_by_faults": dropped_by_faults,
-            }
         if track == "service":
             track_summary["service"] = {
                 "recoveries": recoveries,
@@ -957,14 +929,6 @@ def render_campaign_summary(report: dict[str, Any]) -> str:
             f"safety violations={data['safety_violations']}, "
             f"liveness violations={data['liveness_violations']}"
         )
-        transport = data.get("transport")
-        if transport:
-            lines.append(
-                f"           transport: {transport['retransmitted']} "
-                f"retransmitted, {transport['duplicates_dropped']} "
-                f"duplicates dropped, {transport['dropped_by_faults']} "
-                f"dropped by faults"
-            )
         service = data.get("service")
         if service:
             lines.append(

@@ -4,15 +4,15 @@ A :class:`FaultPlan` describes *what goes wrong* in one protocol run —
 crashes, partition windows, per-link loss/duplication/reorder, per-link
 delay overrides — independently of *which track executes it*.  The same
 plan compiles to a simulator adversary
-(:func:`repro.faults.sim_compile.compile_to_adversary`) and to asyncio
-transport hooks plus crash injections
-(:func:`repro.faults.runtime_compile.compile_to_runtime`), so the
-paper's robustness claims can be swept with thousands of seeded
-schedules on both tracks and cross-checked.
+(:func:`repro.faults.sim_compile.compile_to_adversary`) and runs as
+node kills plus bus link faults on the commit service
+(:class:`repro.service.cluster.ServiceCluster`), so the paper's
+robustness claims can be swept with thousands of seeded schedules on
+both tracks and cross-checked.
 
 Time is expressed in abstract **cycles**: one cycle is one round-robin
 sweep of the simulator's :class:`~repro.adversary.base.CycleAdversary`,
-and maps to one ``tick_interval`` of local stepping on the runtime
+and maps to one ``tick_interval`` of local stepping on the service
 track.  Everything else is probabilities and pids, which both tracks
 share natively.
 
@@ -39,7 +39,7 @@ class CrashFault:
     processor is killed at ``cycle``, loses its volatile state, and is
     restarted at ``recover_cycle`` to replay its durable log and rejoin
     (see :mod:`repro.service`).  Only the service track can execute
-    recoveries — the sim and runtime compilers reject such plans.
+    recoveries — the sim compiler rejects such plans.
     """
 
     pid: int

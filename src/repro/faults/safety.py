@@ -34,6 +34,13 @@ SAFETY_PROPERTIES = ("agreement", "abort_validity", "commit_validity")
 #: Properties whose violation falsifies a liveness (termination) claim.
 LIVENESS_PROPERTIES = ("nonblocking",)
 
+#: Outcome label of a trial in which every processor owed a decision
+#: decided.
+TERMINATED = "terminated"
+#: Outcome label of a trial stopped by its step horizon or deadline with
+#: some processor still undecided (degraded, but never inconsistent).
+NONTERMINATED = "nonterminated"
+
 
 @dataclass(frozen=True)
 class Violation:

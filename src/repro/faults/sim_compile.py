@@ -14,7 +14,7 @@ plan's link behaviour in *cycle* time:
 * **reorder** holds an envelope a few extra cycles so later traffic
   overtakes it;
 * **duplication** has no simulator counterpart (the receiver-side dedup
-  of the runtime track makes duplicates invisible to the protocol, and
+  of the service track makes duplicates invisible to the protocol, and
   the simulator's buffers deliver each envelope at most once), so it
   compiles to a no-op;
 * **per-link delay overrides** replace the base hold outright.

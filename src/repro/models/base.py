@@ -17,9 +17,10 @@ harness can select by name:
   :class:`~repro.adversary.base.CycleAdversary` (``wrap_adversary``);
 * the model checker restricts choice enumeration through a per-envelope
   classifier (``mc_classifier``, see :mod:`repro.models.mcfilter`);
-* the **runtime track**, where meaningful, gets a FaultPlan analogue
-  (``runtime_plan`` — granular synchrony maps onto per-link delay
-  overrides; the other models have no transport counterpart).
+* the **service track**, where meaningful, gets a FaultPlan analogue
+  (``service_plan`` — granular synchrony maps onto per-link delay
+  overrides on the in-memory bus; the other models have no bus
+  counterpart).
 
 The ``realistic`` entry is the paper's model, extracted as the
 reference instance: selecting it routes through exactly the historical
@@ -117,10 +118,10 @@ class TimingModel:
         """The model's delivery policy (used by :meth:`wrap_adversary`)."""
         raise NotImplementedError
 
-    def runtime_plan(self, plan: FaultPlan, K: int) -> FaultPlan:
-        """The plan's runtime-track analogue under this model."""
+    def service_plan(self, plan: FaultPlan, K: int) -> FaultPlan:
+        """The plan's service-track analogue under this model."""
         raise ConfigurationError(
-            f"timing model {self.name!r} has no runtime-track analogue; "
+            f"timing model {self.name!r} has no service-track analogue; "
             "run it on the sim track"
         )
 
@@ -167,7 +168,7 @@ class RealisticModel(TimingModel):
         "delivery, K-cycle on-time bound, fail-stop crashes"
     )
     source = "Transaction Commit in a Realistic Fault Model (PODC 1986)"
-    tracks = ("sim", "runtime", "service")
+    tracks = ("sim", "service")
     mc_supported = True
     preserves_eventual_delivery = True
     knobs = ()
@@ -187,7 +188,7 @@ class RealisticModel(TimingModel):
     def wrap_adversary(self, adversary, K, seed):
         return adversary
 
-    def runtime_plan(self, plan: FaultPlan, K: int) -> FaultPlan:
+    def service_plan(self, plan: FaultPlan, K: int) -> FaultPlan:
         return plan
 
 

@@ -6,7 +6,7 @@ replaces its link timing with the model's own (see
 :mod:`repro.models.policies`), and — where the model restricts rather
 than randomises scheduling — supplies a model-checker choice classifier
 (:mod:`repro.models.mcfilter`).  Granular synchrony additionally maps
-onto the runtime track as per-class link-delay overrides.
+onto the service track as per-class link-delay overrides.
 
 The policies keep to the delivery hold contract
 (:class:`~repro.adversary.base.DeliveryPolicy`), so these adversaries
@@ -56,7 +56,7 @@ class GranularModel(_PolicyModel):
         "delay bounds and a global stabilisation time"
     )
     source = "Granular Synchrony (arXiv 2408.12853)"
-    tracks = ("sim", "runtime")
+    tracks = ("sim", "service")
     mc_supported = True
     preserves_eventual_delivery = True
     knobs = (
@@ -79,12 +79,12 @@ class GranularModel(_PolicyModel):
     def _policy(self, K, seed, plan=None):
         return GranularPolicy(K=K, seed=seed, plan=plan)
 
-    def runtime_plan(self, plan: FaultPlan, K: int) -> FaultPlan:
-        """Granular links as per-link delay overrides on the transport.
+    def service_plan(self, plan: FaultPlan, K: int) -> FaultPlan:
+        """Granular links as per-link delay overrides on the service bus.
 
-        The runtime transport already executes per-link delay windows;
+        The bus's plan policy already executes per-link delay windows;
         mapping each directed link's class onto its per-class bound is
-        the model's faithful runtime analogue.  The plan's own
+        the model's faithful analogue on the service track.  The plan's own
         link_delays are replaced (the model owns link timing); crashes,
         partitions, and loss entries ride through unchanged.
         """

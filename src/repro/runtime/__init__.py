@@ -1,11 +1,13 @@
-"""Asyncio deployment substrate.
+"""What the commit service is built on below the node.
 
-Runs the *same* protocol state machines as the deterministic simulator on
-real asyncio concurrency: an in-memory transport with configurable delay
-models, per-node step loops, crash injection, and cluster orchestration.
-This is the track the reproduction plan calls "asyncio simulation": it
-demonstrates the protocols working under genuine (non-adversarial)
-asynchrony and is what the example applications build on.
+Every service node takes its retransmission parameters from
+:mod:`repro.runtime.reliability`; the in-memory bus
+(:mod:`repro.service.bus`) takes a delivery-delay model
+(:mod:`repro.runtime.delays`) and a link-fault policy
+(:mod:`repro.runtime.transport`); and co-hosted clusters run on the
+virtual-clock event loop (:mod:`repro.runtime.virtualtime`),
+deterministically and fast.  The paper's fail-stop model needs no node
+stack of its own: it is the service with ``recover_cycle=None``.
 """
 
 from repro._lazy import lazy_exports
@@ -13,14 +15,6 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__ = lazy_exports(
     globals(),
     {
-        "cluster": (
-            "NONTERMINATED",
-            "TERMINATED",
-            "Cluster",
-            "ClusterResult",
-            "CrashInjection",
-            "run_commit_cluster",
-        ),
         "delays": (
             "DelayModel",
             "ExponentialDelay",
@@ -28,38 +22,21 @@ __getattr__, __dir__ = lazy_exports(
             "SpikeDelay",
             "UniformDelay",
         ),
-        "node": ("Node", "NodeResult"),
-        "transport": (
-            "AsyncTransport",
-            "LinkFaultPolicy",
-            "LinkVerdict",
-            "Reliability",
-            "TransportStats",
-            "WireMessage",
-        ),
+        "reliability": ("Reliability",),
+        "transport": ("LinkFaultPolicy", "LinkVerdict"),
         "virtualtime": ("VirtualClockEventLoop", "run_virtual"),
     },
 )
 
 __all__ = [
-    "AsyncTransport",
-    "Cluster",
-    "ClusterResult",
-    "CrashInjection",
     "DelayModel",
     "ExponentialDelay",
     "FixedDelay",
     "LinkFaultPolicy",
     "LinkVerdict",
-    "NONTERMINATED",
-    "Node",
-    "NodeResult",
     "Reliability",
     "SpikeDelay",
-    "TERMINATED",
-    "TransportStats",
     "UniformDelay",
     "VirtualClockEventLoop",
-    "WireMessage",
-    "run_commit_cluster",
+    "run_virtual",
 ]

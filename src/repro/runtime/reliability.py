@@ -1,10 +1,7 @@
-"""Retransmission parameters, shared by the two node stacks.
+"""Retransmission parameters of the commit service's node.
 
-:class:`Reliability` configures retry-until-acked both for the in-memory
-runtime transport (:mod:`repro.runtime.transport`, which re-exports it)
-and for the commit service's node (:mod:`repro.service.node`).  It lives
-in its own module so that a service process, which uses nothing else of
-the runtime transport, does not import it.
+:class:`Reliability` configures the retry-until-acked loops of
+:mod:`repro.service.node`, over TCP and over the in-memory bus alike.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""A deterministic virtual-clock event loop for the asyncio runtime.
+"""A deterministic virtual-clock event loop for co-hosted service clusters.
 
 Fault campaigns run thousands of cluster trials; with the standard event
 loop each trial costs real wall-clock time (ticks, delivery delays, and

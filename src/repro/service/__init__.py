@@ -1,9 +1,9 @@
 """The deployable commit service: Protocol 2 in the crash-recovery model.
 
-The simulator (:mod:`repro.sim`) and the asyncio runtime
-(:mod:`repro.runtime`) execute the paper's protocols in the *fail-stop*
-model — a crashed processor is gone forever.  This package runs the same
-state machines as a *service* in the crash-**recovery** model:
+The simulator (:mod:`repro.sim`) executes the paper's protocols in the
+*fail-stop* model — a crashed processor is gone forever.  This package
+runs the same state machines as a *service* in the crash-**recovery**
+model, of which fail-stop is the case with no restart:
 
 * every node owns a checksummed, fsync'd write-ahead log and snapshot
   (:mod:`repro.service.wal`);

@@ -18,8 +18,7 @@ fabric, recovers these losses.
 
 Fault randomness is keyed per ``(sender, incarnation, seq, recipient,
 attempt)`` via :data:`~repro.engine.seeds.SERVICE_ENVELOPE_STREAM`, so a
-link's verdict for one transmission is independent of scheduling order —
-the same schedule-independence discipline as the runtime transport.
+link's verdict for one transmission is independent of scheduling order.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ class ServiceBus:
         delay: delivery latency model (defaults to a fixed small delay).
         link_faults: optional per-link fault policy (drop / duplicate /
             extra delay), e.g. a compiled
-            :class:`~repro.faults.runtime_compile.PlanLinkFaults`.
+            :class:`~repro.service.cluster.PlanLinkFaults`.
     """
 
     def __init__(

@@ -11,7 +11,10 @@ cycle ``c`` cancels the node's tasks (losing all volatile state — the
 SIGKILL analogue), and a ``recover_cycle`` builds a *fresh*
 :class:`~repro.service.node.ServiceNode` over the same
 :class:`~repro.service.wal.WalStore` — the store is the disk that
-survives the process.  A kill can also leave a **torn tail** in the
+survives the process.  A crash with no ``recover_cycle`` is the paper's
+fail-stop crash: the node is killed and never restarted.  The plan's
+link faults reach the bus through :class:`PlanLinkFaults`.  A kill can
+also leave a **torn tail** in the
 store (a partial record mid-``write``), which the restarted node's WAL
 repair must absorb; the orchestrator injects those with seeded
 randomness so every campaign exercises the repair path.
@@ -31,9 +34,9 @@ from dataclasses import dataclass, field, replace
 from repro.engine.seeds import SERVICE_NODE_STREAM, derive_keyed
 from repro.errors import ConfigurationError, ServiceError
 from repro.faults.plan import FaultPlan
-from repro.faults.runtime_compile import PlanLinkFaults, plan_reliability
-from repro.runtime.cluster import NONTERMINATED, TERMINATED
+from repro.faults.safety import NONTERMINATED, TERMINATED
 from repro.runtime.delays import DelayModel
+from repro.runtime.transport import LinkFaultPolicy, LinkVerdict
 from repro.service.bus import ServiceBus
 from repro.service.node import ServiceNode, ServiceNodeSnapshot
 from repro.service.recovery import NodeConfig
@@ -43,6 +46,54 @@ from repro.telemetry import registry as telemetry
 from repro.telemetry.log import get_logger
 
 _log = get_logger("service.cluster")
+
+
+class PlanLinkFaults(LinkFaultPolicy):
+    """The bus's link policy realising a FaultPlan in event-loop time.
+
+    A dropped copy is really lost (the sender's retry-until-acked loop
+    recovers it) and a duplicated one is really delivered twice (the
+    receiver dedups it); reorder and per-link delay entries add latency,
+    and partition windows sever links.  Cycle windows and holds scale to
+    seconds by ``tick_interval``.
+
+    Args:
+        plan: the fault schedule.
+        tick_interval: seconds per cycle (the node step granularity).
+        K: the protocol's on-time bound (scales reorder holds).
+    """
+
+    def __init__(
+        self, plan: FaultPlan, tick_interval: float = 0.002, K: int = 4
+    ) -> None:
+        if tick_interval <= 0:
+            raise ValueError(
+                f"tick_interval must be positive, got {tick_interval}"
+            )
+        self.plan = plan
+        self.tick_interval = tick_interval
+        self.K = K
+
+    def verdict(
+        self, sender: int, recipient: int, now: float, rng: random.Random
+    ) -> LinkVerdict:
+        cycle = now / self.tick_interval
+        if self.plan.severed(sender, recipient, cycle):
+            return LinkVerdict(drop=True)
+        loss = self.plan.loss_for(sender, recipient)
+        extra_delay = 0.0
+        delay = self.plan.delay_for(sender, recipient)
+        if delay is not None:
+            extra_delay += self.tick_interval * rng.uniform(
+                delay.min_cycles, delay.max_cycles
+            )
+        if loss.reorder and rng.random() < loss.reorder:
+            extra_delay += self.tick_interval * rng.uniform(1, self.K)
+        drop = bool(loss.drop) and rng.random() < loss.drop
+        duplicates = 1 if loss.duplicate and rng.random() < loss.duplicate else 0
+        return LinkVerdict(
+            drop=drop, duplicates=duplicates, extra_delay=extra_delay
+        )
 
 
 @dataclass(frozen=True)
@@ -285,7 +336,6 @@ class ServiceCluster:
                 self.plan, tick_interval=tick_interval, K=K
             ),
         )
-        self.reliability = plan_reliability(tick_interval)
         self.nodes: dict[int, ServiceNode] = {}
         self.permanently_crashed: set[int] = set()
         self.recoveries = 0
@@ -299,7 +349,6 @@ class ServiceCluster:
             self.stores[pid],
             self.bus.send,
             tick_interval=self.tick_interval,
-            reliability=self.reliability,
             fsync=self.fsync,
             snapshot_every=self.snapshot_every,
             seed=self.seed,

@@ -1,7 +1,7 @@
 """The service node: one durable, restartable commit-protocol process.
 
 A :class:`ServiceNode` wraps the same generator state machine the
-simulator and the asyncio runtime drive
+simulator drives
 (:class:`~repro.sim.process.SimProcess`) in the crash-*recovery* fault
 model: everything volatile — the generator, the dedup set, the
 retransmission queues — can vanish at any instant (SIGKILL, supervisor
@@ -86,7 +86,7 @@ from repro.service.wire import ServiceEnvelope
 from repro.sim.process import SimProcess
 from repro.telemetry import registry as telemetry
 from repro.telemetry.log import get_logger
-from repro.trace.spans import active_recorder
+from repro.trace.spans import active_recorder, node_track
 
 _log = get_logger("service.node")
 
@@ -125,8 +125,8 @@ class ServiceNode:
         send: the transport's transmission hook.
         tick_interval: seconds between steps when nothing else causes
             one (see the module docstring).
-        reliability: retransmission parameters (defaults sized to the
-            tick like the runtime transport's).
+        reliability: retransmission parameters (default: first retry
+            after 6 ticks, back-off capped at 64 ticks).
         fsync: fsync the WAL once per pass (see
             :class:`~repro.service.wal.WriteAheadLog`).
         hold_for_submit: don't step until a transaction is submitted
@@ -478,7 +478,7 @@ class ServiceNode:
             span = recorder.begin_span(
                 f"recover p{self.pid}",
                 kind="recovery",
-                track=f"p{self.pid}",
+                track=node_track(self.pid),
                 start=loop.time(),
                 parent=None,
             )
@@ -731,7 +731,7 @@ class ServiceNode:
             if recorder is not None:
                 recorder.point(
                     f"transfer-decide p{self.pid}",
-                    track=f"p{self.pid}",
+                    track=node_track(self.pid),
                     time=asyncio.get_running_loop().time(),
                     span=None,
                     value=value,

@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.errors import WalError
+from repro.errors import ReproError, WalError
 from repro.service.txn import (
     DEFAULT_TXN,
     InstanceMux,
@@ -240,9 +240,33 @@ def replay(
 
     Raises:
         WalError: on a record sequence no crash can produce — missing
-            or mismatched ``init``, conflicting decision records, or a
-            digest mismatch at the checkpoint.
+            or mismatched ``init``, conflicting decision records, a
+            digest mismatch at the checkpoint, or a record whose body no
+            node writes (its checksum only says it was written whole).
     """
+    try:
+        return _replay(
+            records, expect_config, verify_digest_at, verify_digest_at_record
+        )
+    except WalError:
+        raise
+    except (
+        ReproError,
+        LookupError,
+        TypeError,
+        ValueError,
+        ArithmeticError,
+        AttributeError,
+    ) as exc:
+        raise WalError(f"WAL record cannot be replayed: {exc!r}") from exc
+
+
+def _replay(
+    records: list[dict[str, Any]],
+    expect_config: NodeConfig | None,
+    verify_digest_at: tuple[int, str] | None,
+    verify_digest_at_record: tuple[int, str] | None,
+) -> ReplayResult:
     if not records:
         raise WalError("cannot replay an empty record sequence (no init)")
     first = records[0]

@@ -14,7 +14,7 @@ pseudocode says ``wait``.
 advances the program through every program point whose wait is satisfied.
 Everything the program does within one call is, formally, one transition.
 The same ``on_step`` is driven by the deterministic simulator and by the
-asyncio runtime, so the protocol under test is identical in both.
+commit service's nodes, so the protocol under test is identical in both.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ Three layers, all optional and all off by default:
 * :mod:`repro.telemetry.registry` — counters, gauges, and histograms
   with labels, a process-wide default registry, and Prometheus-style
   text exposition.  Instrumentation threaded through the scheduler, the
-  protocol programs, and the asyncio runtime records per-phase counters
+  protocol programs, and the commit service records per-phase counters
   (messages by payload kind, stage transitions, coin-source usage,
   timeouts, wall-clock per scheduler step batch) whenever the default
   registry is enabled, at near-zero cost when it is not;

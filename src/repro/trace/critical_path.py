@@ -25,7 +25,7 @@ Two front ends share one dynamic program:
 * :func:`critical_paths_from_records` — off an exported
   ``repro.span-trace`` document, using recorder event ids as the
   happens-before order, so it works for any track that records
-  ``send``/``deliver``/``decide`` events (sim and runtime alike).
+  ``send``/``deliver``/``decide`` events.
 """
 
 from __future__ import annotations

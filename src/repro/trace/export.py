@@ -18,7 +18,8 @@ Perfetto (https://ui.perfetto.dev) and ``chrome://tracing``: complete
 flow (``"s"``/``"f"``) pairs for causal edges.  Tracks map to
 processes, span lanes (processor id when present) map to threads, and
 timestamps are microseconds — logical time units (event indices, trial
-indices) count 1 µs each, runtime seconds are scaled by 1e6.
+indices) count 1 µs each, service node seconds are scaled by 1e6
+(:func:`~repro.trace.spans.track_time_scale`).
 """
 
 from __future__ import annotations
@@ -33,7 +34,13 @@ from repro.telemetry.runio import (
     read_jsonl_records,
     write_jsonl_records,
 )
-from repro.trace.spans import CausalEdge, PointEvent, Span, SpanRecorder
+from repro.trace.spans import (
+    CausalEdge,
+    PointEvent,
+    Span,
+    SpanRecorder,
+    track_time_scale,
+)
 
 #: Schema identifier carried in every span-trace header record.
 SPAN_TRACE_SCHEMA = "repro.span-trace"
@@ -44,11 +51,8 @@ SPAN_TRACE_VERSION = 1
 #: Note embedded in Chrome exports' ``otherData``.
 CHROME_SCHEMA_NOTE = (
     "exported by repro.trace; logical time units (event/trial indices) "
-    "are 1us each, runtime seconds are scaled to us"
+    "are 1us each, service node seconds are scaled to us"
 )
-
-#: Per-track multiplier from recorded time units to microseconds.
-_TRACK_TIME_SCALE = {"runtime": 1_000_000.0}
 
 
 @dataclass
@@ -198,7 +202,7 @@ def read_span_trace(path: str | Path) -> SpanTrace:
 
 
 def _scale(track: str, time: float) -> float:
-    return time * _TRACK_TIME_SCALE.get(track, 1.0)
+    return time * track_time_scale(track)
 
 
 def to_chrome_trace(trace: SpanTrace) -> dict[str, Any]:

@@ -4,9 +4,9 @@ Three record kinds, mirroring the shape of distributed-tracing systems
 but dependency-free and deterministic:
 
 * :class:`Span` — a named interval on some track's time axis (trial →
-  round → phase on the sim track; cluster runs on the runtime track;
-  campaigns and explorations on their own trial-index axes).  Spans
-  nest through ``parent`` ids;
+  round → phase on the sim track; recoveries on each service node's
+  track; campaigns and explorations on their own trial-index axes).
+  Spans nest through ``parent`` ids;
 * :class:`PointEvent` — an instantaneous occurrence inside a span:
   ``send``, ``deliver``, ``decide``, ``crash``, ``retransmit``,
   ``violation``;
@@ -17,10 +17,12 @@ but dependency-free and deterministic:
 The :class:`SpanRecorder` hands out monotonically increasing span and
 event ids, keeps a stack of open spans so children default their
 parent to the innermost open span, and matches ``send``/``deliver``
-pairs on caller-supplied keys (message id on the sim track,
-``(scope, seq)`` on the runtime track — :meth:`SpanRecorder.new_scope`
-namespaces keys so concurrent trials in one recorder cannot
-cross-link).
+pairs on caller-supplied keys (``(scope, message id)`` on the sim track
+— :meth:`SpanRecorder.new_scope` namespaces keys so concurrent trials
+in one recorder cannot cross-link).
+
+Each track records time in its own unit; :func:`track_time_scale` is
+the one place that says which.
 
 Activation mirrors :mod:`repro.telemetry.registry`: tracing is **off by
 default**; instrumented code resolves :func:`active_recorder` once (a
@@ -90,8 +92,8 @@ class CausalEdge:
 class SpanRecorder:
     """Accumulates spans, point events, and causal edges for one process.
 
-    Thread-safe (the runtime track records from asyncio callbacks and
-    the metrics server thread may snapshot concurrently): all mutation
+    Thread-safe (service nodes record from asyncio callbacks and the
+    metrics server thread may snapshot concurrently): all mutation
     happens under one lock.  Ids are dense and start at 1; edge
     endpoints always satisfy ``src < dst`` because a deliver can only
     be matched to a previously recorded send — this is what makes the
@@ -115,9 +117,9 @@ class SpanRecorder:
     def new_scope(self) -> int:
         """A fresh namespace for send/deliver keys.
 
-        Message ids restart from zero in every simulation and transport
-        sequence numbers restart in every cluster; components take one
-        scope per run so keys from different runs never collide.
+        Message ids restart from zero in every simulation; components
+        take one scope per run so keys from different runs never
+        collide.
         """
         with self._lock:
             return next(self._scope_ids)
@@ -282,6 +284,24 @@ class SpanRecorder:
                 "events": len(self.events),
                 "edges": len(self.edges),
             }
+
+
+# -- tracks ------------------------------------------------------------------
+
+
+def node_track(pid: int) -> str:
+    """The track service node ``pid`` records on, in event-loop seconds."""
+    return f"p{pid}"
+
+
+def track_time_scale(track: str) -> float:
+    """Microseconds per recorded time unit on ``track``.
+
+    A service node's track (:func:`node_track`) records event-loop
+    seconds; every other track counts logical units (event, trial or
+    vote-vector indices), one microsecond each.
+    """
+    return 1_000_000.0 if track[:1] == "p" and track[1:].isdigit() else 1.0
 
 
 # -- the default recorder ----------------------------------------------------

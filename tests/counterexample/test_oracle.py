@@ -15,11 +15,11 @@ from repro.faults.campaign import CampaignConfig
 
 def _trial(
     sim_violations=(),
-    runtime_violations=(),
+    service_violations=(),
     sim_outcome="terminated",
-    runtime_outcome="terminated",
+    service_outcome="terminated",
     sim_decisions=(1, 1, 1),
-    runtime_decisions=(1, 1, 1),
+    service_decisions=(1, 1, 1),
     expect_termination=True,
 ):
     def track(violations, outcome, decisions):
@@ -39,8 +39,8 @@ def _trial(
         "expect_termination": expect_termination,
         "tracks": {
             "sim": track(sim_violations, sim_outcome, sim_decisions),
-            "runtime": track(
-                runtime_violations, runtime_outcome, runtime_decisions
+            "service": track(
+                service_violations, service_outcome, service_decisions
             ),
         },
     }
@@ -58,14 +58,14 @@ class TestClassifyTrial:
         kinds = [f["kind"] for f in verdict["findings"]]
         assert kinds == ["safety-mismatch"]
         assert verdict["findings"][0]["sim"] == ["agreement"]
-        assert verdict["findings"][0]["runtime"] == []
+        assert verdict["findings"][0]["service"] == []
 
     def test_shared_safety_violation_is_not_a_mismatch(self):
         # Both tracks catching the same bug is detector agreement.
         verdict = classify_trial(
             _trial(
                 sim_violations=("agreement",),
-                runtime_violations=("agreement",),
+                service_violations=("agreement",),
             )
         )
         assert verdict["findings"] == []
@@ -78,14 +78,14 @@ class TestClassifyTrial:
 
     def test_guaranteed_termination_disagreement_is_a_finding(self):
         verdict = classify_trial(
-            _trial(runtime_outcome="nonterminated", expect_termination=True)
+            _trial(service_outcome="nonterminated", expect_termination=True)
         )
         kinds = [f["kind"] for f in verdict["findings"]]
         assert kinds == ["termination-mismatch"]
 
     def test_unguaranteed_termination_disagreement_is_benign(self):
         verdict = classify_trial(
-            _trial(runtime_outcome="nonterminated", expect_termination=False)
+            _trial(service_outcome="nonterminated", expect_termination=False)
         )
         assert verdict["findings"] == []
         assert verdict["termination_drift"]
@@ -95,7 +95,7 @@ class TestClassifyTrial:
         # track, abort on the other is legal as long as each track is
         # internally safe.
         verdict = classify_trial(
-            _trial(sim_decisions=(1, 1, 1), runtime_decisions=(0, 0, 0))
+            _trial(sim_decisions=(1, 1, 1), service_decisions=(0, 0, 0))
         )
         assert verdict["findings"] == []
         assert verdict["decision_drift"]
@@ -115,7 +115,7 @@ class TestRunDifferential:
         report = run_differential(
             CampaignConfig(n=4, t=1, plans=2, tracks=("sim",))
         )
-        assert set(report["config"]["tracks"]) == {"sim", "runtime"}
+        assert set(report["config"]["tracks"]) == {"sim", "service"}
 
     def test_summary_counts_match_findings_list(self):
         report = run_differential(

@@ -16,7 +16,8 @@ from repro.counterexample.replay import (
     violated_properties,
     write_artifact,
 )
-from repro.errors import AnalysisError
+from repro.cli import main
+from repro.errors import AnalysisError, ConfigurationError
 from repro.faults.campaign import (
     CampaignConfig,
     TrialCase,
@@ -27,7 +28,7 @@ from repro.faults.campaign import (
 from repro.faults.plan import CrashFault, FaultPlan
 
 # Small but two-track: sim catches the planted bug deterministically,
-# runtime exercises the virtual clock path.
+# the service exercises the virtual clock path.
 BROKEN = CampaignConfig(
     n=4, t=1, plans=8, base_seed=0, program="broken-commit"
 )
@@ -98,6 +99,48 @@ class TestArtifactRoundTrip:
             read_artifact(path)
 
 
+class TestRemovedRuntimeTrack:
+    """A v1 artifact cut before the fail-stop runtime track was removed."""
+
+    def _write(self, path):
+        records = [
+            {"record": "header", "schema": "repro.counterexample", "version": 1},
+            {
+                "record": "case",
+                "case": {
+                    "n": 4,
+                    "t": 1,
+                    "K": 4,
+                    "votes": [1, 0, 1, 1],
+                    "plan": {"n": 4, "seed": 0, "crashes": [{"pid": 2, "cycle": 2}]},
+                    "seed": 0,
+                    "tracks": ["sim", "runtime"],
+                    "max_steps": 20000,
+                    "deadline": 8.0,
+                    "tick_interval": 0.002,
+                    "program": "broken-commit",
+                },
+            },
+            {
+                "record": "expected",
+                "track": "runtime",
+                "result": {"outcome": "terminated", "decisions": [1, 0, None, 1]},
+            },
+        ]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        return path
+
+    def test_is_refused_with_how_to_re_cut_it(self, tmp_path):
+        path = self._write(tmp_path / "v1-runtime.jsonl")
+        with pytest.raises(ConfigurationError, match="--tracks sim,service"):
+            read_artifact(path)
+
+    def test_replay_exits_two(self, tmp_path, capsys):
+        path = self._write(tmp_path / "v1-runtime.jsonl")
+        assert main(["faults", "replay", str(path)]) == 2
+        assert "runtime" in capsys.readouterr().err
+
+
 class TestVerifyReplay:
     def test_replay_is_byte_identical_on_both_tracks(self, tmp_path):
         case = _known_case()
@@ -106,7 +149,7 @@ class TestVerifyReplay:
         )
         report = verify_replay(path)
         assert report["match"] is True
-        assert set(report["tracks"]) == {"sim", "runtime"}
+        assert set(report["tracks"]) == {"sim", "service"}
         assert all(data["match"] for data in report["tracks"].values())
         assert report["properties"]  # the planted bug violates safety
 
@@ -121,7 +164,7 @@ class TestVerifyReplay:
         report = verify_replay(path)
         assert report["match"] is False
         assert "decisions" in report["tracks"]["sim"]["diverging_keys"]
-        assert report["tracks"]["runtime"]["match"] is True
+        assert report["tracks"]["service"]["match"] is True
 
 
 class TestCampaignIntegration:

@@ -17,8 +17,8 @@ from repro.faults.campaign import (
     run_sim_track,
     write_campaign_report,
 )
+from repro.faults.safety import NONTERMINATED, TERMINATED
 from repro.models import model_names
-from repro.runtime.cluster import NONTERMINATED, TERMINATED
 from repro.sim.coreselect import set_default_sim_core
 from repro.telemetry import registry as telemetry
 
@@ -39,6 +39,16 @@ class TestConfig:
     def test_rejects_unknown_track(self):
         with pytest.raises(ConfigurationError):
             CampaignConfig(tracks=("sim", "tcp"))
+
+    def test_rejects_the_removed_runtime_track_naming_its_replacement(self):
+        with pytest.raises(ConfigurationError, match="--tracks sim,service"):
+            CampaignConfig(tracks=("sim", "runtime"))
+
+    def test_service_track_refuses_sub_resilient_groups(self):
+        with pytest.raises(ConfigurationError, match="n > 2t"):
+            case_from_config(CampaignConfig(n=4, t=2, plans=1), seed=0)
+        config = CampaignConfig(n=4, t=2, plans=1, tracks=("sim",))
+        assert case_from_config(config, seed=0).t == 2
 
     def test_rejects_empty_sweep(self):
         with pytest.raises(ConfigurationError):
@@ -72,7 +82,7 @@ class TestReport:
         assert len(quick_report["trials"]) == QUICK.plans
         summary = quick_report["summary"]
         assert summary["trials"] == QUICK.plans
-        assert set(summary["tracks"]) == {"sim", "runtime"}
+        assert set(summary["tracks"]) == {"sim", "service"}
 
     def test_outcomes_add_up(self, quick_report):
         for track_summary in quick_report["summary"]["tracks"].values():
@@ -154,7 +164,7 @@ class TestScheduledCases:
 
     def test_scheduled_cases_are_sim_only(self):
         with pytest.raises(ConfigurationError, match="sim-only"):
-            self._scheduled_case(tracks=("sim", "runtime"))
+            self._scheduled_case(tracks=("sim", "service"))
 
     def test_budget_counts_scripted_crashes(self):
         from repro.sim.decisions import CrashDecision

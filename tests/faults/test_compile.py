@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from repro.adversary.base import CrashAt
 from repro.core.commit import CommitProgram
 from repro.faults.plan import (
@@ -10,12 +12,11 @@ from repro.faults.plan import (
     LinkLoss,
     PartitionWindow,
 )
-from repro.faults.runtime_compile import (
-    PlanLinkFaults,
-    compile_to_runtime,
-    plan_reliability,
-)
 from repro.faults.sim_compile import compile_to_adversary
+from repro.runtime.reliability import Reliability
+from repro.service.cluster import PlanLinkFaults, node_configs
+from repro.service.node import ServiceNode
+from repro.service.wal import MemoryWalStore
 from repro.sim.scheduler import Simulation
 from repro.types import Decision
 
@@ -102,18 +103,22 @@ class TestSimCompile:
         assert run_once() == run_once()
 
 
-class TestRuntimeCompile:
-    def test_crash_injections_scale_by_tick(self):
-        plan = FaultPlan(n=4, crashes=(CrashFault(pid=2, cycle=10),))
-        _, crashes, _ = compile_to_runtime(plan, tick_interval=0.01)
-        assert len(crashes) == 1
-        assert crashes[0].pid == 2
-        assert crashes[0].after_seconds == 0.1
+class TestServiceLinkFaults:
+    def test_node_reliability_scales_by_tick(self):
+        (config,) = node_configs(1, 0, [1], K=4, seed=0)
+        node = ServiceNode(
+            config, MemoryWalStore(), lambda *_: None, tick_interval=0.01
+        )
+        assert node.reliability.base_timeout == 0.06
+        assert node.reliability.max_retries is None
 
-    def test_reliability_scales_by_tick(self):
-        config = plan_reliability(0.01)
-        assert config.base_timeout == 0.06
-        assert config.max_retries is None
+    def test_reliability_rejects_bad_config(self):
+        with pytest.raises(ValueError):
+            Reliability(base_timeout=0.0)
+        with pytest.raises(ValueError):
+            Reliability(base_timeout=0.1, max_backoff=0.01)
+        with pytest.raises(ValueError):
+            Reliability(jitter=2.0)
 
     def test_severed_link_always_drops(self):
         plan = FaultPlan(

@@ -13,11 +13,13 @@ from repro.faults.campaign import (
     CampaignConfig,
     TrialCase,
     case_from_config,
+    execute_trial_case,
     run_campaign,
 )
 from repro.faults.plan import FaultPlan
 from repro.mc.config import MCConfig
 from repro.mc.explorer import explore
+from repro.models import resolve_model
 
 
 class TestCampaignConfigModel:
@@ -37,14 +39,32 @@ class TestCampaignConfigModel:
     def test_unsupported_track_rejected(self):
         with pytest.raises(ConfigurationError, match="no analogue"):
             CampaignConfig(
-                plans=1, tracks=("runtime",), model="random-async"
+                plans=1, tracks=("service",), model="random-async"
             )
 
-    def test_granular_supports_runtime_track(self):
+    def test_granular_supports_service_track(self):
         config = CampaignConfig(
-            plans=1, tracks=("sim", "runtime"), model="granular"
+            plans=1, tracks=("sim", "service"), model="granular"
         )
         assert config.model == "granular"
+
+    def test_service_track_runs_the_model_plan(self, monkeypatch):
+        granular = type(resolve_model("granular"))
+        original = granular.service_plan
+        plans = []
+
+        def spy(self, plan, K):
+            plans.append(original(self, plan, K))
+            return plans[-1]
+
+        monkeypatch.setattr(granular, "service_plan", spy)
+        case = case_from_config(
+            CampaignConfig(n=3, plans=1, tracks=("service",), model="granular"),
+            seed=0,
+        )
+        result = execute_trial_case(case)
+        assert len(plans) == 1 and plans[0].link_delays
+        assert result["tracks"]["service"]["safety"]["safety_ok"]
 
     def test_case_inherits_config_model(self):
         config = CampaignConfig(plans=1, tracks=("sim",), model="granular")

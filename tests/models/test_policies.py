@@ -76,11 +76,11 @@ class TestGranularPolicy:
             if s != r
         )
 
-    def test_runtime_plan_replaces_link_delays(self):
+    def test_service_plan_replaces_link_delays(self):
         plan = FaultPlan(
             n=N, seed=5, crashes=(CrashFault(pid=1, cycle=3),)
         )
-        mapped = resolve_model("granular").runtime_plan(plan, K=K)
+        mapped = resolve_model("granular").service_plan(plan, K=K)
         assert mapped.crashes == plan.crashes
         assert len(mapped.link_delays) == N * (N - 1)
         policy = GranularPolicy(K=K, seed=plan.seed)
@@ -100,11 +100,11 @@ class TestRandomAsyncPolicy:
         assert policy.max_hold == 4 * K
         assert policy.worst_case_hold == 3 * K
 
-    def test_runtime_track_unsupported(self):
+    def test_service_track_unsupported(self):
         from repro.errors import ConfigurationError
 
-        with pytest.raises(ConfigurationError, match="runtime-track"):
-            resolve_model("random-async").runtime_plan(
+        with pytest.raises(ConfigurationError, match="service-track"):
+            resolve_model("random-async").service_plan(
                 FaultPlan(n=N, seed=0), K=K
             )
 

@@ -45,7 +45,7 @@ class TestRegistry:
         model = resolve_model("realistic")
         assert isinstance(model, RealisticModel)
         assert model.preserves_eventual_delivery
-        assert set(model.tracks) == {"sim", "runtime", "service"}
+        assert set(model.tracks) == {"sim", "service"}
 
     def test_every_model_compiles_to_a_sweep_supported_adversary(self):
         # Replaces test_zoo_models_off_the_fastcore_whitelist: the

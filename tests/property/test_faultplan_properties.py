@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 from repro.core.commit import CommitProgram
 from repro.faults.plan import FaultPlan
-from repro.faults.runtime_compile import cluster_from_plan
 from repro.faults.sim_compile import compile_to_adversary
 from repro.runtime.virtualtime import run_virtual
+from repro.service.cluster import ServiceCluster, node_configs
 from repro.sim.scheduler import Simulation
 
 N = 5
@@ -47,6 +47,13 @@ def make_programs(votes):
         )
         for pid, vote in enumerate(votes)
     ]
+
+
+def run_service(votes, plan, seed):
+    cluster = ServiceCluster(
+        node_configs(N, T, votes, K, seed), plan, seed=seed, K=K
+    )
+    return run_virtual(cluster.run(deadline=8.0))
 
 
 def check_outcome(votes, decisions, crashed, terminated, plan):
@@ -92,19 +99,13 @@ def test_within_budget_plans_keep_sim_track_correct(seed, votes):
 
 @given(seed=plan_seeds, votes=votes_strategy)
 @SLOW
-def test_within_budget_plans_keep_runtime_track_correct(seed, votes):
+def test_within_budget_plans_keep_service_track_correct(seed, votes):
     plan = FaultPlan.random(n=N, t=T, seed=seed, K=K)
-    cluster = cluster_from_plan(
-        programs=make_programs(votes),
-        plan=plan,
-        tick_interval=0.002,
-        K=K,
-    )
-    result = run_virtual(cluster.run(deadline=8.0))
+    result = run_service(votes, plan, seed)
     check_outcome(
         votes,
         result.decisions(),
-        result.crashed_pids(),
+        result.permanently_crashed,
         result.terminated,
         plan,
     )
@@ -128,10 +129,7 @@ def test_tracks_agree_on_all_commit_decision(seed):
         max_steps=30_000,
     )
     sim_result = simulation.run()
-    cluster = cluster_from_plan(
-        programs=make_programs(votes), plan=plan, tick_interval=0.002, K=K
-    )
-    run_result = run_virtual(cluster.run(deadline=8.0))
+    run_result = run_service(votes, plan, seed)
     if plan.guarantees_termination(T):
         assert sim_result.terminated
         assert run_result.terminated

@@ -12,7 +12,7 @@ import inspect
 import socket
 import time
 
-from repro.runtime.transport import Reliability
+from repro.runtime.reliability import Reliability
 from repro.service.client import request
 from repro.service.cluster import node_configs
 from repro.service.node import ServiceNode

@@ -13,7 +13,7 @@ import pytest
 
 from repro.errors import ServiceError, WalError
 from repro.faults.plan import CrashFault, FaultPlan
-from repro.runtime.cluster import NONTERMINATED, TERMINATED
+from repro.faults.safety import NONTERMINATED, TERMINATED
 from repro.runtime.virtualtime import run_virtual
 from repro.service.cluster import (
     ServiceCluster,

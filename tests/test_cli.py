@@ -451,7 +451,7 @@ class TestFaultsCounterexamplePipeline:
         )
         report = json.loads(capsys.readouterr().out)
         assert code == 0
-        assert report["schema"] == "repro.fault-differential v1"
+        assert report["schema"] == "repro.fault-differential v2"
         assert report["summary"]["findings"] == 0
 
 

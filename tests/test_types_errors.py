@@ -53,7 +53,7 @@ class TestErrorHierarchy:
             errors.AdmissibilityError,
             errors.ProtocolViolation,
             errors.ConfigurationError,
-            errors.NodeCrashedError,
+            errors.WalError,
             errors.InsufficientDataError,
         ]
         for leaf in leaves:
@@ -62,7 +62,7 @@ class TestErrorHierarchy:
     def test_layer_groupings(self):
         assert issubclass(errors.SchedulingError, errors.SimulationError)
         assert issubclass(errors.ConfigurationError, errors.ProtocolError)
-        assert issubclass(errors.NodeCrashedError, errors.RuntimeTransportError)
+        assert issubclass(errors.WalError, errors.ServiceError)
         assert issubclass(errors.InsufficientDataError, errors.AnalysisError)
 
     def test_catchable_as_family(self):

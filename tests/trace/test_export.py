@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.errors import AnalysisError
+from repro.faults.campaign import TrialCase, execute_trial_case
+from repro.faults.plan import CrashFault, FaultPlan
 from repro.trace.export import (
     SPAN_TRACE_SCHEMA,
     SPAN_TRACE_VERSION,
@@ -16,7 +18,7 @@ from repro.trace.export import (
     write_chrome_trace,
     write_span_trace,
 )
-from repro.trace.spans import SpanRecorder
+from repro.trace.spans import SpanRecorder, node_track, use_recorder
 
 
 def _sample_recorder() -> SpanRecorder:
@@ -103,10 +105,10 @@ class TestChromeExport:
         assert by_phase["s"][0]["id"] == by_phase["f"][0]["id"]
         assert doc["otherData"]["schema"] == SPAN_TRACE_SCHEMA
 
-    def test_runtime_seconds_scale_to_microseconds(self):
+    def test_service_node_seconds_scale_to_microseconds(self):
         rec = SpanRecorder()
         span = rec.begin_span(
-            "cluster-run", kind="trial", track="runtime", start=1.5
+            "recover p2", kind="recovery", track=node_track(2), start=1.5
         )
         rec.end_span(span, 2.5)
         trace = trace_from_records(recorder_to_records(rec))
@@ -116,6 +118,31 @@ class TestChromeExport:
         ]
         assert complete["ts"] == pytest.approx(1_500_000.0)
         assert complete["dur"] == pytest.approx(1_000_000.0)
+
+    def test_traced_kill_recover_trial_exports_its_recovery_in_microseconds(
+        self,
+    ):
+        # p1 restarts at cycle 12 of a 2 ms tick: 0.024 s on its track.
+        case = TrialCase(
+            n=5,
+            t=2,
+            K=4,
+            votes=(1, 1, 1, 1, 1),
+            plan=FaultPlan(
+                n=5, crashes=(CrashFault(pid=1, cycle=4, recover_cycle=12),)
+            ),
+            seed=0,
+            tracks=("service",),
+        )
+        rec = SpanRecorder()
+        with use_recorder(rec):
+            execute_trial_case(case)
+        trace = trace_from_records(recorder_to_records(rec))
+        (recovery,) = [
+            e for e in to_chrome_trace(trace)["traceEvents"]
+            if e["name"] == "recover p1"
+        ]
+        assert recovery["ts"] == pytest.approx(24_000.0)
 
     def test_written_file_is_valid_json(self, tmp_path):
         trace = trace_from_records(recorder_to_records(_sample_recorder()))
