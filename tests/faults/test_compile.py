@@ -9,6 +9,7 @@ from repro.core.commit import CommitProgram
 from repro.faults.plan import (
     CrashFault,
     FaultPlan,
+    LinkDelay,
     LinkLoss,
     PartitionWindow,
 )
@@ -144,6 +145,54 @@ class TestServiceLinkFaults:
         policy = PlanLinkFaults(plan, tick_interval=0.01)
         rng = random.Random(0)
         assert not policy.verdict(0, 2, now=0.06, rng=rng).drop  # cycle 6
+
+    def test_tick_interval_must_be_positive(self):
+        with pytest.raises(ValueError):
+            PlanLinkFaults(FaultPlan(n=3), tick_interval=0.0)
+
+    def test_drop_rate_follows_the_plan(self):
+        plan = FaultPlan(n=3, loss=LinkLoss(drop=0.5))
+        policy = PlanLinkFaults(plan, tick_interval=0.01)
+        rng = random.Random(3)
+        drops = sum(policy.verdict(0, 1, 0.0, rng).drop for _ in range(400))
+        assert 150 <= drops <= 250
+
+    def test_certain_duplication_always_duplicates(self):
+        plan = FaultPlan(n=3, loss=LinkLoss(duplicate=1.0))
+        policy = PlanLinkFaults(plan, tick_interval=0.01)
+        rng = random.Random(4)
+        for _ in range(20):
+            verdict = policy.verdict(1, 2, 0.0, rng)
+            assert verdict.duplicates == 1
+            assert not verdict.drop
+
+    def test_link_override_applies_to_its_link_only(self):
+        plan = FaultPlan(n=3, link_loss=((0, 1, LinkLoss(duplicate=1.0)),))
+        policy = PlanLinkFaults(plan, tick_interval=0.01)
+        rng = random.Random(5)
+        assert policy.verdict(0, 1, 0.0, rng).duplicates == 1
+        assert policy.verdict(1, 0, 0.0, rng).duplicates == 0
+
+    def test_link_delay_scales_by_tick(self):
+        plan = FaultPlan(
+            n=3,
+            link_delays=(
+                LinkDelay(sender=0, recipient=2, min_cycles=2, max_cycles=3),
+            ),
+        )
+        policy = PlanLinkFaults(plan, tick_interval=0.01)
+        rng = random.Random(6)
+        for _ in range(20):
+            assert 0.02 <= policy.verdict(0, 2, 0.0, rng).extra_delay <= 0.03
+        assert policy.verdict(2, 0, 0.0, rng).extra_delay == 0.0
+
+    def test_reorder_hold_is_at_most_K_ticks(self):
+        plan = FaultPlan(n=3, loss=LinkLoss(reorder=1.0))
+        policy = PlanLinkFaults(plan, tick_interval=0.01, K=4)
+        rng = random.Random(7)
+        holds = [policy.verdict(0, 1, 0.0, rng).extra_delay for _ in range(50)]
+        assert all(0.01 <= hold <= 0.04 for hold in holds)
+        assert len(set(holds)) > 1
 
     def test_lossless_plan_yields_clean_verdicts(self):
         plan = FaultPlan(n=3)
