@@ -325,8 +325,7 @@ def transition_info(choice: Choice, sim_after: Simulation) -> TransitionInfo:
     if isinstance(choice.decision, CrashDecision):
         sends: frozenset[int] = frozenset()
     else:
-        entry = sim_after.pattern_entries()[-1]
-        sends = frozenset(record.recipient for record in entry.sent)
+        sends = sim_after.last_event_recipients()
     return TransitionInfo(
         kind=choice.key[0],
         pid=choice.decision.pid,

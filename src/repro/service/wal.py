@@ -39,7 +39,10 @@ Record vocabulary (``repro.wal v1``):
 **Torn tails.**  A SIGKILL can land mid-``write``; the reader treats any
 trailing undecodable or checksum-failing line as a torn tail: it returns
 the valid prefix and flags the truncation, and opening the log for
-append first truncates the store back to that prefix.  A valid line
+append first truncates the store back to that prefix.  The writer emits
+ASCII only, so a line holding anything else (bytes that are not even
+UTF-8 included) is invalid like any other torn line, and the file store
+truncates by byte offset, never by decoding the tail.  A valid line
 *after* an invalid one is structural corruption and raises
 :class:`~repro.errors.WalError` — that is not a crash artifact.
 
@@ -131,9 +134,12 @@ def decode_line(line: str) -> dict[str, Any] | None:
     """The record in one line, or ``None`` if the line is invalid.
 
     Invalid covers truncated JSON, a missing checksum, a checksum
-    mismatch, and an unknown record type — everything a torn write can
+    mismatch, an unknown record type and any non-ASCII character (the
+    writer's JSON escapes everything else) — everything a torn write can
     produce.
     """
+    if not line.isascii():
+        return None
     try:
         doc = json.loads(line)
     except json.JSONDecodeError:
@@ -273,11 +279,16 @@ class FileWalStore(WalStore):
         finally:
             os.close(fd)
 
+    def _read_bytes(self) -> bytes:
+        return self.log_path.read_bytes() if self.log_path.exists() else b""
+
     def read_lines(self) -> list[str]:
-        if not self.log_path.exists():
-            return []
-        with open(self.log_path, "r", encoding="utf-8") as f:
-            return f.read().splitlines()
+        # A torn write can leave bytes that are not UTF-8; they decode to
+        # U+FFFD, which no valid (ASCII) line holds.
+        return [
+            raw.decode("utf-8", "replace")
+            for raw in self._read_bytes().splitlines()
+        ]
 
     def append_line(self, line: str) -> None:
         handle = self._open()
@@ -293,13 +304,11 @@ class FileWalStore(WalStore):
         self.close()
         if not self.log_path.exists():
             return
-        with open(self.log_path, "r+", encoding="utf-8") as f:
-            offset = 0
-            for _ in range(keep):
-                if not f.readline():
-                    break
-                offset = f.tell()
-            f.truncate(offset)
+        # The same line split as read_lines, so ``keep`` counts the same
+        # lines; by byte offset, so an undecodable tail cannot stop it.
+        lines = self._read_bytes().splitlines(keepends=True) if keep else []
+        with open(self.log_path, "r+b") as f:
+            f.truncate(sum(map(len, lines[:keep])))
             f.flush()
             os.fsync(f.fileno())
 

@@ -78,8 +78,10 @@ class AdmissibilityMonitor:
                 if env.guaranteed:
                     debt += 1
         some_received = any(
-            event.kind == "step" and event.delivered and event.actor not in crashed
-            for event in simulation.pattern_entries()
+            kind == "step" and delivered and actor not in crashed
+            for kind, actor, _clock, delivered, _sent, _decision, _halted in (
+                simulation.event_rows()
+            )
         )
         return AdmissibilityReport(
             t=self.t,

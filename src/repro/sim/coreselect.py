@@ -13,9 +13,12 @@ atlas cell) may run on the fused sweep of :mod:`repro.sim.fastcore`:
 
 :func:`run_sim_trial` makes that choice, for every caller.  The contract
 is results equal as Python objects; ``repro faults diff --cores`` and
-``tests/sim/test_fastcore.py`` enforce it.  Anything that needs the
-trace itself (``run-commit``, the model checker, replay) constructs
-``Simulation`` directly.
+``tests/sim/test_fastcore.py`` enforce it.  On ``Simulation`` a trial
+reads its record off the kernel's flat state and builds the
+:class:`~repro.sim.trace.Run` only when :meth:`SimTrial.metrics` asks,
+so a campaign trial builds no trace on either core.  Anything that
+needs the trace itself (``run-commit``, the model checker, replay)
+constructs ``Simulation`` directly.
 
 Selection mirrors the ``REPRO_WORKERS`` treatment exactly: explicit
 argument beats the process-wide override (set by ``--sim-core``), which
@@ -66,12 +69,12 @@ def core_from_env(name: str = "REPRO_SIM_CORE", default: str = "reference") -> s
 
 
 def numpy_allowed(name: str = "REPRO_SIM_NUMPY") -> bool:
-    """Whether the fast core and batched tapes may use numpy.
+    """Whether the batched random tapes may use numpy.
 
     Unset or blank means yes (numpy is an optional accelerator, never a
-    requirement — every consumer keeps a pure-Python fallback).  The CI
+    requirement — the tapes keep a pure-Python fallback).  The CI
     ``sim-core-bench`` job sets ``REPRO_SIM_NUMPY=0`` to benchmark the
-    fallbacks on hosts where numpy is installed.  Unknown values raise,
+    fallback on hosts where numpy is installed.  Unknown values raise,
     mirroring the other ``REPRO_*`` knobs.
     """
     raw = os.environ.get(name)
@@ -148,8 +151,8 @@ class SimTrial:
     The four fields are the campaign record's
     (:func:`repro.faults.campaign.sim_track_record`).  :meth:`metrics`
     builds the :class:`~repro.analysis.metrics.RunMetrics` bundle on
-    request, so a caller that reads none pays for no lateness or round
-    analysis.
+    request, so a caller that reads none pays for no trace, lateness or
+    round analysis.
     """
 
     terminated: bool
@@ -178,7 +181,10 @@ def run_sim_trial(
     admits runs on the fused sweep, which builds no trace.  Every other
     trial, and every trial on the reference core, runs on
     :class:`repro.sim.scheduler.Simulation` (with the adversary's
-    ``attach`` hook, if it has one).  The result is equal either way.
+    ``attach`` hook, if it has one), whose four record fields are read
+    off the kernel's flat state: the :class:`~repro.sim.trace.Run` is
+    built only if :meth:`SimTrial.metrics` is called.  The result is
+    equal either way.
     """
     if resolve_sim_core(core) == "fast":
         # Imported here so that a process that never selects the fast
@@ -195,7 +201,7 @@ def run_sim_trial(
                 events,
                 partial(sweep_metrics, programs, *swept, K),
             )
-    from repro.sim.scheduler import Simulation
+    from repro.sim.scheduler import Outcome, Simulation
 
     simulation = Simulation(
         programs=programs,
@@ -208,19 +214,20 @@ def run_sim_trial(
     attach = getattr(adversary, "attach", None)
     if attach is not None:
         attach(simulation)
-    result = simulation.run()
-    run = result.run
+    outcome = simulation.execute()
     return SimTrial(
-        result.terminated,
-        [run.decisions[pid] for pid in range(run.n)],
-        run.faulty(),
-        run.event_count,
-        partial(_reference_metrics, result, programs),
+        outcome is Outcome.TERMINATED,
+        [process.decision for process in simulation.processes],
+        simulation.crashed_pids(),
+        simulation.event_count,
+        partial(_reference_metrics, simulation, programs),
     )
 
 
-def _reference_metrics(result, programs):
+def _reference_metrics(simulation, programs):
     from repro.analysis.metrics import extract_metrics
     from repro.core.api import ProtocolOutcome
 
-    return extract_metrics(ProtocolOutcome(result=result), programs=programs)
+    return extract_metrics(
+        ProtocolOutcome(result=simulation.result()), programs=programs
+    )

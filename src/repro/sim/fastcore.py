@@ -19,23 +19,25 @@ reference's and the produced results are equal as Python objects.
 :func:`repro.sim.coreselect.run_sim_trial`; a declined trial runs on
 ``Simulation``, which is always safe.
 
-Numpy use is optional everywhere (``REPRO_SIM_NUMPY=0`` disables it; an
-install without numpy takes the pure-Python fallbacks, logged once by
-:func:`repro.sim.coreselect.numpy_if_allowed`).
+The sweep itself uses no numpy: lateness is one deadline per distinct
+send event (:func:`repro.sim.trace.send_deadlines`, shared with
+:meth:`repro.sim.trace.Run.is_late`), cheaper in pure Python than a
+vectorised pass over every envelope.  Only the batched random tapes
+(:mod:`repro.sim.tape`) may use numpy.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 
 from repro.adversary.base import CycleAdversary, DeliveryPolicy
 from repro.errors import AnalysisError
 from repro.sim.board import BulletinBoard
-from repro.sim.coreselect import numpy_if_allowed
 from repro.sim.message import ReceivedPayload
 from repro.sim.process import SimProcess
 from repro.sim.scheduler import check_simulation_arguments
 from repro.sim.tape import TapeCollection
+from repro.sim.trace import send_deadlines
 from repro.telemetry import registry as telemetry
 from repro.telemetry.log import get_logger
 from repro.trace import spans as trace_spans
@@ -60,39 +62,19 @@ def _late_flags(
     pid_steps: list[list[int]],
     send_events: list[int],
     receive_events: list[int],
-):
+) -> list[bool]:
     """Lateness flag per delivered envelope, computed over flat arrays.
 
-    An envelope is late iff some processor took more than ``K`` steps
-    strictly between its send and receive events; per processor the count
-    is ``bisect_left(steps, receive) - bisect_right(steps, send)``,
-    exactly :meth:`repro.sim.trace.Run.steps_in_interval`.
+    One deadline per distinct send event
+    (:func:`repro.sim.trace.send_deadlines`, the helper behind
+    :meth:`repro.sim.trace.Run.is_late`); an envelope is late iff it was
+    received after its send event's deadline.
     """
-    count = len(send_events)
-    if count == 0:
-        return []
-    np = numpy_if_allowed()
-    if np is not None:
-        sends = np.asarray(send_events, dtype=np.int64)
-        recvs = np.asarray(receive_events, dtype=np.int64)
-        worst = np.zeros(count, dtype=np.int64)
-        for steps in pid_steps:
-            if not steps:
-                continue
-            arr = np.asarray(steps, dtype=np.int64)
-            counts = np.searchsorted(arr, recvs, side="left")
-            counts -= np.searchsorted(arr, sends, side="right")
-            np.maximum(worst, counts, out=worst)
-        return (worst > K).tolist()
-    flags = []
-    for send, recv in zip(send_events, receive_events):
-        late = False
-        for steps in pid_steps:
-            if bisect_left(steps, recv) - bisect_right(steps, send) > K:
-                late = True
-                break
-        flags.append(late)
-    return flags
+    deadlines = send_deadlines(K, pid_steps, send_events)
+    return [
+        deadlines[send] < receive
+        for send, receive in zip(send_events, receive_events)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Sequence
 from repro.sim.message import MessageId
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.scheduler import Simulation
+    from repro.sim.scheduler import EventRow, Simulation
 
 
 @dataclass(frozen=True)
@@ -66,31 +66,53 @@ class PendingMessage:
 
 
 class PatternHistory(Sequence):
-    """A zero-copy, read-only window onto the live message pattern.
+    """A read-only window onto the live message pattern.
 
-    Adversaries may consult the full history every decision; copying the
-    pattern list per decision made that O(events²) over a run.  This
-    wrapper exposes the scheduler's live list through the ``Sequence``
-    protocol only — no mutators — so reads are O(1) and iteration incurs
-    no allocation.  The window always reflects the pattern *so far*.
+    The scheduler records one flat row per event
+    (:data:`repro.sim.scheduler.EventRow`); this window builds the
+    :class:`PatternEntry` of a row the first time any row at or after it
+    is read, and keeps it, so adversaries that consult the full history
+    every decision pay for each entry once and a run whose adversary
+    never reads the history builds none.  Only the ``Sequence`` protocol
+    is exposed — no mutators.  The window always reflects the pattern
+    *so far*.
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_rows", "_entries")
 
-    def __init__(self, entries: list[PatternEntry]) -> None:
-        self._entries = entries
+    def __init__(self, rows: list["EventRow"]) -> None:
+        self._rows = rows
+        self._entries: list[PatternEntry] = []
+
+    def _built(self) -> list[PatternEntry]:
+        """The entries of every row recorded so far."""
+        entries, rows = self._entries, self._rows
+        for index in range(len(entries), len(rows)):
+            kind, actor, _clock, delivered, sent, _decision, _halted = rows[index]
+            entries.append(
+                PatternEntry(
+                    index=index,
+                    kind=kind,
+                    actor=actor,
+                    delivered=tuple(env.message_id for env in delivered),
+                    sent=tuple(
+                        SentRecord(env.message_id, env.recipient) for env in sent
+                    ),
+                )
+            )
+        return entries
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._rows)
 
     def __getitem__(self, index):
-        return self._entries[index]
+        return self._built()[index]
 
     def __iter__(self):
-        return iter(self._entries)
+        return iter(self._built())
 
     def __repr__(self) -> str:
-        return f"PatternHistory({len(self._entries)} events)"
+        return f"PatternHistory({len(self._rows)} events)"
 
 
 class PatternView:

@@ -4,9 +4,19 @@ This is the executable form of the paper's ``run(A, I, F)`` construction:
 a run is uniquely determined by an adversary ``A``, an initial
 configuration ``I`` (the protocol programs with their initial values), and
 a collection ``F`` of random tapes.  The scheduler repeatedly asks the
-adversary for a decision, applies the resulting event, and records the
-trace, until every nonfaulty processor's program has returned or a step
-horizon is reached (the finite-prefix stand-in for "runs forever").
+adversary for a decision, applies the resulting event, and records it,
+until every nonfaulty processor's program has returned or a step horizon
+is reached (the finite-prefix stand-in for "runs forever").
+
+The record of an event is one flat row (:data:`EventRow`), not the
+objects readers see.  The adversary's pattern entries
+(:class:`~repro.sim.pattern.PatternEntry`) are built from the rows when
+an adversary first reads them, and the full-information
+:class:`~repro.sim.trace.Run` (with its
+:class:`~repro.sim.trace.TraceEvent` list) when :meth:`Simulation.result`
+or :meth:`Simulation.build_run` is first called.  A trial that reads only
+the outcome, the decisions and the crashed set off the kernel
+(:func:`repro.sim.coreselect.run_sim_trial`) builds neither.
 """
 
 from __future__ import annotations
@@ -32,7 +42,6 @@ from repro.sim.pattern import (
     PatternHistory,
     PatternView,
     PendingMessage,
-    SentRecord,
 )
 from repro.sim.process import Program, SimProcess
 from repro.sim.tape import TapeCollection
@@ -46,6 +55,14 @@ _log = get_logger("sim.scheduler")
 
 #: Events per wall-clock timing batch when telemetry is enabled.
 _STEP_BATCH = 256
+
+#: One applied event: ``(kind, actor, clock_after, delivered, sent,
+#: decision_after, halted_after)``.  ``delivered`` and ``sent`` hold the
+#: envelopes themselves (ids and recipients never change after a send);
+#: the event's index is the row's position.
+EventRow = tuple[
+    str, int, int, Sequence[Envelope], Sequence[Envelope], int | None, bool
+]
 
 
 class Outcome(enum.Enum):
@@ -163,24 +180,22 @@ class Simulation:
         self.buffers = [MessageBuffer() for _ in range(n)]
         self.event_count = 0
         self._factory = EnvelopeFactory()
-        self._pattern: list[PatternEntry] = []
+        self._rows: list[EventRow] = []
         self._envelopes: dict[MessageId, Envelope] = {}
         self._crashed: set[int] = set()
         self._last_send_event: dict[int, int] = {}
-        self._trace: list[TraceEvent] = []
+        self._outcome: Outcome | None = None
+        self._result: SimulationResult | None = None
         # Per-processor sorted lists of the event indices at which the
         # processor took a step.  ``max_steps_between`` answers interval
-        # queries with two bisects per processor instead of the old
-        # per-event cumulative tables (which cost O(n) work and memory
-        # per event).
-        self._step_counts = [0] * n
+        # queries with two bisects per processor.
         self._pid_step_events: list[list[int]] = [[] for _ in range(n)]
         self.monitor = AdmissibilityMonitor(n=n, t=t)
         self.view = PatternView(self)
         # Hot-path caches for the adversary-facing pattern view.  All are
         # derived state: crashes invalidate the crash/alive caches, buffer
         # versions gate the pending-metadata cache, and the history window
-        # wraps the live pattern list (no copies).
+        # builds pattern entries from the live rows as they are read.
         self._running_count = sum(
             1
             for proc in self.processes
@@ -188,7 +203,7 @@ class Simulation:
         )
         self._crashed_frozen: frozenset[int] = frozenset()
         self._alive_tuple: tuple[int, ...] = tuple(range(n))
-        self._history = PatternHistory(self._pattern)
+        self._history = PatternHistory(self._rows)
         self._pending_meta: list[tuple[int, list[PendingMessage]] | None] = [
             None
         ] * n
@@ -268,11 +283,20 @@ class Simulation:
         return list(metadata)
 
     def pattern_entries(self) -> list[PatternEntry]:
-        return list(self._pattern)
+        return list(self._history)
 
     def pattern_history(self) -> PatternHistory:
-        """Zero-copy read-only window onto the live pattern."""
+        """Read-only window onto the live pattern."""
         return self._history
+
+    def event_rows(self) -> Sequence[EventRow]:
+        """The flat per-event rows recorded so far (do not mutate)."""
+        return self._rows
+
+    def last_event_recipients(self) -> frozenset[int]:
+        """Recipients of the envelopes sent at the latest event."""
+        _kind, _actor, _clock, _delivered, sent, _decision, _halted = self._rows[-1]
+        return frozenset(env.recipient for env in sent)
 
     def max_steps_between(self, first_event: int, last_event: int) -> int:
         """Max per-processor step count strictly inside an event interval.
@@ -342,6 +366,19 @@ class Simulation:
 
     def run(self) -> SimulationResult:
         """Execute the simulation to termination or the step horizon."""
+        self.execute()
+        return self.result()
+
+    def execute(self) -> Outcome:
+        """Run to termination or the step horizon; assemble nothing.
+
+        The outcome, decisions, crashed set and event count can be read
+        off the kernel afterwards; :meth:`result` builds the
+        :class:`SimulationResult` on first call.  With a span recorder
+        active the result is built here, so that the run's spans nest
+        under the span open now, and they are recorded once.
+        """
+        self._result = None
         telemetry = self._telemetry
         run_start = batch_start = (
             time.perf_counter() if telemetry is not None else 0.0
@@ -382,7 +419,7 @@ class Simulation:
             telemetry.counter(
                 "sim_runs_total", "completed simulations, by outcome"
             ).inc(outcome=outcome.name.lower())
-        run = self.build_run()
+        self._outcome = outcome
         recorder = trace_spans.active_recorder()
         if recorder is not None:
             # Spans are derived post-hoc from the already-built run, so
@@ -390,12 +427,21 @@ class Simulation:
             # byte-identical to untraced ones.
             from repro.trace.build import record_run
 
+            run = self.result().run
             record_run(recorder, run, outcome=outcome.name.lower())
-        return SimulationResult(
-            outcome=outcome,
-            run=run,
-            admissibility=self.monitor.report(self),
-        )
+        return outcome
+
+    def result(self) -> SimulationResult:
+        """The result of the last :meth:`execute`, built once and cached."""
+        if self._outcome is None:
+            raise SchedulingError("result() before the simulation was executed")
+        if self._result is None:
+            self._result = SimulationResult(
+                outcome=self._outcome,
+                run=self.build_run(),
+                admissibility=self.monitor.report(self),
+            )
+        return self._result
 
     def apply(self, decision: Decision) -> None:
         """Apply one adversary decision."""
@@ -449,9 +495,7 @@ class Simulation:
             self._telemetry.counter(
                 "sim_crashes_total", "fail-stop crashes applied"
             ).inc()
-        self._record_event(
-            kind="crash", actor=pid, delivered=(), sent=(), envelopes_sent=[]
-        )
+        self._record_event("crash", pid, (), ())
 
     def _apply_step(self, decision: StepDecision) -> None:
         pid = decision.pid
@@ -490,7 +534,6 @@ class Simulation:
             sent_envelopes.append(env)
         if sent_envelopes:
             self._last_send_event[pid] = self.event_count
-        self._step_counts[pid] += 1
         self._pid_step_events[pid].append(self.event_count)
         if self._telemetry is not None:
             self._m_events.inc(kind="step")
@@ -501,59 +544,45 @@ class Simulation:
                         self._m_sent.inc(kind=type(payload).__name__)
             for item in received:
                 self._m_delivered.inc(kind=type(item.payload).__name__)
-        self._record_event(
-            kind="step",
-            actor=pid,
-            delivered=tuple(env.message_id for env in envelopes),
-            sent=tuple(env.message_id for env in sent_envelopes),
-            envelopes_sent=sent_envelopes,
-        )
+        self._record_event("step", pid, envelopes, sent_envelopes)
 
     def _record_event(
         self,
         kind: str,
         actor: int,
-        delivered: tuple[MessageId, ...],
-        sent: tuple[MessageId, ...],
-        envelopes_sent: list[Envelope],
+        delivered: Sequence[Envelope],
+        sent: Sequence[Envelope],
     ) -> None:
-        index = self.event_count
         self.event_count += 1
         proc = self.processes[actor]
-        self._pattern.append(
-            PatternEntry(
-                index=index,
-                kind=kind,
-                actor=actor,
-                delivered=delivered,
-                sent=tuple(
-                    SentRecord(message_id=e.message_id, recipient=e.recipient)
-                    for e in envelopes_sent
-                ),
-            )
-        )
-        self._trace.append(
-            TraceEvent(
-                index=index,
-                kind=kind,
-                actor=actor,
-                clock_after=proc.clock,
-                delivered=delivered,
-                sent=sent,
-                decision_after=proc.decision,
-                halted_after=proc.halted,
-            )
+        self._rows.append(
+            (kind, actor, proc.clock, delivered, sent, proc.decision, proc.halted)
         )
 
     # -- result assembly ---------------------------------------------------------
 
     def build_run(self) -> Run:
         """Assemble the full-information :class:`~repro.sim.trace.Run`."""
+        events = []
+        for index, row in enumerate(self._rows):
+            kind, actor, clock, delivered, sent, decision, halted = row
+            events.append(
+                TraceEvent(
+                    index=index,
+                    kind=kind,
+                    actor=actor,
+                    clock_after=clock,
+                    delivered=tuple(env.message_id for env in delivered),
+                    sent=tuple(env.message_id for env in sent),
+                    decision_after=decision,
+                    halted_after=halted,
+                )
+            )
         return Run(
             n=self.n,
             t=self.t,
             K=self.K,
-            events=list(self._trace),
+            events=events,
             envelopes=dict(self._envelopes),
             statuses={pid: proc.status for pid, proc in enumerate(self.processes)},
             decisions={pid: proc.decision for pid, proc in enumerate(self.processes)},

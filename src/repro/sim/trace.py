@@ -5,20 +5,55 @@ A :class:`Run` is the analyst's object — unlike the adversary's
 payloads, decisions, and per-step clock readings, so that lateness,
 asynchronous rounds, and correctness conditions can be checked post-hoc.
 
-The lateness predicate implements the paper's definition directly: message
-``m`` is *late* in run ``R`` if any processor takes more than ``K`` steps
+The lateness predicate implements the paper's definition: message ``m``
+is *late* in run ``R`` if any processor takes more than ``K`` steps
 between the event where ``m`` is sent and the event where ``m`` is
-received; a run is *on-time* if it contains no late message.
+received; a run is *on-time* if it contains no late message.  It is
+evaluated once per distinct send event, not once per envelope: every
+envelope of a broadcast shares its send event, so
+:func:`send_deadlines` turns that event into one deadline, the first
+event index at which a message sent there has been outlived by ``K + 1``
+steps of some processor, and an envelope is late iff it was received
+after its send event's deadline.  The fused sweep
+(:mod:`repro.sim.fastcore`) calls the same function.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.sim.message import Envelope, MessageId
 from repro.types import ProcessStatus
+
+
+def send_deadlines(
+    K: int, pid_steps: Sequence[Sequence[int]], send_events: Iterable[int]
+) -> dict[int, float]:
+    """The lateness deadline of each distinct send event.
+
+    ``pid_steps[p]`` is the ascending list of event indices at which
+    processor ``p`` stepped.  After send event ``s``, processor ``p``'s
+    ``(K+1)``-th step is ``steps[bisect_right(steps, s) + K]``; the
+    deadline is the earliest such step over all processors (``inf`` when
+    none takes ``K + 1`` more steps).  A message sent at ``s`` and
+    received at ``r`` is late iff ``deadline(s) < r``: some processor then
+    took more than ``K`` steps strictly between the two events, which is
+    the definition in ``docs/MODEL.md``.
+    """
+    deadlines: dict[int, float] = {}
+    for send in send_events:
+        if send in deadlines:
+            continue
+        deadline = math.inf
+        for steps in pid_steps:
+            index = bisect.bisect_right(steps, send) + K
+            if index < len(steps) and steps[index] < deadline:
+                deadline = steps[index]
+        deadlines[send] = deadline
+    return deadlines
 
 
 @dataclass(frozen=True)
@@ -147,6 +182,10 @@ class Run:
         hi = bisect.bisect_left(steps, last_event)
         return hi - lo
 
+    def _deadlines(self, send_events: Iterable[int]) -> dict[int, float]:
+        steps = [self._steps_of(pid) for pid in range(self.n)]
+        return send_deadlines(self.K, steps, send_events)
+
     def is_late(self, envelope: Envelope) -> bool:
         """The paper's lateness predicate for one delivered message.
 
@@ -154,19 +193,25 @@ class Run:
         the receive event.  Delivery-fairness violations are reported by the
         admissibility monitor instead.
         """
-        if envelope.receive_event is None:
+        receive = envelope.receive_event
+        if receive is None:
             return False
-        return any(
-            self.steps_in_interval(pid, envelope.send_event, envelope.receive_event)
-            > self.K
-            for pid in range(self.n)
-        )
+        send = envelope.send_event
+        return self._deadlines((send,))[send] < receive
 
     def late_messages(self) -> list[Envelope]:
         """Every late message in the run (cached after the first call)."""
         if self._late_cache is None:
+            delivered = [
+                env
+                for env in self.envelopes.values()
+                if env.receive_event is not None
+            ]
+            deadlines = self._deadlines(env.send_event for env in delivered)
             self._late_cache = [
-                env for env in self.envelopes.values() if self.is_late(env)
+                env
+                for env in delivered
+                if deadlines[env.send_event] < env.receive_event
             ]
         return list(self._late_cache)
 

@@ -9,7 +9,10 @@ one value anywhere in a record and recomputes the checksum, so the line
 is well framed and carries a body no node writes.  Reading
 (``durable_records``) and recovery (``replay``) must return or raise
 ``WalError``, nothing else: a node replays before it serves, and any
-other exception there leaves the node down for good.
+other exception there leaves the node down for good.  The same byte
+mutations go through a real ``FileWalStore`` too, where they can leave
+bytes that are not UTF-8, and there repairing the log
+(``WriteAheadLog.open_repairing``) must leave exactly the valid prefix.
 
 Derandomizing and the example database come from the suite's Hypothesis
 profile (``tests/conftest.py``).
@@ -17,6 +20,7 @@ profile (``tests/conftest.py``).
 
 import functools
 import json
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +38,9 @@ from repro.service.cluster import (
 from repro.service.recovery import replay
 from repro.service.wal import (
     RECORD_TYPES,
+    FileWalStore,
     MemoryWalStore,
+    WriteAheadLog,
     durable_records,
     encode_record,
     read_log,
@@ -85,6 +91,21 @@ def logs() -> tuple[tuple[str, ...], ...]:
     return tuple(found)
 
 
+def mutated_bytes(draw, line: str) -> bytes:
+    """One to four byte edits (set, insert, delete) of ``line``."""
+    data = bytearray(line.encode("utf-8"))
+    for _ in range(draw(st.integers(1, 4))):
+        where = draw(st.integers(0, max(0, len(data) - 1)))
+        edit = draw(st.sampled_from(("set", "insert", "delete")))
+        if edit == "delete" and data:
+            del data[where]
+        elif edit == "insert":
+            data.insert(where, draw(st.integers(0, 255)))
+        elif data:
+            data[where] = draw(st.integers(0, 255))
+    return bytes(data)
+
+
 @st.composite
 def mutated_logs(draw):
     source = logs()[draw(st.integers(0, 1))]
@@ -97,18 +118,21 @@ def mutated_logs(draw):
             path = paths[draw(st.integers(0, len(paths) - 1))]
             lines[at] = encode_record(replaced(record, path, draw(values)))
         else:
-            data = bytearray(lines[at].encode("utf-8"))
-            for _ in range(draw(st.integers(1, 4))):
-                where = draw(st.integers(0, max(0, len(data) - 1)))
-                edit = draw(st.sampled_from(("set", "insert", "delete")))
-                if edit == "delete" and data:
-                    del data[where]
-                elif edit == "insert":
-                    data.insert(where, draw(st.integers(0, 255)))
-                elif data:
-                    data[where] = draw(st.integers(0, 255))
-            lines[at] = data.decode("utf-8", "replace")
+            lines[at] = mutated_bytes(draw, lines[at]).decode("utf-8", "replace")
     return lines
+
+
+@st.composite
+def mutated_log_files(draw):
+    """A log file's bytes: byte edits anywhere, then maybe a torn tail."""
+    lines = [line.encode("utf-8") for line in logs()[draw(st.integers(0, 1))]]
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(lines) - 1))
+        lines[at] = mutated_bytes(draw, lines[at].decode("utf-8", "replace"))
+    data = b"".join(lines)
+    if draw(st.booleans()):
+        data = data[: draw(st.integers(0, len(data)))]
+    return data
 
 
 def recover(lines):
@@ -133,6 +157,58 @@ def test_reading_and_recovery_return_records_or_raise_wal_error(lines):
         recover(lines)
     except WalError:
         pass  # any other exception fails the test
+
+
+def repair_file(data: bytes) -> None:
+    """Read, replay and repair a log file holding ``data``."""
+    with tempfile.TemporaryDirectory() as directory:
+        store = FileWalStore(directory)
+        store.log_path.write_bytes(data)
+        records = durable_records(store).records
+        if records:
+            replay(records)
+        wal = WriteAheadLog(store, fsync=False)
+        repaired = wal.open_repairing()
+        again = read_log(store)
+        assert not again.torn_tail
+        assert again.records == repaired.records
+        wal.append({"type": "recover", "incarnation": 9})
+        wal.close()
+        assert read_log(store).records[-1] == {"type": "recover", "incarnation": 9}
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_log_files())
+def test_file_logs_read_and_repair_or_raise_wal_error(data):
+    try:
+        repair_file(data)
+    except WalError:
+        pass  # any other exception fails the test
+
+
+def test_a_torn_tail_that_is_not_utf8_is_cut_off():
+    lines = logs()[0]
+    valid = "".join(lines).encode("utf-8")
+    with tempfile.TemporaryDirectory() as directory:
+        store = FileWalStore(directory)
+        store.log_path.write_bytes(valid + b'{"torn\xff\xfe')
+        read = durable_records(store)
+        assert read.torn_tail
+        assert len(read.records) == len(lines)
+        WriteAheadLog(store).open_repairing()
+        assert store.log_path.read_bytes() == valid
+
+
+def test_a_line_that_is_not_utf8_mid_log_is_corruption():
+    lines = [line.encode("utf-8") for line in logs()[0]]
+    lines[1] = b'{"torn\xff\xfe\n'
+    with tempfile.TemporaryDirectory() as directory:
+        store = FileWalStore(directory)
+        store.log_path.write_bytes(b"".join(lines))
+        with pytest.raises(WalError):
+            durable_records(store)
+        with pytest.raises(WalError):
+            WriteAheadLog(store).open_repairing()
 
 
 INIT = {
