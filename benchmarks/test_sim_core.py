@@ -6,12 +6,11 @@ Correctness before speed — the per-trial results (:class:`RunMetrics`
 bundles, campaign records) must be equal across cores before any
 timing is believed.
 
-The artifact (``benchmarks/results/BENCH_sim_core.json``, or
-``BENCH_sim_core_nonumpy.json`` when ``REPRO_SIM_NUMPY`` disables the
-numpy paths) records events/second per core and the speedup per
-row.  The assertion gate is 3.0x — deliberately below the ~5x+ the
-artifact shows on the development host, so loaded CI machines report
-honestly instead of flaking; a fast core slower than 3x the reference
+The artifact (``benchmarks/results/BENCH_sim_core.json``) records
+events/second per core and the speedup per row.  The assertion gate is
+3.0x — deliberately below the ~5x+ the artifact shows on the
+development host, so loaded CI machines report honestly instead of
+flaking; a fast core slower than 3x the reference
 means the trials fell off the fused sweep.  One row re-times the same
 adversary under the ``granular`` zoo model (floor 2.0x, same policy):
 zoo policies reach the sweep through the delivery hold contract, and
@@ -38,7 +37,7 @@ from repro.analysis.montecarlo import CommitTrialConfig, run_commit_trial
 from repro.faults.campaign import CampaignConfig, case_from_config, run_campaign_trial
 from repro.models import model_names, set_default_timing_model
 from repro.models.atlas import ATLAS_PROTOCOLS, AtlasConfig, _atlas_trial
-from repro.sim.coreselect import numpy_allowed, set_default_sim_core
+from repro.sim.coreselect import set_default_sim_core
 
 #: Assertion floor for the fast core's speedup (see module docstring).
 MIN_SPEEDUP = 3.0
@@ -197,16 +196,10 @@ def test_sim_core_speedup():
         "adversary": "OnTimeAdversary(K=4)",
         "campaign_adversary": "compiled FaultPlan (repro faults campaign)",
         "rounds": ROUNDS,
-        "numpy_enabled": numpy_allowed(),
         "min_speedup_asserted": MIN_SPEEDUP,
         "sizes": sizes,
     }
-    name = (
-        "BENCH_sim_core.json"
-        if numpy_allowed()
-        else "BENCH_sim_core_nonumpy.json"
-    )
-    write_results(name, document)
+    write_results("BENCH_sim_core.json", document)
 
     for label, entry in sizes.items():
         floor = entry["min_speedup_asserted"]

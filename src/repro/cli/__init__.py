@@ -212,7 +212,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.fn(args)
     except ConfigurationError as exc:
-        # Lazily-resolved knobs (REPRO_SIM_CORE, REPRO_SIM_NUMPY, ...)
+        # Lazily-resolved knobs (REPRO_SIM_CORE, REPRO_TIMING_MODEL, ...)
         # surface here; follow the usage-error convention.
         print(f"error: {exc}", file=sys.stderr)
         return 2

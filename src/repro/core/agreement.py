@@ -41,7 +41,6 @@ from repro.errors import ConfigurationError, ProtocolViolation
 from repro.sim.message import Payload
 from repro.sim.process import Program
 from repro.sim.waits import MessageCount, WaitAny, WaitCondition
-from repro.telemetry import registry as telemetry
 
 
 @dataclass
@@ -118,7 +117,9 @@ def agreement_script(
         record_decision: whether reaching line 14 records a decision on
             the hosting process.  Protocol 2 passes ``False`` because its
             own decide states are lines 14-15 of Protocol 2.
-        stats: telemetry sink; a fresh one is created if omitted.
+        stats: where the execution's record goes (read after the run by
+            metric extraction and telemetry); a fresh one is created if
+            omitted.
         coin_provider: where lines 7-8's coin comes from; defaults to the
             paper's shared-list-with-private-fallback built from
             ``coins``.  See :mod:`repro.core.coin_providers` for the
@@ -165,11 +166,6 @@ def agreement_script(
         return values.pop()
 
     def finish_by_adoption(value: int) -> int:
-        telemetry.count(
-            "agreement_decisions_total",
-            help="agreement decisions, by how they were reached",
-            via="adoption",
-        )
         stats.adopted_from_broadcast = True
         stats.decided_value = value
         if stats.decision_stage is None:
@@ -185,11 +181,6 @@ def agreement_script(
     while True:
         stage += 1
         stats.stages_started = stage
-        if telemetry.enabled():
-            telemetry.count(
-                "agreement_stage_transitions_total",
-                help="stage entries across all processors",
-            )
 
         # Line 1: broadcast (1, s, xp).  Share-exchanging coin providers
         # piggyback their per-stage shares on the same envelopes.
@@ -252,12 +243,6 @@ def agreement_script(
                 stats.shared_coin_stages += 1
             else:
                 stats.private_coin_stages += 1
-            if telemetry.enabled():
-                telemetry.count(
-                    "agreement_coin_flips_total",
-                    help="stage coins consumed, by source",
-                    source="shared" if from_shared else "private",
-                )
         else:
             x = s_values[0]
 
@@ -270,18 +255,6 @@ def agreement_script(
             decided_value = value
             stats.decision_stage = stage
             stats.decided_value = value
-            if telemetry.enabled():
-                telemetry.count(
-                    "agreement_decisions_total",
-                    help="agreement decisions, by how they were reached",
-                    via="quorum",
-                )
-                telemetry.observe(
-                    "agreement_decision_stage",
-                    stage,
-                    help="stage at which processors decide",
-                    buckets=telemetry.COUNT_BUCKETS,
-                )
             if record_decision:
                 program.decide(value)
             if halting is HaltingMode.DECIDE_BROADCAST:

@@ -36,7 +36,6 @@ from repro.errors import ConfigurationError
 from repro.sim.message import Payload
 from repro.sim.process import Program
 from repro.sim.waits import MessageCount, WithTimeout
-from repro.telemetry import registry as telemetry
 from repro.telemetry.log import get_logger
 from repro.types import COORDINATOR_ID, Decision, Vote
 
@@ -176,12 +175,6 @@ class CommitProgram(Program):
                 self.pid,
                 self.clock,
             )
-            if telemetry.enabled():
-                telemetry.count(
-                    "commit_timeouts_total",
-                    help="2K-tick waits that expired, by phase",
-                    phase="go",
-                )
 
         # Line 7: broadcast the vote.  A processor whose vote is abort
         # already knows the outcome (abort validity) — the paper notes it
@@ -192,17 +185,6 @@ class CommitProgram(Program):
                 stats.early_abort_decided = True
                 self.decide(int(Decision.ABORT))
         stats.vote_broadcast = vote
-        if telemetry.enabled():
-            telemetry.count(
-                "commit_votes_total",
-                help="votes broadcast at line 7, by value",
-                vote=vote,
-            )
-            if stats.early_abort_decided:
-                telemetry.count(
-                    "commit_early_aborts_total",
-                    help="unilateral aborts taken at line 7",
-                )
         self.broadcast(VoteMessage(vote=vote))
 
         # Lines 8-11: collect votes, or give up after 2K ticks.
@@ -217,12 +199,6 @@ class CommitProgram(Program):
                 self.pid,
                 self.clock,
             )
-            if telemetry.enabled():
-                telemetry.count(
-                    "commit_timeouts_total",
-                    help="2K-tick waits that expired, by phase",
-                    phase="vote",
-                )
         commit_voters = {
             entry.sender
             for entry in self.board.by_key(("vote",))
@@ -230,12 +206,6 @@ class CommitProgram(Program):
         }
         x_input = 1 if len(commit_voters) >= self.n else 0
         stats.agreement_input = x_input
-        if telemetry.enabled():
-            telemetry.count(
-                "commit_agreement_inputs_total",
-                help="values fed to Protocol 1 at line 12",
-                value=x_input,
-            )
 
         # Line 12: call Protocol 1 with xp and the GO message's coins.
         stats.agreement = AgreementStats()
@@ -253,11 +223,5 @@ class CommitProgram(Program):
         # Lines 13-15: decide the fate of the transaction.
         decision = Decision.from_bit(value)
         stats.decision = decision
-        if telemetry.enabled():
-            telemetry.count(
-                "commit_decisions_total",
-                help="final transaction decisions, by value",
-                decision=decision.name.lower(),
-            )
         self.decide(int(decision))
         return decision

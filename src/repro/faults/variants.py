@@ -95,6 +95,7 @@ class BrokenCommitProgram(CommitProgram):
             if entry.payload.vote == 1
         }
         x_input = 1 if len(commit_voters) >= self.n else 0
+        self.stats.agreement = AgreementStats()
         value = yield from agreement_script(
             self,
             t=self.t,
@@ -102,7 +103,7 @@ class BrokenCommitProgram(CommitProgram):
             coins=coins,
             halting=self.halting,
             record_decision=False,
-            stats=AgreementStats(),
+            stats=self.stats.agreement,
             allow_sub_resilience=self.allow_sub_resilience,
         )
         decision = Decision.from_bit(value)

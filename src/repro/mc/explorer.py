@@ -62,7 +62,6 @@ from repro.sim.decisions import (
 from repro.sim.pattern import PatternView
 from repro.sim.scheduler import Simulation
 from repro.telemetry import registry as telemetry
-from repro.telemetry.registry import MetricsRegistry
 from repro.trace import spans as trace_spans
 
 #: Schema tag of the exploration report document.
@@ -241,7 +240,6 @@ class _SubtreeExplorer:
             t=config.t,
             seed=config.seed,
             max_steps=config.max_depth_bound + 1,
-            telemetry=MetricsRegistry(enabled=False),
         )
 
     def charge(

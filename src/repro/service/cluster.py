@@ -582,6 +582,19 @@ class ServiceCluster:
             telemetry.count(
                 "service_runs_total", help="service cluster runs", outcome=outcome
             )
+            # Instances still open are recorded from each pid's last
+            # life, whose replay rebuilt their whole history; a closed
+            # one was recorded when its node closed it.
+            from repro.telemetry.summary import record_trial
+
+            record_trial(
+                telemetry.get_registry(),
+                [
+                    instance.process.program
+                    for node in self.nodes.values()
+                    for instance in node.mux.live.values()
+                ],
+            )
         return ServiceClusterResult(
             nodes=snapshots,
             outcome=outcome,

@@ -30,16 +30,14 @@ than being silently coerced.
 
 from __future__ import annotations
 
-import functools
 import os
+import time
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable
 
 from repro.errors import ConfigurationError
-from repro.telemetry.log import get_logger
-
-_log = get_logger("sim")
+from repro.telemetry.registry import active_registry
 
 #: Recognised core names, in documentation order.
 CORE_NAMES = ("reference", "fast")
@@ -66,52 +64,6 @@ def core_from_env(name: str = "REPRO_SIM_CORE", default: str = "reference") -> s
             f"{name} must be one of {choices}, got {raw!r}"
         )
     return core
-
-
-def numpy_allowed(name: str = "REPRO_SIM_NUMPY") -> bool:
-    """Whether the batched random tapes may use numpy.
-
-    Unset or blank means yes (numpy is an optional accelerator, never a
-    requirement — the tapes keep a pure-Python fallback).  The CI
-    ``sim-core-bench`` job sets ``REPRO_SIM_NUMPY=0`` to benchmark the
-    fallback on hosts where numpy is installed.  Unknown values raise,
-    mirroring the other ``REPRO_*`` knobs.
-    """
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return True
-    value = raw.strip().lower()
-    if value in ("1", "true", "on", "yes"):
-        return True
-    if value in ("0", "false", "off", "no"):
-        return False
-    raise ConfigurationError(
-        f"{name} must be a boolean flag (0/1/true/false/on/off), got {raw!r}"
-    )
-
-
-def numpy_if_allowed():
-    """The numpy module, or ``None`` when it is switched off or absent.
-
-    numpy is imported here, at the first call that
-    :func:`numpy_allowed` lets through, and not when :mod:`repro.sim`
-    is imported: a process that never reaches a vectorised path (a
-    service node, a short trial) never pays for it.  Only
-    ``ImportError`` reads as "absent", and it is logged once with its
-    reason; anything else a damaged install raises propagates.
-    """
-    return _import_numpy() if numpy_allowed() else None
-
-
-@functools.cache
-def _import_numpy():
-    """The one ``import numpy`` of this process: the module or ``None``."""
-    try:
-        import numpy
-    except ImportError as exc:
-        _log.info("numpy unavailable (%s): pure-Python paths in use", exc)
-        return None
-    return numpy
 
 
 def set_default_sim_core(core: str | None) -> None:
@@ -178,8 +130,10 @@ def run_sim_trial(
     """Run one trial on the resolved core: the one sweep-or-reference choice.
 
     On the fast core a trial that :func:`repro.sim.fastcore.sweep_gate`
-    admits runs on the fused sweep, which builds no trace.  Every other
-    trial, and every trial on the reference core, runs on
+    admits runs on the fused sweep, which builds no trace; with a
+    metrics registry active its counters are recorded here, from the
+    sweep's flat state, as ``Simulation.execute`` records its own.
+    Every other trial, and every trial on the reference core, runs on
     :class:`repro.sim.scheduler.Simulation` (with the adversary's
     ``attach`` hook, if it has one), whose four record fields are read
     off the kernel's flat state: the :class:`~repro.sim.trace.Run` is
@@ -192,8 +146,22 @@ def run_sim_trial(
         from repro.sim.fastcore import sweep_gate, sweep_metrics, sweep_run
 
         if sweep_gate(adversary):
+            started = time.perf_counter()
             swept = sweep_run(programs, adversary, K, t, seed, max_steps)
-            processes, crashed, _envs, _steps, events, terminated = swept
+            processes, crashed, envelopes, _steps, events, terminated = swept
+            registry = active_registry()
+            if registry is not None:
+                from repro.telemetry.summary import record_trial
+
+                record_trial(
+                    registry,
+                    programs,
+                    "terminated" if terminated else "horizon",
+                    events,
+                    crashed,
+                    envelopes,
+                    time.perf_counter() - started,
+                )
             return SimTrial(
                 terminated,
                 [process.decision for process in processes],

@@ -6,9 +6,9 @@ and atlas cells (a :class:`RunMetrics` bundle, :func:`sweep_metrics`)
 and fault-campaign sim-track trials (outcome, decisions, crashed set,
 event count).  When the adversary is a stock
 :class:`~repro.adversary.base.CycleAdversary` whose delivery policy
-keeps to the hold contract (does not override ``select``) and no
-observer is attached (no telemetry, no span recorder), the driver
-replays the exact decide/apply semantics of the reference pair
+keeps to the hold contract (does not override ``select``) and no span
+recorder is active, the driver replays the exact decide/apply
+semantics of the reference pair
 (:class:`repro.sim.scheduler.Simulation`) while skipping everything
 neither result can observe: pattern entries, trace events, envelope
 objects, pending-metadata caches, and all bulletin-board activity of
@@ -19,11 +19,11 @@ reference's and the produced results are equal as Python objects.
 :func:`repro.sim.coreselect.run_sim_trial`; a declined trial runs on
 ``Simulation``, which is always safe.
 
-The sweep itself uses no numpy: lateness is one deadline per distinct
-send event (:func:`repro.sim.trace.send_deadlines`, shared with
-:meth:`repro.sim.trace.Run.is_late`), cheaper in pure Python than a
-vectorised pass over every envelope.  Only the batched random tapes
-(:mod:`repro.sim.tape`) may use numpy.
+Lateness is one deadline per distinct send event
+(:func:`repro.sim.trace.send_deadlines`, shared with
+:meth:`repro.sim.trace.Run.is_late`).  Telemetry reads the finished
+trial: :func:`repro.sim.coreselect.run_sim_trial` records the sweep's
+flat state, as ``Simulation.execute`` records its own.
 """
 
 from __future__ import annotations
@@ -312,17 +312,6 @@ def adversary_sweep_supported(adversary) -> bool:
     return _fast_selector(adversary.delivery, adversary.rng) is not None
 
 
-def _observed() -> bool:
-    """Whether an observer (telemetry registry, span recorder) is active.
-
-    Observers see scheduler internals the sweep does not materialise.
-    """
-    return (
-        telemetry.active_registry() is not None
-        or trace_spans.active_recorder() is not None
-    )
-
-
 def sweep_gate(adversary) -> bool:
     """Whether a fast-core trial runs on the fused sweep.
 
@@ -333,7 +322,11 @@ def sweep_gate(adversary) -> bool:
     adversary the sweep cannot
     replicate (off the hold contract, scripted, consumed) is a
     performance cliff and is counted in ``sim_fastcore_fallbacks_total``;
-    declining because an observer is active is deliberate and is not.
+    declining because a span recorder is active is deliberate and is
+    not: spans are built from the :class:`~repro.sim.trace.Run`, which
+    the sweep does not make.  A metrics registry is no reason to
+    decline, since counters are recorded from the finished trial
+    (:func:`repro.telemetry.summary.record_trial`) on either kernel.
     """
     if not adversary_sweep_supported(adversary):
         telemetry.count(
@@ -344,7 +337,7 @@ def sweep_gate(adversary) -> bool:
             adversary=type(adversary).__name__,
         )
         return False
-    return not _observed()
+    return trace_spans.active_recorder() is None
 
 
 def sweep_run(programs, adversary, K, t, seed, max_steps):
@@ -522,9 +515,14 @@ def sweep_metrics(programs, processes, crashed, all_envs, pid_steps, event_count
 
     Takes ``programs``, then :func:`sweep_run`'s result, then ``K``.
     Field-for-field the computation of ``extract_metrics`` +
-    ``metrics_from_run`` on the equivalent ``Run``.
+    ``metrics_from_run`` on the equivalent ``Run``, and recorded into
+    the ``analysis_*`` families as that is.
     """
-    from repro.analysis.metrics import RunMetrics, stage_statistics
+    from repro.analysis.metrics import (
+        RunMetrics,
+        _record_run_metrics,
+        stage_statistics,
+    )
 
     n = len(processes)
     faulty = set(crashed)
@@ -562,7 +560,7 @@ def sweep_metrics(programs, processes, crashed, all_envs, pid_steps, event_count
             [env.receive_event for env in delivered],
         )
     )
-    return RunMetrics(
+    metrics = RunMetrics(
         terminated=terminated,
         consistent=len(decision_values) <= 1,
         decision=decision,
@@ -575,3 +573,5 @@ def sweep_metrics(programs, processes, crashed, all_envs, pid_steps, event_count
         on_time=on_time,
         **stage_statistics(programs, nonfaulty),
     )
+    _record_run_metrics(metrics)
+    return metrics

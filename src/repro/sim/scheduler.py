@@ -47,14 +47,11 @@ from repro.sim.process import Program, SimProcess
 from repro.sim.tape import TapeCollection
 from repro.sim.trace import Run, TraceEvent
 from repro.telemetry.log import get_logger
-from repro.telemetry.registry import MetricsRegistry, active_registry
+from repro.telemetry.registry import active_registry
 from repro.trace import spans as trace_spans
 from repro.types import ProcessStatus
 
 _log = get_logger("sim.scheduler")
-
-#: Events per wall-clock timing batch when telemetry is enabled.
-_STEP_BATCH = 256
 
 #: One applied event: ``(kind, actor, clock_after, delivered, sent,
 #: decision_after, halted_after)``.  ``delivered`` and ``sent`` hold the
@@ -137,10 +134,6 @@ class Simulation:
             collection seeded with ``seed``.
         seed: master seed for the default tape collection.
         max_steps: finite horizon standing in for an infinite run.
-        telemetry: metrics registry for per-event counters and step-batch
-            timers.  Defaults to the process-wide registry when telemetry
-            is enabled, else ``None`` (instrumentation compiled down to a
-            single attribute check per event).
     """
 
     def __init__(
@@ -152,7 +145,6 @@ class Simulation:
         tapes: TapeCollection | None = None,
         seed: int = 0,
         max_steps: int = 100_000,
-        telemetry: MetricsRegistry | None = None,
     ) -> None:
         # Accept any Sequence (or iterable) of programs; materialise once
         # and share the list with callers via ``self.programs`` so batch
@@ -207,34 +199,6 @@ class Simulation:
         self._pending_meta: list[tuple[int, list[PendingMessage]] | None] = [
             None
         ] * n
-        if telemetry is None:
-            telemetry = active_registry()
-        elif not telemetry.enabled:
-            telemetry = None
-        self._telemetry = telemetry
-        if telemetry is not None:
-            # Instrument handles are resolved once so the per-event cost
-            # is a method call, not a registry lookup.
-            self._m_events = telemetry.counter(
-                "sim_events_total", "scheduler events applied, by kind"
-            )
-            self._m_envelopes = telemetry.counter(
-                "sim_envelopes_sent_total", "envelopes handed to buffers"
-            )
-            self._m_sent = telemetry.counter(
-                "sim_payloads_sent_total", "payloads sent, by payload kind"
-            )
-            self._m_delivered = telemetry.counter(
-                "sim_payloads_delivered_total",
-                "payloads delivered, by payload kind",
-            )
-            self._m_batch_seconds = telemetry.histogram(
-                "sim_step_batch_seconds",
-                f"wall-clock seconds per {_STEP_BATCH}-event scheduler batch",
-            )
-            self._m_run_seconds = telemetry.histogram(
-                "sim_run_seconds", "wall-clock seconds per simulation run"
-            )
 
     # -- queries used by PatternView -----------------------------------------
 
@@ -374,16 +338,14 @@ class Simulation:
 
         The outcome, decisions, crashed set and event count can be read
         off the kernel afterwards; :meth:`result` builds the
-        :class:`SimulationResult` on first call.  With a span recorder
-        active the result is built here, so that the run's spans nest
-        under the span open now, and they are recorded once.
+        :class:`SimulationResult` on first call.  With a metrics
+        registry active the finished trial's counters are recorded here,
+        once (:func:`repro.telemetry.summary.record_trial`).  With a span
+        recorder active the result is built here, so that the run's spans
+        nest under the span open now, and they are recorded once.
         """
         self._result = None
-        telemetry = self._telemetry
-        run_start = batch_start = (
-            time.perf_counter() if telemetry is not None else 0.0
-        )
-        batch_anchor = self.event_count
+        started = time.perf_counter()
         while not self.all_nonfaulty_done() and self.event_count < self.max_steps:
             try:
                 decision = self.adversary.decide(self.view)
@@ -395,14 +357,6 @@ class Simulation:
                 )
                 raise
             self.apply(decision)
-            if (
-                telemetry is not None
-                and self.event_count - batch_anchor >= _STEP_BATCH
-            ):
-                now = time.perf_counter()
-                self._m_batch_seconds.observe(now - batch_start)
-                batch_start = now
-                batch_anchor = self.event_count
         outcome = (
             Outcome.TERMINATED if self.all_nonfaulty_done() else Outcome.HORIZON
         )
@@ -414,12 +368,20 @@ class Simulation:
                 self.running_pids(),
                 type(self.adversary).__name__,
             )
-        if telemetry is not None:
-            self._m_run_seconds.observe(time.perf_counter() - run_start)
-            telemetry.counter(
-                "sim_runs_total", "completed simulations, by outcome"
-            ).inc(outcome=outcome.name.lower())
         self._outcome = outcome
+        registry = active_registry()
+        if registry is not None:
+            from repro.telemetry.summary import record_trial
+
+            record_trial(
+                registry,
+                self.programs,
+                outcome.name.lower(),
+                self.event_count,
+                self._crashed,
+                self._envelopes.values(),
+                time.perf_counter() - started,
+            )
         recorder = trace_spans.active_recorder()
         if recorder is not None:
             # Spans are derived post-hoc from the already-built run, so
@@ -490,11 +452,6 @@ class Simulation:
             self.event_count,
             self.processes[pid].clock,
         )
-        if self._telemetry is not None:
-            self._m_events.inc(kind="crash")
-            self._telemetry.counter(
-                "sim_crashes_total", "fail-stop crashes applied"
-            ).inc()
         self._record_event("crash", pid, (), ())
 
     def _apply_step(self, decision: StepDecision) -> None:
@@ -535,15 +492,6 @@ class Simulation:
         if sent_envelopes:
             self._last_send_event[pid] = self.event_count
         self._pid_step_events[pid].append(self.event_count)
-        if self._telemetry is not None:
-            self._m_events.inc(kind="step")
-            if sent_envelopes:
-                self._m_envelopes.inc(len(sent_envelopes))
-                for env in sent_envelopes:
-                    for payload in env.payloads:
-                        self._m_sent.inc(kind=type(payload).__name__)
-            for item in received:
-                self._m_delivered.inc(kind=type(item.payload).__name__)
         self._record_event("step", pid, envelopes, sent_envelopes)
 
     def _record_event(

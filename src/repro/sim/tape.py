@@ -14,14 +14,6 @@ function of ``F``).
 :class:`TapeCollection` is the full ``F``: one tape per processor, derived
 from a single master seed so that experiments can be replayed from one
 integer.
-
-A tape that grows past :data:`_NUMPY_TAPE_MIN` cells on a multi-word
-seed extends itself from numpy's MT19937 instead of the stdlib's.
-numpy is imported at the first such switch, once per process (about
-0.11 s), never at import of this module; ``REPRO_SIM_NUMPY``
-(:func:`repro.sim.coreselect.numpy_allowed`) is the only switch, and
-the stream is bit-identical either way: :func:`_numpy_tape_state`
-checks numpy's stream against ``random.Random`` before any tape uses it.
 """
 
 from __future__ import annotations
@@ -31,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.errors import TapeExhaustedError
-from repro.telemetry.log import get_logger
 
 #: Number of deterministic bits we are willing to expand out of one step's
 #: random float.  Far above what any shipped protocol uses per step; the
@@ -44,74 +35,6 @@ _MAX_BITS_PER_STEP = 4096
 #: how far the tape has been read, so the produced values are exactly the
 #: same stream as one-at-a-time draws.
 _PREFILL_CHUNK = 64
-
-#: A tape switches from the stdlib generator to numpy's (identical
-#: stream, see :func:`_numpy_tape_state`) only once it has grown to this
-#: many cells: seeding a second MT19937 costs more than a few hundred
-#: stdlib draws, so short-lived trial tapes stay on the stdlib path
-#: (and a process whose tapes all do, such as a service node with one
-#: tape per transaction instance, never imports numpy).
-_NUMPY_TAPE_MIN = 2048
-
-#: Cached result of the one-time self-check that numpy's MT19937 stream
-#: reproduces CPython's ``random.Random`` stream bit-for-bit for the
-#: key-array seeding we use.  ``None`` means "not probed yet".
-_NUMPY_TAPE_OK: bool | None = None
-
-_log = get_logger("sim.tape")
-
-
-def _seed_key_words(seed: int) -> list[int]:
-    """Little-endian 32-bit words of ``seed``, as CPython's seeder uses."""
-    words = []
-    while seed:
-        words.append(seed & 0xFFFFFFFF)
-        seed >>= 32
-    return words or [0]
-
-
-def _numpy_tape_state(seed: object):
-    """A numpy ``RandomState`` producing the *same* stream as
-    ``random.Random(seed)``, or ``None`` when that cannot be guaranteed.
-
-    CPython seeds MT19937 through ``init_by_array`` over the seed's 32-bit
-    words; numpy's legacy ``RandomState`` does the same when handed a key
-    *array* of at least two words.  For seeds below ``2**32`` numpy
-    collapses the one-element key to scalar seeding (``init_genrand``),
-    which diverges — those tapes stay on the stdlib path.  The equivalence
-    is verified once at first use, and which generator long tapes ended
-    up with is logged then; any mismatch disables the fast path rather
-    than corrupting tapes, so the stream is the same bits either way.
-    """
-    global _NUMPY_TAPE_OK
-    if not isinstance(seed, int) or seed < 2**32:
-        return None
-    from repro.sim.coreselect import numpy_if_allowed
-
-    np = numpy_if_allowed()
-    if np is None:
-        return None
-    if _NUMPY_TAPE_OK is None:
-        probe = 0x9E3779B97F4A7C15  # any multi-word seed works as a probe
-        state = np.random.RandomState(
-            np.array(_seed_key_words(probe), dtype=np.uint32)
-        )
-        reference = random.Random(probe)
-        _NUMPY_TAPE_OK = state.random_sample(8).tolist() == [
-            reference.random() for _ in range(8)
-        ]
-        _log.info(
-            "tapes of %d cells or more draw from %s",
-            _NUMPY_TAPE_MIN,
-            "numpy's MT19937 (stream checked against random.Random)"
-            if _NUMPY_TAPE_OK
-            else "random.Random: numpy's stream differs on this install",
-        )
-    if not _NUMPY_TAPE_OK:  # pragma: no cover - defensive
-        return None
-    return np.random.RandomState(
-        np.array(_seed_key_words(seed), dtype=np.uint32)
-    )
 
 
 def _bit_expander(value: float) -> random.Random:
@@ -148,19 +71,6 @@ class RandomTape:
 
     def __post_init__(self) -> None:
         self._rng = random.Random(self.seed)
-        # The vectorised generator is only sound when the whole stream is
-        # ours to produce: an infinite tape with no pre-materialised
-        # prefix.  Construction of the numpy state is deferred until a
-        # tape actually grows long (seeding MT19937 twice costs more than
-        # a few hundred stdlib draws), and the switch fast-forwards past
-        # the already-materialised prefix so the stream never forks.
-        self._np_rng = None
-        self._np_eligible = (
-            not self.finite
-            and not self.values
-            and isinstance(self.seed, int)
-            and self.seed >= 2**32
-        )
         self._bits_this_step: random.Random | None = None
         self._bits_consumed = 0
 
@@ -249,20 +159,9 @@ class RandomTape:
                 f"position {length - 1}"
             )
         target = -(-length // _PREFILL_CHUNK) * _PREFILL_CHUNK
-        need = target - have
-        if self._np_eligible and target >= _NUMPY_TAPE_MIN:
-            self._np_eligible = False
-            state = _numpy_tape_state(self.seed)
-            if state is not None:
-                if have:
-                    state.random_sample(have)  # skip the materialised prefix
-                self._np_rng = state
-        if self._np_rng is not None:
-            self.values.extend(self._np_rng.random_sample(need).tolist())
-            return
         assert self._rng is not None
         rng_random = self._rng.random
-        self.values.extend(rng_random() for _ in range(need))
+        self.values.extend(rng_random() for _ in range(target - have))
 
 
 class TapeCollection:

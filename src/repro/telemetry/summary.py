@@ -5,7 +5,9 @@ registry: :func:`run_counters` derives the per-phase counter bundle the
 paper's claims are stated over (messages by payload kind, stage
 transitions, round boundaries, late messages, coin-source usage);
 :func:`record_run` replays those counters into a registry (used by
-``repro stats`` on archived traces); and the ``*_document`` builders
+``repro stats`` on archived traces); :func:`record_trial` counts one
+finished trial into the protocol and kernel families (every live
+kernel and the service call it); and the ``*_document`` builders
 assemble the schema-versioned JSON the CLI emits with ``--json``.
 """
 
@@ -13,8 +15,10 @@ from __future__ import annotations
 
 from collections import Counter as TallyCounter
 from dataclasses import asdict
-from typing import Any, Sequence
+from typing import Any, Callable, Collection, Iterable, Sequence
 
+from repro.core.agreement import AgreementStats
+from repro.core.commit import CommitStats
 from repro.errors import AnalysisError
 from repro.sim.rounds import RoundAnalyzer
 from repro.sim.trace import Run
@@ -58,6 +62,147 @@ def _agreement_counters(programs: Sequence[Any] | None) -> dict[str, Any]:
         "decision_stage": max(decision_stages) if decision_stages else None,
         "coin_usage": {"shared": shared, "private": private},
     }
+
+
+def record_trial(
+    registry: MetricsRegistry,
+    programs: Iterable[Any],
+    outcome: str | None = None,
+    events: int = 0,
+    crashed: Collection[int] = (),
+    envelopes: Collection[Any] = (),
+    seconds: float | None = None,
+) -> None:
+    """Count one finished trial into the protocol and kernel families.
+
+    The ``commit_*`` and ``agreement_*`` families come from each
+    program's ``stats`` (a :class:`~repro.core.commit.CommitStats`, or
+    an :class:`~repro.core.agreement.AgreementStats` directly).  With an
+    ``outcome`` (``"terminated"`` / ``"horizon"``) the ``sim_*``
+    families come from the kernel's record: the event count, the crashed
+    set, and every envelope sent (its ``payloads``, and its
+    ``receive_event`` once delivered); ``seconds`` is the trial's
+    wall-clock time.  Both kernels call this once per trial and the
+    service once per transaction instance, so a count is a function of
+    the finished trial, never of a replay.  A family is created only
+    when it gets a sample.
+    """
+
+    def count(name: str, help: str, amount: float = 1, **labels: Any) -> None:
+        if amount:
+            registry.counter(name, help).inc(amount, **labels)
+
+    for program in programs:
+        stats = getattr(program, "stats", None)
+        if isinstance(stats, CommitStats):
+            _record_commit_stats(stats, count)
+        agreement = getattr(stats, "agreement", stats)
+        if not isinstance(agreement, AgreementStats):
+            continue
+        count(
+            "agreement_stage_transitions_total",
+            "stage entries across all processors",
+            agreement.stages_started,
+        )
+        coins = "stage coins consumed, by source"
+        count(
+            "agreement_coin_flips_total",
+            coins,
+            agreement.shared_coin_stages,
+            source="shared",
+        )
+        count(
+            "agreement_coin_flips_total",
+            coins,
+            agreement.private_coin_stages,
+            source="private",
+        )
+        if agreement.adopted_from_broadcast:
+            via = "adoption"
+        elif agreement.decided_value is not None:
+            via = "quorum"
+            registry.histogram(
+                "agreement_decision_stage",
+                "stage at which processors decide",
+                buckets=COUNT_BUCKETS,
+            ).observe(agreement.decision_stage)
+        else:
+            continue
+        count(
+            "agreement_decisions_total",
+            "agreement decisions, by how they were reached",
+            via=via,
+        )
+
+    if outcome is None:
+        return
+    if seconds is not None:
+        registry.histogram(
+            "sim_run_seconds", "wall-clock seconds per simulation run"
+        ).observe(seconds)
+    count(
+        "sim_runs_total", "completed simulations, by outcome", outcome=outcome
+    )
+    crashes = len(crashed)
+    kinds = "scheduler events applied, by kind"
+    count("sim_events_total", kinds, events - crashes, kind="step")
+    count("sim_events_total", kinds, crashes, kind="crash")
+    count("sim_crashes_total", "fail-stop crashes applied", crashes)
+    count(
+        "sim_envelopes_sent_total", "envelopes handed to buffers", len(envelopes)
+    )
+    sent = TallyCounter(
+        type(payload).__name__ for env in envelopes for payload in env.payloads
+    )
+    for kind, amount in sent.items():
+        count(
+            "sim_payloads_sent_total",
+            "payloads sent, by payload kind",
+            amount,
+            kind=kind,
+        )
+    delivered = TallyCounter(
+        type(payload).__name__
+        for env in envelopes
+        if env.receive_event is not None
+        for payload in env.payloads
+    )
+    for kind, amount in delivered.items():
+        count(
+            "sim_payloads_delivered_total",
+            "payloads delivered, by payload kind",
+            amount,
+            kind=kind,
+        )
+
+
+def _record_commit_stats(stats: CommitStats, count: Callable[..., None]) -> None:
+    """The ``commit_*`` counts of one Protocol 2 execution."""
+    timeouts = "2K-tick waits that expired, by phase"
+    if stats.go_timed_out:
+        count("commit_timeouts_total", timeouts, phase="go")
+    if stats.vote_timed_out:
+        count("commit_timeouts_total", timeouts, phase="vote")
+    if stats.vote_broadcast is not None:
+        count(
+            "commit_votes_total",
+            "votes broadcast at line 7, by value",
+            vote=stats.vote_broadcast,
+        )
+    if stats.early_abort_decided:
+        count("commit_early_aborts_total", "unilateral aborts taken at line 7")
+    if stats.agreement_input is not None:
+        count(
+            "commit_agreement_inputs_total",
+            "values fed to Protocol 1 at line 12",
+            value=stats.agreement_input,
+        )
+    if stats.decision is not None:
+        count(
+            "commit_decisions_total",
+            "final transaction decisions, by value",
+            decision=stats.decision.name.lower(),
+        )
 
 
 def decision_rounds(run: Run) -> dict[int, int | None] | None:
@@ -125,8 +270,9 @@ def record_run(
 ) -> None:
     """Replay a completed run's counters into ``registry``.
 
-    Used by ``repro stats`` on imported traces and by tests; live runs
-    get the same numbers incrementally from the scheduler hooks.
+    Used by ``repro stats`` on imported traces and by tests; a live run
+    counts its ``sim_*`` families once, at its end, through
+    :func:`record_trial`.
     """
     if not registry.enabled:
         return

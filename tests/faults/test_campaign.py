@@ -281,16 +281,36 @@ class TestFastCoreSimTrack:
         assert len(simulations) == 1
         assert _fallback_samples(metrics) == [("ScriptedAdversary", 1)]
 
-    def test_active_registry_falls_back_uncounted(
-        self, metrics, simulations
+    def test_stats_campaign_runs_on_the_sweep(
+        self, ambient_core, simulations, capsys
     ):
-        config = CampaignConfig(n=5, plans=2, tracks=("sim",))
-        case = case_from_config(config, 0)
-        reference = run_sim_track(case, core="reference")
-        del simulations[:]
-        assert run_sim_track(case, core="fast") == reference
-        assert len(simulations) == 1
-        assert FALLBACKS not in metrics.snapshot()
+        # --stats is no reason to leave the sweep: counters are recorded
+        # from the finished trial on either kernel, so the two cores'
+        # snapshots agree but for the wall-clock histogram.
+        from repro.cli import main
+
+        plans = 20
+        telemetry_of, built = {}, {}
+        for core in ("reference", "fast"):
+            del simulations[:]
+            code = main(
+                [
+                    "faults", "campaign", "--tracks", "sim", "--stats",
+                    "--json", "--plans", str(plans), "--seed", "1",
+                    "--sim-core", core, "--workers", "1",
+                ]
+            )
+            assert code == 0
+            document = json.loads(capsys.readouterr().out)
+            telemetry_of[core] = document["telemetry"]
+            built[core] = len(simulations)
+        assert built == {"reference": plans, "fast": 0}
+        for snapshot in telemetry_of.values():
+            assert snapshot.pop("sim_run_seconds")["samples"][0]["count"] == plans
+        assert telemetry_of["fast"] == telemetry_of["reference"]
+        assert "sim_events_total" in telemetry_of["fast"]
+        assert "commit_decisions_total" in telemetry_of["fast"]
+        assert FALLBACKS not in telemetry_of["fast"]
 
     def test_select_override_falls_back_and_is_counted(
         self, metrics, simulations, monkeypatch

@@ -10,6 +10,7 @@ from repro.faults.campaign import (
     run_campaign,
 )
 from repro.faults.plan import CrashFault, FaultPlan
+from repro.telemetry.registry import MetricsRegistry, use_registry
 
 
 class TestConfigGates:
@@ -252,3 +253,73 @@ class TestMultiTxnCampaign:
         assert report["summary"]["safety_violations"] == 0
         assert report["config"]["txns"] == 3
         assert report["config"]["shards"] == 2
+
+
+def _family_total(registry, name):
+    family = registry.snapshot().get(name, {"samples": []})
+    return sum(sample["value"] for sample in family["samples"])
+
+
+class TestServiceProtocolCounters:
+    """Each (node, transaction) instance is counted once, however often
+    recovery replays it: the counters come from the instance's finished
+    ``CommitStats``, never from a step."""
+
+    def test_campaign_counts_each_instance_once(self):
+        config = CampaignConfig(
+            n=3,
+            plans=20,
+            base_seed=3,
+            tracks=("service",),
+            recovery_probability=1.0,
+        )
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            report = run_campaign(config, workers=1)
+        services = [trial["tracks"]["service"] for trial in report["trials"]]
+        assert sum(service["recoveries"] for service in services) > 0
+        decided = sum(
+            sum(1 for bit in service["decisions"] if bit is not None)
+            - service["transfer_decisions"]
+            for service in services
+        )
+        assert _family_total(registry, "commit_decisions_total") == decided
+        assert (
+            _family_total(registry, "commit_votes_total")
+            <= config.plans * config.n
+        )
+
+    def test_closed_instances_counted_once_across_recoveries(self):
+        from repro.runtime.virtualtime import run_virtual
+        from repro.service.cluster import (
+            ServiceCluster,
+            TxnWorkload,
+            shard_configs,
+        )
+
+        n, txns = 3, 6
+        plan = FaultPlan(
+            n=n, crashes=(CrashFault(pid=1, cycle=15, recover_cycle=40),)
+        )
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            cluster = ServiceCluster(
+                shard_configs(1, n, t=1, K=4, seed=11),
+                plan,
+                seed=11,
+                snapshot_every=4,
+                workload=TxnWorkload.open_loop(txns, 50.0, 0.002),
+            )
+            result = run_virtual(cluster.run(deadline=8.0))
+        assert result.terminated
+        assert result.recoveries == 1
+        assert _family_total(registry, "service_txns_closed_total") > 0
+        decided = sum(
+            1
+            for node in cluster.nodes.values()
+            for instance in node.mux.instances.values()
+            if instance.decision_origin == "process"
+        )
+        assert decided > 0
+        assert _family_total(registry, "commit_decisions_total") == decided
+        assert _family_total(registry, "commit_votes_total") <= n * txns

@@ -6,7 +6,6 @@ from repro.errors import ConfigurationError
 from repro.sim.coreselect import (
     CORE_NAMES,
     core_from_env,
-    numpy_allowed,
     resolve_sim_core,
     set_default_sim_core,
 )
@@ -85,26 +84,3 @@ class TestResolution:
         set_default_sim_core("reference")
         set_default_sim_core(None)
         assert resolve_sim_core() == "fast"
-
-
-class TestNumpyAllowed:
-    def test_unset_and_blank_allow(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_NUMPY", raising=False)
-        assert numpy_allowed() is True
-        monkeypatch.setenv("REPRO_SIM_NUMPY", "  ")
-        assert numpy_allowed() is True
-
-    @pytest.mark.parametrize("raw", ["1", "true", "ON", " yes "])
-    def test_truthy(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_SIM_NUMPY", raw)
-        assert numpy_allowed() is True
-
-    @pytest.mark.parametrize("raw", ["0", "false", "OFF", " no "])
-    def test_falsy(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_SIM_NUMPY", raw)
-        assert numpy_allowed() is False
-
-    def test_junk_raises_naming_the_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_NUMPY", "maybe")
-        with pytest.raises(ConfigurationError, match="REPRO_SIM_NUMPY"):
-            numpy_allowed()

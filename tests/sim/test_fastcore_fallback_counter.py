@@ -6,9 +6,9 @@ delivery policy keeps to the hold contract, i.e. does not override
 list of classes.  The counter pins two regression guarantees —
 
 * on-contract trials (realistic plan-compiled adversaries and every zoo
-  model) NEVER increment it, even when an active telemetry registry
-  forces them off the fused sweep (observer-driven fallbacks are
-  deliberate, not a cliff);
+  model) NEVER increment it, and an active telemetry registry keeps
+  them on the fused sweep; only a span recorder forces them off it,
+  deliberately and uncounted (spans are built from the ``Run``);
 * a policy that overrides ``select`` increments it once per trial,
   labelled by adversary class.
 
@@ -30,6 +30,7 @@ from repro.models import resolve_model, set_default_timing_model
 from repro.sim.coreselect import set_default_sim_core
 from repro.sim.fastcore import adversary_sweep_supported, sweep_gate
 from repro.telemetry import registry as telemetry
+from repro.trace import spans as trace_spans
 
 N, T, K = 5, 2, 4
 
@@ -124,12 +125,23 @@ class TestWhitelistedNeverCounted:
         assert _counter_total(metrics) == 0
         assert COUNTER not in metrics.snapshot()
 
-    def test_observer_fallback_is_not_a_whitelist_fallback(self, metrics):
-        # The active registry itself forces these trials off the fused
+    def test_registry_keeps_trials_on_the_sweep(self, metrics):
+        # Counters are recorded from the finished trial on either
+        # kernel, so an active registry is no reason to decline.
+        adversary = _realistic_config().adversary_factory(0)
+        assert sweep_gate(adversary)
+        assert COUNTER not in metrics.snapshot()
+
+    def test_span_fallback_is_not_a_whitelist_fallback(self, metrics):
+        # An active span recorder forces these trials off the fused
         # sweep — deliberately, and deliberately uncounted.
         adversary = _realistic_config().adversary_factory(0)
         assert adversary_sweep_supported(adversary)
-        assert not sweep_gate(adversary)
+        trace_spans.enable_tracing()
+        try:
+            assert not sweep_gate(adversary)
+        finally:
+            trace_spans.disable_tracing()
         assert COUNTER not in metrics.snapshot()
 
     @pytest.mark.parametrize("model_name", ZOO)

@@ -1,9 +1,8 @@
 """Trace-pinning tests for the batched tape generator.
 
-The tape's contract is that batching (and the optional numpy upgrade
-for long tapes) is purely an implementation detail: the value stream
-must be cell-for-cell the one ``random.Random(seed)`` produces, for
-every seed, with or without numpy.
+The tape's contract is that batching is purely an implementation
+detail: the value stream must be cell-for-cell the one
+``random.Random(seed)`` produces, for every seed.
 """
 
 import random
@@ -11,14 +10,12 @@ import random
 import pytest
 
 from repro.errors import TapeExhaustedError
-from repro.sim.tape import (
-    _NUMPY_TAPE_MIN,
-    RandomTape,
-    TapeCollection,
-    _numpy_tape_state,
-)
+from repro.sim.tape import RandomTape, TapeCollection
 
-#: Seeds straddling the numpy-eligibility boundary (2**32) plus a
+#: Cells a long read covers: many prefill batches.
+LONG_TAPE = 2048
+
+#: Single- and multi-word seeds (either side of 2**32) plus a
 #: TapeCollection-derived seed and the splitmix constant itself.
 PIN_SEEDS = [
     0,
@@ -36,9 +33,9 @@ PIN_SEEDS = [
 class TestStreamPinning:
     @pytest.mark.parametrize("seed", PIN_SEEDS)
     def test_long_stream_matches_stdlib(self, seed):
-        # Read far past _NUMPY_TAPE_MIN so eligible seeds actually take
-        # the numpy path; the stream must not fork at the switch.
-        count = _NUMPY_TAPE_MIN + 500
+        # Read across many prefill batches; the stream must not fork at
+        # a batch boundary.
+        count = LONG_TAPE + 500
         tape = RandomTape(seed=seed)
         reference = random.Random(seed)
         expected = [reference.random() for _ in range(count)]
@@ -46,33 +43,16 @@ class TestStreamPinning:
 
     @pytest.mark.parametrize("seed", [5, 2**32 + 5])
     def test_peek_then_read_matches_stdlib(self, seed):
-        # Peeking materialises a prefix before the numpy upgrade; the
-        # upgraded generator must fast-forward past it, not replay it.
+        # Peeking materialises a prefix ahead of the read position; later
+        # batches must extend it, not replay it.
         tape = RandomTape(seed=seed)
         reference = random.Random(seed)
-        expected = [reference.random() for _ in range(_NUMPY_TAPE_MIN + 100)]
+        expected = [reference.random() for _ in range(LONG_TAPE + 100)]
         assert tape.peek(10) == expected[10]
         values = [
-            tape.next_step_value() for _ in range(_NUMPY_TAPE_MIN + 100)
+            tape.next_step_value() for _ in range(LONG_TAPE + 100)
         ]
         assert values == expected
-
-    def test_numpy_and_fallback_streams_identical(self, monkeypatch):
-        seed = 2**36 + 77
-        count = _NUMPY_TAPE_MIN + 200
-        with_numpy = RandomTape(seed=seed)
-        allowed = [with_numpy.next_step_value() for _ in range(count)]
-        monkeypatch.setenv("REPRO_SIM_NUMPY", "0")
-        without_numpy = RandomTape(seed=seed)
-        denied = [without_numpy.next_step_value() for _ in range(count)]
-        assert allowed == denied
-
-    def test_small_seed_never_uses_numpy(self):
-        # One-word keys collapse to numpy's scalar seeding, which
-        # diverges from CPython — such seeds must stay on the stdlib
-        # path.
-        assert _numpy_tape_state(12345) is None
-        assert _numpy_tape_state(2**32 - 1) is None
 
     def test_flip_unchanged_by_batching(self):
         a = RandomTape(seed=2**33 + 1)

@@ -2,9 +2,16 @@
 
 import json
 
+import pytest
+
 from repro.analysis.metrics import metrics_from_run
+from repro.cli.run import build_adversary
 from repro.core.api import run_commit
-from repro.telemetry.registry import MetricsRegistry
+from repro.core.commit import CommitProgram
+from repro.faults.variants import make_programs
+from repro.sim.coreselect import run_sim_trial
+from repro.sim.fastcore import adversary_sweep_supported
+from repro.telemetry.registry import MetricsRegistry, use_registry
 from repro.telemetry.runio import run_from_records
 from repro.telemetry.summary import (
     EXPERIMENT_DOCUMENT_SCHEMA,
@@ -12,6 +19,7 @@ from repro.telemetry.summary import (
     RUN_DOCUMENT_VERSION,
     experiment_document,
     record_run,
+    record_trial,
     run_commit_document,
     run_counters,
 )
@@ -61,6 +69,93 @@ class TestRecordRun:
         registry = MetricsRegistry(enabled=False)
         record_run(outcome.run, registry)
         assert registry.metrics() == {}
+
+
+def _samples(registry, name):
+    family = registry.snapshot().get(name, {"samples": []})
+    return {
+        tuple(sorted(sample["labels"].items())): sample.get(
+            "value", sample.get("count")
+        )
+        for sample in family["samples"]
+    }
+
+
+class TestRecordTrial:
+    def test_kernel_records_the_finished_run_once(self):
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            outcome = _outcome(votes=(1, 1, 0, 1, 1), seed=3)
+        run, programs = outcome.run, outcome.programs
+        replayed = MetricsRegistry()
+        record_run(run, replayed)
+        # The kernel families agree with the ones derived from the trace.
+        for kernel, trace in (
+            ("sim_payloads_sent_total", "run_messages_sent_total"),
+            ("sim_payloads_delivered_total", "run_messages_delivered_total"),
+            ("sim_events_total", "run_events_total"),
+        ):
+            assert _samples(registry, kernel) == _samples(replayed, trace)
+        assert _samples(registry, "sim_envelopes_sent_total") == {
+            (): run.messages_sent()
+        }
+        assert _samples(registry, "sim_runs_total") == {
+            (("outcome", "terminated"),): 1
+        }
+        assert _samples(registry, "sim_run_seconds") == {(): 1}
+        # One vote and one decision per processor, from its CommitStats.
+        votes = [program.stats.vote_broadcast for program in programs]
+        assert _samples(registry, "commit_votes_total") == {
+            (("vote", str(value)),): votes.count(value) for value in set(votes)
+        }
+        assert _samples(registry, "commit_decisions_total") == {
+            (("decision", "abort"),): len(programs)
+        }
+        stages = sum(p.stats.agreement.stages_started for p in programs)
+        assert _samples(registry, "agreement_stage_transitions_total") == {
+            (): stages
+        }
+
+    def test_creates_a_family_only_with_a_sample(self):
+        registry = MetricsRegistry()
+        fresh = CommitProgram(pid=0, n=3, t=1, initial_vote=1, K=4)
+        record_trial(registry, [fresh])
+        record_trial(registry, [], outcome="terminated")
+        assert set(registry.metrics()) == {"sim_runs_total"}
+
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize(
+        "adversary", ["synchronous", "ontime", "late", "crash"]
+    )
+    def test_sweep_records_what_the_kernel_records(
+        self, adversary, n, simulations
+    ):
+        K, t = 4, (n - 1) // 2
+        snapshots = {}
+        for core in ("reference", "fast"):
+            registry = MetricsRegistry()
+            with use_registry(registry):
+                for seed in range(4):
+                    votes = [1] * n
+                    votes[-1] = seed % 2  # an abort vote on odd seeds
+                    chosen = build_adversary(adversary, K, seed, [n - 1])
+                    assert adversary_sweep_supported(chosen)
+                    run_sim_trial(
+                        make_programs("commit", n, t, votes, K),
+                        chosen,
+                        K,
+                        t,
+                        seed,
+                        20_000,
+                        core=core,
+                    ).metrics()
+            snapshot = registry.snapshot()
+            assert snapshot.pop("sim_run_seconds")["samples"][0]["count"] == 4
+            snapshots[core] = snapshot
+        assert len(simulations) == 4  # the reference core's trials only
+        assert snapshots["fast"] == snapshots["reference"]
+        assert "commit_decisions_total" in snapshots["fast"]
+        assert "analysis_runs_total" in snapshots["fast"]
 
 
 class TestDocuments:

@@ -543,6 +543,25 @@ class TestMcExploreVerb:
         assert document["exhaustive"] is True
         assert document["violations"] == []
 
+    def test_stats_count_no_prefix_replays(self, capsys):
+        # The explorer replays a prefix for every state it visits; the
+        # protocol counters are recorded from finished trials, so no
+        # replay may add a vote or a decision to them.
+        n = 3
+        code = main(
+            [
+                "mc", "explore", "--n", str(n), "--votes", "1,1,1",
+                "--max-cycles", "6", "--stats", "--json", "--workers", "1",
+            ]
+        )
+        assert code == 0
+        telemetry = json.loads(capsys.readouterr().out)["telemetry"]
+        assert "mc_states_total" in telemetry
+        for name in ("commit_votes_total", "commit_decisions_total"):
+            samples = telemetry.get(name, {"samples": []})["samples"]
+            # One vote and one decision per processor, at most.
+            assert sum(s["value"] for s in samples) <= n, name
+
     def test_planted_bug_exits_one_and_cuts_artifacts(
         self, tmp_path, capsys
     ):
