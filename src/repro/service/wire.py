@@ -87,24 +87,57 @@ def payload_to_dict(payload: Payload) -> dict[str, Any]:
     )
 
 
+def _ill_typed(data: dict[str, Any]) -> ServiceError:
+    return ServiceError(f"ill-typed wire payload: {data!r}")
+
+
 def payload_from_dict(data: dict[str, Any]) -> Payload:
-    """Rebuild a payload from :func:`payload_to_dict` output."""
+    """Rebuild a payload from :func:`payload_to_dict` output.
+
+    Every integer field must be an ``int``: ``true`` and ``1.5`` pass the
+    payloads' own range checks, so they are refused here.
+
+    Raises:
+        ServiceError: on an unknown kind or an ill-typed field; a missing
+            field raises ``KeyError`` and an out-of-range one
+            ``ValueError``.
+    """
     if not isinstance(data, dict):
         raise ServiceError(f"a wire payload is an object, got {data!r}")
     kind = data.get("k")
     if kind == "go":
-        return GoMessage(coins=tuple(data["coins"]))
+        coins = data["coins"]
+        if type(coins) is not list or any(type(bit) is not int for bit in coins):
+            raise _ill_typed(data)
+        return GoMessage(coins=tuple(coins))
     if kind == "vote":
-        return VoteMessage(vote=data["vote"])
+        vote = data["vote"]
+        if type(vote) is not int:
+            raise _ill_typed(data)
+        return VoteMessage(vote=vote)
     if kind == "stage":
-        return StageMessage(
-            phase=data["phase"], stage=data["stage"], value=data["value"]
-        )
+        phase, stage, value = data["phase"], data["stage"], data["value"]
+        if (
+            type(phase) is not int
+            or type(stage) is not int
+            or (value is not None and type(value) is not int)
+        ):
+            raise _ill_typed(data)
+        return StageMessage(phase=phase, stage=stage, value=value)
     if kind == "decided":
-        return DecidedMessage(value=data["value"])
+        value = data["value"]
+        if type(value) is not int:
+            raise _ill_typed(data)
+        return DecidedMessage(value=value)
     if kind == "raw":
         return RawPayload(data=data["data"])
     raise ServiceError(f"unknown wire payload kind {kind!r}: {data!r}")
+
+
+def _txn_id(value: Any) -> int:
+    if type(value) is not int:
+        raise ServiceError(f"a transaction id is an integer, got {value!r}")
+    return value
 
 
 def _malformed(doc: Any) -> ServiceError:
@@ -226,7 +259,9 @@ class ServiceEnvelope:
         returns goes straight into the node's run loop: every field is
         checked for its type here, so the code behind it may rely on
         ``kind`` being a string, ``sender`` / ``incarnation`` / ``seq``
-        integers (``bool`` is not one) and ``body`` an object.
+        and every transaction id integers (``bool`` is not one), ``body``
+        an object, and every payload field what
+        :func:`payload_from_dict` requires.
 
         Raises:
             ServiceError: on anything else.
@@ -257,14 +292,14 @@ class ServiceEnvelope:
                 ),
                 groups=tuple(
                     (
-                        int(txn),
+                        _txn_id(txn),
                         tuple(payload_from_dict(p) for p in payloads),
                     )
                     for txn, payloads in doc.get("txns", ())
                 ),
                 body=body,
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ServiceError) as exc:
             raise _malformed(doc) from exc
 
     def encode(self) -> bytes:

@@ -30,10 +30,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from repro.adversary.base import CycleAdversary, DeliveryPolicy
+from repro.adversary.base import DeliveryPolicy
 from repro.errors import AnalysisError
 from repro.sim.board import BulletinBoard
 from repro.sim.message import ReceivedPayload
+from repro.sim.parking import parked, stock_cycle_adversary
 from repro.sim.process import SimProcess
 from repro.sim.scheduler import check_simulation_arguments
 from repro.sim.tape import TapeCollection
@@ -290,26 +291,16 @@ def _fast_selector(policy, rng):
 def adversary_sweep_supported(adversary) -> bool:
     """Whether the fused sweep can replicate this adversary.
 
-    Requires a *fresh* stock :class:`CycleAdversary` (no overridden
-    decision machinery, no consumed state, no simulation attach hook)
-    whose delivery policy keeps to the hold contract, i.e. does not
-    override ``DeliveryPolicy.select``.  Structural checks run first, so
-    non-:class:`CycleAdversary` objects (scripted adversaries) are
-    rejected before any attribute access.
+    Requires a *fresh* stock
+    :class:`~repro.adversary.base.CycleAdversary`: one that
+    :func:`repro.sim.parking.stock_cycle_adversary` admits (no
+    overridden decision machinery, no simulation attach hook, a delivery
+    policy that keeps to the hold contract) and that has no consumed
+    state.
     """
-    cls = type(adversary)
-    if (
-        cls.decide is not CycleAdversary.decide
-        or cls._due_crash is not CycleAdversary._due_crash
-        or cls._context is not CycleAdversary._context
-        or cls._note_event is not CycleAdversary._note_event
-    ):
+    if not stock_cycle_adversary(adversary):
         return False
-    if getattr(adversary, "attach", None) is not None:
-        return False
-    if adversary._cycle != 0 or adversary._queue or adversary._event_cycles:
-        return False
-    return _fast_selector(adversary.delivery, adversary.rng) is not None
+    return not (adversary._cycle or adversary._queue or adversary._event_cycles)
 
 
 def sweep_gate(adversary) -> bool:
@@ -347,8 +338,10 @@ def sweep_run(programs, adversary, K, t, seed, max_steps):
     terminated)``.  This is ``CycleAdversary.decide`` +
     ``Simulation.apply`` fused into one loop over flat structures.
     Every branch mirrors a line of the reference pair; RNG draws go
-    through the adversary's own generator in the reference order.  The
-    caller has passed :func:`sweep_gate`.
+    through the adversary's own generator in the reference order.  A
+    run that parks (:mod:`repro.sim.parking`) gets the rest of its
+    steps added in one go, per processor.  The caller has passed
+    :func:`sweep_gate`.
     """
     n = len(programs)
     check_simulation_arguments(programs, K, t, max_steps)
@@ -378,11 +371,18 @@ def sweep_run(programs, adversary, K, t, seed, max_steps):
     all_envs: list[_FastEnv] = []
     pid_steps: list[list[int]] = [[] for _ in range(n)]
     last_send_event: dict[int, int] = {}
+    quiet_from = 0  # first event after the last delivery, send or crash
     RUNNING = ProcessStatus.RUNNING
     memo_get = key_memo.get
 
     while running > 0 and event_count < max_steps:
         if qpos >= len(queue):
+            if event_count - quiet_from >= len(alive) and parked(
+                processes, buffers, pending_crashes
+            ):
+                _finish_parked(processes, pid_steps, alive, event_count, max_steps)
+                event_count = max_steps
+                break
             cycle += 1
             queue = alive.copy()
             qpos = 0
@@ -415,6 +415,7 @@ def sweep_run(programs, adversary, K, t, seed, max_steps):
                         ):
                             env.guaranteed = False
             event_count += 1
+            quiet_from = event_count
             continue
         # Pick the stepping processor (round-robin with crash skip).
         while True:
@@ -433,6 +434,7 @@ def sweep_run(programs, adversary, K, t, seed, max_steps):
         process.clock += 1
         clock_after = process.clock
         if delivered:
+            quiet_from = event_count + 1
             if len(delivered) == len(buffer):
                 buffer.clear()
             else:
@@ -489,6 +491,7 @@ def sweep_run(programs, adversary, K, t, seed, max_steps):
                     buffers[recipient][env.message_id] = env
                     all_envs.append(env)
                 last_send_event[pid] = event_count
+                quiet_from = event_count + 1
         # A returned processor keeps absorbing events: its clock ticks and
         # its step still counts for every other message's lateness — but
         # nothing it would post, draw, or flush is observable in metrics.
@@ -508,6 +511,23 @@ def sweep_run(programs, adversary, K, t, seed, max_steps):
             type(adversary).__name__,
         )
     return processes, crashed, all_envs, pid_steps, event_count, running == 0
+
+
+def _finish_parked(processes, pid_steps, alive, event_count, max_steps):
+    """Add the idle round-robin steps of a parked run up to ``max_steps``.
+
+    The run is at a cycle boundary, so ``alive[i]`` takes events
+    ``event_count + i``, then every ``len(alive)`` events after.  As in
+    the loop, only a running processor draws a tape value.
+    """
+    width = len(alive)
+    for offset, pid in enumerate(alive):
+        steps = range(event_count + offset, max_steps, width)
+        process = processes[pid]
+        process.clock += len(steps)
+        pid_steps[pid].extend(steps)
+        if process.status is ProcessStatus.RUNNING:
+            process.tape.advance(len(steps))
 
 
 def sweep_metrics(programs, processes, crashed, all_envs, pid_steps, event_count, terminated, K):

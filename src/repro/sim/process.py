@@ -181,6 +181,21 @@ class SimProcess:
             and wait.satisfied(self.board, self.clock)
         )
 
+    @property
+    def blocked(self) -> bool:
+        """Whether the pending wait is clock-free and unsatisfied, so that
+        no step that delivers nothing can resume the program.
+
+        A read-only probe, like :attr:`runnable`; the parked-run test of
+        :mod:`repro.sim.parking` asks it of every running processor.
+        """
+        wait = self._pending_wait
+        return (
+            wait is not None
+            and wait.clock_free
+            and not wait.satisfied(self.board, self.clock)
+        )
+
     # -- services used by Program ------------------------------------------
 
     def queue_send(self, to: int, payload: Payload) -> None:

@@ -17,6 +17,10 @@ an adversary first reads them, and the full-information
 or :meth:`Simulation.build_run` is first called.  A trial that reads only
 the outcome, the decisions and the crashed set off the kernel
 (:func:`repro.sim.coreselect.run_sim_trial`) builds neither.
+
+A run that parks (:mod:`repro.sim.parking`) is finished through
+:meth:`Simulation._idle_step`, one event per row as ever, without asking
+the adversary or resuming any program.
 """
 
 from __future__ import annotations
@@ -176,6 +180,8 @@ class Simulation:
         self._envelopes: dict[MessageId, Envelope] = {}
         self._crashed: set[int] = set()
         self._last_send_event: dict[int, int] = {}
+        #: Index of the first event after the last delivery, send or crash.
+        self._quiet_from = 0
         self._outcome: Outcome | None = None
         self._result: SimulationResult | None = None
         # Per-processor sorted lists of the event indices at which the
@@ -344,8 +350,17 @@ class Simulation:
         recorder active the result is built here, so that the run's spans
         nest under the span open now, and they are recorded once.
         """
+        from repro.sim.parking import stock_cycle_adversary
+
         self._result = None
         started = time.perf_counter()
+        # The event count at which to look for a parked run next; past
+        # the horizon when the adversary is not one that can park.
+        park_check = (
+            len(self._alive_tuple)
+            if stock_cycle_adversary(self.adversary)
+            else self.max_steps + 1
+        )
         while not self.all_nonfaulty_done() and self.event_count < self.max_steps:
             try:
                 decision = self.adversary.decide(self.view)
@@ -357,6 +372,8 @@ class Simulation:
                 )
                 raise
             self.apply(decision)
+            if self.event_count >= park_check:
+                park_check = self._park_check()
         outcome = (
             Outcome.TERMINATED if self.all_nonfaulty_done() else Outcome.HORIZON
         )
@@ -414,6 +431,28 @@ class Simulation:
         else:  # pragma: no cover - defensive
             raise SchedulingError(f"unknown decision type: {decision!r}")
 
+    def _park_check(self) -> int:
+        """Finish the run if it is parked; else the event count to look again.
+
+        Looks only at a cycle boundary of the (stock cycle) adversary, and
+        only after a full cycle of steps that changed nothing.
+        """
+        adversary = self.adversary
+        left_in_cycle = len(adversary._queue)
+        if left_in_cycle:
+            return self.event_count + left_in_cycle
+        alive = self._alive_tuple
+        if self.event_count - self._quiet_from >= len(alive):
+            from repro.sim.parking import parked
+
+            if parked(self.processes, self.buffers, adversary._pending_crashes):
+                while self.event_count < self.max_steps:
+                    adversary._cycle += 1
+                    adversary._queue = list(alive)
+                    for pid in alive[: self.max_steps - self.event_count]:
+                        self._idle_step(pid)
+        return self.event_count + len(alive)
+
     # -- decision application ------------------------------------------------
 
     def _apply_crash(self, decision: CrashDecision) -> None:
@@ -431,6 +470,7 @@ class Simulation:
         if was_running:
             self._running_count -= 1
         self.monitor.record_crash(pid)
+        self._quiet_from = self.event_count + 1
         # Messages sent at the crashed processor's final step lose their
         # delivery guarantee (the paper's non-guaranteed messages).  The
         # sender index answers "pending from pid" without scanning whole
@@ -491,8 +531,28 @@ class Simulation:
             sent_envelopes.append(env)
         if sent_envelopes:
             self._last_send_event[pid] = self.event_count
+        if envelopes or sent_envelopes:
+            self._quiet_from = self.event_count + 1
         self._pid_step_events[pid].append(self.event_count)
         self._record_event("step", pid, envelopes, sent_envelopes)
+
+    def _idle_step(self, pid: int) -> None:
+        """Apply one step of a parked run.
+
+        What the adversary's decision and :meth:`_apply_step` would write
+        for ``pid`` receiving nothing: the adversary's queue and event
+        cycle, then the clock, the tape value, the step index and the
+        row.  The program is not resumed, since its wait cannot be
+        satisfied (:mod:`repro.sim.parking`).
+        """
+        adversary = self.adversary
+        adversary._queue.pop(0)
+        adversary._event_cycles.append(adversary._cycle)
+        process = self.processes[pid]
+        process.clock += 1
+        process.tape.next_step_value()
+        self._pid_step_events[pid].append(self.event_count)
+        self._record_event("step", pid, [], [])
 
     def _record_event(
         self,

@@ -112,6 +112,22 @@ class RandomTape:
         self._current_value = value
         return value
 
+    def advance(self, count: int) -> None:
+        """Consume ``count`` step values at once.
+
+        Leaves the state ``count`` calls of :meth:`next_step_value` would
+        leave: the same position, materialised cells and current value.
+        A finite tape too short for ``count`` raises
+        :class:`~repro.errors.TapeExhaustedError` and consumes nothing.
+        """
+        if count <= 0:
+            return
+        self._ensure(self._position + count)
+        self._position += count
+        self._bits_this_step = None
+        self._bits_consumed = 0
+        self._current_value = self.values[self._position - 1]
+
     def flip(self, count: int) -> list[int]:
         """Return ``count`` random bits derived from the current step.
 

@@ -9,6 +9,10 @@ asyncio node) re-evaluates the pending condition at every step.
 
 Conditions are *armed* when first yielded, which is when clock-relative
 deadlines ("... or 2K clock ticks") are fixed.
+
+A condition is *clock-free* when only the board decides it: once such a
+wait is unsatisfied and nothing new arrives, it stays unsatisfied however
+far the clock runs (:mod:`repro.sim.parking` relies on this).
 """
 
 from __future__ import annotations
@@ -23,6 +27,10 @@ from repro.sim.message import Payload
 
 class WaitCondition:
     """Base class for conditions a protocol program can block on."""
+
+    #: Whether :meth:`satisfied` ignores the clock.  False unless a
+    #: subclass knows better.
+    clock_free = False
 
     def arm(self, clock: int) -> None:
         """Record the clock at which the program reached this wait.
@@ -54,6 +62,8 @@ class MessageCount(WaitCondition):
     distinct-sender index — essential for long runs, where a full-board
     scan per step would be quadratic.
     """
+
+    clock_free = True
 
     def __init__(
         self,
@@ -110,6 +120,8 @@ class ClockAtLeast(WaitCondition):
 class Never(WaitCondition):
     """A wait that never completes (used to park halted programs)."""
 
+    clock_free = True
+
     def satisfied(self, board: "BulletinBoard", clock: int) -> bool:
         return False
 
@@ -156,6 +168,7 @@ class WaitAll(WaitCondition):
 
     def __init__(self, conditions: Sequence[WaitCondition]) -> None:
         self.conditions = tuple(conditions)
+        self.clock_free = all(c.clock_free for c in self.conditions)
 
     def arm(self, clock: int) -> None:
         for condition in self.conditions:
@@ -170,6 +183,7 @@ class WaitAny(WaitCondition):
 
     def __init__(self, conditions: Sequence[WaitCondition]) -> None:
         self.conditions = tuple(conditions)
+        self.clock_free = all(c.clock_free for c in self.conditions)
 
     def arm(self, clock: int) -> None:
         for condition in self.conditions:

@@ -446,6 +446,43 @@ def test_malformed_lines_are_dropped_and_counted_and_the_node_keeps_stepping():
         asyncio.run(scenario(registry))
 
 
+#: Well-formed envelopes whose payload fields or transaction ids are
+#: ill-typed: each once decoded, and could reach the WAL as ``true``.
+ILL_TYPED_LINES = (
+    b'{"kind":"msg","sender":2,"seq":0,"payloads":'
+    b'[{"k":"stage","phase":true,"stage":1.5,"value":1}]}\n',
+    b'{"kind":"msg","sender":2,"seq":1,"payloads":[{"k":"go","coins":[true,0]}]}\n',
+    b'{"kind":"msg","sender":2,"seq":2,"txns":[[true,[{"k":"vote","vote":1}]]]}\n',
+    b'{"kind":"msg","sender":2,"seq":3,"txns":[["5",[{"k":"vote","vote":1}]]]}\n',
+)
+
+
+def test_ill_typed_fields_are_dropped_and_counted_and_the_node_keeps_serving():
+    ports = free_ports(N)
+    peers = [(HOST, port) for port in ports]
+    query = ServiceEnvelope(kind="state-query", sender=-1)
+
+    async def scenario(registry):
+        server = make_server(1, peers)
+        task = await serving(server)
+        reader, writer = await asyncio.open_connection(HOST, ports[1])
+        writer.write(b"".join(ILL_TYPED_LINES))
+        writer.write(query.encode())
+        reply = ServiceEnvelope.decode(await reader.readline())
+        assert reply.kind == "state-transfer"
+        assert counter_total(registry, "service_undecodable_lines_total") == 4
+        steps = server.node._steps
+        await until(lambda: server.node._steps > steps + 2)
+        assert not task.done()
+        assert (await request(HOST, ports[1], query)).kind == "state-transfer"
+        writer.close()
+        await stop((server, task))
+
+    registry = MetricsRegistry(enabled=True)
+    with use_registry(registry):
+        asyncio.run(scenario(registry))
+
+
 def test_commit_does_not_wait_for_the_tick():
     """With a one-second tick a commit still takes a few loopback hops.
     Waiting for the tick anywhere would show: after the submit (nothing

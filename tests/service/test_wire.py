@@ -1,5 +1,7 @@
 """Unit tests for the service wire codecs: payloads and envelopes."""
 
+import json
+
 import pytest
 
 from repro.core.messages import (
@@ -74,3 +76,56 @@ class TestEnvelope:
         line = ServiceEnvelope(kind="state-query", sender=-1).encode()
         assert line.endswith(b"\n")
         assert line.count(b"\n") == 1
+
+
+#: Payload fields the payloads' own range checks let through: ``true``
+#: is in ``(0, 1)`` and ``1.5`` is not below 1.  Each must be refused.
+ILL_TYPED_PAYLOADS = [
+    {"k": "stage", "phase": True, "stage": 1.5, "value": 1},
+    {"k": "stage", "phase": 1, "stage": 1.5, "value": 1},
+    {"k": "stage", "phase": 2, "stage": 1, "value": True},
+    {"k": "go", "coins": [True, 0]},
+    {"k": "go", "coins": "01"},
+    {"k": "vote", "vote": 1.0},
+    {"k": "decided", "value": False},
+]
+
+
+class TestIllTypedFields:
+    @pytest.mark.parametrize("doc", ILL_TYPED_PAYLOADS, ids=repr)
+    def test_payload_rejected(self, doc):
+        with pytest.raises(ServiceError):
+            payload_from_dict(doc)
+
+    @pytest.mark.parametrize("doc", ILL_TYPED_PAYLOADS, ids=repr)
+    def test_envelope_carrying_it_is_malformed(self, doc):
+        line = json.dumps({"kind": "msg", "sender": 1, "seq": 0, "payloads": [doc]})
+        with pytest.raises(ServiceError, match="malformed envelope"):
+            ServiceEnvelope.decode(line)
+
+    @pytest.mark.parametrize("txn", [True, "5", 5.0], ids=repr)
+    def test_transaction_id_is_not_coerced(self, txn):
+        line = json.dumps(
+            {
+                "kind": "msg",
+                "sender": 1,
+                "seq": 0,
+                "txns": [[txn, [{"k": "vote", "vote": 1}]]],
+            }
+        )
+        with pytest.raises(ServiceError, match="malformed envelope"):
+            ServiceEnvelope.decode(line)
+
+    def test_well_typed_fields_still_decode(self):
+        line = json.dumps(
+            {
+                "kind": "msg",
+                "sender": 1,
+                "seq": 0,
+                "txns": [
+                    [5, [{"k": "stage", "phase": 2, "stage": 3, "value": None}]]
+                ],
+            }
+        )
+        envelope = ServiceEnvelope.decode(line)
+        assert envelope.groups == ((5, (StageMessage(phase=2, stage=3, value=None),)),)

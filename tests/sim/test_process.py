@@ -106,6 +106,19 @@ class TestSimProcess:
         assert process.status is ProcessStatus.RETURNED
         assert not process.runnable
 
+    def test_blocked_is_an_unsatisfied_clock_free_wait(self):
+        process = make(EchoOnce)
+        assert not process.blocked  # not started: no wait is pending
+        process.on_step([])
+        assert process.blocked  # a message count, nothing on the board
+        process.on_step([received(1, "x")])
+        assert process.status is ProcessStatus.RETURNED
+        assert process.blocked  # a returned program waits on Never
+
+        timed = make(DecideAtClock, 5, 1)
+        timed.on_step([])
+        assert not timed.blocked  # the clock can still satisfy it
+
     def test_self_send_posts_locally_without_envelope(self):
         class SelfSender(Program):
             def run(self):

@@ -112,6 +112,27 @@ class TestRandomTape:
         with pytest.raises(ValueError):
             tape.flip(-1)
 
+    @pytest.mark.parametrize("count", [1, 63, 64, 65, 300])
+    def test_advance_is_count_step_draws(self, count):
+        stepped, skipped = RandomTape(seed=9), RandomTape(seed=9)
+        stepped.next_step_value()
+        skipped.next_step_value()
+        for _ in range(count):
+            stepped.next_step_value()
+        skipped.advance(count)
+        assert skipped.position == stepped.position
+        assert skipped.values == stepped.values
+        assert skipped.flip(8) == stepped.flip(8)
+        assert skipped.next_step_value() == stepped.next_step_value()
+
+    def test_advance_past_a_finite_tape_consumes_nothing(self):
+        tape = RandomTape.from_values([0.5] * 3)
+        with pytest.raises(TapeExhaustedError):
+            tape.advance(4)
+        assert tape.position == 0
+        tape.advance(3)
+        assert tape.position == 3
+
 
 class TestTapeCollection:
     def test_requires_positive_n(self):

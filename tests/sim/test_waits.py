@@ -144,3 +144,22 @@ class TestCombinators:
         inner = WithTimeout(Never(), ticks=2)
         WaitAll((inner,)).arm(clock=4)
         assert inner.deadline == 6
+
+
+class TestClockFree:
+    """Only the board decides a clock-free wait (the parked-run test)."""
+
+    def test_board_only_conditions(self):
+        assert MessageCount(ANY, 1).clock_free
+        assert Never().clock_free
+
+    def test_clock_reading_conditions(self):
+        assert not WithTimeout(MessageCount(ANY, 1), ticks=3).clock_free
+        assert not ClockAtLeast(3).clock_free
+        assert not Predicate(lambda board, clock: False).clock_free
+
+    def test_combinators_need_every_part_clock_free(self):
+        assert (MessageCount(ANY, 1) | Never()).clock_free
+        assert WaitAll((MessageCount(ANY, 1), Never())).clock_free
+        assert not (MessageCount(ANY, 1) | ClockAtLeast(3)).clock_free
+        assert not WaitAll((Never(), WithTimeout(Never(), ticks=1))).clock_free
