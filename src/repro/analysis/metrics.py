@@ -13,9 +13,10 @@ Each metric corresponds to a quantity the paper reasons about:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Collection, Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
+from repro.core.agreement import program_stats
 from repro.core.api import ProtocolOutcome
 from repro.errors import AnalysisError
 from repro.sim.rounds import RoundAnalyzer
@@ -62,53 +63,94 @@ class RunMetrics:
     on_time: bool
 
 
+#: The stage-telemetry fields of a bundle built without the programs.
+_NO_STAGES = dict.fromkeys(
+    ("stages", "decision_stage", "shared_coin_stages", "private_coin_stages")
+)
+
+
+def assemble_metrics(
+    *,
+    terminated: bool,
+    decisions: Iterable[int | None],
+    decision_clocks: Iterable[int | None],
+    rounds: Callable[[], int | None],
+    on_time: bool,
+    messages: int,
+    events: int,
+    crashes: int,
+    stages: Mapping[str, int | None] = _NO_STAGES,
+) -> RunMetrics:
+    """The one assembly of a :class:`RunMetrics` bundle from run facts.
+
+    ``rounds`` computes the rounds to the last nonfaulty decision; it is
+    called only for a terminated run, and an :class:`AnalysisError` from
+    it reads as ``None``.  ``stages`` holds the four stage-telemetry
+    fields (:func:`stage_statistics`), all ``None`` by default.  Both
+    kernels' bundles come from here: :func:`metrics_from_run` feeds it a
+    :class:`~repro.sim.trace.Run`, the fused sweep
+    (:func:`repro.sim.fastcore.sweep_metrics`) its flat state.
+    """
+    decision_values = {d for d in decisions if d is not None}
+    decided_clocks = [c for c in decision_clocks if c is not None]
+    max_round: int | None = None
+    if terminated:
+        try:
+            max_round = rounds()
+        except AnalysisError:
+            max_round = None
+    return RunMetrics(
+        terminated=terminated,
+        consistent=len(decision_values) <= 1,
+        decision=(
+            next(iter(decision_values)) if len(decision_values) == 1 else None
+        ),
+        rounds=max_round,
+        ticks=max(decided_clocks, default=None),
+        first_decision_ticks=min(decided_clocks, default=None),
+        messages=messages,
+        events=events,
+        crashes=crashes,
+        on_time=on_time,
+        **stages,
+    )
+
+
 def metrics_from_run(
     run: Run,
     analyzer: RoundAnalyzer | None = None,
     record: bool = True,
+    programs: Iterable | None = None,
 ) -> RunMetrics:
-    """Build the metric bundle from a recorded run alone.
+    """Build the metric bundle from a recorded run.
 
-    This is the trace-derivable subset: everything except the program
-    stage telemetry (``stages``, ``decision_stage``, coin-source splits),
-    which lives on the program objects and is therefore ``None`` here.
-    Because it needs nothing but the :class:`~repro.sim.trace.Run`, the
-    same function applies to live runs and to traces re-imported through
-    :mod:`repro.telemetry.runio` — the JSONL round-trip tests assert the
-    two agree exactly.
+    Without ``programs`` this is the trace-derivable subset: everything
+    except the program stage telemetry (``stages``, ``decision_stage``,
+    coin-source splits), which lives on the program objects and is
+    therefore ``None``.  Because it needs nothing but the
+    :class:`~repro.sim.trace.Run`, the same function applies to live runs
+    and to traces re-imported through :mod:`repro.telemetry.runio` — the
+    JSONL round-trip tests assert the two agree exactly.
     """
-    terminated = all(
-        run.statuses.get(pid) is ProcessStatus.RETURNED
-        for pid in run.nonfaulty()
-    )
-    rounds: int | None = None
-    if terminated:
-        try:
-            if analyzer is None:
-                analyzer = RoundAnalyzer(run)
-            rounds = analyzer.max_decision_round()
-        except AnalysisError:
-            rounds = None
-    decision_values = run.decision_values()
-    decision = decision_values.pop() if len(decision_values) == 1 else None
-    metrics = RunMetrics(
-        terminated=terminated,
-        consistent=run.agreement_holds(),
-        decision=decision,
-        rounds=rounds,
-        ticks=run.max_decision_clock(),
-        first_decision_ticks=min(
-            (c for c in run.decision_clocks.values() if c is not None),
-            default=None,
+    metrics = assemble_metrics(
+        terminated=all(
+            run.statuses.get(pid) is ProcessStatus.RETURNED
+            for pid in run.nonfaulty()
         ),
-        stages=None,
-        decision_stage=None,
-        shared_coin_stages=None,
-        private_coin_stages=None,
+        decisions=run.decisions.values(),
+        decision_clocks=run.decision_clocks.values(),
+        rounds=lambda: (
+            analyzer if analyzer is not None else RoundAnalyzer(run)
+        ).max_decision_round(),
+        on_time=run.is_on_time(),
         messages=run.messages_sent(),
         events=run.event_count,
         crashes=len(run.faulty()),
-        on_time=run.is_on_time(),
+        stages=(
+            _NO_STAGES
+            if programs is None
+            else stage_statistics(programs, run.nonfaulty())
+        ),
     )
     if record:
         _record_run_metrics(metrics)
@@ -172,13 +214,9 @@ def stage_statistics(
     decision_stage_values = []
     shared_values = []
     private_values = []
-    for program in programs:
-        if program.pid not in nonfaulty:
-            continue
-        stats = getattr(program, "stats", None)
-        if stats is None:
-            continue
-        agreement = getattr(stats, "agreement", stats)
+    for _stats, agreement in program_stats(
+        program for program in programs if program.pid in nonfaulty
+    ):
         if agreement is None:
             continue
         stage_count = getattr(agreement, "stages_started", None)
@@ -208,18 +246,11 @@ def extract_metrics(
         programs: the program objects (for stage telemetry).  When omitted,
             stage metrics are ``None``.
     """
-    run = outcome.run
-    metrics = metrics_from_run(
-        run,
+    return metrics_from_run(
+        outcome.run,
         analyzer=outcome.rounds if outcome.terminated else None,
-        record=False,
+        programs=programs,
     )
-    if programs is not None:
-        metrics = replace(
-            metrics, **stage_statistics(programs, run.nonfaulty())
-        )
-    _record_run_metrics(metrics)
-    return metrics
 
 
 def commit_validity_holds(

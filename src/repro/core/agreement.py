@@ -29,7 +29,7 @@ Halting behaviour after the decide/return pair is configurable; see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Generator
+from typing import TYPE_CHECKING, Any, Generator, Iterable, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.coin_providers import CoinProvider
@@ -63,6 +63,22 @@ class AgreementStats:
     shared_coin_stages: int = 0
     private_coin_stages: int = 0
     adopted_from_broadcast: bool = False
+
+
+def program_stats(programs: Iterable[Any]) -> Iterator[tuple[Any, Any]]:
+    """``(stats, agreement)`` of every program that keeps ``stats``.
+
+    ``agreement`` is ``stats.agreement`` when the stats have that field
+    (a :class:`~repro.core.commit.CommitStats`, whose field is ``None``
+    until Protocol 1 starts), else the stats object itself: an
+    :class:`AgreementStats`, or a baseline protocol's own stats, which
+    carry none of the agreement fields.  The one walk over program
+    stats, for metric bundles and telemetry alike.
+    """
+    for program in programs:
+        stats = getattr(program, "stats", None)
+        if stats is not None:
+            yield stats, getattr(stats, "agreement", stats)
 
 
 def _is_stage(phase: int, stage: int):

@@ -61,6 +61,7 @@ from repro.sim.decisions import (
 )
 from repro.sim.pattern import PatternView
 from repro.sim.scheduler import Simulation
+from repro.sim.trace import late_envelopes
 from repro.telemetry import registry as telemetry
 from repro.trace import spans as trace_spans
 
@@ -326,7 +327,7 @@ class _SubtreeExplorer:
             terminal
             and not crashed
             and not late_keys
-            and sim.max_delivery_lag(delivered_only=True) <= sim.K
+            and not late_envelopes(sim.K, sim.step_events(), sim.envelopes())
         )
         report = self.monitor.check(
             decisions={

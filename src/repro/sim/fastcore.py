@@ -19,26 +19,27 @@ reference's and the produced results are equal as Python objects.
 :func:`repro.sim.coreselect.run_sim_trial`; a declined trial runs on
 ``Simulation``, which is always safe.
 
-Lateness is one deadline per distinct send event
-(:func:`repro.sim.trace.send_deadlines`, shared with
-:meth:`repro.sim.trace.Run.is_late`).  Telemetry reads the finished
-trial: :func:`repro.sim.coreselect.run_sim_trial` records the sweep's
-flat state, as ``Simulation.execute`` records its own.
+The sweep derives nothing of its own from a finished trial: lateness
+(:func:`repro.sim.trace.late_envelopes`), rounds
+(:func:`repro.sim.rounds.round_ends`) and the :class:`RunMetrics`
+assembly (:func:`repro.analysis.metrics.assemble_metrics`) are the
+functions the ``Run`` path calls, fed from the sweep's flat records.
+Telemetry reads the finished trial too:
+:func:`repro.sim.coreselect.run_sim_trial` records the sweep's flat
+state, as ``Simulation.execute`` records its own.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-
 from repro.adversary.base import DeliveryPolicy
-from repro.errors import AnalysisError
 from repro.sim.board import BulletinBoard
 from repro.sim.message import ReceivedPayload
 from repro.sim.parking import parked, stock_cycle_adversary
 from repro.sim.process import SimProcess
+from repro.sim.rounds import max_decision_round, round_ends
 from repro.sim.scheduler import check_simulation_arguments
 from repro.sim.tape import TapeCollection
-from repro.sim.trace import send_deadlines
+from repro.sim.trace import late_envelopes
 from repro.telemetry import registry as telemetry
 from repro.telemetry.log import get_logger
 from repro.trace import spans as trace_spans
@@ -46,108 +47,8 @@ from repro.types import ProcessStatus
 
 _log = get_logger("sim.fastcore")
 
-#: Upper bound on rounds, mirrored from :mod:`repro.sim.rounds`.
-_MAX_ROUNDS = 10_000
-
 #: Sentinel for payload types that declare no ``board_key``.
 _NO_KEY = object()
-
-
-# ---------------------------------------------------------------------------
-# Flat lateness
-# ---------------------------------------------------------------------------
-
-
-def _late_flags(
-    K: int,
-    pid_steps: list[list[int]],
-    send_events: list[int],
-    receive_events: list[int],
-) -> list[bool]:
-    """Lateness flag per delivered envelope, computed over flat arrays.
-
-    One deadline per distinct send event
-    (:func:`repro.sim.trace.send_deadlines`, the helper behind
-    :meth:`repro.sim.trace.Run.is_late`); an envelope is late iff it was
-    received after its send event's deadline.
-    """
-    deadlines = send_deadlines(K, pid_steps, send_events)
-    return [
-        deadlines[send] < receive
-        for send, receive in zip(send_events, receive_events)
-    ]
-
-
-# ---------------------------------------------------------------------------
-# Flat asynchronous rounds (replicates repro.sim.rounds.RoundAnalyzer)
-# ---------------------------------------------------------------------------
-
-
-def _flat_max_decision_round(
-    n: int,
-    K: int,
-    faulty: set[int],
-    receipts: list[list[tuple[int, int, int]]],
-    decision_clocks: list[int | None],
-    final_clocks: list[int],
-) -> int | None:
-    """Rounds to the last nonfaulty decision, over flat receipt lists.
-
-    ``receipts[pid]`` holds ``(sender, send_clock, receive_clock)`` for
-    every envelope delivered to ``pid`` from a nonfaulty sender, in
-    envelope-id order — the same inductive inputs
-    :class:`~repro.sim.rounds.RoundAnalyzer` extracts from a ``Run``.
-    """
-    targets = [
-        decision_clocks[pid]
-        if decision_clocks[pid] is not None
-        else final_clocks[pid]
-        for pid in range(n)
-    ]
-    ends: list[list[int]] = [[0] for _ in range(n)]
-    for round_number in range(1, _MAX_ROUNDS + 1):
-        if round_number > 1 and all(
-            ends[pid][-1] >= targets[pid] for pid in range(n)
-        ):
-            break
-        previous = round_number - 1
-        for pid in range(n):
-            pid_ends = ends[pid]
-            end = pid_ends[previous] + K
-            if previous >= 1:
-                for sender, send_clock, receive_clock in receipts[pid]:
-                    sender_ends = ends[sender]
-                    if previous >= len(sender_ends):
-                        continue
-                    if (
-                        sender_ends[previous - 1]
-                        < send_clock
-                        <= sender_ends[previous]
-                    ):
-                        candidate = receive_clock + K
-                        if candidate > end:
-                            end = candidate
-            pid_ends.append(end)
-    else:
-        raise AnalysisError(
-            f"round analysis did not converge within {_MAX_ROUNDS} rounds"
-        )
-    best: int | None = None
-    for pid in range(n):
-        clock = decision_clocks[pid]
-        if clock is None or pid in faulty:
-            continue
-        if clock <= 0:
-            raise AnalysisError(f"clock readings are positive, got {clock}")
-        index = bisect_left(ends[pid], clock)
-        if index >= len(ends[pid]):
-            raise AnalysisError(
-                f"clock {clock} beyond computed boundaries for "
-                f"processor {pid} (last end {ends[pid][-1]})"
-            )
-        if best is None or index > best:
-            best = index
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -534,64 +435,46 @@ def sweep_metrics(programs, processes, crashed, all_envs, pid_steps, event_count
     """Assemble the :class:`RunMetrics` bundle from flat sweep state.
 
     Takes ``programs``, then :func:`sweep_run`'s result, then ``K``.
-    Field-for-field the computation of ``extract_metrics`` +
-    ``metrics_from_run`` on the equivalent ``Run``, and recorded into
-    the ``analysis_*`` families as that is.
+    The flat records go into the one lateness comparison
+    (:func:`repro.sim.trace.late_envelopes`), the one round iteration
+    (:mod:`repro.sim.rounds`) and the one assembly
+    (:func:`repro.analysis.metrics.assemble_metrics`), which
+    ``metrics_from_run`` feeds from a ``Run``; the bundle is recorded
+    into the ``analysis_*`` families as that one is.
     """
     from repro.analysis.metrics import (
-        RunMetrics,
         _record_run_metrics,
+        assemble_metrics,
         stage_statistics,
     )
 
-    n = len(processes)
-    faulty = set(crashed)
-    nonfaulty = set(range(n)) - faulty
-    decisions = [process.decision for process in processes]
+    nonfaulty = set(range(len(processes))) - crashed
     decision_clocks = [process.decision_clock for process in processes]
-    final_clocks = [process.clock for process in processes]
-    delivered = [env for env in all_envs if env.receive_event is not None]
 
-    rounds: int | None = None
-    if terminated:
-        receipts: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-        for env in delivered:
-            if env.sender in nonfaulty:
+    def rounds():
+        receipts = [[] for _ in processes]
+        for env in all_envs:
+            if env.receive_event is not None and env.sender in nonfaulty:
                 receipts[env.recipient].append(
                     (env.sender, env.send_clock, env.receive_clock)
                 )
-        try:
-            rounds = _flat_max_decision_round(
-                n, K, faulty, receipts, decision_clocks, final_clocks
-            )
-        except AnalysisError:
-            rounds = None
+        targets = [
+            process.clock if clock is None else clock
+            for process, clock in zip(processes, decision_clocks)
+        ]
+        ends = round_ends(K, receipts, targets)
+        return max_decision_round(ends, decision_clocks, nonfaulty)
 
-    decision_values = {d for d in decisions if d is not None}
-    decision = (
-        next(iter(decision_values)) if len(decision_values) == 1 else None
-    )
-    decided_clocks = [c for c in decision_clocks if c is not None]
-    on_time = not any(
-        _late_flags(
-            K,
-            pid_steps,
-            [env.send_event for env in delivered],
-            [env.receive_event for env in delivered],
-        )
-    )
-    metrics = RunMetrics(
+    metrics = assemble_metrics(
         terminated=terminated,
-        consistent=len(decision_values) <= 1,
-        decision=decision,
+        decisions=[process.decision for process in processes],
+        decision_clocks=decision_clocks,
         rounds=rounds,
-        ticks=max(decided_clocks) if decided_clocks else None,
-        first_decision_ticks=min(decided_clocks) if decided_clocks else None,
+        on_time=not late_envelopes(K, pid_steps, all_envs),
         messages=len(all_envs),
         events=event_count,
-        crashes=len(faulty),
-        on_time=on_time,
-        **stage_statistics(programs, nonfaulty),
+        crashes=len(crashed),
+        stages=stage_statistics(programs, nonfaulty),
     )
     _record_run_metrics(metrics)
     return metrics

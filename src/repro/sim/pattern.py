@@ -168,12 +168,3 @@ class PatternView:
     def history(self) -> Sequence[PatternEntry]:
         """The full message pattern so far (a live, read-only window)."""
         return self._sim.pattern_history()
-
-    def steps_between(self, first_event: int, last_event: int) -> int:
-        """Largest per-processor step count within an event interval.
-
-        Used by delay-sensitive adversaries to keep (or break) the on-time
-        property: a message is late exactly when this exceeds ``K`` between
-        its send and receive events.
-        """
-        return self._sim.max_steps_between(first_event, last_event)

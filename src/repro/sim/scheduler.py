@@ -27,9 +27,8 @@ from __future__ import annotations
 
 import enum
 import time
-from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Collection, Sequence
 
 from repro.errors import ConfigurationError, SchedulingError
 from repro.sim.admissibility import AdmissibilityMonitor, AdmissibilityReport
@@ -185,8 +184,7 @@ class Simulation:
         self._outcome: Outcome | None = None
         self._result: SimulationResult | None = None
         # Per-processor sorted lists of the event indices at which the
-        # processor took a step.  ``max_steps_between`` answers interval
-        # queries with two bisects per processor.
+        # processor took a step, for lateness (``step_events``).
         self._pid_step_events: list[list[int]] = [[] for _ in range(n)]
         self.monitor = AdmissibilityMonitor(n=n, t=t)
         self.view = PatternView(self)
@@ -263,57 +261,19 @@ class Simulation:
         """The flat per-event rows recorded so far (do not mutate)."""
         return self._rows
 
+    def step_events(self) -> Sequence[Sequence[int]]:
+        """Per processor, the ascending event indices at which it stepped
+        (do not mutate)."""
+        return self._pid_step_events
+
+    def envelopes(self) -> Collection[Envelope]:
+        """Every envelope sent so far, in send order (do not mutate)."""
+        return self._envelopes.values()
+
     def last_event_recipients(self) -> frozenset[int]:
         """Recipients of the envelopes sent at the latest event."""
         _kind, _actor, _clock, _delivered, sent, _decision, _halted = self._rows[-1]
         return frozenset(env.recipient for env in sent)
-
-    def max_steps_between(self, first_event: int, last_event: int) -> int:
-        """Max per-processor step count strictly inside an event interval.
-
-        Equivalent to reading per-event cumulative step tables at the
-        interval's (clamped) endpoints: ``bisect_right`` over a
-        processor's step-event indices *is* its cumulative count after a
-        given event, saturating beyond the recorded range.
-        """
-        best = 0
-        hi = last_event - 1
-        for steps in self._pid_step_events:
-            if not steps:
-                continue
-            at_first = bisect_right(steps, first_event) if first_event >= 0 else 0
-            at_last = bisect_right(steps, hi) if last_event > 0 else 0
-            delta = at_last - at_first
-            if delta > best:
-                best = delta
-        return best
-
-    def max_delivery_lag(self, delivered_only: bool = False) -> int:
-        """Worst per-processor step count any envelope has sat undelivered.
-
-        For delivered envelopes this is the step count between send and
-        receive events; for still-pending envelopes it is measured against
-        the current event (a lower bound on their eventual lag — once it
-        exceeds ``K`` the envelope is late no matter when it arrives).  A
-        run prefix is on time in the paper's sense iff this stays <= K,
-        which is how the model checker recognises benign runs where
-        commit validity must bite.  With ``delivered_only`` pending
-        envelopes are skipped: at a terminal state every pending envelope
-        is addressed to a returned (or crashed) processor, whose receipt
-        can no longer influence anything.
-        """
-        worst = 0
-        for env in self._envelopes.values():
-            if env.receive_event is not None:
-                end = env.receive_event
-            elif delivered_only:
-                continue
-            else:
-                end = self.event_count
-            lag = self.max_steps_between(env.send_event, end)
-            if lag > worst:
-                worst = lag
-        return worst
 
     # -- run loop ---------------------------------------------------------------
 
@@ -396,7 +356,7 @@ class Simulation:
                 outcome.name.lower(),
                 self.event_count,
                 self._crashed,
-                self._envelopes.values(),
+                self.envelopes(),
                 time.perf_counter() - started,
             )
         recorder = trace_spans.active_recorder()

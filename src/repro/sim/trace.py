@@ -8,14 +8,16 @@ asynchronous rounds, and correctness conditions can be checked post-hoc.
 The lateness predicate implements the paper's definition: message ``m``
 is *late* in run ``R`` if any processor takes more than ``K`` steps
 between the event where ``m`` is sent and the event where ``m`` is
-received; a run is *on-time* if it contains no late message.  It is
-evaluated once per distinct send event, not once per envelope: every
-envelope of a broadcast shares its send event, so
-:func:`send_deadlines` turns that event into one deadline, the first
-event index at which a message sent there has been outlived by ``K + 1``
-steps of some processor, and an envelope is late iff it was received
-after its send event's deadline.  The fused sweep
-(:mod:`repro.sim.fastcore`) calls the same function.
+received; a run is *on-time* if it contains no late message.
+:func:`late_envelopes` is the one comparison, over flat facts (``K``,
+each processor's step indices, the envelopes): every envelope of a
+broadcast shares its send event, so :func:`send_deadlines` turns that
+event into one deadline, the first event index at which a message sent
+there has been outlived by ``K + 1`` steps of some processor, and an
+envelope is late iff it was received after its send event's deadline.
+:meth:`Run.late_messages` feeds it the recorded run, the fused sweep
+(:mod:`repro.sim.fastcore`) its flat records, and the model checker
+(:mod:`repro.mc.explorer`) the live kernel's.
 """
 
 from __future__ import annotations
@@ -23,10 +25,12 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TypeVar
 
 from repro.sim.message import Envelope, MessageId
 from repro.types import ProcessStatus
+
+_Env = TypeVar("_Env")
 
 
 def send_deadlines(
@@ -54,6 +58,28 @@ def send_deadlines(
                 deadline = steps[index]
         deadlines[send] = deadline
     return deadlines
+
+
+def late_envelopes(
+    K: int, pid_steps: Sequence[Sequence[int]], envelopes: Iterable[_Env]
+) -> list[_Env]:
+    """The late envelopes among ``envelopes``, in the order given.
+
+    An envelope is anything with a ``send_event`` and a
+    ``receive_event`` (``None`` while undelivered).  Only delivered
+    envelopes can be late: one received after its send event's
+    deadline (:func:`send_deadlines`).  This is the one lateness
+    comparison; ``docs/MODEL.md`` "Lateness" states the rule.
+    """
+    delivered = [env for env in envelopes if env.receive_event is not None]
+    deadlines = send_deadlines(
+        K, pid_steps, (env.send_event for env in delivered)
+    )
+    return [
+        env
+        for env in delivered
+        if deadlines[env.send_event] < env.receive_event
+    ]
 
 
 @dataclass(frozen=True)
@@ -111,7 +137,7 @@ class Run:
 
     # Cache: per-processor sorted list of event indices at which the
     # processor took a step; built lazily for lateness queries.
-    _step_indices: dict[int, list[int]] | None = field(
+    _step_indices: list[list[int]] | None = field(
         default=None, repr=False, compare=False
     )
     # Cache: the late-message list.  A Run is assembled once, after the
@@ -160,15 +186,15 @@ class Run:
 
     # -- lateness -------------------------------------------------------------
 
-    def _steps_of(self, pid: int) -> list[int]:
-        """Sorted event indices at which ``pid`` took a step."""
+    def _step_lists(self) -> list[list[int]]:
+        """Per processor, the sorted event indices at which it stepped."""
         if self._step_indices is None:
-            indices: dict[int, list[int]] = {p: [] for p in range(self.n)}
+            indices: list[list[int]] = [[] for _ in range(self.n)]
             for event in self.events:
                 if event.kind == "step":
                     indices[event.actor].append(event.index)
             self._step_indices = indices
-        return self._step_indices[pid]
+        return self._step_indices
 
     def steps_in_interval(self, pid: int, first_event: int, last_event: int) -> int:
         """How many steps ``pid`` took in the event interval (exclusive ends).
@@ -177,42 +203,26 @@ class Run:
         matches "takes more than K steps *between* the send event and the
         receive event".
         """
-        steps = self._steps_of(pid)
+        steps = self._step_lists()[pid]
         lo = bisect.bisect_right(steps, first_event)
         hi = bisect.bisect_left(steps, last_event)
         return hi - lo
 
-    def _deadlines(self, send_events: Iterable[int]) -> dict[int, float]:
-        steps = [self._steps_of(pid) for pid in range(self.n)]
-        return send_deadlines(self.K, steps, send_events)
-
     def is_late(self, envelope: Envelope) -> bool:
-        """The paper's lateness predicate for one delivered message.
+        """The paper's lateness predicate for one message.
 
         An undelivered envelope is not (yet) late — lateness is defined via
         the receive event.  Delivery-fairness violations are reported by the
         admissibility monitor instead.
         """
-        receive = envelope.receive_event
-        if receive is None:
-            return False
-        send = envelope.send_event
-        return self._deadlines((send,))[send] < receive
+        return bool(late_envelopes(self.K, self._step_lists(), (envelope,)))
 
     def late_messages(self) -> list[Envelope]:
         """Every late message in the run (cached after the first call)."""
         if self._late_cache is None:
-            delivered = [
-                env
-                for env in self.envelopes.values()
-                if env.receive_event is not None
-            ]
-            deadlines = self._deadlines(env.send_event for env in delivered)
-            self._late_cache = [
-                env
-                for env in delivered
-                if deadlines[env.send_event] < env.receive_event
-            ]
+            self._late_cache = late_envelopes(
+                self.K, self._step_lists(), self.envelopes.values()
+            )
         return list(self._late_cache)
 
     def is_on_time(self) -> bool:

@@ -17,7 +17,7 @@ from collections import Counter as TallyCounter
 from dataclasses import asdict
 from typing import Any, Callable, Collection, Iterable, Sequence
 
-from repro.core.agreement import AgreementStats
+from repro.core.agreement import AgreementStats, program_stats
 from repro.core.commit import CommitStats
 from repro.errors import AnalysisError
 from repro.sim.rounds import RoundAnalyzer
@@ -42,9 +42,7 @@ def _agreement_counters(programs: Sequence[Any] | None) -> dict[str, Any]:
     decision_stages: list[int] = []
     shared = 0
     private = 0
-    for program in programs:
-        stats = getattr(program, "stats", None)
-        agreement = getattr(stats, "agreement", stats)
+    for _stats, agreement in program_stats(programs):
         if agreement is None:
             continue
         started = getattr(agreement, "stages_started", None)
@@ -92,11 +90,9 @@ def record_trial(
         if amount:
             registry.counter(name, help).inc(amount, **labels)
 
-    for program in programs:
-        stats = getattr(program, "stats", None)
+    for stats, agreement in program_stats(programs):
         if isinstance(stats, CommitStats):
             _record_commit_stats(stats, count)
-        agreement = getattr(stats, "agreement", stats)
         if not isinstance(agreement, AgreementStats):
             continue
         count(

@@ -36,16 +36,6 @@ class TestPatternView:
         ids = sim.view.pending_ids(1)
         assert ids == sorted(ids)
 
-    def test_steps_between_counts_max_processor_steps(self):
-        sim = self.make()
-        for _ in range(2):
-            for pid in range(3):
-                sim.apply(StepDecision(pid=pid))
-        # Between event 0 and event 5 (exclusive bounds semantics of the
-        # underlying cumulative counts): each processor stepped at most
-        # twice in the window.
-        assert sim.max_steps_between(0, 6) <= 2
-
     def test_view_is_contents_free(self):
         sim = self.make()
         sim.apply(StepDecision(pid=0))

@@ -9,13 +9,20 @@ step and then idles; processor 1 idles until the scripted delivery.
 
 Definition recap: round 1 ends at clock K; round r > 1 ends at the later
 of (end_{r-1} + K) and (receipt of the last round-(r-1) message + K).
+
+Every test runs through both entry points of the one round iteration:
+a ``Run`` through :class:`RoundAnalyzer`, and flat
+``(sender, send_clock, receive_clock)`` receipts plus target clocks
+passed straight to :func:`round_ends`, the way the fused sweep calls it.
 """
+
+import pytest
 
 from repro.adversary.scripted import ScriptedAdversary
 from repro.sim.decisions import StepDecision
 from repro.sim.message import MessageId, RawPayload
 from repro.sim.process import Program
-from repro.sim.rounds import RoundAnalyzer
+from repro.sim.rounds import RoundAnalyzer, round_ends
 from repro.sim.scheduler import Simulation
 from repro.sim.waits import ClockAtLeast
 
@@ -51,8 +58,36 @@ def run_schedule(programs, decisions, K=2):
     return sim.run().run
 
 
+def analyzer_ends(run):
+    """Round ends per processor, computed from the ``Run``."""
+    analyzer = RoundAnalyzer(run)
+    return [analyzer.boundaries(pid).ends for pid in range(run.n)]
+
+
+def flat_ends(run):
+    """Round ends per processor, from flat receipts and target clocks."""
+    nonfaulty = run.nonfaulty()
+    receipts = [[] for _ in range(run.n)]
+    for env in run.envelopes.values():
+        if env.receive_event is not None and env.sender in nonfaulty:
+            receive_clock = run.events[env.receive_event].clock_after
+            receipts[env.recipient].append(
+                (env.sender, env.send_clock, receive_clock)
+            )
+    targets = [0] * run.n
+    for event in run.events:
+        if event.kind == "step":
+            targets[event.actor] = event.clock_after
+    return round_ends(run.K, receipts, targets)
+
+
+@pytest.fixture(params=[analyzer_ends, flat_ends], ids=["run", "flat"])
+def ends_of(request):
+    return request.param
+
+
 class TestExactBoundaries:
-    def test_receipt_extends_the_following_round(self):
+    def test_receipt_extends_the_following_round(self, ends_of):
         # p0 sends m at clock 1 (its round 1).  p1 receives m at clock 5.
         # p1's round 2 must therefore end at max(2 + 2, 5 + 2) = 7,
         # and its round 3 at 7 + 2 = 9.
@@ -64,16 +99,14 @@ class TestExactBoundaries:
         for _ in range(6):
             decisions += [StepDecision(pid=0), StepDecision(pid=1)]
         run = run_schedule(programs, decisions)
-        analyzer = RoundAnalyzer(run)
-        p1 = analyzer.boundaries(1).ends
+        p0, p1 = ends_of(run)
         assert p1[1] == 2  # round 1 ends at clock K
         assert p1[2] == 7  # stretched by the receipt at clock 5
         assert p1[3] == 9
         # p0 heard nothing: pure K-spaced rounds.
-        p0 = analyzer.boundaries(0).ends
         assert p0[1:4] == [2, 4, 6]
 
-    def test_prompt_receipt_does_not_stretch(self):
+    def test_prompt_receipt_does_not_stretch(self, ends_of):
         # p1 receives m at clock 2: max(2 + 2, 2 + 2) = 4 — no stretch.
         programs = [OneShotSender(0, 2), Idler(1, 2)]
         decisions = [StepDecision(pid=0)]
@@ -82,10 +115,9 @@ class TestExactBoundaries:
         for _ in range(5):
             decisions += [StepDecision(pid=0), StepDecision(pid=1)]
         run = run_schedule(programs, decisions)
-        analyzer = RoundAnalyzer(run)
-        assert analyzer.boundaries(1).ends[1:4] == [2, 4, 6]
+        assert ends_of(run)[1][1:4] == [2, 4, 6]
 
-    def test_round_two_message_extends_round_three(self):
+    def test_round_two_message_extends_round_three(self, ends_of):
         # p0 sends at its clock 3, i.e. in p0's round 2 (ends at 4).
         # p1 receives it at clock 9.  The receipt therefore extends p1's
         # round *3* (the round after the sender's), not round 2:
@@ -97,14 +129,13 @@ class TestExactBoundaries:
         for _ in range(6):
             decisions += [StepDecision(pid=0), StepDecision(pid=1)]
         run = run_schedule(programs, decisions)
-        analyzer = RoundAnalyzer(run)
-        p1 = analyzer.boundaries(1).ends
+        p1 = ends_of(run)[1]
         assert p1[1] == 2
         assert p1[2] == 4  # untouched: the message was not a round-1 send
         assert p1[3] == 11  # stretched by the round-2 message
         assert p1[4] == 13
 
-    def test_crashed_senders_messages_do_not_stretch(self):
+    def test_crashed_senders_messages_do_not_stretch(self, ends_of):
         # Same delivery at clock 5 as the first test, but the sender is
         # crashed afterwards: messages from faulty processors do not
         # extend rounds (the definition quantifies over nonfaulty q).
@@ -117,5 +148,4 @@ class TestExactBoundaries:
         decisions += [CrashDecision(pid=0)]
         decisions += [StepDecision(pid=1)] * 8
         run = run_schedule(programs, decisions)
-        analyzer = RoundAnalyzer(run)
-        assert analyzer.boundaries(1).ends[1:4] == [2, 4, 6]
+        assert ends_of(run)[1][1:4] == [2, 4, 6]
