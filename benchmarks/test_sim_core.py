@@ -19,9 +19,10 @@ campaign's sim track over a fixed window of plans (n=5, t=2, 12 plans of
 which 3 are over budget), chosen the way ``benchmarks/e2e/simmix.py``
 chooses its window; it is what notices if campaign trials stop reaching
 the sweep.  The 3 over-budget plans still reach the step horizon, but
-their parked tail (:mod:`repro.sim.parking`) is not stepped: the
-reference kernel writes it one idle row per event and the sweep adds it
-in one go, so this row's speedup is higher than the commit rows'.  The atlas row runs degradation
+their parked tail (:mod:`repro.sim.parking`) is not stepped: both
+kernels write it per processor (the reference still leaves one row per
+event), so the tail costs either core little and this row's speedup
+rests mostly on the 9 within-budget plans.  The atlas row runs degradation
 atlas cells (``repro models atlas``): every protocol of the battery under
 every timing model of the zoo, default :class:`AtlasConfig`, the first
 ``ATLAS_SEEDS`` seeds; it is what notices if atlas cells stop reaching

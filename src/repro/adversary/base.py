@@ -102,12 +102,20 @@ class DeliveryPolicy:
     #: a scripted prefix in front of a cycle adversary does not record.
     delivers_all = True
 
+    #: The class's ``(blocked, expired, admits)``: each gate's function
+    #: where the class overrides it, ``None`` where it keeps the no-op
+    #: default.  Resolved once per class; :meth:`select` and the fast
+    #: core's selector skip a ``None`` gate instead of calling it, and
+    #: call the others unbound, with the policy first.
+    gates: tuple = (None, None, None)
+
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        cls.delivers_all = all(
-            cls.keeps_default(name)
-            for name in ("blocked", "hold", "expired", "admits")
+        cls.gates = tuple(
+            None if cls.keeps_default(name) else getattr(cls, name)
+            for name in ("blocked", "expired", "admits")
         )
+        cls.delivers_all = cls.keeps_default("hold") and not any(cls.gates)
 
     @classmethod
     def keeps_default(cls, name: str) -> bool:
@@ -148,20 +156,21 @@ class DeliveryPolicy:
         holds = self._holds
         cycle = ctx.cycle
         event_cycles = ctx.event_cycles
+        blocked, expired, admits = self.gates
         chosen = []
         for message in pending:
             sender = message.sender
-            if self.blocked(sender, pid, cycle):
+            if blocked is not None and blocked(self, sender, pid, cycle):
                 continue
             send_cycle = event_cycles[message.send_event]
             hold = holds.get(message.message_id)
             if hold is None:
                 hold = self.hold(sender, pid, send_cycle, ctx.rng)
                 holds[message.message_id] = hold
-            if self.expired(send_cycle, cycle):
+            if expired is not None and expired(self, send_cycle, cycle):
                 continue
-            if cycle - send_cycle >= hold and self.admits(
-                pid, message.guaranteed
+            if cycle - send_cycle >= hold and (
+                admits is None or admits(self, pid, message.guaranteed)
             ):
                 chosen.append(message.message_id)
         return tuple(chosen)

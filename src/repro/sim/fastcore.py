@@ -160,17 +160,14 @@ def _fast_selector(policy, rng):
     holds = policy._holds
     draw = policy.hold
     # A gate left at its no-op default is skipped, not called.
-    blocked, expired, admits = (
-        None if policy.keeps_default(name) else getattr(policy, name)
-        for name in ("blocked", "expired", "admits")
-    )
+    blocked, expired, admits = policy.gates
 
     def select(pid, buffer, cycle):
         chosen = []
         get = holds.get
         for env in buffer.values():
             sender = env.sender
-            if blocked is not None and blocked(sender, pid, cycle):
+            if blocked is not None and blocked(policy, sender, pid, cycle):
                 continue
             send_cycle = env.send_cycle
             hold = get(env.message_id)
@@ -178,10 +175,10 @@ def _fast_selector(policy, rng):
                 hold = holds[env.message_id] = draw(
                     sender, pid, send_cycle, rng
                 )
-            if expired is not None and expired(send_cycle, cycle):
+            if expired is not None and expired(policy, send_cycle, cycle):
                 continue
             if cycle - send_cycle >= hold and (
-                admits is None or admits(pid, env.guaranteed)
+                admits is None or admits(policy, pid, env.guaranteed)
             ):
                 chosen.append(env)
         return chosen
@@ -419,7 +416,8 @@ def _finish_parked(processes, pid_steps, alive, event_count, max_steps):
 
     The run is at a cycle boundary, so ``alive[i]`` takes events
     ``event_count + i``, then every ``len(alive)`` events after.  As in
-    the loop, only a running processor draws a tape value.
+    the loop, only a running processor's tape moves, and
+    ``RandomTape.advance`` moves it without drawing.
     """
     width = len(alive)
     for offset, pid in enumerate(alive):

@@ -18,9 +18,10 @@ or :meth:`Simulation.build_run` is first called.  A trial that reads only
 the outcome, the decisions and the crashed set off the kernel
 (:func:`repro.sim.coreselect.run_sim_trial`) builds neither.
 
-A run that parks (:mod:`repro.sim.parking`) is finished through
-:meth:`Simulation._idle_step`, one event per row as ever, without asking
-the adversary or resuming any program.
+A run that parks (:mod:`repro.sim.parking`) is finished in one go by
+:meth:`Simulation._finish_parked`, per processor rather than per event,
+without asking the adversary or resuming any program; it still leaves
+one row per event.
 """
 
 from __future__ import annotations
@@ -58,8 +59,9 @@ _log = get_logger("sim.scheduler")
 
 #: One applied event: ``(kind, actor, clock_after, delivered, sent,
 #: decision_after, halted_after)``.  ``delivered`` and ``sent`` hold the
-#: envelopes themselves (ids and recipients never change after a send);
-#: the event's index is the row's position.
+#: envelopes themselves (ids and recipients never change after a send),
+#: and an empty one is the shared ``()``; the event's index is the row's
+#: position.
 EventRow = tuple[
     str, int, int, Sequence[Envelope], Sequence[Envelope], int | None, bool
 ]
@@ -187,7 +189,6 @@ class Simulation:
         # processor took a step, for lateness (``step_events``).
         self._pid_step_events: list[list[int]] = [[] for _ in range(n)]
         self.monitor = AdmissibilityMonitor(n=n, t=t)
-        self.view = PatternView(self)
         # Hot-path caches for the adversary-facing pattern view.  All are
         # derived state: crashes invalidate the crash/alive caches, buffer
         # versions gate the pending-metadata cache, and the history window
@@ -203,6 +204,16 @@ class Simulation:
         self._pending_meta: list[tuple[int, list[PendingMessage]] | None] = [
             None
         ] * n
+
+    @property
+    def view(self) -> PatternView:
+        """A read-only pattern view of this simulation, for adversaries.
+
+        Built per access and not kept, so that the simulation holds no
+        reference back to itself and a finished one is freed by its
+        reference count, without waiting for the cyclic collector.
+        """
+        return PatternView(self)
 
     # -- queries used by PatternView -----------------------------------------
 
@@ -314,6 +325,7 @@ class Simulation:
 
         self._result = None
         started = time.perf_counter()
+        view = PatternView(self)
         # The event count at which to look for a parked run next; past
         # the horizon when the adversary is not one that can park.
         park_check = (
@@ -323,7 +335,7 @@ class Simulation:
         )
         while not self.all_nonfaulty_done() and self.event_count < self.max_steps:
             try:
-                decision = self.adversary.decide(self.view)
+                decision = self.adversary.decide(view)
             except Exception:
                 _log.exception(
                     "adversary %s failed deciding event %d",
@@ -406,12 +418,68 @@ class Simulation:
             from repro.sim.parking import parked
 
             if parked(self.processes, self.buffers, adversary._pending_crashes):
-                while self.event_count < self.max_steps:
-                    adversary._cycle += 1
-                    adversary._queue = list(alive)
-                    for pid in alive[: self.max_steps - self.event_count]:
-                        self._idle_step(pid)
+                self._finish_parked()
         return self.event_count + len(alive)
+
+    def _finish_parked(self) -> None:
+        """Write the rest of a parked run, up to the horizon, in one go.
+
+        The run is at a cycle boundary, so ``alive[i]`` takes events
+        ``start + i``, then every ``len(alive)`` events after.  Each such
+        event is what the adversary's decision and :meth:`_apply_step`
+        would record for a step that delivers nothing: the adversary's
+        queue, cycle and event cycles, the clock, the tape position, the
+        step index and an empty row.  The program is not resumed, since
+        its wait cannot be satisfied (:mod:`repro.sim.parking`).
+
+        A finite tape that runs out first ends the run where stepping
+        would: the step after its last cell is decided and ticks the
+        clock, and its draw raises
+        :class:`~repro.errors.TapeExhaustedError` before a row is written.
+        """
+        adversary = self.adversary
+        alive = self._alive_tuple
+        width = len(alive)
+        start = self.event_count
+        end = self.max_steps
+        if start >= end:
+            return
+        for offset, pid in enumerate(alive):
+            tape = self.processes[pid].tape
+            if tape.length is not None:
+                left = tape.length - tape.position
+                end = min(end, start + offset + left * width)
+        # Rows are written for events start..end-1; the adversary also
+        # decides event ``end`` when a tape runs out there.
+        decided = end + 1 if end < self.max_steps else end
+        # Idle events go round ``alive`` once per adversary cycle, from
+        # the cycle after the current one.
+        taken = decided - start
+        first = adversary._cycle + 1
+        cycles = range(first, first - (-taken // width))
+        event_cycles = [cycle for cycle in cycles for _pid in alive]
+        del event_cycles[taken:]
+        adversary._event_cycles += event_cycles
+        adversary._cycle = cycles[-1]
+        adversary._queue = list(alive[(taken - 1) % width + 1 :])
+        idle = []
+        for offset, pid in enumerate(alive):
+            process = self.processes[pid]
+            steps = range(start + offset, end, width)
+            idle.append((pid, process.clock, process.decision, process.halted))
+            process.clock += len(range(start + offset, decided, width))
+            process.tape.advance(len(steps))
+            self._pid_step_events[pid].extend(steps)
+        rows = [
+            ("step", pid, clock + ticks, (), (), decision, halted)
+            for ticks in range(1, len(cycles) + 1)
+            for pid, clock, decision, halted in idle
+        ]
+        del rows[end - start :]
+        self._rows += rows
+        self.event_count = end
+        if end < self.max_steps:
+            self.processes[alive[(end - start) % width]].tape.next_step_value()
 
     # -- decision application ------------------------------------------------
 
@@ -494,25 +562,7 @@ class Simulation:
         if envelopes or sent_envelopes:
             self._quiet_from = self.event_count + 1
         self._pid_step_events[pid].append(self.event_count)
-        self._record_event("step", pid, envelopes, sent_envelopes)
-
-    def _idle_step(self, pid: int) -> None:
-        """Apply one step of a parked run.
-
-        What the adversary's decision and :meth:`_apply_step` would write
-        for ``pid`` receiving nothing: the adversary's queue and event
-        cycle, then the clock, the tape value, the step index and the
-        row.  The program is not resumed, since its wait cannot be
-        satisfied (:mod:`repro.sim.parking`).
-        """
-        adversary = self.adversary
-        adversary._queue.pop(0)
-        adversary._event_cycles.append(adversary._cycle)
-        process = self.processes[pid]
-        process.clock += 1
-        process.tape.next_step_value()
-        self._pid_step_events[pid].append(self.event_count)
-        self._record_event("step", pid, [], [])
+        self._record_event("step", pid, envelopes or (), sent_envelopes or ())
 
     def _record_event(
         self,

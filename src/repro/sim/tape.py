@@ -58,7 +58,8 @@ class RandomTape:
     Attributes:
         seed: generator seed for lazily extended tapes (ignored when
             ``values`` is given and ``finite`` is true).
-        values: materialised prefix of the tape.
+        values: materialised prefix of the tape; on an infinite tape it
+            may end before :attr:`position` (see :meth:`advance`).
         finite: when true, reading past ``values`` raises
             :class:`~repro.errors.TapeExhaustedError` instead of extending.
     """
@@ -109,24 +110,27 @@ class RandomTape:
         self._position += 1
         self._bits_this_step = None
         self._bits_consumed = 0
-        self._current_value = value
         return value
 
     def advance(self, count: int) -> None:
-        """Consume ``count`` step values at once.
+        """Consume ``count`` step values at once, drawing none of them.
 
-        Leaves the state ``count`` calls of :meth:`next_step_value` would
-        leave: the same position, materialised cells and current value.
-        A finite tape too short for ``count`` raises
-        :class:`~repro.errors.TapeExhaustedError` and consumes nothing.
+        Only the position moves: the cells stepped over are drawn when a
+        later read (:meth:`next_step_value`, :meth:`peek`, :meth:`flip`)
+        reaches past them.  The generator is private to the tape, so
+        drawing later yields the same stream, and every read returns
+        what it would after ``count`` calls of :meth:`next_step_value`.
+        O(1) on an infinite tape.  A finite tape too short for ``count``
+        raises :class:`~repro.errors.TapeExhaustedError` and consumes
+        nothing.
         """
         if count <= 0:
             return
-        self._ensure(self._position + count)
+        if self.finite:
+            self._ensure(self._position + count)
         self._position += count
         self._bits_this_step = None
         self._bits_consumed = 0
-        self._current_value = self.values[self._position - 1]
 
     def flip(self, count: int) -> list[int]:
         """Return ``count`` random bits derived from the current step.
@@ -147,7 +151,7 @@ class RandomTape:
                 "flip() called before the tape supplied a step value"
             )
         if self._bits_this_step is None:
-            self._bits_this_step = _bit_expander(self._current_value)
+            self._bits_this_step = _bit_expander(self.peek(self._position - 1))
             self._bits_consumed = 0
         if self._bits_consumed + count > _MAX_BITS_PER_STEP:
             raise TapeExhaustedError(
@@ -162,9 +166,10 @@ class RandomTape:
 
         Cells are drawn in deterministic batches (rounded up to the next
         :data:`_PREFILL_CHUNK` boundary) so the generator is called once
-        per round's worth of steps rather than once per step.  Because the
-        batch boundary depends only on ``length`` the materialised values
-        are the identical stream a per-step loop would have produced.
+        per round's worth of steps rather than once per step.  The
+        generator is read in order from the first unmaterialised cell, so
+        however the batches fall (and however far :meth:`advance` moved
+        ahead of them) the cells are the stream a per-step loop draws.
         """
         have = len(self.values)
         if have >= length:

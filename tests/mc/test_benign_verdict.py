@@ -30,8 +30,15 @@ STATES_VISITED = {
 }
 
 
-@pytest.mark.parametrize(("K", "votes"), sorted(STATES_VISITED))
-def test_benign_verdict_is_the_runs_on_time(monkeypatch, K, votes):
+#: A cheap set of bounds that reaches more than the defaults'
+#: one crash-free terminal per vote vector (``docs/MODELCHECK.md``).
+WIDER_BOUNDS = dict(crash_budget=0, delay_budget=2, max_late=1)
+
+
+def _crash_free_terminals(monkeypatch, config):
+    """Explore ``config``; return the report and, per crash-free terminal
+    arrival, the explorer's ``benign`` verdict and the built run's
+    ``is_on_time()``."""
     live = {}
     verdicts = []
     check_state = explorer_module._SubtreeExplorer.check_state
@@ -51,10 +58,28 @@ def test_benign_verdict_is_the_runs_on_time(monkeypatch, K, votes):
         explorer_module._SubtreeExplorer, "check_state", remember_sim
     )
     monkeypatch.setattr(SafetyMonitor, "check", compare)
-    report = explore(MCConfig(n=3, t=1, K=K, votes=votes), workers=1)
+    return explore(config, workers=1), verdicts
+
+
+@pytest.mark.parametrize(("K", "votes"), sorted(STATES_VISITED))
+def test_benign_verdict_is_the_runs_on_time(monkeypatch, K, votes):
+    report, verdicts = _crash_free_terminals(
+        monkeypatch, MCConfig(n=3, t=1, K=K, votes=votes)
+    )
     assert report.stats.states_visited == STATES_VISITED[(K, votes)]
     assert verdicts
     assert all(benign == on_time for benign, on_time in verdicts)
+
+
+def test_wider_bounds_reach_more_on_time_crash_free_terminals(monkeypatch):
+    report, verdicts = _crash_free_terminals(
+        monkeypatch, MCConfig(n=3, t=1, K=2, votes=(1, 1, 1), **WIDER_BOUNDS)
+    )
+    assert not report.violations
+    assert report.stats.states_visited == 363
+    assert sum(on_time for _benign, on_time in verdicts) > 1
+    # A benign verdict is never given to a late run.
+    assert all(on_time for benign, on_time in verdicts if benign)
 
 
 @pytest.mark.parametrize("seed", range(3))

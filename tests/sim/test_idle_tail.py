@@ -1,16 +1,17 @@
 """Parked runs finish to the horizon without being stepped, on both kernels.
 
 A run is parked (:mod:`repro.sim.parking`) when nothing it holds can
-change any more; the reference kernel then applies the rest of its
-events through ``Simulation._idle_step`` and the fused sweep adds them
-arithmetically.  Every test here runs each trial twice on the same
-kernel, once as shipped and once with the parked test patched off, so
-that every event is stepped, and requires the two to be equal: the
+change any more; both kernels then write the rest of its events per
+processor (``Simulation._finish_parked``, ``fastcore._finish_parked``)
+instead of stepping them.  Every test here runs each trial twice on the
+same kernel, once as shipped and once with the parked test patched off,
+so that every event is stepped, and requires the two to be equal: the
 campaign record, the rows, the ``Run``, the ``RunMetrics``, the horizon
-warning, every process's clock and tape, and the adversary's cycle
-bookkeeping and rng.  The negative cases hold a blocker (a pending
-timeout, a partitioned envelope, a late crash, an adversary that
-decides for itself, a finite tape) and require the cut to wait for it.
+warning, every process's clock and the stream its tape handed out, and
+the adversary's cycle bookkeeping and rng.  The negative cases hold a
+blocker (a pending timeout, a partitioned envelope, a late crash, an
+adversary that decides for itself, a finite tape) and require the cut
+to wait for it.
 """
 
 import logging
@@ -97,11 +98,10 @@ def spy(monkeypatch):
 
 
 def _tape_state(tape):
-    return (
-        tape.position,
-        list(tape.values),
-        getattr(tape, "_current_value", None),
-    )
+    """The stream a tape has handed out: its position and every cell
+    before it.  Which cells are materialised is the tape's own cache
+    (``RandomTape.advance`` draws none), so it is not compared."""
+    return (tape.position, [tape.peek(i) for i in range(tape.position)])
 
 
 def _adversary_state(adversary):
@@ -387,8 +387,9 @@ def test_quiet_run_that_terminates_is_not_cut(kernel, spy, caplog):
 
 
 def test_finite_tape_runs_out_at_the_same_event(spy):
-    """The cut draws each tape value in turn, so a finite tape runs out
-    at the event that stepping would have reached."""
+    """The cut finds where a finite tape runs out from the tapes'
+    remaining cells, so it raises at the event stepping would have
+    reached, with the state stepping leaves."""
     n, length = 4, 500
 
     def attempt():
@@ -421,3 +422,80 @@ def test_finite_tape_runs_out_at_the_same_event(spy):
     spy.stepping = True
     assert cut == attempt()
     assert cut[1] == n * length
+
+
+@pytest.mark.parametrize("lengths", [(520, 505, 530, 510), (700, 700, 700, 650)])
+def test_the_shortest_finite_tape_stops_the_cut_mid_cycle(spy, lengths):
+    """Tapes of different lengths: the one that runs out first, at any
+    offset in the cycle, raises where stepping raises, with the same
+    rows, clocks, tape positions and adversary state."""
+
+    def attempt():
+        tapes = TapeCollection.from_tapes(
+            [
+                RandomTape.from_values([(pid + 1) / 10] * length)
+                for pid, length in enumerate(lengths)
+            ]
+        )
+        simulation = Simulation(
+            _programs(HelloThenBlock, len(lengths)),
+            CycleAdversary(seed=1),
+            K=4,
+            t=1,
+            tapes=tapes,
+            max_steps=MAX_STEPS,
+        )
+        with pytest.raises(TapeExhaustedError) as raised:
+            simulation.execute()
+        return (
+            str(raised.value),
+            simulation.event_count,
+            list(simulation.event_rows()),
+            [
+                (process.clock, process.tape.position)
+                for process in simulation.processes
+            ],
+            _adversary_state(simulation.adversary),
+        )
+
+    cut = attempt()
+    assert spy.cuts
+    spy.stepping = True
+    assert cut == attempt()
+    assert cut[1] < MAX_STEPS
+
+def test_reference_cut_draws_no_tape_cells(spy, monkeypatch):
+    """Once the reference kernel cuts a parked run it reads no tape: each
+    position moves by ``RandomTape.advance``, which draws no cells."""
+    calls = []
+    step_value = RandomTape.next_step_value
+
+    def counting(tape):
+        calls.append(tape)
+        return step_value(tape)
+
+    monkeypatch.setattr(RandomTape, "next_step_value", counting)
+    simulation = Simulation(
+        _programs(HelloThenBlock, 4),
+        CycleAdversary(seed=1),
+        K=4,
+        t=1,
+        seed=3,
+        max_steps=MAX_STEPS,
+    )
+    at_cut = []
+    finish = simulation._finish_parked
+
+    def noting():
+        at_cut.append(
+            (len(calls), [len(tape.values) for tape in simulation.tapes])
+        )
+        finish()
+
+    simulation._finish_parked = noting
+    assert simulation.execute() is Outcome.HORIZON
+    assert spy.cuts and at_cut
+    calls_at_cut, drawn_at_cut = at_cut[0]
+    assert 0 < calls_at_cut == len(calls)
+    assert [len(tape.values) for tape in simulation.tapes] == drawn_at_cut
+    assert simulation.event_count == MAX_STEPS

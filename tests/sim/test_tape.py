@@ -121,7 +121,20 @@ class TestRandomTape:
             stepped.next_step_value()
         skipped.advance(count)
         assert skipped.position == stepped.position
-        assert skipped.values == stepped.values
+        assert [skipped.peek(i) for i in range(skipped.position)] == [
+            stepped.peek(i) for i in range(stepped.position)
+        ]
+        assert skipped.flip(8) == stepped.flip(8)
+        assert skipped.next_step_value() == stepped.next_step_value()
+
+    @pytest.mark.parametrize("count", [1, 64, 300])
+    def test_advance_draws_nothing_and_flip_reads_the_last_cell(self, count):
+        stepped, skipped = RandomTape(seed=9), RandomTape(seed=9)
+        for _ in range(count):
+            stepped.next_step_value()
+        skipped.advance(count)
+        assert skipped.values == []
+        assert skipped.flip(8) == stepped.flip(8)
         assert skipped.flip(8) == stepped.flip(8)
         assert skipped.next_step_value() == stepped.next_step_value()
 
