@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""CI gate on what a service process imports before it can serve.
+"""CI gate on what a process imports before its first piece of work.
 
     python3 scripts/start_budget.py
 
@@ -18,8 +18,17 @@ that repeat exactly on every host.  The wall time of ``python -m repro
 service --help`` (median of five) is printed beside them and gates
 nothing: it follows the host.
 
-``tests/service/test_start_budget.py`` runs the same probes under
-Tier-1.
+The sim side has a budget too.  A campaign, atlas, experiment or model
+checker run pays its imports before its first trial, and scipy with
+numpy is most of what it could pay for nothing (``docs/PERFORMANCE.md``,
+"Start-up of a sim-side process").  :data:`SIM_PROBES` runs four such
+commands to completion, and one fresh interpreter imports what the
+``sim_mix`` benchmark's setup probe imports
+(``benchmarks/e2e/simmix.py``); none may hold a module from
+:data:`SIM_FORBIDDEN`.
+
+``tests/service/test_start_budget.py`` and
+``tests/test_sim_start_budget.py`` run the same probes under Tier-1.
 """
 
 from __future__ import annotations
@@ -31,9 +40,12 @@ import subprocess
 import sys
 import tempfile
 import time
+from functools import partial
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src"
+SIMMIX = REPO / "benchmarks" / "e2e" / "simmix.py"
 
 #: Most ``repro.*`` modules a service process may hold when it starts
 #: listening (or, for a client command, when it exits).
@@ -57,6 +69,19 @@ FORBIDDEN = (
     "repro.service.load",
     "repro.service.cluster",
 )
+
+#: Modules (and everything below them) no sim-side process loads: the
+#: only user of scipy is a confidence interval, which imports it on
+#: first use.
+SIM_FORBIDDEN = ("numpy", "scipy")
+
+#: Sim-side commands; each must exit 0.
+SIM_PROBES = (
+    ["models", "atlas", "--trials", "1"],
+    ["experiment", "E2", "--quick", "--json"],
+    ["faults", "campaign", "--plans", "4", "--tracks", "sim", "--n", "5", "--t", "2"],
+    ["mc", "explore", "--n", "3", "--t", "1", "--K", "2", "--votes", "1,1,1"],
+)  # fmt: skip
 
 #: Runs ``python -m repro <argv>`` in this interpreter and prints
 #: ``sys.modules`` on one ``MODULES`` line: for ``service start`` from a
@@ -104,10 +129,30 @@ def _environment() -> dict[str, str]:
     return env
 
 
+#: Imports ``simmix.py`` (its ``__main__`` block does not run) and prints
+#: ``sys.modules`` the same way.
+_IMPORT_PROBE = r"""
+import os, runpy, sys
+
+sys.path.insert(0, os.path.dirname(sys.argv[1]))
+runpy.run_path(sys.argv[1], run_name="simmix")
+print("MODULES " + " ".join(sorted(sys.modules)), flush=True)
+"""
+
+
 def loaded_modules(argv: list[str], timeout: float = 60.0) -> tuple[int, list[str]]:
     """Exit code and ``sys.modules`` of ``python -m repro <argv>``."""
+    return _modules_of(_PROBE, argv, timeout)
+
+
+def setup_probe_modules(timeout: float = 60.0) -> tuple[int, list[str]]:
+    """What ``sim_mix``'s setup probe imports, in a fresh interpreter."""
+    return _modules_of(_IMPORT_PROBE, [str(SIMMIX)], timeout)
+
+
+def _modules_of(code: str, argv: list[str], timeout: float) -> tuple[int, list[str]]:
     done = subprocess.run(
-        [sys.executable, "-c", _PROBE, *argv],
+        [sys.executable, "-c", code, *argv],
         env=_environment(),
         stdin=subprocess.DEVNULL,
         capture_output=True,
@@ -118,7 +163,7 @@ def loaded_modules(argv: list[str], timeout: float = 60.0) -> tuple[int, list[st
         if line.startswith("MODULES "):
             return done.returncode, line.split()[1:]
     raise RuntimeError(
-        f"repro {' '.join(argv)} exited {done.returncode} without "
+        f"{' '.join(argv)} exited {done.returncode} without "
         f"reporting its modules:\n{done.stdout}{done.stderr}"
     )
 
@@ -145,19 +190,27 @@ def client_modules(command: str) -> tuple[int, list[str]]:
     return loaded_modules(["service", command, "--timeout", "1", *argv])
 
 
-def over_budget(modules: list[str]) -> list[str]:
-    """Why ``modules`` breaks the budget; empty when it does not."""
+def over_budget(
+    modules: list[str],
+    forbidden: tuple[str, ...] = FORBIDDEN,
+    repro_budget: int | None = REPRO_MODULE_BUDGET,
+) -> list[str]:
+    """Why ``modules`` breaks the budget; empty when it does not.
+
+    The defaults are the service budget; a sim-side process is checked
+    against ``SIM_FORBIDDEN`` with no ``repro.*`` count.
+    """
     problems = []
-    for root in FORBIDDEN:
+    for root in forbidden:
         under = [m for m in modules if m == root or m.startswith(root + ".")]
         if under:
             problems.append(
                 f"forbidden: {root} ({len(under)} modules, first {under[0]})"
             )
     ours = repro_modules(modules)
-    if len(ours) > REPRO_MODULE_BUDGET:
+    if repro_budget is not None and len(ours) > repro_budget:
         problems.append(
-            f"{len(ours)} repro.* modules, budget {REPRO_MODULE_BUDGET}: "
+            f"{len(ours)} repro.* modules, budget {repro_budget}: "
             + " ".join(ours)
         )
     return problems
@@ -184,18 +237,26 @@ def help_wall_seconds(repeats: int = 5) -> float:
 
 def main() -> int:
     failed = False
+    service = (FORBIDDEN, REPRO_MODULE_BUDGET)
+    sim = (SIM_FORBIDDEN, None)
     probes = [
-        ("service start (at listening)", node_modules_at_listening, 0),
-        ("service status", lambda: client_modules("status"), 0),
-        ("service submit", lambda: client_modules("submit"), 2),
+        ("service start (at listening)", node_modules_at_listening, 0, service),
+        ("service status", lambda: client_modules("status"), 0, service),
+        ("service submit", lambda: client_modules("submit"), 2, service),
+        *(
+            (f"repro {' '.join(argv)}", partial(loaded_modules, argv), 0, sim)
+            for argv in SIM_PROBES
+        ),
+        ("import of sim_mix's setup probe", setup_probe_modules, 0, sim),
     ]
-    for label, probe, expected_code in probes:
+    for label, probe, expected_code, (forbidden, budget) in probes:
         code, modules = probe()
+        limit = "no budget" if budget is None else f"budget {budget}"
         print(
             f"{label}: {len(repro_modules(modules))} repro.* modules "
-            f"(budget {REPRO_MODULE_BUDGET}), {len(modules)} in all"
+            f"({limit}), {len(modules)} in all"
         )
-        problems = over_budget(modules)
+        problems = over_budget(modules, forbidden, budget)
         if code != expected_code:
             problems.append(f"exit code {code}, expected {expected_code}")
         for problem in problems:

@@ -26,27 +26,34 @@ Roster:
   for safety fuzzing.
 """
 
-from repro.adversary.base import (
-    Adversary,
-    CrashAt,
-    CycleAdversary,
-    CycleContext,
-    DelayCycles,
-    DeliverAll,
-    DeliveryPolicy,
-    DropNonGuaranteed,
-)
-from repro.adversary.chaos import ChaosAdversary
-from repro.adversary.crash import AdaptiveCrashAdversary, ScheduledCrashAdversary
-from repro.adversary.omniscient import OmniscientBalancer
-from repro.adversary.partition import PartitionAdversary
-from repro.adversary.random_walk import RandomAdversary
-from repro.adversary.scripted import FunctionAdversary, ScriptedAdversary
-from repro.adversary.splitter import SplitVoteAdversary
-from repro.adversary.standard import (
-    LateMessageAdversary,
-    OnTimeAdversary,
-    SynchronousAdversary,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "base": (
+            "Adversary",
+            "CrashAt",
+            "CycleAdversary",
+            "CycleContext",
+            "DelayCycles",
+            "DeliverAll",
+            "DeliveryPolicy",
+            "DropNonGuaranteed",
+        ),
+        "chaos": ("ChaosAdversary",),
+        "crash": ("AdaptiveCrashAdversary", "ScheduledCrashAdversary"),
+        "omniscient": ("OmniscientBalancer",),
+        "partition": ("PartitionAdversary",),
+        "random_walk": ("RandomAdversary",),
+        "scripted": ("FunctionAdversary", "ScriptedAdversary"),
+        "splitter": ("SplitVoteAdversary",),
+        "standard": (
+            "LateMessageAdversary",
+            "OnTimeAdversary",
+            "SynchronousAdversary",
+        ),
+    },
 )
 
 __all__ = [

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
-from repro.analysis.montecarlo import TrialBatch
+if TYPE_CHECKING:
+    from repro.analysis.montecarlo import TrialBatch
 
 
 @dataclass(frozen=True)

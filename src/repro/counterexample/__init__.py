@@ -21,31 +21,38 @@ raw finding into something a human can act on:
   is guaranteed) as first-class findings.
 """
 
-from repro.counterexample.oracle import (
-    CORE_DIFFERENTIAL_SCHEMA,
-    DIFFERENTIAL_SCHEMA,
-    classify_trial,
-    render_core_differential_summary,
-    render_differential_summary,
-    run_core_differential,
-    run_differential,
-)
-from repro.counterexample.replay import (
-    ARTIFACT_SCHEMA,
-    ARTIFACT_VERSION,
-    artifacts_from_report,
-    first_violating_case,
-    read_artifact,
-    verify_replay,
-    violated_properties,
-    write_artifact,
-)
-from repro.counterexample.shrink import (
-    ShrinkResult,
-    case_fails,
-    case_size,
-    render_shrink_summary,
-    shrink_case,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "oracle": (
+            "CORE_DIFFERENTIAL_SCHEMA",
+            "DIFFERENTIAL_SCHEMA",
+            "classify_trial",
+            "render_core_differential_summary",
+            "render_differential_summary",
+            "run_core_differential",
+            "run_differential",
+        ),
+        "replay": (
+            "ARTIFACT_SCHEMA",
+            "ARTIFACT_VERSION",
+            "artifacts_from_report",
+            "first_violating_case",
+            "read_artifact",
+            "verify_replay",
+            "violated_properties",
+            "write_artifact",
+        ),
+        "shrink": (
+            "ShrinkResult",
+            "case_fails",
+            "case_size",
+            "render_shrink_summary",
+            "shrink_case",
+        ),
+    },
 )
 
 __all__ = [

@@ -13,40 +13,42 @@
   unbounded expected clock ticks alongside constant asynchronous rounds.
 """
 
-from repro.lowerbound.replay import (
-    ObservableState,
-    ScheduleReplayer,
-    observable_state,
-)
-from repro.lowerbound.schedules import (
-    AbstractEvent,
-    AbstractSchedule,
-    EventKind,
-    Provenance,
-    round_robin_skeleton,
-    schedule_from_run,
-)
-from repro.lowerbound.theorem14 import (
-    BoundaryResult,
-    demonstrate_boundary,
-    kill_half_adversary,
-    run_boundary_case,
-)
-from repro.lowerbound.serialize import (
-    export_run,
-    load_schedule,
-    save_run,
-    schedule_from_dict,
-    schedule_to_dict,
-)
-from repro.lowerbound.theorem17 import (
-    DelayScalingPoint,
-    measure_delay_scaling,
-    run_delay_point,
-    uniform_delay_adversary,
-)
+from repro._lazy import lazy_exports
 
-from repro.lowerbound.valency import ValencyWitness, bivalence_witness
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "replay": ("ObservableState", "ScheduleReplayer", "observable_state"),
+        "schedules": (
+            "AbstractEvent",
+            "AbstractSchedule",
+            "EventKind",
+            "Provenance",
+            "round_robin_skeleton",
+            "schedule_from_run",
+        ),
+        "serialize": (
+            "export_run",
+            "load_schedule",
+            "save_run",
+            "schedule_from_dict",
+            "schedule_to_dict",
+        ),
+        "theorem14": (
+            "BoundaryResult",
+            "demonstrate_boundary",
+            "kill_half_adversary",
+            "run_boundary_case",
+        ),
+        "theorem17": (
+            "DelayScalingPoint",
+            "measure_delay_scaling",
+            "run_delay_point",
+            "uniform_delay_adversary",
+        ),
+        "valency": ("ValencyWitness", "bivalence_witness"),
+    },
+)
 
 __all__ = [
     "AbstractEvent",

@@ -15,22 +15,29 @@ Violating paths are emitted as scripted-adversary
 model-checker counterexamples unchanged.  See ``docs/MODELCHECK.md``.
 """
 
-from repro.mc.artifacts import (
-    case_from_violation,
-    write_violation_artifact,
-    write_violation_artifacts,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "artifacts": (
+            "case_from_violation",
+            "write_violation_artifact",
+            "write_violation_artifacts",
+        ),
+        "config": ("MCConfig",),
+        "explorer": (
+            "ExploreReport",
+            "ExploreStats",
+            "ViolationRecord",
+            "explore",
+            "render_explore_summary",
+            "violation_classes",
+        ),
+        "fingerprint": ("canonical_state", "state_digest"),
+        "presets": ("CERTIFY_PRESETS", "render_certify_summary", "run_certify"),
+    },
 )
-from repro.mc.config import MCConfig
-from repro.mc.explorer import (
-    ExploreReport,
-    ExploreStats,
-    ViolationRecord,
-    explore,
-    render_explore_summary,
-    violation_classes,
-)
-from repro.mc.fingerprint import canonical_state, state_digest
-from repro.mc.presets import CERTIFY_PRESETS, render_certify_summary, run_certify
 
 __all__ = [
     "CERTIFY_PRESETS",

@@ -14,22 +14,26 @@
   commit: never blocks, wrong under a single late vote.
 """
 
-from repro.protocols.benor import BenOrProgram
-from repro.protocols.cms import CMSStyleAgreementProgram
-from repro.protocols.decentralized import (
-    DecentralizedCommitProgram,
-    DecentralizedStats,
+from repro._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "benor": ("BenOrProgram",),
+        "cms": ("CMSStyleAgreementProgram",),
+        "decentralized": ("DecentralizedCommitProgram", "DecentralizedStats"),
+        "messages": (
+            "DecisionAnnouncement",
+            "ParticipantVote",
+            "PreCommit",
+            "PreCommitAck",
+            "VoteRequest",
+        ),
+        "rabin": ("DealerCoinAgreementProgram",),
+        "threepc": ("ThreePCProgram", "ThreePCStats"),
+        "twopc": ("TimeoutAction", "TwoPCProgram", "TwoPCStats"),
+    },
 )
-from repro.protocols.messages import (
-    DecisionAnnouncement,
-    ParticipantVote,
-    PreCommit,
-    PreCommitAck,
-    VoteRequest,
-)
-from repro.protocols.rabin import DealerCoinAgreementProgram
-from repro.protocols.threepc import ThreePCProgram, ThreePCStats
-from repro.protocols.twopc import TimeoutAction, TwoPCProgram, TwoPCStats
 
 __all__ = [
     "BenOrProgram",

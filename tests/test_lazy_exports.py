@@ -1,9 +1,15 @@
 """Package re-exports resolve on first use and are the objects they name.
 
-Nine packages (and ``repro.cli``) hand their re-export tables to
-:func:`repro._lazy.lazy_exports`.  Nothing about the names changes: the
-same ``__all__``, the same objects, star-imports and pickling as before;
-what changes is that importing the package imports none of them.
+Every package but three hands its re-export table to
+:func:`repro._lazy.lazy_exports`.  ``repro.models`` imports the
+timing-model zoo so that the model registry is full; deferring
+``repro.experiments`` (whose registry imports every experiment) or
+``repro.inspect`` (one submodule) would save no command anything.
+Nothing about the names changes: the same ``__all__``, the same
+objects, star-imports and pickling as before; what changes is that
+importing the package imports none of them, apart from
+``repro.analysis``'s ``histogram`` and ``sweep``, which share their
+names with their submodules.
 """
 
 from __future__ import annotations
@@ -30,6 +36,12 @@ LAZY_PACKAGES = (
     "repro.faults",
     "repro.engine",
     "repro.cli",
+    "repro.analysis",
+    "repro.adversary",
+    "repro.mc",
+    "repro.protocols",
+    "repro.lowerbound",
+    "repro.counterexample",
 )
 
 
@@ -79,15 +91,41 @@ class TestEveryConvertedPackage:
 
 
 def test_importing_a_package_imports_none_of_its_exports():
+    packages = [p for p in LAZY_PACKAGES if p != "repro.cli"]
     loaded = fresh_interpreter(
         "import sys\n"
-        "import repro, repro.core, repro.sim, repro.service, repro.telemetry\n"
-        "import repro.trace, repro.runtime, repro.faults, repro.engine\n"
+        f"import {', '.join(packages)}\n"
         "print(sorted(m for m in sys.modules if m.startswith('repro')))\n"
     )
     assert eval(loaded) == sorted(
-        [*(p for p in LAZY_PACKAGES if p != "repro.cli"), "repro._lazy"]
+        [
+            *packages,
+            "repro._lazy",
+            "repro.analysis.histogram",
+            "repro.analysis.sweep",
+        ]
     )
+
+
+@pytest.mark.parametrize(
+    "module",
+    ["repro.analysis.montecarlo", "repro.models.atlas", "repro.adversary.standard"],
+)
+def test_sim_side_modules_load_neither_scipy_nor_numpy(module):
+    loaded = fresh_interpreter(
+        f"import sys, {module}\n"
+        "print(sorted({m.partition('.')[0] for m in sys.modules}))\n"
+    )
+    assert {"scipy", "numpy"}.isdisjoint(eval(loaded))
+
+
+def test_an_export_named_like_its_submodule_is_the_export():
+    out = fresh_interpreter(
+        "import repro.analysis.histogram, repro.analysis.sweep\n"
+        "from repro.analysis import histogram, sweep\n"
+        "print(callable(histogram), callable(sweep))\n"
+    )
+    assert out.split() == ["True", "True"]
 
 
 def test_readme_quickstart_import():
