@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import importlib.util
 import json
 import os
@@ -57,6 +58,34 @@ def _git(*args: str) -> str:
     return subprocess.run(
         ["git", "-C", str(REPO), *args], check=True, capture_output=True, text=True
     ).stdout.strip()
+
+
+def measured_change(repo: Path = REPO) -> dict:
+    """What the change side runs: ``HEAD`` and, when the tree is dirty,
+    ``diff_sha256``, the SHA-256 of ``git diff --binary HEAD`` followed
+    by the path and bytes of every untracked file, so two artifacts of
+    one commit tell apart the edits they measured.  Read-only: git takes
+    no optional lock and refreshes no index."""
+
+    def git(*args: str) -> bytes:
+        return subprocess.run(
+            ["git", "--no-optional-locks", "-C", str(repo), *args],
+            check=True,
+            capture_output=True,
+        ).stdout
+
+    change = {
+        "commit": git("rev-parse", "HEAD").decode().strip(),
+        "uncommitted_changes": bool(git("status", "--porcelain").strip()),
+    }
+    if change["uncommitted_changes"]:
+        digest = hashlib.sha256(git("diff", "--binary", "HEAD"))
+        untracked = git("ls-files", "-z", "--others", "--exclude-standard")
+        for name in sorted(filter(None, untracked.split(b"\0"))):
+            digest.update(b"\0" + name + b"\0")
+            digest.update((repo / name.decode()).read_bytes())
+        change["diff_sha256"] = digest.hexdigest()
+    return change
 
 
 @contextlib.contextmanager
@@ -231,10 +260,7 @@ def main() -> int:
         "seed": args.seed,
         "seconds": seconds,
         "base": {"ref": args.base, "commit": base_commit},
-        "change": {
-            "commit": _git("rev-parse", "HEAD"),
-            "uncommitted_changes": bool(_git("status", "--porcelain")),
-        },
+        "change": measured_change(),
         "host": host(),
         "pairs": [],
     }

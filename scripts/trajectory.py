@@ -10,11 +10,13 @@ comparisons ``scripts/paired.py`` commits, each a change against its own
 base on one host.  This script reads the ``PAIRED_*.json`` artifacts in
 ``benchmarks/results`` and prints one row per artifact and end-to-end
 metric: workload, seed, run (1 for ``PAIRED_<w>_seed<s>.json``, ``i``
-for ``..._run<i>.json``), base commit, the change of the median in
-percent, the pairs the change won, and whether the metric met the claim
-rule.  Artifacts are ordered by where
-their base commit sits in ``git rev-list HEAD``, oldest first; a base
-the history does not hold (or no git at all) sorts last.
+for ``..._run<i>.json``), base commit, what was measured against it
+(the change's commit, ``+`` the start of its ``diff_sha256`` if the
+tree was dirty), the change of the median in percent, the pairs the
+change won, and whether the metric met the claim rule.  Artifacts are
+ordered by where their base commit sits in ``git rev-list HEAD``,
+oldest first; a base the history does not hold (or no git at all)
+sorts last.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ def rows(path: Path) -> list[dict]:
         "seed": document["seed"],
         "run": int(name["run"] or 1),
         "base": document["base"]["commit"],
+        "measured": _measured(document.get("change")),
     }
     return [
         {
@@ -69,6 +72,17 @@ def rows(path: Path) -> list[dict]:
         }
         for metric, entry in document["summary"].items()
     ]
+
+
+def _measured(change: dict | None) -> str:
+    """The change side: its commit, ``+`` the first digits of its
+    ``diff_sha256`` when the tree was dirty (``+?`` for an artifact
+    written before the hash was recorded)."""
+    if change is None:
+        return "n/a"
+    if not change.get("uncommitted_changes"):
+        return change["commit"][:7]
+    return f"{change['commit'][:7]}+{change.get('diff_sha256', '?')[:7]}"
 
 
 def trajectory(results: Path, ranks: dict[str, int]) -> list[dict]:
@@ -87,7 +101,10 @@ def trajectory(results: Path, ranks: dict[str, int]) -> list[dict]:
 
 
 def render(chain: list[dict]) -> str:
-    header = ("workload", "seed", "run", "base", "metric", "change", "wins", "claim_met")
+    header = (
+        "workload", "seed", "run", "base", "measured", "metric", "change", "wins",
+        "claim_met",
+    )  # fmt: skip
     table = [header]
     for row in chain:
         change = row["change_pct"]
@@ -98,6 +115,7 @@ def render(chain: list[dict]) -> str:
                 str(row["seed"]),
                 str(row["run"]),
                 row["base"][:7],
+                row["measured"],
                 row["metric"],
                 "n/a" if change is None else f"{change:+.1f}%",
                 f"{'n/a' if wins is None else wins}/{row['pairs']}",

@@ -111,7 +111,7 @@ def run_commit_trial(
     """Run one commit trial and extract its metrics.
 
     Executes through :func:`repro.sim.coreselect.run_sim_trial` on the
-    resolved core (``core`` / ``--sim-core`` / ``REPRO_SIM_CORE``): the
+    resolved core (``core``, else ``--sim-core``, else ``fast``): the
     fused sweep when the fast core is selected and the trial is
     eligible, the reference ``Simulation`` otherwise.  Either way the
     metrics are equal.  Batches pickle ``(config, seed)`` for the

@@ -134,9 +134,9 @@ def _add_sim_core_arg(parser) -> None:
         default=None,
         dest="sim_core",
         help=(
-            "simulation execution core: reference (default) or fast "
-            "(byte-identical results, slimmed hot path; engine workers "
-            "run the same core)"
+            "simulation execution core: fast (default) or reference "
+            "(byte-identical results; reference is the specification "
+            "kernel; engine workers run the same core)"
         ),
     )
 

@@ -67,7 +67,7 @@ class TrialSpec:
     seeds: tuple[int, ...]
     chunk_index: int = 0
     telemetry: bool = False
-    sim_core: str = "reference"
+    sim_core: str = "fast"
     timing_model: str = "realistic"
 
 

@@ -8,29 +8,17 @@ derive their randomness from ``base_seed`` so tables are replayable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.adversary.base import Adversary
-from repro.analysis.metrics import RunMetrics, extract_metrics
+from repro.analysis.metrics import RunMetrics
 from repro.core.agreement import AgreementProgram
-from repro.core.api import ProtocolOutcome, shared_coins
+from repro.core.api import shared_coins
 from repro.core.coins import CoinList
 from repro.core.halting import HaltingMode
 from repro.engine import seeds as seed_scheme
+from repro.sim.coreselect import run_sim_trial
 from repro.sim.process import Program
-from repro.sim.scheduler import Simulation
-
-
-@dataclass(frozen=True)
-class ExperimentInfo:
-    """Registry metadata for one experiment."""
-
-    id: str
-    title: str
-    claim: str
-    expectation: str
-    runner: Callable[..., object]
 
 
 def run_programs(
@@ -40,24 +28,14 @@ def run_programs(
     t: int,
     seed: int,
     max_steps: int,
-) -> tuple[ProtocolOutcome, RunMetrics]:
+) -> RunMetrics:
     """Run arbitrary programs under an adversary and extract metrics."""
     from repro.models import apply_active_model
 
     adversary = apply_active_model(adversary, K=K, seed=seed)
-    simulation = Simulation(
-        programs=programs,
-        adversary=adversary,
-        K=K,
-        t=t,
-        seed=seed,
-        max_steps=max_steps,
-    )
-    attach = getattr(adversary, "attach", None)
-    if attach is not None:
-        attach(simulation)
-    outcome = ProtocolOutcome(result=simulation.run())
-    return outcome, extract_metrics(outcome, programs=simulation.programs)
+    return run_sim_trial(
+        list(programs), adversary, K, t, seed, max_steps
+    ).metrics()
 
 
 def agreement_trial(
@@ -70,7 +48,7 @@ def agreement_trial(
     coins: CoinList | None = None,
     halting: HaltingMode = HaltingMode.DECIDE_BROADCAST,
     max_steps: int = 100_000,
-) -> tuple[ProtocolOutcome, RunMetrics]:
+) -> RunMetrics:
     """One standalone agreement run with the given adversary."""
     if coins is None:
         coins = shared_coins(n, seed=seed_scheme.coin_seed(seed))

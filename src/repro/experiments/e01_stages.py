@@ -28,14 +28,13 @@ def _stage_trial(
     seed: int, n: int, t: int, adversary_factory: Callable[[int], Adversary]
 ):
     """One picklable E1 trial: split inputs, one adversary, one seed."""
-    _, metrics = agreement_trial(
+    return agreement_trial(
         n=n,
         t=t,
         values=alternating_values(n),
         adversary=adversary_factory(seed),
         seed=seed,
     )
-    return metrics
 
 
 def run(

@@ -30,7 +30,7 @@ from repro.experiments.common import agreement_trial, alternating_values
 def _ablation_trial(seed: int, n: int, t: int, m: int, max_steps: int):
     """One picklable E5 trial at coin-list length ``m``."""
     adversary = OmniscientBalancer(n=n, t=t, seed=seed)
-    _, metrics = agreement_trial(
+    return agreement_trial(
         n=n,
         t=t,
         values=alternating_values(n),
@@ -41,7 +41,6 @@ def _ablation_trial(seed: int, n: int, t: int, m: int, max_steps: int):
         ),
         max_steps=max_steps,
     )
-    return metrics
 
 
 def run(

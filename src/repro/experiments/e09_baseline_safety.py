@@ -96,10 +96,9 @@ def _safety_trial(
     """One picklable E9 trial, protocol and environment keyed by name."""
     build = _protocol_factories(n, t)[protocol]
     adversary = _environments(n)[environment](seed)
-    _, metrics = run_programs(
+    return run_programs(
         build(), adversary, K=_K, t=t, seed=seed, max_steps=max_steps
     )
-    return metrics
 
 
 def run(

@@ -62,7 +62,7 @@ def _comparison_trial(
     seed: int, n: int, t: int, shared: bool, adversary: str, max_steps: int
 ):
     """One picklable E10 trial: one protocol, one adversary, one seed."""
-    _, metrics = run_programs(
+    return run_programs(
         _build(n, t, shared, seed),
         _make_adversary(adversary, n, t, seed),
         K=_K,
@@ -70,7 +70,6 @@ def _comparison_trial(
         seed=seed,
         max_steps=max_steps,
     )
-    return metrics
 
 
 def run(

@@ -95,7 +95,7 @@ def _mechanism_trial(
     seed: int, mechanism: str, environment: str, n: int, t: int, max_steps: int
 ):
     """One picklable E12 trial, mechanism and environment keyed by name."""
-    _, metrics = run_programs(
+    return run_programs(
         _build(mechanism, n, t, seed),
         _make_adversary(environment, n, t, seed),
         K=_K,
@@ -103,7 +103,6 @@ def _mechanism_trial(
         seed=seed,
         max_steps=max_steps,
     )
-    return metrics
 
 
 MECHANISMS = (

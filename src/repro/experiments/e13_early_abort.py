@@ -20,12 +20,10 @@ from functools import partial
 
 from repro.adversary.partition import PartitionAdversary
 from repro.adversary.standard import OnTimeAdversary
-from repro.analysis.metrics import extract_metrics
 from repro.analysis.montecarlo import run_custom_batch
 from repro.analysis.tables import ResultTable
-from repro.core.api import ProtocolOutcome
 from repro.core.commit import CommitProgram
-from repro.sim.scheduler import Simulation
+from repro.sim.coreselect import run_sim_trial
 
 _K = 4
 
@@ -62,16 +60,9 @@ def _abort_trial(
         )
         for pid, vote in enumerate(votes)
     ]
-    simulation = Simulation(
-        programs=programs,
-        adversary=_scenario_adversary(scenario, seed),
-        K=_K,
-        t=t,
-        seed=seed,
-        max_steps=max_steps,
-    )
-    outcome = ProtocolOutcome(result=simulation.run())
-    return extract_metrics(outcome, programs=programs)
+    return run_sim_trial(
+        programs, _scenario_adversary(scenario, seed), _K, t, seed, max_steps
+    ).metrics()
 
 
 def run(

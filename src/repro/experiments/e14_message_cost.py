@@ -57,7 +57,7 @@ PROTOCOLS = ("2PC", "3PC", "decentralized 1PC", "Protocol 2")
 
 def _cost_trial(seed: int, protocol: str, n: int):
     """One picklable E14 trial: one protocol at one size and seed."""
-    _, metrics = run_programs(
+    return run_programs(
         _build(protocol, n),
         SynchronousAdversary(seed=seed),
         K=_K,
@@ -65,7 +65,6 @@ def _cost_trial(seed: int, protocol: str, n: int):
         seed=seed,
         max_steps=100_000,
     )
-    return metrics
 
 
 def run(

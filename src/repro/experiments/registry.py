@@ -3,13 +3,15 @@
 The paper has no numbered tables or figures; its quantitative claims
 (lemmas, theorems, and the remarks after Theorem 11) play that role.
 DESIGN.md §3 maps each claim to an experiment id; this registry maps each
-id to its runner.  ``run_all`` regenerates every table (EXPERIMENTS.md is
-its rendered output).
+id to the module that runs it, imported only when it runs.  ``run_all``
+regenerates every table (EXPERIMENTS.md is its rendered output).
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
+from importlib import import_module
 from typing import Callable
 
 from repro.analysis.tables import ResultTable
@@ -17,23 +19,28 @@ from repro.telemetry import registry as telemetry
 from repro.telemetry.log import get_logger
 
 _log = get_logger("experiments")
-from repro.experiments import (
-    e01_stages,
-    e02_rounds,
-    e03_ticks,
-    e04_ontime_crashes,
-    e05_coin_ablation,
-    e06_graceful_degradation,
-    e07_resilience_bound,
-    e08_time_lower_bound,
-    e09_baseline_safety,
-    e10_benor_comparison,
-    e11_fault_tolerance_sweep,
-    e12_coin_mechanisms,
-    e13_early_abort,
-    e14_message_cost,
-)
-from repro.experiments.common import ExperimentInfo
+
+
+@dataclass(frozen=True)
+class ExperimentInfo:
+    """Registry metadata for one experiment.
+
+    ``module`` names the experiment's module in :mod:`repro.experiments`;
+    it is imported when the experiment runs, so running one experiment
+    loads only its own module.
+    """
+
+    id: str
+    title: str
+    claim: str
+    expectation: str
+    module: str
+
+    @property
+    def runner(self) -> Callable[..., ResultTable]:
+        """The module's ``run(trials, base_seed, quick, workers)``."""
+        return import_module(f"repro.experiments.{self.module}").run
+
 
 EXPERIMENTS: dict[str, ExperimentInfo] = {
     info.id: info
@@ -43,77 +50,77 @@ EXPERIMENTS: dict[str, ExperimentInfo] = {
             title="Agreement stages (Lemma 8)",
             claim="Protocol 1 decides in < 4 expected stages with |coins| >= n",
             expectation="mean decision stage below 4 for every n and adversary",
-            runner=e01_stages.run,
+            module="e01_stages",
         ),
         ExperimentInfo(
             id="E2",
             title="Commit rounds (Theorem 10)",
             claim="Protocol 2 decides in <= 14 expected asynchronous rounds",
             expectation="mean decision round well below 14",
-            runner=e02_rounds.run,
+            module="e02_rounds",
         ),
         ExperimentInfo(
             id="E3",
             title="Failure-free ticks (Remark 1)",
             claim="failure-free on-time runs decide within 8K clock ticks",
             expectation="max ticks <= 8K on every run",
-            runner=e03_ticks.run,
+            module="e03_ticks",
         ),
         ExperimentInfo(
             id="E4",
             title="On-time ticks with crashes (Remark 2)",
             claim="on-time runs decide in constant expected ticks despite <= t crashes",
             expectation="mean ticks stay near the failure-free value as crashes grow",
-            runner=e04_ontime_crashes.run,
+            module="e04_ontime_crashes",
         ),
         ExperimentInfo(
             id="E5",
             title="Coin-list ablation (Remark 3)",
             claim="the shared coin list is what makes termination fast",
             expectation="stages explode at |coins| = 0, constant for |coins| >= 1",
-            runner=e05_coin_ablation.run,
+            module="e05_coin_ablation",
         ),
         ExperimentInfo(
             id="E6",
             title="Graceful degradation (Theorem 11)",
             claim="beyond t faults: never a conflict, only non-termination",
             expectation="conflict rate 0 at every crash count",
-            runner=e06_graceful_degradation.run,
+            module="e06_graceful_degradation",
         ),
         ExperimentInfo(
             id="E7",
             title="Resilience bound (Theorem 14)",
             claim="no commit protocol for n <= 2t; threshold is sharp",
             expectation="blocks at n = 2t, decides at n = 2t + 1, no conflicts",
-            runner=e07_resilience_bound.run,
+            module="e07_resilience_bound",
         ),
         ExperimentInfo(
             id="E8",
             title="Time lower bound (Theorem 17)",
             claim="expected clock ticks unbounded; asynchronous rounds constant",
             expectation="ticks grow ~linearly with delay D, rounds flat",
-            runner=e08_time_lower_bound.run,
+            module="e08_time_lower_bound",
         ),
         ExperimentInfo(
             id="E9",
             title="Baseline safety comparison (Introduction)",
             claim="late messages give [S]/[DS]-style protocols wrong answers, never Protocol 2",
             expectation="nonzero wrong answers for 2PC/3PC under lateness; zero for Protocol 2",
-            runner=e09_baseline_safety.run,
+            module="e09_baseline_safety",
         ),
         ExperimentInfo(
             id="E10",
             title="Ben-Or comparison (Section 3)",
             claim="shared coins lower Ben-Or's exponential expected time to constant",
             expectation="Ben-Or stages ~2^(n-1) under the balancer; Protocol 1 flat",
-            runner=e10_benor_comparison.run,
+            module="e10_benor_comparison",
         ),
         ExperimentInfo(
             id="E11",
             title="Fault-tolerance threshold (Section 1)",
             claim="works for every t < n/2 — optimal by Theorem 14",
             expectation="termination cliff exactly at t = ceil(n/2) - 1 crashes",
-            runner=e11_fault_tolerance_sweep.run,
+            module="e11_fault_tolerance_sweep",
         ),
         ExperimentInfo(
             id="E12",
@@ -128,7 +135,7 @@ EXPERIMENTS: dict[str, ExperimentInfo] = {
                 "mechanisms flat; CMS-style max t is (n-1)//6 vs "
                 "(n-1)//2 for the lists"
             ),
-            runner=e12_coin_mechanisms.run,
+            module="e12_coin_mechanisms",
         ),
         ExperimentInfo(
             id="E13",
@@ -141,7 +148,7 @@ EXPERIMENTS: dict[str, ExperimentInfo] = {
                 "identical decisions; the first abort decision lands "
                 "several ticks earlier with the optimisation on"
             ),
-            runner=e13_early_abort.run,
+            module="e13_early_abort",
         ),
         ExperimentInfo(
             id="E14",
@@ -154,7 +161,7 @@ EXPERIMENTS: dict[str, ExperimentInfo] = {
                 "envelopes/n flat for 2PC/3PC, growing ~linearly in n "
                 "for Protocol 2"
             ),
-            runner=e14_message_cost.run,
+            module="e14_message_cost",
         ),
     )
 }

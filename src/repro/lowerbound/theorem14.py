@@ -28,9 +28,8 @@ from dataclasses import dataclass
 
 from repro.adversary.base import CrashAt
 from repro.adversary.crash import ScheduledCrashAdversary
-from repro.core.api import ProtocolOutcome
 from repro.core.commit import CommitProgram
-from repro.sim.scheduler import Simulation
+from repro.sim.coreselect import run_sim_trial
 from repro.types import Vote
 
 
@@ -89,21 +88,16 @@ def run_boundary_case(
         )
         for pid in range(n)
     ]
-    simulation = Simulation(
-        programs=programs,
-        adversary=kill_half_adversary(n, t, seed=seed),
-        K=K,
-        t=t,
-        seed=seed,
-        max_steps=max_steps,
+    trial = run_sim_trial(
+        programs, kill_half_adversary(n, t, seed=seed), K, t, seed, max_steps
     )
-    outcome = ProtocolOutcome(result=simulation.run())
+    decided = frozenset(d for d in trial.decisions if d is not None)
     return BoundaryResult(
         n=n,
         t=t,
-        terminated=outcome.terminated,
-        consistent=outcome.consistent,
-        decided_values=frozenset(outcome.decision_values),
+        terminated=trial.terminated,
+        consistent=len(decided) <= 1,
+        decided_values=decided,
     )
 
 

@@ -19,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.adversary.base import CycleAdversary, DelayCycles
-from repro.core.api import ProtocolOutcome
 from repro.core.commit import CommitProgram
-from repro.sim.scheduler import Simulation
+from repro.sim.coreselect import run_sim_trial
 from repro.types import Vote
 
 
@@ -69,21 +68,20 @@ def run_delay_point(
         CommitProgram(pid=pid, n=n, t=t, initial_vote=Vote.COMMIT, K=K)
         for pid in range(n)
     ]
-    simulation = Simulation(
-        programs=programs,
-        adversary=uniform_delay_adversary(delay_cycles, seed=seed),
-        K=K,
-        t=t,
-        seed=seed,
-        max_steps=max_steps,
-    )
-    outcome = ProtocolOutcome(result=simulation.run())
+    metrics = run_sim_trial(
+        programs,
+        uniform_delay_adversary(delay_cycles, seed=seed),
+        K,
+        t,
+        seed,
+        max_steps,
+    ).metrics()
     return DelayScalingPoint(
         delay_cycles=delay_cycles,
-        terminated=outcome.terminated,
-        decision_ticks=outcome.decision_ticks,
-        decision_rounds=outcome.decision_round if outcome.terminated else None,
-        on_time=outcome.on_time,
+        terminated=metrics.terminated,
+        decision_ticks=metrics.ticks,
+        decision_rounds=metrics.rounds,
+        on_time=metrics.on_time,
     )
 
 

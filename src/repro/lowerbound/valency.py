@@ -26,7 +26,6 @@ from repro.adversary.standard import SynchronousAdversary
 from repro.core.api import ProtocolOutcome
 from repro.core.commit import CommitProgram
 from repro.sim.scheduler import Simulation
-from repro.sim.tape import TapeCollection
 from repro.types import Decision, Vote
 
 
@@ -65,7 +64,7 @@ def _run_with(
         adversary=adversary,
         K=K,
         t=t,
-        tapes=TapeCollection(n, master_seed=tape_seed),
+        seed=tape_seed,
         max_steps=max_steps,
     )
     return ProtocolOutcome(result=simulation.run())

@@ -1,4 +1,4 @@
-"""Ambient timing-model selection, mirroring the sim-core selector.
+"""Ambient timing-model selection.
 
 Standalone trial paths (``run_commit_trial``, the experiment runners'
 ``run_programs``) take no model argument — they pick up the ambient

@@ -3,34 +3,46 @@
 One kernel executes the paper's model,
 :class:`repro.sim.scheduler.Simulation`, the readable object-graph
 kernel that the rest of the repo is specified against.  The core names
-say whether a trial whose result is read off flat state rather than a
-trace (a commit Monte-Carlo trial, a fault-campaign sim-track trial, an
-atlas cell) may run on the fused sweep of :mod:`repro.sim.fastcore`:
+say whether a whole trial, whose result is read off flat state rather
+than a trace, may run on the fused sweep of :mod:`repro.sim.fastcore`:
 
-* ``reference`` — never; every trial runs on ``Simulation``;
-* ``fast`` — when :func:`repro.sim.fastcore.sweep_gate` admits the
-  trial, and on ``Simulation`` otherwise.
+* ``fast`` (the default) — when :func:`repro.sim.fastcore.sweep_gate`
+  admits the trial, and on ``Simulation`` otherwise;
+* ``reference`` — never; every trial runs on ``Simulation``.
 
-:func:`run_sim_trial` makes that choice, for every caller.  The contract
-is results equal as Python objects; ``repro faults diff --cores`` and
-``tests/sim/test_fastcore.py`` enforce it.  On ``Simulation`` a trial
-reads its record off the kernel's flat state and builds the
-:class:`~repro.sim.trace.Run` only when :meth:`SimTrial.metrics` asks,
-so a campaign trial builds no trace on either core.  Anything that
-needs the trace itself (``run-commit``, the model checker, replay)
-constructs ``Simulation`` directly.
+:func:`run_sim_trial` makes that choice, and it is the one way a whole
+trial is run: commit Monte-Carlo trials, fault-campaign sim-track
+trials, atlas cells, the experiments' agreement and baseline trials
+(:func:`repro.experiments.common.run_programs`, E13) and the Theorem 14
+and 17 runs.  The contract is results equal as Python objects;
+``repro faults diff --cores`` and ``tests/sim/test_fastcore.py``
+enforce it.  On ``Simulation`` a trial reads its record off the
+kernel's flat state and builds the :class:`~repro.sim.trace.Run` only
+when :meth:`SimTrial.metrics` asks, so a campaign trial builds no trace
+on either core.
 
-Selection mirrors the ``REPRO_WORKERS`` treatment exactly: explicit
-argument beats the process-wide override (set by ``--sim-core``), which
-beats the ``REPRO_SIM_CORE`` environment variable, which beats the
-default of ``reference``.  Unknown values raise
-:class:`~repro.errors.ConfigurationError` naming the variable rather
-than being silently coerced.
+``Simulation`` is constructed outside this module only where the
+caller needs the kernel itself, not a trial's result:
+
+* :mod:`repro.core.api` — ``run_commit`` and ``run_agreement`` return
+  the :class:`~repro.sim.trace.Run` (``run-commit`` prints its trace);
+* :mod:`repro.lowerbound.valency` — the bivalence witness holds the two
+  runs' outcomes, whose decisions and lateness are read off the ``Run``;
+* :mod:`repro.lowerbound.replay` — it applies a schedule event by
+  event;
+* :mod:`repro.mc.explorer` — the model checker applies its own
+  decisions to the kernel, one choice point at a time.
+
+The reference kernel stays the specification: tests and ``faults diff
+--cores`` select it by argument.  Selection is the explicit argument,
+then the process-wide override (:func:`set_default_sim_core`, which
+``--sim-core`` sets), then ``fast``.  Unknown values raise
+:class:`~repro.errors.ConfigurationError` rather than being silently
+coerced.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -46,22 +58,11 @@ CORE_NAMES = ("reference", "fast")
 _DEFAULT_CORE: str | None = None
 
 
-def core_from_env(name: str = "REPRO_SIM_CORE", default: str = "reference") -> str:
-    """Read a core name from the environment, strictly.
-
-    An unset or blank variable yields ``default``.  Anything else must be
-    one of :data:`CORE_NAMES` (case-insensitive, surrounding whitespace
-    ignored); unknown values raise :class:`ConfigurationError` naming the
-    variable, mirroring the ``REPRO_WORKERS`` treatment.
-    """
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return default
-    core = raw.strip().lower()
+def _checked(core: str) -> str:
     if core not in CORE_NAMES:
         choices = "|".join(CORE_NAMES)
         raise ConfigurationError(
-            f"{name} must be one of {choices}, got {raw!r}"
+            f"sim core must be one of {choices}, got {core!r}"
         )
     return core
 
@@ -74,26 +75,14 @@ def set_default_sim_core(core: str | None) -> None:
     plumbing — uses the requested core.
     """
     global _DEFAULT_CORE
-    if core is not None and core not in CORE_NAMES:
-        choices = "|".join(CORE_NAMES)
-        raise ConfigurationError(
-            f"sim core must be one of {choices}, got {core!r}"
-        )
-    _DEFAULT_CORE = core
+    _DEFAULT_CORE = None if core is None else _checked(core)
 
 
 def resolve_sim_core(core: str | None = None) -> str:
-    """Resolve the core to use: explicit > override > env > reference."""
+    """Resolve the core to use: explicit > override > ``fast``."""
     if core is not None:
-        if core not in CORE_NAMES:
-            choices = "|".join(CORE_NAMES)
-            raise ConfigurationError(
-                f"sim core must be one of {choices}, got {core!r}"
-            )
-        return core
-    if _DEFAULT_CORE is not None:
-        return _DEFAULT_CORE
-    return core_from_env()
+        return _checked(core)
+    return _DEFAULT_CORE or "fast"
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
 """The fused sweep: trials whose result is read off flat state.
 
 :func:`sweep_run` is a fused cycle driver for every trial whose result
-is read off flat state rather than a trace: commit Monte-Carlo trials
-and atlas cells (a :class:`RunMetrics` bundle, :func:`sweep_metrics`)
-and fault-campaign sim-track trials (outcome, decisions, crashed set,
-event count).  When the adversary is a stock
+is read off flat state rather than a trace: commit Monte-Carlo trials,
+atlas cells and experiment trials (a :class:`RunMetrics` bundle,
+:func:`sweep_metrics`) and fault-campaign sim-track trials (outcome,
+decisions, crashed set, event count).  When the adversary is a stock
 :class:`~repro.adversary.base.CycleAdversary` whose delivery policy
 keeps to the hold contract (does not override ``select``) and no span
 recorder is active, the driver replays the exact decide/apply
@@ -206,7 +206,7 @@ def sweep_gate(adversary) -> bool:
 
     The one eligibility rule, applied by
     :func:`repro.sim.coreselect.run_sim_trial` to every fast-core trial
-    (commit trials, the fault campaign's sim track, atlas cells).  A
+    (every whole trial; see :mod:`repro.sim.coreselect`).  A
     declined trial runs on the reference ``Simulation``.  Declining an
     adversary the sweep cannot
     replicate (off the hold contract, scripted, consumed) is a

@@ -105,7 +105,6 @@ class TestSelectionsTravelInThePayload:
 
     @pytest.fixture(autouse=True)
     def _clean_selection(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
         monkeypatch.delenv("REPRO_TIMING_MODEL", raising=False)
         yield
         set_default_sim_core(None)
@@ -114,19 +113,19 @@ class TestSelectionsTravelInThePayload:
     def test_workers_see_the_parents_selection(self):
         engine = TrialEngine(workers=2)
         assert set(engine.map(_ambient_selection, range(8))) == {
-            ("reference", "realistic")
+            ("fast", "realistic")
         }
-        set_default_sim_core("fast")
+        set_default_sim_core("reference")
         set_default_timing_model("granular")
         # The same pooled workers now run the new selection ...
         assert set(engine.map(_ambient_selection, range(8))) == {
-            ("fast", "granular")
+            ("reference", "granular")
         }
         set_default_sim_core(None)
         set_default_timing_model(None)
         # ... and drop it again when the parent does.
         assert set(engine.map(_ambient_selection, range(8))) == {
-            ("reference", "realistic")
+            ("fast", "realistic")
         }
 
     def test_fast_granular_batch_is_worker_count_invariant(self):
@@ -137,7 +136,6 @@ class TestSelectionsTravelInThePayload:
         # What `--sim-core fast --model granular` do, and all they do.
         _install_sim_core("fast")
         _install_timing_model("granular")
-        assert "REPRO_SIM_CORE" not in os.environ
         assert "REPRO_TIMING_MODEL" not in os.environ
         serial = run_commit_batch(config, 12, workers=1).metrics
         assert run_commit_batch(config, 12, workers=2).metrics == serial

@@ -101,7 +101,7 @@ class TestTrialEquivalence:
             max_steps=20_000,
         )
         fast = run_commit_trial(config, seed, core="fast")
-        assert fast == run_commit_trial(config, seed)
+        assert fast == run_commit_trial(config, seed, core="reference")
 
     @QUICK
     @given(
@@ -124,7 +124,7 @@ class TestTrialEquivalence:
             max_steps=20_000,
         )
         fast = run_commit_trial(config, seed, core="fast")
-        assert fast == run_commit_trial(config, seed)
+        assert fast == run_commit_trial(config, seed, core="reference")
 
 
 class TestKnownCounterexamples:

@@ -203,7 +203,7 @@ class TestSweepTrials:
         )
         for seed in range(8):
             fast = run_commit_trial(config, seed, core="fast")
-            assert fast == run_commit_trial(config, seed)
+            assert fast == run_commit_trial(config, seed, core="reference")
 
     def test_sweep_with_crashes(self):
         config = CommitTrialConfig(
@@ -217,7 +217,7 @@ class TestSweepTrials:
         )
         for seed in range(6):
             metrics = run_commit_trial(config, seed, core="fast")
-            assert metrics == run_commit_trial(config, seed)
+            assert metrics == run_commit_trial(config, seed, core="reference")
             assert metrics.crashes == 1
 
     def test_sweep_horizon_nontermination(self):
@@ -229,7 +229,7 @@ class TestSweepTrials:
         )
         for seed in range(4):
             metrics = run_commit_trial(config, seed, core="fast")
-            assert metrics == run_commit_trial(config, seed)
+            assert metrics == run_commit_trial(config, seed, core="reference")
             assert not metrics.terminated
 
     def test_fallback_for_non_whitelisted_adversary(self):
@@ -243,7 +243,7 @@ class TestSweepTrials:
         )
         for seed in range(4):
             fast = run_commit_trial(config, seed, core="fast")
-            assert fast == run_commit_trial(config, seed)
+            assert fast == run_commit_trial(config, seed, core="reference")
 
     def test_consumed_adversary_not_sweep_supported(self):
         adversary = OnTimeAdversary(K=4, seed=0)

@@ -163,3 +163,33 @@ def test_the_base_is_the_tree_of_the_recorded_commit(tmp_path):
     assert not tree.exists()
     assert (repo / "file.txt").read_text() == "new"
     assert _git(repo, "worktree", "list").count("\n") == 0
+
+
+def test_a_dirty_tree_records_the_hash_of_its_diff(tmp_path):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    _git(repo, "init", "-q")
+    (repo / "file.txt").write_text("old")
+    _git(repo, "add", "file.txt")
+    _git(
+        repo, "-c", "user.name=t", "-c", "user.email=t@t",
+        "commit", "-q", "-m", "old",
+    )  # fmt: skip
+    head = _git(repo, "rev-parse", "HEAD")
+    index = (repo / ".git" / "index").read_bytes()
+    clean = paired.measured_change(repo)
+    assert clean == {"commit": head, "uncommitted_changes": False}
+
+    (repo / "file.txt").write_text("new")
+    first = paired.measured_change(repo)
+    assert first["commit"] == head and first["uncommitted_changes"]
+    assert len(first["diff_sha256"]) == 64
+    assert paired.measured_change(repo) == first  # the same edit, the same hash
+    (repo / "file.txt").write_text("newer")
+    second = paired.measured_change(repo)
+    assert second["diff_sha256"] != first["diff_sha256"]
+    # An untracked file is part of the change too.
+    (repo / "added.txt").write_text("x")
+    assert paired.measured_change(repo)["diff_sha256"] != second["diff_sha256"]
+    # Nothing was written to .git.
+    assert (repo / ".git" / "index").read_bytes() == index

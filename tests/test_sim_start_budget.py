@@ -40,6 +40,10 @@ def test_sim_command_loads_neither_scipy_nor_numpy(argv):
     group = {"models": "repro.models.atlas", "experiment": "repro.experiments.registry",
              "faults": "repro.faults.campaign", "mc": "repro.mc.explorer"}[argv[0]]  # fmt: skip
     assert group in modules
+    if argv[0] == "experiment":
+        # The registry imports only the experiment it runs.
+        experiments = {m for m in modules if m.startswith("repro.experiments.e")}
+        assert experiments == {"repro.experiments.e02_rounds"}
 
 
 def test_the_setup_probe_imports_load_neither_scipy_nor_numpy():

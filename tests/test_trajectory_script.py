@@ -29,13 +29,18 @@ def _metric(change_pct, wins, claim_met, pairs=10):
     }
 
 
-def _artifact(directory: Path, name: str, base: str, summary: dict, workload="sim_mix", seed=13):
+def _artifact(
+    directory: Path, name: str, base: str, summary: dict, workload="sim_mix", seed=13,
+    change=None,
+):  # fmt: skip
     document = {
         "workload": workload,
         "seed": seed,
         "base": {"ref": base[:7], "commit": base},
         "summary": summary,
     }
+    if change is not None:
+        document["change"] = change
     (directory / name).write_text(json.dumps(document))
 
 
@@ -45,12 +50,15 @@ def _canned(directory: Path) -> None:
         "PAIRED_sim_mix_seed13_run2.json",
         NEW,
         {"setup_s": _metric(-80.04, 10, True), "ops_per_s": _metric(1.2, 6, False)},
+        change={"commit": NEW, "uncommitted_changes": True, "diff_sha256": "d" * 64},
     )
     _artifact(
         directory,
         "PAIRED_sim_mix_seed13.json",
         OLD,
         {"setup_s": _metric(0.3, 5, False), "ops_per_s": _metric(18.5, 10, True)},
+        # Written before the diff was hashed: dirty, but no digest.
+        change={"commit": OLD, "uncommitted_changes": True},
     )
     _artifact(
         directory,
@@ -79,6 +87,7 @@ def test_rows_follow_the_base_history_oldest_first(tmp_path):
         "seed": 13,
         "run": 2,
         "base": NEW,
+        "measured": "bbbbbbb+ddddddd",
         "metric": "setup_s",
         "change_pct": -80.04,
         "wins": 10,
@@ -90,13 +99,17 @@ def test_rows_follow_the_base_history_oldest_first(tmp_path):
 def test_rendered_table(tmp_path):
     _canned(tmp_path)
     text = trajectory.render(trajectory.trajectory(tmp_path, {OLD: 0, NEW: 1}))
-    assert [line.split() for line in text.splitlines()] == [
-        ["workload", "seed", "run", "base", "metric", "change", "wins", "claim_met"],
-        ["sim_mix", "13", "1", "aaaaaaa", "setup_s", "+0.3%", "5/10", "no"],
-        ["sim_mix", "13", "1", "aaaaaaa", "ops_per_s", "+18.5%", "10/10", "yes"],
-        ["sim_mix", "13", "2", "bbbbbbb", "setup_s", "-80.0%", "10/10", "yes"],
-        ["sim_mix", "13", "2", "bbbbbbb", "ops_per_s", "+1.2%", "6/10", "no"],
-        ["tcp3_open20", "7", "1", "ccccccc", "op_p50_ms", "n/a", "n/a/1", "no"],
+    assert [line.split() for line in text.splitlines()] == [  # fmt: skip
+        ["workload", "seed", "run", "base", "measured", "metric", "change", "wins",
+         "claim_met"],
+        ["sim_mix", "13", "1", "aaaaaaa", "aaaaaaa+?", "setup_s", "+0.3%", "5/10", "no"],
+        ["sim_mix", "13", "1", "aaaaaaa", "aaaaaaa+?", "ops_per_s", "+18.5%", "10/10",
+         "yes"],
+        ["sim_mix", "13", "2", "bbbbbbb", "bbbbbbb+ddddddd", "setup_s", "-80.0%",
+         "10/10", "yes"],
+        ["sim_mix", "13", "2", "bbbbbbb", "bbbbbbb+ddddddd", "ops_per_s", "+1.2%",
+         "6/10", "no"],
+        ["tcp3_open20", "7", "1", "ccccccc", "n/a", "op_p50_ms", "n/a", "n/a/1", "no"],
     ]
 
 
