@@ -7,7 +7,7 @@ through sharded commit groups and records decided transactions per
 ``benchmarks/results/BENCH_throughput.json``.
 
 Every latency and rate here is measured on the virtual clock
-(:mod:`repro.runtime.virtualtime`): no socket, no fsync, and time jumps
+(:mod:`repro.service.virtualtime`): no socket, no fsync, and time jumps
 to the next timer.  "Transactions per second" is therefore decided
 transactions over virtual makespan; it follows the offered rate and the
 bus delay chosen here and says nothing about what a transaction costs

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from repro import Decision, Vote
 from repro.faults.plan import CrashFault, FaultPlan
-from repro.runtime.delays import UniformDelay
+from repro.service.bus import UniformDelay
 from repro.service.cluster import ServiceCluster, node_configs
 
 

@@ -3,8 +3,9 @@
 
 Usage:  python scripts/generate_experiments.py [--quick]
 
-``--quick`` uses the benchmark-sized workloads (minutes -> seconds); the
-committed EXPERIMENTS.md is generated at full size.
+``--quick`` uses the benchmark-sized workloads (minutes -> seconds) and
+writes the document to stdout; only a full-size run writes the committed
+EXPERIMENTS.md.  Progress goes to stderr.
 """
 
 from __future__ import annotations
@@ -14,6 +15,9 @@ import time
 from pathlib import Path
 
 from repro.experiments.registry import EXPERIMENTS, run_experiment
+
+#: The committed document, written only by a full-size run.
+OUTPUT = Path(__file__).resolve().parent.parent / "EXPERIMENTS.md"
 
 #: Per-experiment commentary: what the paper claims vs what to read off
 #: the measured table.  The tables themselves are regenerated below.
@@ -206,23 +210,26 @@ deterministic given the seeds embedded in the experiment code.
 """
 
 
-def main() -> None:
-    quick = "--quick" in sys.argv
+def main(argv: list[str] | None = None) -> None:
+    quick = "--quick" in (sys.argv[1:] if argv is None else argv)
     sections = [HEADER]
     for experiment_id, info in EXPERIMENTS.items():
         started = time.time()
-        print(f"running {experiment_id} ({info.title}) ...", flush=True)
+        print(f"running {experiment_id} ({info.title}) ...", file=sys.stderr)
         table = run_experiment(experiment_id, quick=quick)
         elapsed = time.time() - started
-        print(f"  done in {elapsed:.1f}s", flush=True)
+        print(f"  done in {elapsed:.1f}s", file=sys.stderr)
         sections.append(f"## {experiment_id} — {info.title}\n")
         sections.append(COMMENTARY[experiment_id] + "\n")
         sections.append("```")
         sections.append(table.render())
         sections.append("```\n")
-    output = Path(__file__).resolve().parent.parent / "EXPERIMENTS.md"
-    output.write_text("\n".join(sections), encoding="utf-8")
-    print(f"wrote {output}")
+    document = "\n".join(sections)
+    if quick:
+        sys.stdout.write(document)
+        return
+    OUTPUT.write_text(document, encoding="utf-8")
+    print(f"wrote {OUTPUT}", file=sys.stderr)
 
 
 if __name__ == "__main__":

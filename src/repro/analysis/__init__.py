@@ -16,7 +16,6 @@ __getattr__, __dir__ = lazy_exports(
             "RunMetrics",
             "abort_validity_satisfied",
             "commit_validity_satisfied",
-            "extract_metrics",
         ),
         "montecarlo": (
             "CommitTrialConfig",
@@ -42,7 +41,6 @@ __all__ = [
     "TrialBatch",
     "abort_validity_satisfied",
     "commit_validity_satisfied",
-    "extract_metrics",
     "grid",
     "proportion",
     "run_commit_batch",

@@ -14,15 +14,15 @@ Each metric corresponds to a quantity the paper reasons about:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from repro.core.agreement import program_stats
 from repro.core.api import ProtocolOutcome
 from repro.errors import AnalysisError
-from repro.sim.rounds import RoundAnalyzer
-from repro.sim.trace import Run
+from repro.sim.rounds import max_decision_round, record_round_ends
+from repro.sim.trace import Run, TrialRecord
 from repro.telemetry import registry as telemetry
-from repro.types import Decision, ProcessStatus
+from repro.types import Decision
 
 
 @dataclass(frozen=True)
@@ -69,92 +69,66 @@ _NO_STAGES = dict.fromkeys(
 )
 
 
-def assemble_metrics(
-    *,
-    terminated: bool,
-    decisions: Iterable[int | None],
-    decision_clocks: Iterable[int | None],
-    rounds: Callable[[], int | None],
-    on_time: bool,
-    messages: int,
-    events: int,
-    crashes: int,
-    stages: Mapping[str, int | None] = _NO_STAGES,
+def trial_metrics(
+    programs: Iterable | None, trial: TrialRecord, record: bool = True
 ) -> RunMetrics:
-    """The one assembly of a :class:`RunMetrics` bundle from run facts.
+    """The metric bundle of a finished trial, read off its record.
 
-    ``rounds`` computes the rounds to the last nonfaulty decision; it is
-    called only for a terminated run, and an :class:`AnalysisError` from
-    it reads as ``None``.  ``stages`` holds the four stage-telemetry
-    fields (:func:`stage_statistics`), all ``None`` by default.  Both
-    kernels' bundles come from here: :func:`metrics_from_run` feeds it a
-    :class:`~repro.sim.trace.Run`, the fused sweep
-    (:func:`repro.sim.fastcore.sweep_metrics`) its flat state.
+    The one construction of a :class:`RunMetrics` bundle, for both
+    kernels' :class:`~repro.sim.trace.TrialRecord` and for a recorded
+    run's (:func:`metrics_from_run`).  Rounds are computed only for a
+    terminated trial, and read ``None`` when their analysis diverges.
+    Without ``programs`` the four stage fields are ``None``: they live
+    on the program objects, not in the record.  With ``record`` the
+    bundle is mirrored into the ``analysis_*`` families.
     """
-    decision_values = {d for d in decisions if d is not None}
-    decided_clocks = [c for c in decision_clocks if c is not None]
-    max_round: int | None = None
-    if terminated:
+    nonfaulty = trial.nonfaulty()
+    decision_values = {d for d in trial.decisions if d is not None}
+    decided_clocks = [c for c in trial.decision_clocks if c is not None]
+    rounds: int | None = None
+    if trial.terminated:
         try:
-            max_round = rounds()
+            rounds = max_decision_round(
+                record_round_ends(trial), trial.decision_clocks, nonfaulty
+            )
         except AnalysisError:
-            max_round = None
-    return RunMetrics(
-        terminated=terminated,
+            rounds = None
+    metrics = RunMetrics(
+        terminated=trial.terminated,
         consistent=len(decision_values) <= 1,
         decision=(
             next(iter(decision_values)) if len(decision_values) == 1 else None
         ),
-        rounds=max_round,
+        rounds=rounds,
         ticks=max(decided_clocks, default=None),
         first_decision_ticks=min(decided_clocks, default=None),
-        messages=messages,
-        events=events,
-        crashes=crashes,
-        on_time=on_time,
-        **stages,
-    )
-
-
-def metrics_from_run(
-    run: Run,
-    analyzer: RoundAnalyzer | None = None,
-    record: bool = True,
-    programs: Iterable | None = None,
-) -> RunMetrics:
-    """Build the metric bundle from a recorded run.
-
-    Without ``programs`` this is the trace-derivable subset: everything
-    except the program stage telemetry (``stages``, ``decision_stage``,
-    coin-source splits), which lives on the program objects and is
-    therefore ``None``.  Because it needs nothing but the
-    :class:`~repro.sim.trace.Run`, the same function applies to live runs
-    and to traces re-imported through :mod:`repro.telemetry.runio` — the
-    JSONL round-trip tests assert the two agree exactly.
-    """
-    metrics = assemble_metrics(
-        terminated=all(
-            run.statuses.get(pid) is ProcessStatus.RETURNED
-            for pid in run.nonfaulty()
-        ),
-        decisions=run.decisions.values(),
-        decision_clocks=run.decision_clocks.values(),
-        rounds=lambda: (
-            analyzer if analyzer is not None else RoundAnalyzer(run)
-        ).max_decision_round(),
-        on_time=run.is_on_time(),
-        messages=run.messages_sent(),
-        events=run.event_count,
-        crashes=len(run.faulty()),
-        stages=(
+        messages=len(trial.envelopes),
+        events=trial.events,
+        crashes=len(trial.crashes),
+        on_time=trial.on_time(),
+        **(
             _NO_STAGES
             if programs is None
-            else stage_statistics(programs, run.nonfaulty())
+            else stage_statistics(programs, nonfaulty)
         ),
     )
     if record:
         _record_run_metrics(metrics)
     return metrics
+
+
+def metrics_from_run(
+    run: Run, record: bool = True, programs: Iterable | None = None
+) -> RunMetrics:
+    """Build the metric bundle from a recorded run, through its record.
+
+    Without ``programs`` this is the trace-derivable subset (see
+    :func:`trial_metrics`).  Because it needs nothing but the
+    :class:`~repro.sim.trace.Run`, the same function applies to live runs
+    and to traces re-imported through :mod:`repro.telemetry.runio` — the
+    JSONL round-trip tests assert the two agree exactly.
+    """
+    return trial_metrics(programs, run.trial_record(), record=record)
 
 
 def _record_run_metrics(metrics: RunMetrics) -> None:
@@ -233,24 +207,6 @@ def stage_statistics(
         "shared_coin_stages": max(shared_values, default=None),
         "private_coin_stages": max(private_values, default=None),
     }
-
-
-def extract_metrics(
-    outcome: ProtocolOutcome,
-    programs: list | None = None,
-) -> RunMetrics:
-    """Build the metric bundle for one outcome.
-
-    Args:
-        outcome: the protocol outcome.
-        programs: the program objects (for stage telemetry).  When omitted,
-            stage metrics are ``None``.
-    """
-    return metrics_from_run(
-        outcome.run,
-        analyzer=outcome.rounds if outcome.terminated else None,
-        programs=programs,
-    )
 
 
 def commit_validity_holds(

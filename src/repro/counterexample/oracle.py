@@ -158,12 +158,12 @@ def run_core_case(config: CampaignConfig, seed: int) -> dict[str, Any]:
 
     The reference core runs the case on ``Simulation``; the fast core
     runs it the way a fast-core campaign does (on the fused sweep when
-    :func:`repro.sim.fastcore.sweep_gate` admits it, and the sweep
-    builds no ``Run``).  Two things read off each side are compared:
-    the campaign record, and the :class:`~repro.analysis.metrics.RunMetrics`
-    bundle (the sweep's ``sweep_metrics`` against the reference's
-    ``extract_metrics``).  This is the enforcement point of the fast
-    core's equal-results contract.
+    :func:`repro.sim.fastcore.sweep_gate` admits it).  Two things read
+    off each side are compared: the campaign record, and the
+    :class:`~repro.analysis.metrics.RunMetrics` bundle
+    (:func:`repro.analysis.metrics.trial_metrics` of each kernel's
+    :class:`~repro.sim.trace.TrialRecord`).  This is the enforcement
+    point of the fast core's equal-results contract.
     """
     from repro.faults.campaign import (
         case_from_config,

@@ -543,7 +543,7 @@ def _run_service_multi_track(case: TrialCase) -> dict[str, Any]:
     derived per-transaction votes) and merges them — the generic
     whole-cluster check in :func:`execute_trial_case` does not apply.
     """
-    from repro.runtime.virtualtime import run_virtual
+    from repro.service.virtualtime import run_virtual
     from repro.service.cluster import (
         ServiceCluster,
         TxnWorkload,
@@ -655,7 +655,7 @@ def _run_service_track(case: TrialCase) -> dict[str, Any]:
     # never pays the service subsystem's import cost.
     if case.multi_txn:
         return _run_service_multi_track(case)
-    from repro.runtime.virtualtime import run_virtual
+    from repro.service.virtualtime import run_virtual
     from repro.service.cluster import ServiceCluster, node_configs
 
     cluster = ServiceCluster(

@@ -16,6 +16,11 @@ and killing a node drains its queue (undelivered-to-the-process bytes
 lived in the dead process's memory).  The sender's retry loop, not the
 fabric, recovers these losses.
 
+Delivery latency comes from a :class:`DelayModel`, whose delays stand
+in for the paper's "usually on time, sometimes late" messages, and link
+faults from a :class:`LinkFaultPolicy`, consulted once per transmission
+attempt.
+
 Fault randomness is keyed per ``(sender, incarnation, seq, recipient,
 attempt)`` via :data:`~repro.engine.seeds.SERVICE_ENVELOPE_STREAM`, so a
 link's verdict for one transmission is independent of scheduling order.
@@ -25,12 +30,109 @@ from __future__ import annotations
 
 import asyncio
 import random
+from dataclasses import dataclass
 
 from repro.engine.seeds import SERVICE_ENVELOPE_STREAM, derive_keyed
 from repro.errors import ServiceError
-from repro.runtime.delays import DelayModel, FixedDelay
-from repro.runtime.transport import LinkFaultPolicy
 from repro.service.wire import ServiceEnvelope
+
+
+class DelayModel:
+    """Base class: sample a delivery delay in seconds."""
+
+    def sample(self, rng: random.Random) -> float:
+        raise NotImplementedError
+
+
+@dataclass(frozen=True)
+class FixedDelay(DelayModel):
+    """Every message takes exactly ``seconds``."""
+
+    seconds: float = 0.001
+
+    def __post_init__(self) -> None:
+        if self.seconds < 0:
+            raise ValueError(f"delay must be non-negative, got {self.seconds}")
+
+    def sample(self, rng: random.Random) -> float:
+        return self.seconds
+
+
+@dataclass(frozen=True)
+class UniformDelay(DelayModel):
+    """Delays uniform in ``[low, high]`` seconds."""
+
+    low: float = 0.0005
+    high: float = 0.003
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.low <= self.high:
+            raise ValueError(
+                f"need 0 <= low <= high, got ({self.low}, {self.high})"
+            )
+
+    def sample(self, rng: random.Random) -> float:
+        return rng.uniform(self.low, self.high)
+
+
+@dataclass(frozen=True)
+class SpikeDelay(DelayModel):
+    """Mostly-prompt delivery with occasional long holds.
+
+    With probability ``late_probability`` a message takes ``late_seconds``
+    instead of ``base_seconds`` — the paper's "messages are usually
+    delivered within some known time bound but sometimes come late".
+    """
+
+    base_seconds: float = 0.001
+    late_seconds: float = 0.1
+    late_probability: float = 0.05
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.late_probability <= 1:
+            raise ValueError(
+                f"probability out of range: {self.late_probability}"
+            )
+        if self.base_seconds < 0 or self.late_seconds < self.base_seconds:
+            raise ValueError(
+                f"need 0 <= base <= late, got "
+                f"({self.base_seconds}, {self.late_seconds})"
+            )
+
+    def sample(self, rng: random.Random) -> float:
+        if rng.random() < self.late_probability:
+            return self.late_seconds
+        return self.base_seconds
+
+
+@dataclass(frozen=True)
+class LinkVerdict:
+    """What the link layer does to one transmission attempt.
+
+    Attributes:
+        drop: lose this copy entirely (a retransmission may follow).
+        duplicates: extra copies injected beyond the first.
+        extra_delay: additional delivery latency in seconds.
+    """
+
+    drop: bool = False
+    duplicates: int = 0
+    extra_delay: float = 0.0
+
+
+class LinkFaultPolicy:
+    """Decides the fate of each transmission attempt on a directed link.
+
+    Implementations must be deterministic given the supplied ``rng`` (the
+    bus's private, seeded randomness) so that fault campaigns are
+    replayable.  ``now`` is the event-loop clock, letting policies model
+    time-windowed behaviour such as transient partitions.
+    """
+
+    def verdict(
+        self, sender: int, recipient: int, now: float, rng: random.Random
+    ) -> LinkVerdict:
+        raise NotImplementedError
 
 
 class ServiceBus:

@@ -3,7 +3,7 @@
 The deployable service runs one OS process per node (:mod:`repro.service.server`);
 this module hosts a whole cluster inside one event loop so the fault
 campaign can run thousands of crash-recovery trials on the virtual clock
-(:func:`~repro.runtime.virtualtime.run_virtual`) with no real I/O.
+(:func:`~repro.service.virtualtime.run_virtual`) with no real I/O.
 
 The orchestrator realises a :class:`~repro.faults.plan.FaultPlan` in the
 crash-*recovery* model: a :class:`~repro.faults.plan.CrashFault` at
@@ -35,9 +35,12 @@ from repro.engine.seeds import SERVICE_NODE_STREAM, derive_keyed
 from repro.errors import ConfigurationError, ServiceError
 from repro.faults.plan import FaultPlan
 from repro.faults.safety import NONTERMINATED, TERMINATED
-from repro.runtime.delays import DelayModel
-from repro.runtime.transport import LinkFaultPolicy, LinkVerdict
-from repro.service.bus import ServiceBus
+from repro.service.bus import (
+    DelayModel,
+    LinkFaultPolicy,
+    LinkVerdict,
+    ServiceBus,
+)
 from repro.service.node import ServiceNode, ServiceNodeSnapshot
 from repro.service.recovery import NodeConfig
 from repro.service.txn import DEFAULT_TXN, ShardMap

@@ -25,13 +25,13 @@ from typing import Any
 
 from repro.engine.seeds import SERVICE_NODE_STREAM, derive_keyed
 from repro.faults.plan import CrashFault, FaultPlan
-from repro.runtime.virtualtime import run_virtual
 from repro.service.cluster import (
     ServiceCluster,
     TxnWorkload,
     shard_configs,
 )
 from repro.service.txn import ShardMap
+from repro.service.virtualtime import run_virtual
 from repro.telemetry import registry as telemetry
 from repro.telemetry.log import get_logger
 

@@ -63,15 +63,3 @@ def run_virtual(coro: Awaitable[T]) -> T:
     """``asyncio.run`` under a fresh virtual-clock loop."""
     with asyncio.Runner(loop_factory=VirtualClockEventLoop) as runner:
         return runner.run(coro)
-
-
-def virtual_loop_factory() -> VirtualClockEventLoop:
-    """Loop factory for :class:`asyncio.Runner` callers."""
-    return VirtualClockEventLoop()
-
-
-__all__ = [
-    "VirtualClockEventLoop",
-    "run_virtual",
-    "virtual_loop_factory",
-]

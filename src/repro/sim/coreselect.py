@@ -6,8 +6,9 @@ kernel that the rest of the repo is specified against.  The core names
 say whether a whole trial, whose result is read off flat state rather
 than a trace, may run on the fused sweep of :mod:`repro.sim.fastcore`:
 
-* ``fast`` (the default) — when :func:`repro.sim.fastcore.sweep_gate`
-  admits the trial, and on ``Simulation`` otherwise;
+* ``fast`` (the default) — on the fused sweep when
+  :func:`repro.sim.fastcore.sweep_gate` admits the trial's adversary,
+  and on ``Simulation`` otherwise;
 * ``reference`` — never; every trial runs on ``Simulation``.
 
 :func:`run_sim_trial` makes that choice, and it is the one way a whole
@@ -16,10 +17,10 @@ trials, atlas cells, the experiments' agreement and baseline trials
 (:func:`repro.experiments.common.run_programs`, E13) and the Theorem 14
 and 17 runs.  The contract is results equal as Python objects;
 ``repro faults diff --cores`` and ``tests/sim/test_fastcore.py``
-enforce it.  On ``Simulation`` a trial reads its record off the
-kernel's flat state and builds the :class:`~repro.sim.trace.Run` only
-when :meth:`SimTrial.metrics` asks, so a campaign trial builds no trace
-on either core.
+enforce it.  Either kernel hands over the trial's flat
+:class:`~repro.sim.trace.TrialRecord`, and its metrics, counters and
+spans are read off that record, so a whole trial builds no
+:class:`~repro.sim.trace.Run` on either core.
 
 ``Simulation`` is constructed outside this module only where the
 caller needs the kernel itself, not a trial's result:
@@ -45,11 +46,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Any, Callable
+from typing import Any
 
 from repro.errors import ConfigurationError
-from repro.telemetry.registry import active_registry
 
 #: Recognised core names, in documentation order.
 CORE_NAMES = ("reference", "fast")
@@ -91,20 +90,35 @@ class SimTrial:
 
     The four fields are the campaign record's
     (:func:`repro.faults.campaign.sim_track_record`).  :meth:`metrics`
-    builds the :class:`~repro.analysis.metrics.RunMetrics` bundle on
-    request, so a caller that reads none pays for no trace, lateness or
-    round analysis.
+    builds the :class:`~repro.analysis.metrics.RunMetrics` bundle from
+    the trial's record on request, so a caller that reads none pays for
+    no lateness or round analysis.
     """
 
     terminated: bool
     decisions: list[int | None]
     crashed: set[int]
     events: int
-    _metrics: Callable[[], Any] = field(repr=False, compare=False)
+    _programs: Any = field(repr=False, compare=False)
+    _record: Any = field(repr=False, compare=False)
+
+    @classmethod
+    def of(cls, programs, record) -> "SimTrial":
+        """The trial of a finished :class:`~repro.sim.trace.TrialRecord`."""
+        return cls(
+            record.terminated,
+            list(record.decisions),
+            set(record.crashes),
+            record.events,
+            programs,
+            record,
+        )
 
     def metrics(self):
         """The trial's :class:`~repro.analysis.metrics.RunMetrics`."""
-        return self._metrics()
+        from repro.analysis.metrics import trial_metrics
+
+        return trial_metrics(self._programs, self._record)
 
 
 def run_sim_trial(
@@ -118,47 +132,29 @@ def run_sim_trial(
 ) -> SimTrial:
     """Run one trial on the resolved core: the one sweep-or-reference choice.
 
-    On the fast core a trial that :func:`repro.sim.fastcore.sweep_gate`
-    admits runs on the fused sweep, which builds no trace; with a
-    metrics registry active its counters are recorded here, from the
-    sweep's flat state, as ``Simulation.execute`` records its own.
-    Every other trial, and every trial on the reference core, runs on
+    On the fast core a trial whose adversary
+    :func:`repro.sim.fastcore.sweep_gate` admits runs on the fused
+    sweep, and its counters and spans are recorded here from the sweep's
+    record (:func:`repro.sim.scheduler.observe_trial`), as
+    ``Simulation.execute`` records its own.  Every other trial, and
+    every trial on the reference core, runs on
     :class:`repro.sim.scheduler.Simulation` (with the adversary's
-    ``attach`` hook, if it has one), whose four record fields are read
-    off the kernel's flat state: the :class:`~repro.sim.trace.Run` is
-    built only if :meth:`SimTrial.metrics` is called.  The result is
-    equal either way.
+    ``attach`` hook, if it has one).  The result is equal either way,
+    and neither kernel builds a :class:`~repro.sim.trace.Run`.
     """
     if resolve_sim_core(core) == "fast":
         # Imported here so that a process that never selects the fast
         # core never loads it.
-        from repro.sim.fastcore import sweep_gate, sweep_metrics, sweep_run
+        from repro.sim.fastcore import sweep_gate, sweep_run
 
         if sweep_gate(adversary):
-            started = time.perf_counter()
-            swept = sweep_run(programs, adversary, K, t, seed, max_steps)
-            processes, crashed, envelopes, _steps, events, terminated = swept
-            registry = active_registry()
-            if registry is not None:
-                from repro.telemetry.summary import record_trial
+            from repro.sim.scheduler import observe_trial
 
-                record_trial(
-                    registry,
-                    programs,
-                    "terminated" if terminated else "horizon",
-                    events,
-                    crashed,
-                    envelopes,
-                    time.perf_counter() - started,
-                )
-            return SimTrial(
-                terminated,
-                [process.decision for process in processes],
-                crashed,
-                events,
-                partial(sweep_metrics, programs, *swept, K),
-            )
-    from repro.sim.scheduler import Outcome, Simulation
+            started = time.perf_counter()
+            record = sweep_run(programs, adversary, K, t, seed, max_steps)
+            observe_trial(programs, record, time.perf_counter() - started)
+            return SimTrial.of(programs, record)
+    from repro.sim.scheduler import Simulation
 
     simulation = Simulation(
         programs=programs,
@@ -171,20 +167,5 @@ def run_sim_trial(
     attach = getattr(adversary, "attach", None)
     if attach is not None:
         attach(simulation)
-    outcome = simulation.execute()
-    return SimTrial(
-        outcome is Outcome.TERMINATED,
-        [process.decision for process in simulation.processes],
-        simulation.crashed_pids(),
-        simulation.event_count,
-        partial(_reference_metrics, simulation, programs),
-    )
-
-
-def _reference_metrics(simulation, programs):
-    from repro.analysis.metrics import extract_metrics
-    from repro.core.api import ProtocolOutcome
-
-    return extract_metrics(
-        ProtocolOutcome(result=simulation.result()), programs=programs
-    )
+    simulation.execute()
+    return SimTrial.of(programs, simulation.trial_record())

@@ -1,16 +1,13 @@
 """The fused sweep: trials whose result is read off flat state.
 
-:func:`sweep_run` is a fused cycle driver for every trial whose result
-is read off flat state rather than a trace: commit Monte-Carlo trials,
-atlas cells and experiment trials (a :class:`RunMetrics` bundle,
-:func:`sweep_metrics`) and fault-campaign sim-track trials (outcome,
-decisions, crashed set, event count).  When the adversary is a stock
+:func:`sweep_run` is a fused cycle driver for every whole trial: commit
+Monte-Carlo trials, atlas cells, experiment trials and fault-campaign
+sim-track trials.  When the adversary is a stock
 :class:`~repro.adversary.base.CycleAdversary` whose delivery policy
-keeps to the hold contract (does not override ``select``) and no span
-recorder is active, the driver replays the exact decide/apply
-semantics of the reference pair
-(:class:`repro.sim.scheduler.Simulation`) while skipping everything
-neither result can observe: pattern entries, trace events, envelope
+keeps to the hold contract (does not override ``select``), the driver
+replays the exact decide/apply semantics of the reference pair
+(:class:`repro.sim.scheduler.Simulation`) while skipping everything the
+trial's record cannot observe: pattern entries, trace events, envelope
 objects, pending-metadata caches, and all bulletin-board activity of
 returned processors.  The policy's own contract methods, its own hold
 memo and the adversary's own ``rng`` are used, so RNG draw order is the
@@ -19,14 +16,10 @@ reference's and the produced results are equal as Python objects.
 :func:`repro.sim.coreselect.run_sim_trial`; a declined trial runs on
 ``Simulation``, which is always safe.
 
-The sweep derives nothing of its own from a finished trial: lateness
-(:func:`repro.sim.trace.late_envelopes`), rounds
-(:func:`repro.sim.rounds.round_ends`) and the :class:`RunMetrics`
-assembly (:func:`repro.analysis.metrics.assemble_metrics`) are the
-functions the ``Run`` path calls, fed from the sweep's flat records.
-Telemetry reads the finished trial too:
-:func:`repro.sim.coreselect.run_sim_trial` records the sweep's flat
-state, as ``Simulation.execute`` records its own.
+The sweep derives nothing of its own from a finished trial.  It hands
+over the same :class:`~repro.sim.trace.TrialRecord` as
+``Simulation.trial_record``, and the trial's metrics, counters and spans
+read that record on either kernel.
 """
 
 from __future__ import annotations
@@ -36,13 +29,11 @@ from repro.sim.board import BulletinBoard
 from repro.sim.message import ReceivedPayload
 from repro.sim.parking import parked, stock_cycle_adversary
 from repro.sim.process import SimProcess
-from repro.sim.rounds import max_decision_round, round_ends
 from repro.sim.scheduler import check_simulation_arguments
 from repro.sim.tape import TapeCollection
-from repro.sim.trace import late_envelopes
+from repro.sim.trace import TrialRecord
 from repro.telemetry import registry as telemetry
 from repro.telemetry.log import get_logger
-from repro.trace import spans as trace_spans
 from repro.types import ProcessStatus
 
 _log = get_logger("sim.fastcore")
@@ -69,7 +60,6 @@ class _FastEnv:
         "send_cycle",
         "guaranteed",
         "receive_event",
-        "receive_clock",
     )
 
     def __init__(
@@ -84,7 +74,6 @@ class _FastEnv:
         self.send_cycle = send_cycle
         self.guaranteed = True
         self.receive_event = None
-        self.receive_clock = None
 
 
 class _Entry:
@@ -207,15 +196,13 @@ def sweep_gate(adversary) -> bool:
     The one eligibility rule, applied by
     :func:`repro.sim.coreselect.run_sim_trial` to every fast-core trial
     (every whole trial; see :mod:`repro.sim.coreselect`).  A
-    declined trial runs on the reference ``Simulation``.  Declining an
-    adversary the sweep cannot
-    replicate (off the hold contract, scripted, consumed) is a
-    performance cliff and is counted in ``sim_fastcore_fallbacks_total``;
-    declining because a span recorder is active is deliberate and is
-    not: spans are built from the :class:`~repro.sim.trace.Run`, which
-    the sweep does not make.  A metrics registry is no reason to
-    decline, since counters are recorded from the finished trial
-    (:func:`repro.telemetry.summary.record_trial`) on either kernel.
+    declined trial runs on the reference ``Simulation``.  The rule reads
+    the adversary only: declining one the sweep cannot replicate (off
+    the hold contract, scripted, consumed) is a performance cliff and is
+    counted in ``sim_fastcore_fallbacks_total``.  Observers are no
+    reason to decline, since a trial's counters and spans are recorded
+    from its record (:func:`repro.sim.scheduler.observe_trial`) on
+    either kernel.
     """
     if not adversary_sweep_supported(adversary):
         telemetry.count(
@@ -226,14 +213,14 @@ def sweep_gate(adversary) -> bool:
             adversary=type(adversary).__name__,
         )
         return False
-    return trace_spans.active_recorder() is None
+    return True
 
 
 def sweep_run(programs, adversary, K, t, seed, max_steps):
-    """Execute one trial on the fused driver; returns flat run state.
+    """Execute one trial on the fused driver; returns its record.
 
-    ``(processes, crashed, envelopes, pid_steps, event_count,
-    terminated)``.  This is ``CycleAdversary.decide`` +
+    The record is the :class:`~repro.sim.trace.TrialRecord` that
+    ``Simulation.trial_record`` gives for the same trial.  This is ``CycleAdversary.decide`` +
     ``Simulation.apply`` fused into one loop over flat structures.
     Every branch mirrors a line of the reference pair; RNG draws go
     through the adversary's own generator in the reference order.  A
@@ -261,7 +248,7 @@ def sweep_run(programs, adversary, K, t, seed, max_steps):
     queue: list[int] = []
     qpos = 0  # index pointer: queue[qpos:] is the live round-robin tail
     alive = list(range(n))
-    crashed: set[int] = set()
+    crashed: dict[int, int] = {}  # pid -> crash event index
     running = n
     event_count = 0
     next_message_id = 0
@@ -297,7 +284,7 @@ def sweep_run(programs, adversary, K, t, seed, max_steps):
         if crash_pid is not None:
             queue = [p for p in queue[qpos:] if p != crash_pid]
             qpos = 0
-            crashed.add(crash_pid)
+            crashed[crash_pid] = event_count
             alive.remove(crash_pid)
             process = processes[crash_pid]
             if process.status is RUNNING:
@@ -340,7 +327,6 @@ def sweep_run(programs, adversary, K, t, seed, max_steps):
                     del buffer[env.message_id]
             for env in delivered:
                 env.receive_event = event_count
-                env.receive_clock = clock_after
         if status_running:
             process.tape.next_step_value()
             if delivered:
@@ -408,7 +394,18 @@ def sweep_run(programs, adversary, K, t, seed, max_steps):
             ],
             type(adversary).__name__,
         )
-    return processes, crashed, all_envs, pid_steps, event_count, running == 0
+    return TrialRecord(
+        n=n,
+        t=t,
+        K=K,
+        decisions=[process.decision for process in processes],
+        decision_clocks=[process.decision_clock for process in processes],
+        crashes=crashed,
+        envelopes=all_envs,
+        step_events=pid_steps,
+        events=event_count,
+        terminated=running == 0,
+    )
 
 
 def _finish_parked(processes, pid_steps, alive, event_count, max_steps):
@@ -427,52 +424,3 @@ def _finish_parked(processes, pid_steps, alive, event_count, max_steps):
         pid_steps[pid].extend(steps)
         if process.status is ProcessStatus.RUNNING:
             process.tape.advance(len(steps))
-
-
-def sweep_metrics(programs, processes, crashed, all_envs, pid_steps, event_count, terminated, K):
-    """Assemble the :class:`RunMetrics` bundle from flat sweep state.
-
-    Takes ``programs``, then :func:`sweep_run`'s result, then ``K``.
-    The flat records go into the one lateness comparison
-    (:func:`repro.sim.trace.late_envelopes`), the one round iteration
-    (:mod:`repro.sim.rounds`) and the one assembly
-    (:func:`repro.analysis.metrics.assemble_metrics`), which
-    ``metrics_from_run`` feeds from a ``Run``; the bundle is recorded
-    into the ``analysis_*`` families as that one is.
-    """
-    from repro.analysis.metrics import (
-        _record_run_metrics,
-        assemble_metrics,
-        stage_statistics,
-    )
-
-    nonfaulty = set(range(len(processes))) - crashed
-    decision_clocks = [process.decision_clock for process in processes]
-
-    def rounds():
-        receipts = [[] for _ in processes]
-        for env in all_envs:
-            if env.receive_event is not None and env.sender in nonfaulty:
-                receipts[env.recipient].append(
-                    (env.sender, env.send_clock, env.receive_clock)
-                )
-        targets = [
-            process.clock if clock is None else clock
-            for process, clock in zip(processes, decision_clocks)
-        ]
-        ends = round_ends(K, receipts, targets)
-        return max_decision_round(ends, decision_clocks, nonfaulty)
-
-    metrics = assemble_metrics(
-        terminated=terminated,
-        decisions=[process.decision for process in processes],
-        decision_clocks=decision_clocks,
-        rounds=rounds,
-        on_time=not late_envelopes(K, pid_steps, all_envs),
-        messages=len(all_envs),
-        events=event_count,
-        crashes=len(crashed),
-        stages=stage_statistics(programs, nonfaulty),
-    )
-    _record_run_metrics(metrics)
-    return metrics

@@ -17,9 +17,11 @@ facts: each processor's receipts from nonfaulty senders as
 Once every processor's round-``(r-1)`` boundary is known, every message
 can be labelled with its sender's round at send time, which determines
 the round-``r`` boundaries.  :func:`max_decision_round` reads the
-Theorem 10 metric off the boundaries.  :class:`RoundAnalyzer` feeds both
-from a :class:`~repro.sim.trace.Run`; the fused sweep
-(:mod:`repro.sim.fastcore`) feeds them its flat records.
+Theorem 10 metric off the boundaries.  :func:`record_round_ends` feeds
+:func:`round_ends` from a finished trial's
+:class:`~repro.sim.trace.TrialRecord`, whichever kernel ran it;
+:class:`RoundAnalyzer` is the query object over a
+:class:`~repro.sim.trace.Run`'s record.
 
 For finite recorded runs, messages that were sent but never delivered
 cannot extend a round (the definition speaks of messages ``p`` *receives*);
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Collection, Sequence
 
 from repro.errors import AnalysisError
-from repro.sim.trace import Run
+from repro.sim.trace import Run, TrialRecord
 
 #: Upper bound on rounds computed before giving up; far above the
 #: paper's 14-expected-round bound, so hitting it signals a pathological
@@ -88,6 +90,31 @@ def round_ends(
     raise AnalysisError(
         f"round analysis did not converge within {_MAX_ROUNDS} rounds"
     )
+
+
+def record_round_ends(record: TrialRecord) -> list[list[int]]:
+    """:func:`round_ends` of a finished trial, read off its record.
+
+    The receipts are the delivered envelopes from nonfaulty senders; a
+    processor's target is its decision clock, else its last clock (the
+    whole recorded lifetime of an undecided processor).
+    """
+    nonfaulty = record.nonfaulty()
+    receipts: list[list[Receipt]] = [[] for _ in range(record.n)]
+    for env in record.envelopes:
+        if env.receive_event is not None and env.sender in nonfaulty:
+            receipts[env.recipient].append(
+                (
+                    env.sender,
+                    env.send_clock,
+                    record.clock(env.recipient, env.receive_event),
+                )
+            )
+    targets = [
+        len(steps) if clock is None else clock
+        for steps, clock in zip(record.step_events, record.decision_clocks)
+    ]
+    return round_ends(record.K, receipts, targets)
 
 
 def round_at_clock(ends: Sequence[int], pid: int, clock: int) -> int:
@@ -146,40 +173,17 @@ class RoundBoundaries:
 class RoundAnalyzer:
     """Computes asynchronous rounds for a completed run.
 
-    Reads the receipts and target clocks out of the :class:`Run` and
-    computes every round (:func:`round_ends`) on construction.
+    Computes every round of the run's record (:func:`record_round_ends`)
+    on construction.
     """
 
     def __init__(self, run: Run) -> None:
-        self.run = run
-        self.K = run.K
-        self._nonfaulty = run.nonfaulty()
-        receipts: list[list[Receipt]] = [[] for _ in range(run.n)]
-        for env in run.envelopes.values():
-            if env.receive_event is None or env.sender not in self._nonfaulty:
-                continue
-            receipts[env.recipient].append(
-                (
-                    env.sender,
-                    env.send_clock,
-                    run.events[env.receive_event].clock_after,
-                )
-            )
-        # Undecided processors: cover their whole recorded lifetime.
-        last_clocks = [0] * run.n
-        for event in run.events:
-            if event.kind == "step":
-                last_clocks[event.actor] = event.clock_after
-        self._decision_clocks = [
-            run.decision_clocks.get(pid) for pid in range(run.n)
-        ]
-        targets = [
-            last_clocks[pid] if clock is None else clock
-            for pid, clock in enumerate(self._decision_clocks)
-        ]
+        record = run.trial_record()
+        self._nonfaulty = record.nonfaulty()
+        self._decision_clocks = list(record.decision_clocks)
         self._boundaries = [
             RoundBoundaries(pid=pid, ends=ends)
-            for pid, ends in enumerate(round_ends(run.K, receipts, targets))
+            for pid, ends in enumerate(record_round_ends(record))
         ]
 
     # -- public queries ------------------------------------------------------

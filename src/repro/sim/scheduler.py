@@ -14,9 +14,11 @@ objects readers see.  The adversary's pattern entries
 an adversary first reads them, and the full-information
 :class:`~repro.sim.trace.Run` (with its
 :class:`~repro.sim.trace.TraceEvent` list) when :meth:`Simulation.result`
-or :meth:`Simulation.build_run` is first called.  A trial that reads only
-the outcome, the decisions and the crashed set off the kernel
-(:func:`repro.sim.coreselect.run_sim_trial`) builds neither.
+or :meth:`Simulation.build_run` is first called.  A finished trial is
+handed over as its flat :class:`~repro.sim.trace.TrialRecord`
+(:meth:`Simulation.trial_record`), which the trial's metrics, counters
+and spans read (:func:`observe_trial`); a trial run through
+:func:`repro.sim.coreselect.run_sim_trial` builds neither.
 
 A run that parks (:mod:`repro.sim.parking`) is finished in one go by
 :meth:`Simulation._finish_parked`, per processor rather than per event,
@@ -49,7 +51,7 @@ from repro.sim.pattern import (
 )
 from repro.sim.process import Program, SimProcess
 from repro.sim.tape import TapeCollection
-from repro.sim.trace import Run, TraceEvent
+from repro.sim.trace import Run, TraceEvent, TrialRecord
 from repro.telemetry.log import get_logger
 from repro.telemetry.registry import active_registry
 from repro.trace import spans as trace_spans
@@ -124,6 +126,31 @@ def check_simulation_arguments(
         raise ConfigurationError(f"max_steps must be positive, got {max_steps}")
 
 
+def observe_trial(programs, record: TrialRecord, seconds: float) -> None:
+    """Record a finished trial into the active observers, once.
+
+    With a metrics registry active its counters are recorded
+    (:func:`repro.telemetry.summary.record_trial`); with a span recorder
+    active its spans are, nested under the span open now
+    (:func:`repro.trace.build.record_run`).  Both read only the record,
+    so either kernel calls this, and tracing cannot perturb scheduling.
+    """
+    registry = active_registry()
+    if registry is not None:
+        from repro.telemetry.summary import record_trial
+
+        record_trial(registry, programs, record, seconds)
+    recorder = trace_spans.active_recorder()
+    if recorder is not None:
+        from repro.trace.build import record_run
+
+        record_run(
+            recorder,
+            record,
+            outcome="terminated" if record.terminated else "horizon",
+        )
+
+
 class Simulation:
     """Hosts ``n`` processes and drives them under one adversary.
 
@@ -179,7 +206,8 @@ class Simulation:
         self._factory = EnvelopeFactory()
         self._rows: list[EventRow] = []
         self._envelopes: dict[MessageId, Envelope] = {}
-        self._crashed: set[int] = set()
+        #: Crashed processor -> the index of its crash event.
+        self._crashed: dict[int, int] = {}
         self._last_send_event: dict[int, int] = {}
         #: Index of the first event after the last delivery, send or crash.
         self._quiet_from = 0
@@ -315,11 +343,9 @@ class Simulation:
 
         The outcome, decisions, crashed set and event count can be read
         off the kernel afterwards; :meth:`result` builds the
-        :class:`SimulationResult` on first call.  With a metrics
-        registry active the finished trial's counters are recorded here,
-        once (:func:`repro.telemetry.summary.record_trial`).  With a span
-        recorder active the result is built here, so that the run's spans
-        nest under the span open now, and they are recorded once.
+        :class:`SimulationResult` on first call.  The finished trial's
+        counters and spans are recorded here, once, from its record
+        (:func:`observe_trial`); no ``Run`` is built for them.
         """
         from repro.sim.parking import stock_cycle_adversary
 
@@ -358,29 +384,26 @@ class Simulation:
                 type(self.adversary).__name__,
             )
         self._outcome = outcome
-        registry = active_registry()
-        if registry is not None:
-            from repro.telemetry.summary import record_trial
-
-            record_trial(
-                registry,
-                self.programs,
-                outcome.name.lower(),
-                self.event_count,
-                self._crashed,
-                self.envelopes(),
-                time.perf_counter() - started,
-            )
-        recorder = trace_spans.active_recorder()
-        if recorder is not None:
-            # Spans are derived post-hoc from the already-built run, so
-            # tracing cannot perturb scheduling and recorded runs stay
-            # byte-identical to untraced ones.
-            from repro.trace.build import record_run
-
-            run = self.result().run
-            record_run(recorder, run, outcome=outcome.name.lower())
+        observe_trial(
+            self.programs, self.trial_record(), time.perf_counter() - started
+        )
         return outcome
+
+    def trial_record(self) -> TrialRecord:
+        """The flat record of the trial run so far, off the kernel's state."""
+        processes = self.processes
+        return TrialRecord(
+            n=self.n,
+            t=self.t,
+            K=self.K,
+            decisions=[process.decision for process in processes],
+            decision_clocks=[process.decision_clock for process in processes],
+            crashes=dict(self._crashed),
+            envelopes=list(self._envelopes.values()),
+            step_events=self._pid_step_events,
+            events=self.event_count,
+            terminated=self._outcome is Outcome.TERMINATED,
+        )
 
     def result(self) -> SimulationResult:
         """The result of the last :meth:`execute`, built once and cached."""
@@ -489,7 +512,7 @@ class Simulation:
             raise SchedulingError(f"processor {pid} is already crashed")
         process = self.processes[pid]
         was_running = process.status is ProcessStatus.RUNNING
-        self._crashed.add(pid)
+        self._crashed[pid] = self.event_count
         self._crashed_frozen = frozenset(self._crashed)
         self._alive_tuple = tuple(
             p for p in range(self.n) if p not in self._crashed

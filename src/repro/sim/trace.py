@@ -15,9 +15,10 @@ broadcast shares its send event, so :func:`send_deadlines` turns that
 event into one deadline, the first event index at which a message sent
 there has been outlived by ``K + 1`` steps of some processor, and an
 envelope is late iff it was received after its send event's deadline.
-:meth:`Run.late_messages` feeds it the recorded run, the fused sweep
-(:mod:`repro.sim.fastcore`) its flat records, and the model checker
-(:mod:`repro.mc.explorer`) the live kernel's.
+:meth:`Run.late_messages` feeds it the recorded run,
+:meth:`TrialRecord.on_time` the flat record of a finished trial that
+both kernels hand over, and the model checker (:mod:`repro.mc.explorer`)
+the live kernel's.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, TypeVar
+from typing import Any, Iterable, Mapping, Sequence, TypeVar
 
 from repro.sim.message import Envelope, MessageId
 from repro.types import ProcessStatus
@@ -80,6 +81,58 @@ def late_envelopes(
         for env in delivered
         if deadlines[env.send_event] < env.receive_event
     ]
+
+
+@dataclass(frozen=True)
+class TrialRecord:
+    """The flat record of one finished trial.
+
+    A processor's clock is the number of steps it has taken, so every
+    clock reading a derived fact needs is read off ``step_events``: a
+    processor's clock after event ``e`` is the number of its steps at or
+    before ``e`` (:meth:`clock`), and its decide step is
+    ``step_events[pid][decision_clock - 1]``.
+
+    Attributes:
+        n: number of processors.
+        t: fault budget the adversary was configured with.
+        K: on-time bound in clock ticks.
+        decisions: final decision per processor (None if undecided).
+        decision_clocks: clock reading at each processor's decide step.
+        crashes: crashed processor -> the index of its crash event, in
+            crash order.
+        envelopes: every envelope sent, in send order (ascending message
+            id); each has ``message_id``, ``sender``, ``recipient``,
+            ``payloads``, ``send_event``, ``send_clock`` and
+            ``receive_event`` (None while undelivered).
+        step_events: per processor, the ascending event indices at which
+            it stepped.
+        events: number of events in the trial.
+        terminated: every nonfaulty program returned.
+    """
+
+    n: int
+    t: int
+    K: int
+    decisions: Sequence[int | None]
+    decision_clocks: Sequence[int | None]
+    crashes: Mapping[int, int]
+    envelopes: Sequence[Any]
+    step_events: Sequence[Sequence[int]]
+    events: int
+    terminated: bool
+
+    def nonfaulty(self) -> set[int]:
+        """Processors that did not crash."""
+        return set(range(self.n)).difference(self.crashes)
+
+    def clock(self, pid: int, event: int) -> int:
+        """``pid``'s clock reading after event ``event``."""
+        return bisect.bisect_right(self.step_events[pid], event)
+
+    def on_time(self) -> bool:
+        """Whether the trial contains no late message."""
+        return not late_envelopes(self.K, self.step_events, self.envelopes)
 
 
 @dataclass(frozen=True)
@@ -142,7 +195,7 @@ class Run:
     )
     # Cache: the late-message list.  A Run is assembled once, after the
     # simulation finishes, so lateness is immutable; analyses typically ask
-    # both ``is_on_time`` and ``late_count``, which would otherwise scan
+    # both ``is_on_time`` and ``late_messages``, which would otherwise scan
     # every envelope twice.
     _late_cache: list[Envelope] | None = field(
         default=None, repr=False, compare=False
@@ -183,6 +236,33 @@ class Run:
     def agreement_holds(self) -> bool:
         """The paper's agreement condition: at most one decision value."""
         return len(self.decision_values()) <= 1
+
+    def trial_record(self) -> TrialRecord:
+        """The flat :class:`TrialRecord` of this run."""
+        nonfaulty = self.nonfaulty()
+        return TrialRecord(
+            n=self.n,
+            t=self.t,
+            K=self.K,
+            decisions=[self.decisions.get(pid) for pid in range(self.n)],
+            decision_clocks=[
+                self.decision_clocks.get(pid) for pid in range(self.n)
+            ],
+            crashes={
+                event.actor: event.index
+                for event in self.events
+                if event.kind == "crash"
+            },
+            envelopes=sorted(
+                self.envelopes.values(), key=lambda env: env.message_id
+            ),
+            step_events=self._step_lists(),
+            events=self.event_count,
+            terminated=all(
+                self.statuses.get(pid) is ProcessStatus.RETURNED
+                for pid in nonfaulty
+            ),
+        )
 
     # -- lateness -------------------------------------------------------------
 
@@ -245,27 +325,6 @@ class Run:
     def messages_sent(self) -> int:
         """Total number of envelopes sent in the run."""
         return len(self.envelopes)
-
-    def payload_kind_counts(self, delivered_only: bool = False) -> dict[str, int]:
-        """Payload tallies by payload class name, sorted by kind.
-
-        The unit is the protocol message (payload), not the envelope: one
-        envelope packs every payload one step addressed to one recipient,
-        so payload counts are the paper's message-complexity measure while
-        :meth:`messages_sent` counts scheduled deliveries.
-        """
-        counts: dict[str, int] = {}
-        for envelope in self.envelopes.values():
-            if delivered_only and not envelope.delivered:
-                continue
-            for payload in envelope.payloads:
-                kind = type(payload).__name__
-                counts[kind] = counts.get(kind, 0) + 1
-        return dict(sorted(counts.items()))
-
-    def late_count(self) -> int:
-        """Number of late messages (the per-phase lateness counter)."""
-        return len(self.late_messages())
 
     def max_decision_clock(self) -> int | None:
         """The largest clock reading at which any processor decided.

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 from collections import Counter as TallyCounter
 from dataclasses import asdict
-from typing import Any, Callable, Collection, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.core.agreement import AgreementStats, program_stats
 from repro.core.commit import CommitStats
 from repro.errors import AnalysisError
 from repro.sim.rounds import RoundAnalyzer
-from repro.sim.trace import Run
+from repro.sim.trace import Run, TrialRecord
 from repro.telemetry.registry import COUNT_BUCKETS, MetricsRegistry
 from repro.telemetry.runio import TRACE_SCHEMA, TRACE_VERSION, run_to_records
 
@@ -62,26 +62,39 @@ def _agreement_counters(programs: Sequence[Any] | None) -> dict[str, Any]:
     }
 
 
+def payload_kinds(envelopes: Iterable[Any]) -> dict[str, int]:
+    """Payload tallies by payload class name, sorted by kind.
+
+    The unit is the protocol message (payload), not the envelope: one
+    envelope packs every payload one step addressed to one recipient.
+    """
+    return dict(
+        sorted(
+            TallyCounter(
+                type(payload).__name__
+                for env in envelopes
+                for payload in env.payloads
+            ).items()
+        )
+    )
+
+
 def record_trial(
     registry: MetricsRegistry,
     programs: Iterable[Any],
-    outcome: str | None = None,
-    events: int = 0,
-    crashed: Collection[int] = (),
-    envelopes: Collection[Any] = (),
+    trial: TrialRecord | None = None,
     seconds: float | None = None,
 ) -> None:
     """Count one finished trial into the protocol and kernel families.
 
     The ``commit_*`` and ``agreement_*`` families come from each
     program's ``stats`` (a :class:`~repro.core.commit.CommitStats`, or
-    an :class:`~repro.core.agreement.AgreementStats` directly).  With an
-    ``outcome`` (``"terminated"`` / ``"horizon"``) the ``sim_*``
-    families come from the kernel's record: the event count, the crashed
-    set, and every envelope sent (its ``payloads``, and its
-    ``receive_event`` once delivered); ``seconds`` is the trial's
-    wall-clock time.  Both kernels call this once per trial and the
-    service once per transaction instance, so a count is a function of
+    an :class:`~repro.core.agreement.AgreementStats` directly).  With a
+    kernel's ``trial`` record the ``sim_*`` families come from it: the
+    outcome, the event count, the crashes, and every envelope sent (its
+    ``payloads``, and its ``receive_event`` once delivered); ``seconds``
+    is the trial's wall-clock time.  Both kernels call this once per
+    trial and the service once per transaction instance, so a count is a function of
     the finished trial, never of a replay.  A family is created only
     when it gets a sample.
     """
@@ -130,16 +143,20 @@ def record_trial(
             via=via,
         )
 
-    if outcome is None:
+    if trial is None:
         return
     if seconds is not None:
         registry.histogram(
             "sim_run_seconds", "wall-clock seconds per simulation run"
         ).observe(seconds)
     count(
-        "sim_runs_total", "completed simulations, by outcome", outcome=outcome
+        "sim_runs_total",
+        "completed simulations, by outcome",
+        outcome="terminated" if trial.terminated else "horizon",
     )
-    crashes = len(crashed)
+    events = trial.events
+    envelopes = trial.envelopes
+    crashes = len(trial.crashes)
     kinds = "scheduler events applied, by kind"
     count("sim_events_total", kinds, events - crashes, kind="step")
     count("sim_events_total", kinds, crashes, kind="crash")
@@ -147,21 +164,15 @@ def record_trial(
     count(
         "sim_envelopes_sent_total", "envelopes handed to buffers", len(envelopes)
     )
-    sent = TallyCounter(
-        type(payload).__name__ for env in envelopes for payload in env.payloads
-    )
-    for kind, amount in sent.items():
+    for kind, amount in payload_kinds(envelopes).items():
         count(
             "sim_payloads_sent_total",
             "payloads sent, by payload kind",
             amount,
             kind=kind,
         )
-    delivered = TallyCounter(
-        type(payload).__name__
-        for env in envelopes
-        if env.receive_event is not None
-        for payload in env.payloads
+    delivered = payload_kinds(
+        env for env in envelopes if env.receive_event is not None
     )
     for kind, amount in delivered.items():
         count(
@@ -221,6 +232,7 @@ def run_counters(
     events_by_kind: TallyCounter[str] = TallyCounter(
         event.kind for event in run.events
     )
+    delivered = [env for env in run.envelopes.values() if env.delivered]
     rounds = decision_rounds(run)
     counters: dict[str, Any] = {
         "events": {
@@ -229,12 +241,10 @@ def run_counters(
         },
         "messages": {
             "envelopes_sent": run.messages_sent(),
-            "envelopes_delivered": sum(
-                1 for e in run.envelopes.values() if e.delivered
-            ),
-            "sent_by_kind": run.payload_kind_counts(),
-            "delivered_by_kind": run.payload_kind_counts(delivered_only=True),
-            "late": run.late_count(),
+            "envelopes_delivered": len(delivered),
+            "sent_by_kind": payload_kinds(run.envelopes.values()),
+            "delivered_by_kind": payload_kinds(delivered),
+            "late": len(run.late_messages()),
         },
         "rounds": {
             "decision_rounds": (

@@ -1,14 +1,15 @@
-"""Derive the sim track's span tree from a completed run.
+"""Derive the sim track's span tree from a finished trial's record.
 
 The simulator never records spans while executing — that would risk
-perturbing the schedule and would duplicate what the
-:class:`~repro.sim.trace.Run` already captures.  Instead, when a
-recorder is active the scheduler calls :func:`record_run` *after* the
-run completes, and this module replays the run into spans:
+perturbing the schedule.  Instead, when a recorder is active, the trial's
+flat :class:`~repro.sim.trace.TrialRecord` is handed to
+:func:`record_run` *after* the trial finishes
+(:func:`repro.sim.scheduler.observe_trial`, on either kernel), and this
+module derives the spans from it:
 
 * one **trial** span covering the whole run (time axis = event index);
 * one **round** span per asynchronous round (Section 2.2 boundaries via
-  :class:`~repro.sim.rounds.RoundAnalyzer`), from the earliest to the
+  :func:`~repro.sim.rounds.record_round_ends`), from the earliest to the
   latest step any processor took in that round;
 * one **phase** span per (processor, round) — processor ``p``'s slice
   of round ``r``;
@@ -17,84 +18,81 @@ run completes, and this module replays the run into spans:
   recipient's) round at that clock reading;
 * ``decide`` and ``crash`` point events.
 
-Runs the round analyzer cannot label (non-convergent pathological
+Only the events that carry a point are visited: the envelopes give the
+sends and deliveries, the crash indices the crashes, and the decision
+clocks the decide steps.  A recorded :class:`~repro.sim.trace.Run`
+gets the same spans through its record (``record_run(recorder,
+run.trial_record())``).
+
+Runs whose rounds cannot be computed (non-convergent pathological
 schedules) still get the trial span, message events, and edges — only
 round/phase structure is omitted.
 """
 
 from __future__ import annotations
 
-import bisect
 from typing import Any
 
 from repro.errors import AnalysisError
-from repro.sim.rounds import RoundAnalyzer
-from repro.sim.trace import Run
+from repro.sim.rounds import (
+    max_decision_round,
+    record_round_ends,
+    round_at_clock,
+)
+from repro.sim.trace import TrialRecord
 from repro.trace.spans import SpanRecorder
-
-
-def _steps_by_actor(run: Run) -> dict[int, tuple[list[int], list[int]]]:
-    """Per actor: parallel lists of (clock_after, event index) for steps."""
-    steps: dict[int, tuple[list[int], list[int]]] = {
-        pid: ([], []) for pid in range(run.n)
-    }
-    for event in run.events:
-        if event.kind == "step":
-            clocks, indexes = steps[event.actor]
-            clocks.append(event.clock_after)
-            indexes.append(event.index)
-    return steps
 
 
 def record_run(
     recorder: SpanRecorder,
-    run: Run,
+    record: TrialRecord,
     *,
     track: str = "sim",
     name: str = "sim-run",
     **attrs: Any,
 ) -> int:
-    """Record a completed run's span tree; returns the trial span id.
+    """Record a finished trial's span tree; returns the trial span id.
 
     The trial span nests under whatever span is currently open on the
     recorder (the campaign's trial span, for instance), or at the root
     when recording a bare ``run_commit``.
     """
     scope = recorder.new_scope()
+    steps = record.step_events
     try:
-        rounds: RoundAnalyzer | None = RoundAnalyzer(run)
+        ends: list[list[int]] | None = record_round_ends(record)
     except AnalysisError:
-        rounds = None
+        ends = None
 
     trial_attrs: dict[str, Any] = {
-        "n": run.n,
-        "t": run.t,
-        "K": run.K,
-        "events": run.event_count,
-        "decided": sum(1 for v in run.decisions.values() if v is not None),
+        "n": record.n,
+        "t": record.t,
+        "K": record.K,
+        "events": record.events,
+        "decided": sum(1 for v in record.decisions if v is not None),
     }
-    if rounds is not None:
-        trial_attrs["max_decision_round"] = rounds.max_decision_round()
+    if ends is not None:
+        trial_attrs["max_decision_round"] = max_decision_round(
+            ends, record.decision_clocks, record.nonfaulty()
+        )
     trial_attrs.update(attrs)
     trial = recorder.begin_span(
         name, kind="trial", track=track, start=0, **trial_attrs
     )
 
-    steps = _steps_by_actor(run)
     # phase_spans[(pid, round)] -> span id, for parenting message events.
     phase_spans: dict[tuple[int, int], int] = {}
-    if rounds is not None:
+    if ends is not None:
         # Collect every (pid, round) phase as an event-index interval.
+        # ``pid``'s clock after its i-th step (0-based) is i + 1, so the
+        # steps with a clock in (low, high] are indexes low .. high - 1.
         phases: dict[int, list[tuple[int, int, int]]] = {}
-        for pid in range(run.n):
-            clocks, indexes = steps[pid]
-            if not clocks:
-                continue
-            ends = rounds.boundaries(pid).ends
-            for r in range(1, len(ends)):
-                low, high = ends[r - 1], ends[r]
-                first = bisect.bisect_right(clocks, low)
-                last = bisect.bisect_right(clocks, high) - 1
+        for pid, indexes in enumerate(steps):
+            taken = len(indexes)
+            pid_ends = ends[pid]
+            for r in range(1, len(pid_ends)):
+                first = min(pid_ends[r - 1], taken)
+                last = min(pid_ends[r], taken) - 1
                 if first > last:
                     continue
                 phases.setdefault(r, []).append(
@@ -127,10 +125,10 @@ def record_run(
                 phase_spans[(pid, r)] = span
 
     def _round_at(pid: int, clock: int) -> int | None:
-        if rounds is None:
+        if ends is None:
             return None
         try:
-            return rounds.round_at_clock(pid, clock)
+            return round_at_clock(ends[pid], pid, clock)
         except AnalysisError:
             return None
 
@@ -139,23 +137,31 @@ def record_run(
             return trial
         return phase_spans.get((pid, round_number), trial)
 
-    # Message events + causal edges, replayed in event order.  Within
-    # one step, delivers precede sends (a process reads its inbox before
-    # emitting), which keeps recorder ids aligned with causality.
+    # The events that carry a point.  Envelopes come in send order, which
+    # is message-id order, so each event's lists are already sorted.
     sends_by_event: dict[int, list] = {}
     delivers_by_event: dict[int, list] = {}
-    for env in run.envelopes.values():
+    for env in record.envelopes:
         sends_by_event.setdefault(env.send_event, []).append(env)
         if env.receive_event is not None:
             delivers_by_event.setdefault(env.receive_event, []).append(env)
+    crash_at = {index: pid for pid, index in record.crashes.items()}
+    decide_at = {
+        steps[pid][clock - 1]: pid
+        for pid, clock in enumerate(record.decision_clocks)
+        if clock is not None
+    }
 
-    decided: set[int] = set()
-    for event in run.events:
-        index = event.index
-        for env in sorted(
-            delivers_by_event.get(index, []), key=lambda e: e.message_id
-        ):
-            r = _round_at(env.recipient, event.clock_after)
+    # Points in event order.  Within one step, delivers precede sends (a
+    # process reads its inbox before emitting), which keeps recorder ids
+    # aligned with causality.
+    for index in sorted(
+        sends_by_event.keys() | delivers_by_event.keys() | crash_at.keys()
+        | decide_at.keys()
+    ):
+        for env in delivers_by_event.get(index, ()):
+            clock = record.clock(env.recipient, index)
+            r = _round_at(env.recipient, clock)
             recorder.deliver(
                 track=track,
                 key=(scope, int(env.message_id)),
@@ -164,12 +170,10 @@ def record_run(
                 message=int(env.message_id),
                 sender=env.sender,
                 recipient=env.recipient,
-                clock=event.clock_after,
+                clock=clock,
                 round=r,
             )
-        for env in sorted(
-            sends_by_event.get(index, []), key=lambda e: e.message_id
-        ):
+        for env in sends_by_event.get(index, ()):
             r = _round_at(env.sender, env.send_clock)
             recorder.send(
                 track=track,
@@ -182,32 +186,30 @@ def record_run(
                 clock=env.send_clock,
                 round=r,
             )
-        if event.kind == "crash":
+        pid = crash_at.get(index)
+        if pid is not None:
             recorder.point(
                 "crash",
                 track=track,
                 time=index,
                 span=trial,
-                pid=event.actor,
-                clock=event.clock_after,
+                pid=pid,
+                clock=record.clock(pid, index),
             )
-        if (
-            event.decision_after is not None
-            and event.actor not in decided
-            and event.kind == "step"
-        ):
-            decided.add(event.actor)
-            r = _round_at(event.actor, event.clock_after)
+        pid = decide_at.get(index)
+        if pid is not None:
+            clock = record.decision_clocks[pid]
+            r = _round_at(pid, clock)
             recorder.point(
                 "decide",
                 track=track,
                 time=index,
-                span=_phase_of(event.actor, r),
-                pid=event.actor,
-                decision=event.decision_after,
-                clock=event.clock_after,
+                span=_phase_of(pid, r),
+                pid=pid,
+                decision=record.decisions[pid],
+                clock=clock,
                 round=r,
             )
 
-    recorder.end_span(trial, run.event_count)
+    recorder.end_span(trial, record.events)
     return trial

@@ -6,7 +6,7 @@ from repro.adversary.standard import SynchronousAdversary
 from repro.analysis.metrics import (
     abort_validity_satisfied,
     commit_validity_satisfied,
-    extract_metrics,
+    metrics_from_run,
 )
 from repro.analysis.montecarlo import (
     CommitTrialConfig,
@@ -28,7 +28,7 @@ def outcome_and_programs(votes, **kwargs):
 class TestExtractMetrics:
     def test_happy_path_metrics(self):
         outcome, programs = outcome_and_programs([1] * 5)
-        metrics = extract_metrics(outcome, programs=programs)
+        metrics = metrics_from_run(outcome.run, programs=programs)
         assert metrics.terminated
         assert metrics.consistent
         assert metrics.decision == 1
@@ -40,13 +40,13 @@ class TestExtractMetrics:
 
     def test_without_programs_stage_metrics_absent(self):
         outcome, _ = outcome_and_programs([1] * 3)
-        metrics = extract_metrics(outcome)
+        metrics = metrics_from_run(outcome.run)
         assert metrics.stages is None
         assert metrics.decision_stage is None
 
     def test_abort_metrics(self):
         outcome, programs = outcome_and_programs([1, 0, 1, 1, 1])
-        metrics = extract_metrics(outcome, programs=programs)
+        metrics = metrics_from_run(outcome.run, programs=programs)
         assert metrics.decision == 0
 
 

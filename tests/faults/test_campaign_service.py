@@ -290,7 +290,7 @@ class TestServiceProtocolCounters:
         )
 
     def test_closed_instances_counted_once_across_recoveries(self):
-        from repro.runtime.virtualtime import run_virtual
+        from repro.service.virtualtime import run_virtual
         from repro.service.cluster import (
             ServiceCluster,
             TxnWorkload,

@@ -14,9 +14,8 @@ from repro.faults.plan import (
     PartitionWindow,
 )
 from repro.faults.sim_compile import compile_to_adversary
-from repro.runtime.reliability import Reliability
 from repro.service.cluster import PlanLinkFaults, node_configs
-from repro.service.node import ServiceNode
+from repro.service.node import Reliability, ServiceNode
 from repro.service.wal import MemoryWalStore
 from repro.sim.scheduler import Simulation
 from repro.types import Decision

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from repro.core.commit import CommitProgram
 from repro.faults.plan import FaultPlan
 from repro.faults.sim_compile import compile_to_adversary
-from repro.runtime.virtualtime import run_virtual
 from repro.service.cluster import ServiceCluster, node_configs
+from repro.service.virtualtime import run_virtual
 from repro.sim.scheduler import Simulation
 
 N = 5

@@ -30,10 +30,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ServiceError
-from repro.runtime.virtualtime import run_virtual
 from repro.service.cluster import shard_configs
 from repro.service.node import ServiceNode
 from repro.service.recovery import replay
+from repro.service.virtualtime import run_virtual
 from repro.service.wal import MemoryWalStore, durable_records
 from repro.service.wire import ServiceEnvelope
 

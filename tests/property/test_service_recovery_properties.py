@@ -15,9 +15,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.faults.plan import FaultPlan
-from repro.runtime.virtualtime import run_virtual
 from repro.service.cluster import ServiceCluster, node_configs
 from repro.service.recovery import replay, state_digest
+from repro.service.virtualtime import run_virtual
 from repro.service.wal import durable_records
 
 N, T, K = 5, 2, 4

@@ -28,8 +28,8 @@ from repro.core.messages import (
     VoteMessage,
 )
 from repro.errors import ServiceError
-from repro.runtime.virtualtime import run_virtual
 from repro.service.server import ServiceServer
+from repro.service.virtualtime import run_virtual
 from repro.service.wal import MemoryWalStore
 from repro.service.wire import KINDS, ServiceEnvelope
 

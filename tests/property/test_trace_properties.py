@@ -89,7 +89,7 @@ class TestRandomSchedules:
             max_steps=5_000,
         )
         rec = SpanRecorder()
-        record_run(rec, outcome.run)
+        record_run(rec, outcome.run.trial_record())
         assert_well_formed(rec)
 
     @SLOW
@@ -107,7 +107,7 @@ class TestRandomSchedules:
                 adversary=RandomAdversary(seed=seed),
                 max_steps=5_000,
             )
-            roots.append(record_run(rec, outcome.run))
+            roots.append(record_run(rec, outcome.run.trial_record()))
         assert_well_formed(rec)
 
         def root_of(span_id):

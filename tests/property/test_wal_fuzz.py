@@ -28,7 +28,6 @@ from hypothesis import strategies as st
 
 from repro.errors import WalError
 from repro.faults.plan import CrashFault, FaultPlan
-from repro.runtime.virtualtime import run_virtual
 from repro.service.cluster import (
     ServiceCluster,
     TxnWorkload,
@@ -36,6 +35,7 @@ from repro.service.cluster import (
     shard_configs,
 )
 from repro.service.recovery import replay
+from repro.service.virtualtime import run_virtual
 from repro.service.wal import (
     RECORD_TYPES,
     FileWalStore,

@@ -14,10 +14,13 @@ import random
 import pytest
 
 from repro.errors import ServiceError
-from repro.runtime.delays import FixedDelay
-from repro.runtime.transport import LinkFaultPolicy, LinkVerdict
-from repro.runtime.virtualtime import run_virtual
-from repro.service.bus import ServiceBus
+from repro.service.bus import (
+    FixedDelay,
+    LinkFaultPolicy,
+    LinkVerdict,
+    ServiceBus,
+)
+from repro.service.virtualtime import run_virtual
 from repro.service.wire import ServiceEnvelope
 
 

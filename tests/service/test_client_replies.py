@@ -12,11 +12,11 @@ import asyncio
 import pytest
 
 from repro.core.messages import GoMessage
-from repro.runtime.virtualtime import run_virtual
 from repro.service import txn as txn_module
 from repro.service.cluster import node_configs
 from repro.service.server import ServiceServer
 from repro.service.txn import InstanceMux
+from repro.service.virtualtime import run_virtual
 from repro.service.wal import MemoryWalStore
 from repro.service.wire import ServiceEnvelope
 

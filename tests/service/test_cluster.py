@@ -12,10 +12,10 @@ import pytest
 from repro.core.messages import VoteMessage
 from repro.errors import ConfigurationError
 from repro.faults.plan import CrashFault, FaultPlan
-from repro.runtime.virtualtime import run_virtual
 from repro.service.cluster import ServiceCluster, node_configs
 from repro.service.node import ServiceNode
 from repro.service.recovery import replay, state_digest
+from repro.service.virtualtime import run_virtual
 from repro.service.wal import (
     MemoryWalStore,
     decode_line,

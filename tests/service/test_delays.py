@@ -4,12 +4,7 @@ import random
 
 import pytest
 
-from repro.runtime.delays import (
-    ExponentialDelay,
-    FixedDelay,
-    SpikeDelay,
-    UniformDelay,
-)
+from repro.service.bus import FixedDelay, SpikeDelay, UniformDelay
 
 
 class TestFixedDelay:
@@ -33,19 +28,6 @@ class TestUniformDelay:
     def test_validation(self):
         with pytest.raises(ValueError):
             UniformDelay(low=0.5, high=0.1)
-
-
-class TestExponentialDelay:
-    def test_positive(self):
-        model = ExponentialDelay(mean=0.002)
-        rng = random.Random(2)
-        samples = [model.sample(rng) for _ in range(200)]
-        assert all(s >= 0 for s in samples)
-        assert 0.001 < sum(samples) / len(samples) < 0.004
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ExponentialDelay(mean=0)
 
 
 class TestSpikeDelay:

@@ -13,10 +13,10 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.faults.plan import CrashFault, FaultPlan
 from repro.faults.safety import NONTERMINATED, TERMINATED
-from repro.runtime.delays import FixedDelay, SpikeDelay, UniformDelay
-from repro.runtime.virtualtime import run_virtual
+from repro.service.bus import FixedDelay, SpikeDelay, UniformDelay
 from repro.service.cluster import ServiceCluster, node_configs
 from repro.service.txn import DEFAULT_TXN, ShardMap
+from repro.service.virtualtime import run_virtual
 
 T, K = 2, 4
 

@@ -13,12 +13,10 @@ import asyncio
 import pytest
 
 from repro.faults.plan import FaultPlan, LinkLoss
-from repro.runtime.delays import FixedDelay
-from repro.runtime.reliability import Reliability
-from repro.runtime.transport import LinkFaultPolicy, LinkVerdict
-from repro.runtime.virtualtime import run_virtual
+from repro.service.bus import FixedDelay, LinkFaultPolicy, LinkVerdict
 from repro.service.cluster import ServiceCluster, node_configs
-from repro.service.node import ServiceNode
+from repro.service.node import Reliability, ServiceNode
+from repro.service.virtualtime import run_virtual
 from repro.service.wal import MemoryWalStore, durable_records
 from repro.service.wire import ServiceEnvelope
 

@@ -13,9 +13,9 @@ from pathlib import Path
 import pytest
 
 from repro.core.messages import GoMessage
-from repro.runtime.virtualtime import run_virtual
 from repro.service.node import ServiceNode
 from repro.service.recovery import NodeConfig, replay
+from repro.service.virtualtime import run_virtual
 from repro.service.wal import (
     FileWalStore,
     MemoryWalStore,

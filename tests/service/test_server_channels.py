@@ -12,10 +12,9 @@ import inspect
 import socket
 import time
 
-from repro.runtime.reliability import Reliability
 from repro.service.client import request
 from repro.service.cluster import node_configs
-from repro.service.node import ServiceNode
+from repro.service.node import Reliability, ServiceNode
 from repro.service.server import CHANNEL_BUFFER_CAP, ServiceServer
 from repro.service.txn import InstanceMux
 from repro.service.wal import MemoryWalStore, durable_records

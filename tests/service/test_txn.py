@@ -14,7 +14,6 @@ import pytest
 from repro.errors import ServiceError, WalError
 from repro.faults.plan import CrashFault, FaultPlan
 from repro.faults.safety import NONTERMINATED, TERMINATED
-from repro.runtime.virtualtime import run_virtual
 from repro.service.cluster import (
     ServiceCluster,
     TxnWorkload,
@@ -33,6 +32,7 @@ from repro.service.txn import (
     txn_vote,
     wal_to_groups,
 )
+from repro.service.virtualtime import run_virtual
 from repro.service.wal import MemoryWalStore, durable_records
 from repro.service.wire import ServiceEnvelope
 from repro.core.messages import GoMessage

@@ -3,11 +3,7 @@
 import asyncio
 import time
 
-from repro.runtime.virtualtime import (
-    VirtualClockEventLoop,
-    run_virtual,
-    virtual_loop_factory,
-)
+from repro.service.virtualtime import VirtualClockEventLoop, run_virtual
 
 
 class TestFastForward:
@@ -75,9 +71,9 @@ class TestDeterminism:
 
         assert run_virtual(busy()) == run_virtual(busy())
 
-    def test_factory_builds_fresh_loops(self):
-        loop_a = virtual_loop_factory()
-        loop_b = virtual_loop_factory()
+    def test_fresh_loops_start_at_zero(self):
+        loop_a = VirtualClockEventLoop()
+        loop_b = VirtualClockEventLoop()
         try:
             assert isinstance(loop_a, VirtualClockEventLoop)
             assert loop_a is not loop_b

@@ -173,13 +173,11 @@ class TestMetricsOnRequest:
         # A campaign record reads four fields; neither core may pay for
         # the RunMetrics bundle unless asked.
         from repro.analysis import metrics
-        from repro.sim import fastcore
 
         def forbidden(*args, **kwargs):
             raise AssertionError("metrics built without a request")
 
-        monkeypatch.setattr(fastcore, "sweep_metrics", forbidden)
-        monkeypatch.setattr(metrics, "extract_metrics", forbidden)
+        monkeypatch.setattr(metrics, "trial_metrics", forbidden)
         for core in ("reference", "fast"):
             trial = _trial(core, [1, 1, 1, 1, 1], OnTimeAdversary(K=4, seed=1))
             assert trial.terminated
@@ -305,8 +303,8 @@ class TestWholePipelinesAcrossCores:
         honest = fastcore.sweep_run
 
         def off_by_one(*args):
-            *state, events, terminated = honest(*args)
-            return (*state, events + 1, terminated)
+            record = honest(*args)
+            return dataclasses.replace(record, events=record.events + 1)
 
         monkeypatch.setattr(fastcore, "sweep_run", off_by_one)
         finding = run_core_case(config, 0)
@@ -321,20 +319,31 @@ class TestWholePipelinesAcrossCores:
     ):
         # One wrong RunMetrics field of the sweep's is a finding, even
         # with the campaign record right.
+        from repro.analysis import metrics as analysis_metrics
         from repro.counterexample.oracle import run_core_case
         from repro.faults.campaign import CampaignConfig
         from repro.sim import fastcore
 
         config = CampaignConfig(n=4, plans=1, max_steps=8_000)
-        honest = fastcore.sweep_metrics
+        honest_run = fastcore.sweep_run
+        honest_metrics = analysis_metrics.trial_metrics
+        swept = []
 
-        def one_field_wrong(*args):
-            metrics = honest(*args)
+        def recording_sweep_run(*args):
+            record = honest_run(*args)
+            swept.append(record)
+            return record
+
+        def one_field_wrong(programs, record, **kwargs):
+            metrics = honest_metrics(programs, record, **kwargs)
+            if not any(record is other for other in swept):
+                return metrics
             value = getattr(metrics, field)
             wrong = (not value) if isinstance(value, bool) else value + 1
             return dataclasses.replace(metrics, **{field: wrong})
 
-        monkeypatch.setattr(fastcore, "sweep_metrics", one_field_wrong)
+        monkeypatch.setattr(fastcore, "sweep_run", recording_sweep_run)
+        monkeypatch.setattr(analysis_metrics, "trial_metrics", one_field_wrong)
         finding = run_core_case(config, 0)
         assert not finding["match"]
         assert finding["records_match"] and not finding["metrics_match"]

@@ -6,9 +6,9 @@ delivery policy keeps to the hold contract, i.e. does not override
 list of classes.  The counter pins two regression guarantees —
 
 * on-contract trials (realistic plan-compiled adversaries and every zoo
-  model) NEVER increment it, and an active telemetry registry keeps
-  them on the fused sweep; only a span recorder forces them off it,
-  deliberately and uncounted (spans are built from the ``Run``);
+  model) NEVER increment it, and neither an active telemetry registry
+  nor an active span recorder takes them off the fused sweep (counters
+  and spans are recorded from the trial's record on either kernel);
 * a policy that overrides ``select`` increments it once per trial,
   labelled by adversary class.
 
@@ -132,16 +132,37 @@ class TestWhitelistedNeverCounted:
         assert sweep_gate(adversary)
         assert COUNTER not in metrics.snapshot()
 
-    def test_span_fallback_is_not_a_whitelist_fallback(self, metrics):
-        # An active span recorder forces these trials off the fused
-        # sweep — deliberately, and deliberately uncounted.
-        adversary = _realistic_config().adversary_factory(0)
-        assert adversary_sweep_supported(adversary)
-        trace_spans.enable_tracing()
-        try:
-            assert not sweep_gate(adversary)
-        finally:
-            trace_spans.disable_tracing()
+    def test_span_recorder_keeps_trials_on_the_sweep(
+        self, metrics, monkeypatch
+    ):
+        # Spans are recorded from the trial's record on either kernel,
+        # so with a recorder active a stock-adversary trial stays on the
+        # sweep, builds no Simulation, and records the reference
+        # kernel's spans.
+        from repro.sim import scheduler
+
+        built = []
+        init = scheduler.Simulation.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(scheduler.Simulation, "__init__", counting_init)
+        config = _realistic_config()
+        recorded = {}
+        for core in ("reference", "fast"):
+            del built[:]
+            recorder = trace_spans.enable_tracing()
+            try:
+                for seed in range(4):
+                    run_commit_trial(config, seed, core=core)
+            finally:
+                trace_spans.disable_tracing()
+            assert len(built) == (4 if core == "reference" else 0)
+            recorded[core] = (recorder.spans, recorder.events, recorder.edges)
+        assert recorded["fast"] == recorded["reference"]
+        assert any(s.kind == "round" for s in recorded["fast"][0].values())
         assert COUNTER not in metrics.snapshot()
 
     @pytest.mark.parametrize("model_name", ZOO)

@@ -30,7 +30,8 @@ from repro.faults.campaign import (
 from repro.faults.variants import make_programs
 from repro.models import model_names, resolve_model
 from repro.sim import fastcore, parking
-from repro.sim.coreselect import _reference_metrics, set_default_sim_core
+from repro.analysis.metrics import trial_metrics
+from repro.sim.coreselect import set_default_sim_core
 from repro.sim.message import RawPayload
 from repro.sim.process import Program
 from repro.sim.scheduler import Outcome, Simulation
@@ -134,7 +135,7 @@ def _reference_state(programs, adversary, K, t, seed, caplog, **kwargs):
         "events": simulation.event_count,
         "rows": list(simulation.event_rows()),
         "run": simulation.result().run,
-        "metrics": _reference_metrics(simulation, programs),
+        "metrics": trial_metrics(programs, simulation.trial_record()),
         "warnings": _warnings(caplog),
         "processes": [
             (process.clock, process.status, _tape_state(process.tape))
@@ -151,19 +152,24 @@ def _envelope_state(env):
 
 def _sweep_state(programs, adversary, K, t, seed, caplog):
     caplog.clear()
-    swept = fastcore.sweep_run(programs, adversary, K, t, seed, MAX_STEPS)
-    processes, crashed, envelopes, pid_steps, events, terminated = swept
+    record = fastcore.sweep_run(programs, adversary, K, t, seed, MAX_STEPS)
     return {
-        "terminated": terminated,
-        "events": events,
-        "crashed": crashed,
-        "envelopes": [_envelope_state(env) for env in envelopes],
-        "pid_steps": pid_steps,
-        "metrics": fastcore.sweep_metrics(programs, *swept, K),
+        "terminated": record.terminated,
+        "events": record.events,
+        "crashed": record.crashes,
+        "decisions": record.decisions,
+        "decision_clocks": record.decision_clocks,
+        "envelopes": [_envelope_state(env) for env in record.envelopes],
+        "pid_steps": record.step_events,
+        "metrics": trial_metrics(programs, record),
         "warnings": _warnings(caplog),
         "processes": [
-            (process.clock, process.status, _tape_state(process.tape))
-            for process in processes
+            (
+                program.host.clock,
+                program.host.status,
+                _tape_state(program.host.tape),
+            )
+            for program in programs
         ],
         "adversary": _adversary_state(adversary),
     }

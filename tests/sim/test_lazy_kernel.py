@@ -17,8 +17,7 @@ from repro.adversary.base import CycleAdversary, DeliverAll
 from repro.adversary.crash import AdaptiveCrashAdversary
 from repro.adversary.scripted import ScriptedAdversary
 from repro.adversary.standard import OnTimeAdversary
-from repro.analysis.metrics import extract_metrics
-from repro.core.api import ProtocolOutcome
+from repro.analysis.metrics import metrics_from_run
 from repro.faults.campaign import CampaignConfig, case_from_config, run_sim_track
 from repro.faults.plan import CrashFault, FaultPlan
 from repro.faults.sim_compile import compile_to_adversary
@@ -134,9 +133,7 @@ def eager_metrics(adversary):
         max_steps=MAX_STEPS,
     )
     result = simulation.run()
-    return extract_metrics(
-        ProtocolOutcome(result=result), programs=trial_programs
-    )
+    return metrics_from_run(result.run, programs=trial_programs)
 
 
 @pytest.mark.parametrize("name", sorted(ADVERSARIES))

@@ -14,7 +14,7 @@ Guarantees pinned here:
   slot stays empty).
 """
 
-from repro.analysis.metrics import extract_metrics, metrics_from_run
+from repro.analysis.metrics import metrics_from_run
 from repro.core.api import run_commit
 from repro.telemetry import registry as telemetry
 from repro.telemetry.runio import export_run_jsonl
@@ -23,7 +23,7 @@ from repro.trace import spans as trace_spans
 
 def _trace_bytes(tmp_path, label: str) -> bytes:
     outcome = run_commit([1, 1, 0, 1, 1], K=4, seed=7, max_steps=50_000)
-    metrics = extract_metrics(outcome, programs=outcome.programs)
+    metrics = metrics_from_run(outcome.run, programs=outcome.programs)
     assert metrics.consistent
     path = export_run_jsonl(outcome.run, tmp_path / f"{label}.jsonl")
     return path.read_bytes()
@@ -41,7 +41,7 @@ class TestDisabledTelemetry:
         registry = telemetry.get_registry()
         assert not registry.enabled
         outcome = run_commit([1, 1, 1], K=4, seed=1)
-        extract_metrics(outcome, programs=outcome.programs)
+        metrics_from_run(outcome.run, programs=outcome.programs)
         metrics_from_run(outcome.run)
         export_run_jsonl(outcome.run, tmp_path / "t.jsonl")
         assert registry.metrics() == {}
@@ -71,7 +71,7 @@ class TestDisabledTelemetry:
     def test_enabled_run_populates_registry(self):
         registry = telemetry.enable_telemetry()
         outcome = run_commit([1, 1, 1], K=4, seed=1)
-        extract_metrics(outcome, programs=outcome.programs)
+        metrics_from_run(outcome.run, programs=outcome.programs)
         families = registry.metrics()
         assert "sim_events_total" in families
         assert "sim_payloads_sent_total" in families

@@ -11,6 +11,7 @@ from repro.core.commit import CommitProgram
 from repro.faults.variants import make_programs
 from repro.sim.coreselect import run_sim_trial
 from repro.sim.fastcore import adversary_sweep_supported
+from repro.sim.trace import TrialRecord
 from repro.telemetry.registry import MetricsRegistry, use_registry
 from repro.telemetry.runio import run_from_records
 from repro.telemetry.summary import (
@@ -120,7 +121,11 @@ class TestRecordTrial:
         registry = MetricsRegistry()
         fresh = CommitProgram(pid=0, n=3, t=1, initial_vote=1, K=4)
         record_trial(registry, [fresh])
-        record_trial(registry, [], outcome="terminated")
+        empty = TrialRecord(
+            n=0, t=0, K=1, decisions=[], decision_clocks=[], crashes={},
+            envelopes=[], step_events=[], events=0, terminated=True,
+        )
+        record_trial(registry, [], empty)
         assert set(registry.metrics()) == {"sim_runs_total"}
 
     @pytest.mark.parametrize("n", [3, 5])

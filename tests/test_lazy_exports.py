@@ -32,7 +32,6 @@ LAZY_PACKAGES = (
     "repro.service",
     "repro.telemetry",
     "repro.trace",
-    "repro.runtime",
     "repro.faults",
     "repro.engine",
     "repro.cli",

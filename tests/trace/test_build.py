@@ -23,7 +23,7 @@ class TestRecordRun:
     def test_span_tree_shape(self):
         outcome = _ontime_outcome()
         rec = SpanRecorder()
-        trial = record_run(rec, outcome.run)
+        trial = record_run(rec, outcome.run.trial_record())
 
         trial_span = rec.spans[trial]
         assert trial_span.kind == "trial"
@@ -50,7 +50,7 @@ class TestRecordRun:
     def test_message_events_and_edges(self):
         outcome = _ontime_outcome()
         rec = SpanRecorder()
-        record_run(rec, outcome.run)
+        record_run(rec, outcome.run.trial_record())
 
         run = outcome.run
         sends = [e for e in rec.events if e.name == "send"]
@@ -70,7 +70,7 @@ class TestRecordRun:
     def test_decide_events_one_per_decider(self):
         outcome = _ontime_outcome()
         rec = SpanRecorder()
-        record_run(rec, outcome.run)
+        record_run(rec, outcome.run.trial_record())
         decides = [e for e in rec.events if e.name == "decide"]
         deciders = {
             pid
@@ -91,7 +91,7 @@ class TestRecordRun:
             [1, 1, 1, 1, 1], K=4, seed=3, adversary=adversary
         )
         rec = SpanRecorder()
-        record_run(rec, outcome.run)
+        record_run(rec, outcome.run.trial_record())
         crashes = [e for e in rec.events if e.name == "crash"]
         assert {e.attrs["pid"] for e in crashes} == {4}
 
@@ -101,11 +101,11 @@ class TestRecordRun:
         outer = rec.begin_span(
             "trial-0", kind="trial", track="campaign", start=0
         )
-        trial = record_run(rec, outcome.run)
+        trial = record_run(rec, outcome.run.trial_record())
         assert rec.spans[trial].parent == outer
 
     def test_extra_attrs_land_on_trial_span(self):
         outcome = _ontime_outcome()
         rec = SpanRecorder()
-        trial = record_run(rec, outcome.run, outcome="decided")
+        trial = record_run(rec, outcome.run.trial_record(), outcome="decided")
         assert rec.spans[trial].attrs["outcome"] == "decided"

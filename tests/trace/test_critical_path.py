@@ -85,7 +85,7 @@ class TestFromRecords:
         from_run = critical_path_from_run(outcome.run)
 
         rec = SpanRecorder()
-        record_run(rec, outcome.run)
+        record_run(rec, outcome.run.trial_record())
         from_records = critical_paths_from_records(recorder_to_records(rec))
 
         assert len(from_records) == len(from_run)
@@ -102,7 +102,7 @@ class TestFromRecords:
                 f"trial-{seed}", kind="trial", track="campaign", start=trial
             )
             outcome = _ontime_outcome(seed)
-            record_run(rec, outcome.run)
+            record_run(rec, outcome.run.trial_record())
             rec.end_span(outer, trial + 1)
         paths = critical_paths_from_records(recorder_to_records(rec))
         # Two trials, five deciders each; trial labels differ.
