@@ -15,6 +15,11 @@ from) and checks the complete battery:
 The result is a structured :class:`VerificationReport`, so fuzzing
 harnesses and CI checks can assert on individual conditions and print
 actionable failures.
+
+The battery reads the :class:`~repro.sim.trace.Run`, not the flat
+:class:`~repro.sim.trace.TrialRecord` of the trial: decision permanence
+needs the per-event decisions and output coherence the program
+statuses and outputs, which the record does not hold.
 """
 
 from __future__ import annotations

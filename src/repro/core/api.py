@@ -89,7 +89,7 @@ class ProtocolOutcome:
     @cached_property
     def rounds(self) -> RoundAnalyzer:
         """Asynchronous-round analysis of the run."""
-        return RoundAnalyzer(self.run)
+        return RoundAnalyzer(self.run.trial_record())
 
     @property
     def decision_round(self) -> int | None:

@@ -10,6 +10,12 @@ these helpers render a :class:`~repro.sim.trace.Run` as text:
 * :func:`render_round_chart` — each processor's asynchronous-round
   boundaries against its decision point;
 * :func:`summarize_run` — the one-paragraph version.
+
+The timeline, the lanes and the summary read the :class:`Run` itself:
+they need per-event rows, program statuses and delivered payloads,
+which a finished trial's flat :class:`~repro.sim.trace.TrialRecord`
+does not hold.  The round chart needs only the record
+(``run.trial_record()``), which is what :class:`RoundAnalyzer` reads.
 """
 
 from __future__ import annotations
@@ -110,13 +116,13 @@ def render_lanes(run: Run, limit: int | None = None) -> str:
 
 def render_round_chart(run: Run) -> str:
     """Round boundaries and decision rounds per processor."""
-    analyzer = RoundAnalyzer(run)
+    analyzer = RoundAnalyzer(run.trial_record())
     lines = ["asynchronous rounds (clock reading at each round end):"]
     decision_rounds = analyzer.decision_rounds()
     for pid in range(run.n):
         boundaries = analyzer.boundaries(pid)
-        ends = " ".join(str(end) for end in boundaries.ends[1:6])
-        more = " ..." if len(boundaries.ends) > 6 else ""
+        ends = " ".join(str(end) for end in boundaries[1:6])
+        more = " ..." if len(boundaries) > 6 else ""
         decision = decision_rounds[pid]
         decision_text = (
             f"decided in round {decision}" if decision else "undecided"

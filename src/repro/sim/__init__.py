@@ -31,7 +31,7 @@ __getattr__, __dir__ = lazy_exports(
         "message": ("Envelope", "MessageId", "Payload"),
         "pattern": ("PatternEntry", "PatternView"),
         "process": ("Program", "SimProcess"),
-        "rounds": ("RoundAnalyzer", "RoundBoundaries"),
+        "rounds": ("RoundAnalyzer",),
         "scheduler": ("Simulation", "SimulationResult"),
         "tape": ("RandomTape", "TapeCollection"),
         "trace": ("Run", "TraceEvent"),
@@ -64,7 +64,6 @@ __all__ = [
     "Program",
     "RandomTape",
     "RoundAnalyzer",
-    "RoundBoundaries",
     "Run",
     "SimProcess",
     "Simulation",

@@ -88,11 +88,12 @@ def resolve_sim_core(core: str | None = None) -> str:
 class SimTrial:
     """One trial's result, whichever kernel ran it.
 
-    The four fields are the campaign record's
-    (:func:`repro.faults.campaign.sim_track_record`).  :meth:`metrics`
+    The first four fields are the campaign record's
+    (:func:`repro.faults.campaign.sim_track_record`); ``record`` is the
+    trial's :class:`~repro.sim.trace.TrialRecord`.  :meth:`metrics`
     builds the :class:`~repro.analysis.metrics.RunMetrics` bundle from
-    the trial's record on request, so a caller that reads none pays for
-    no lateness or round analysis.
+    that record on request, so a caller that reads none pays for no
+    lateness or round analysis.
     """
 
     terminated: bool
@@ -100,7 +101,7 @@ class SimTrial:
     crashed: set[int]
     events: int
     _programs: Any = field(repr=False, compare=False)
-    _record: Any = field(repr=False, compare=False)
+    record: Any = field(repr=False, compare=False)
 
     @classmethod
     def of(cls, programs, record) -> "SimTrial":
@@ -118,7 +119,7 @@ class SimTrial:
         """The trial's :class:`~repro.analysis.metrics.RunMetrics`."""
         from repro.analysis.metrics import trial_metrics
 
-        return trial_metrics(self._programs, self._record)
+        return trial_metrics(self._programs, self.record)
 
 
 def run_sim_trial(

@@ -19,9 +19,10 @@ can be labelled with its sender's round at send time, which determines
 the round-``r`` boundaries.  :func:`max_decision_round` reads the
 Theorem 10 metric off the boundaries.  :func:`record_round_ends` feeds
 :func:`round_ends` from a finished trial's
-:class:`~repro.sim.trace.TrialRecord`, whichever kernel ran it;
-:class:`RoundAnalyzer` is the query object over a
-:class:`~repro.sim.trace.Run`'s record.
+:class:`~repro.sim.trace.TrialRecord`, whichever kernel ran it, and
+:class:`RoundAnalyzer` is the query object over such a record (a
+recorded :class:`~repro.sim.trace.Run` hands over its
+``trial_record()``).
 
 For finite recorded runs, messages that were sent but never delivered
 cannot extend a round (the definition speaks of messages ``p`` *receives*);
@@ -32,11 +33,10 @@ nonfaulty processors do arrive eventually and the analyzer would see them.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
 from typing import Collection, Sequence
 
 from repro.errors import AnalysisError
-from repro.sim.trace import Run, TrialRecord
+from repro.sim.trace import TrialRecord
 
 #: Upper bound on rounds computed before giving up; far above the
 #: paper's 14-expected-round bound, so hitting it signals a pathological
@@ -154,47 +154,27 @@ def max_decision_round(
     )
 
 
-@dataclass
-class RoundBoundaries:
-    """Round-end clock readings for one processor.
-
-    ``ends[r]`` is the clock reading at which round ``r`` ends; ``ends[0]``
-    is 0 by convention (rounds are 1-based).
-    """
-
-    pid: int
-    ends: list[int] = field(default_factory=lambda: [0])
-
-    def round_at_clock(self, clock: int) -> int:
-        """The round containing the given clock reading."""
-        return round_at_clock(self.ends, self.pid, clock)
-
-
 class RoundAnalyzer:
-    """Computes asynchronous rounds for a completed run.
+    """Asynchronous rounds of a finished trial, from its record.
 
-    Computes every round of the run's record (:func:`record_round_ends`)
-    on construction.
+    Computes every round of the record (:func:`record_round_ends`) on
+    construction.
     """
 
-    def __init__(self, run: Run) -> None:
-        record = run.trial_record()
+    def __init__(self, record: TrialRecord) -> None:
         self._nonfaulty = record.nonfaulty()
         self._decision_clocks = list(record.decision_clocks)
-        self._boundaries = [
-            RoundBoundaries(pid=pid, ends=ends)
-            for pid, ends in enumerate(record_round_ends(record))
-        ]
+        self._ends = record_round_ends(record)
 
     # -- public queries ------------------------------------------------------
 
-    def boundaries(self, pid: int) -> RoundBoundaries:
-        """The computed round boundaries for one processor."""
-        return self._boundaries[pid]
+    def boundaries(self, pid: int) -> list[int]:
+        """Processor ``pid``'s round-end clocks (``ends[0] == 0``)."""
+        return self._ends[pid]
 
     def round_at_clock(self, pid: int, clock: int) -> int:
         """The asynchronous round processor ``pid`` is in at ``clock``."""
-        return self._boundaries[pid].round_at_clock(clock)
+        return round_at_clock(self._ends[pid], pid, clock)
 
     def decision_rounds(self) -> dict[int, int | None]:
         """The round in which each processor decided (None if undecided)."""
@@ -206,7 +186,5 @@ class RoundAnalyzer:
     def max_decision_round(self) -> int | None:
         """Rounds until the last nonfaulty decision; ``None`` if none."""
         return max_decision_round(
-            [b.ends for b in self._boundaries],
-            self._decision_clocks,
-            self._nonfaulty,
+            self._ends, self._decision_clocks, self._nonfaulty
         )

@@ -188,17 +188,10 @@ class Run:
     decision_clocks: dict[int, int | None] = field(default_factory=dict)
     outputs: dict[int, object] = field(default_factory=dict)
 
-    # Cache: per-processor sorted list of event indices at which the
-    # processor took a step; built lazily for lateness queries.
-    _step_indices: list[list[int]] | None = field(
-        default=None, repr=False, compare=False
-    )
-    # Cache: the late-message list.  A Run is assembled once, after the
-    # simulation finishes, so lateness is immutable; analyses typically ask
-    # both ``is_on_time`` and ``late_messages``, which would otherwise scan
-    # every envelope twice.
-    _late_cache: list[Envelope] | None = field(
-        default=None, repr=False, compare=False
+    # The flat record, built on first use: a Run is assembled once,
+    # after the simulation finishes, so every fact read off it is fixed.
+    _record: TrialRecord | None = field(
+        default=None, init=False, repr=False, compare=False
     )
 
     # -- basic queries ------------------------------------------------------
@@ -210,11 +203,7 @@ class Run:
 
     def faulty(self) -> set[int]:
         """Processors that crashed in this run."""
-        return {
-            pid
-            for pid, status in self.statuses.items()
-            if status is ProcessStatus.CRASHED
-        }
+        return set(self.trial_record().crashes)
 
     def nonfaulty(self) -> set[int]:
         """Processors that did not crash.
@@ -223,7 +212,7 @@ class Run:
         steps"; for a finite recorded run we identify nonfaulty with
         not-crashed, which is the standard reading for terminating runs.
         """
-        return set(range(self.n)) - self.faulty()
+        return self.trial_record().nonfaulty()
 
     def decision_values(self) -> set[int]:
         """The set of values decided by any processor."""
@@ -238,43 +227,37 @@ class Run:
         return len(self.decision_values()) <= 1
 
     def trial_record(self) -> TrialRecord:
-        """The flat :class:`TrialRecord` of this run."""
-        nonfaulty = self.nonfaulty()
-        return TrialRecord(
-            n=self.n,
-            t=self.t,
-            K=self.K,
-            decisions=[self.decisions.get(pid) for pid in range(self.n)],
-            decision_clocks=[
-                self.decision_clocks.get(pid) for pid in range(self.n)
-            ],
-            crashes={
-                event.actor: event.index
-                for event in self.events
-                if event.kind == "crash"
-            },
-            envelopes=sorted(
-                self.envelopes.values(), key=lambda env: env.message_id
-            ),
-            step_events=self._step_lists(),
-            events=self.event_count,
-            terminated=all(
-                self.statuses.get(pid) is ProcessStatus.RETURNED
-                for pid in nonfaulty
-            ),
-        )
-
-    # -- lateness -------------------------------------------------------------
-
-    def _step_lists(self) -> list[list[int]]:
-        """Per processor, the sorted event indices at which it stepped."""
-        if self._step_indices is None:
-            indices: list[list[int]] = [[] for _ in range(self.n)]
+        """The flat :class:`TrialRecord` of this run (built once)."""
+        if self._record is None:
+            steps: list[list[int]] = [[] for _ in range(self.n)]
+            crashes: dict[int, int] = {}
             for event in self.events:
                 if event.kind == "step":
-                    indices[event.actor].append(event.index)
-            self._step_indices = indices
-        return self._step_indices
+                    steps[event.actor].append(event.index)
+                else:
+                    crashes[event.actor] = event.index
+            self._record = TrialRecord(
+                n=self.n,
+                t=self.t,
+                K=self.K,
+                decisions=[self.decisions.get(pid) for pid in range(self.n)],
+                decision_clocks=[
+                    self.decision_clocks.get(pid) for pid in range(self.n)
+                ],
+                crashes=crashes,
+                envelopes=sorted(
+                    self.envelopes.values(), key=lambda env: env.message_id
+                ),
+                step_events=steps,
+                events=self.event_count,
+                terminated=all(
+                    self.statuses.get(pid) is ProcessStatus.RETURNED
+                    for pid in set(range(self.n)).difference(crashes)
+                ),
+            )
+        return self._record
+
+    # -- lateness -------------------------------------------------------------
 
     def steps_in_interval(self, pid: int, first_event: int, last_event: int) -> int:
         """How many steps ``pid`` took in the event interval (exclusive ends).
@@ -283,7 +266,7 @@ class Run:
         matches "takes more than K steps *between* the send event and the
         receive event".
         """
-        steps = self._step_lists()[pid]
+        steps = self.trial_record().step_events[pid]
         lo = bisect.bisect_right(steps, first_event)
         hi = bisect.bisect_left(steps, last_event)
         return hi - lo
@@ -295,19 +278,18 @@ class Run:
         the receive event.  Delivery-fairness violations are reported by the
         admissibility monitor instead.
         """
-        return bool(late_envelopes(self.K, self._step_lists(), (envelope,)))
+        return bool(
+            late_envelopes(self.K, self.trial_record().step_events, (envelope,))
+        )
 
     def late_messages(self) -> list[Envelope]:
-        """Every late message in the run (cached after the first call)."""
-        if self._late_cache is None:
-            self._late_cache = late_envelopes(
-                self.K, self._step_lists(), self.envelopes.values()
-            )
-        return list(self._late_cache)
+        """Every late message in the run, in send order."""
+        record = self.trial_record()
+        return late_envelopes(record.K, record.step_events, record.envelopes)
 
     def is_on_time(self) -> bool:
         """Whether the run contains no late messages."""
-        return not self.late_messages()
+        return self.trial_record().on_time()
 
     # -- convenience ----------------------------------------------------------
 

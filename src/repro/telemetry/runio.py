@@ -16,6 +16,12 @@ Format: one JSON object per line.
 * last line — footer: ``{"record": "final", ...}`` with statuses,
   decisions, decision clocks, and program outputs.
 
+The archive holds the :class:`~repro.sim.trace.Run`, not the flat
+:class:`~repro.sim.trace.TrialRecord` the trial's analyses read: a
+re-import must give back the per-event rows, statuses and outputs too,
+and its record (``run.trial_record()``) is then derived as for a live
+run.
+
 The schema is versioned; the importer rejects unknown versions rather
 than guessing.  Round-trip fidelity is pinned by
 ``tests/telemetry/test_runio.py``: metrics extracted from an imported run

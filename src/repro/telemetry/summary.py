@@ -1,9 +1,11 @@
 """Per-phase counters and machine-readable run documents.
 
-Bridges the raw trace (:class:`~repro.sim.trace.Run`) and the metrics
-registry: :func:`run_counters` derives the per-phase counter bundle the
-paper's claims are stated over (messages by payload kind, stage
-transitions, round boundaries, late messages, coin-source usage);
+Bridges a finished trial's flat record
+(:class:`~repro.sim.trace.TrialRecord`) and the metrics registry:
+:func:`run_counters` reads the per-phase counter bundle the paper's
+claims are stated over (messages by payload kind, stage transitions,
+round boundaries, late messages, coin-source usage) off a recorded
+run's ``trial_record()``;
 :func:`record_run` replays those counters into a registry (used by
 ``repro stats`` on archived traces); :func:`record_trial` counts one
 finished trial into the protocol and kernel families (every live
@@ -212,37 +214,34 @@ def _record_commit_stats(stats: CommitStats, count: Callable[..., None]) -> None
         )
 
 
-def decision_rounds(run: Run) -> dict[int, int | None] | None:
-    """Per-processor decision rounds, or ``None`` if analysis diverges."""
-    try:
-        return RoundAnalyzer(run).decision_rounds()
-    except AnalysisError:
-        return None
-
-
 def run_counters(
     run: Run, programs: Sequence[Any] | None = None
 ) -> dict[str, Any]:
     """The per-phase counter bundle for one completed run.
 
-    Everything here is derived from the trace (plus program stats when
-    supplied), so the same numbers are available for live runs and for
-    archived traces re-imported through :mod:`repro.telemetry.runio`.
+    Everything here is read off the run's flat record
+    (``run.trial_record()``), plus program stats when supplied, so the
+    same numbers are available for live runs and for archived traces
+    re-imported through :mod:`repro.telemetry.runio`.
     """
-    events_by_kind: TallyCounter[str] = TallyCounter(
-        event.kind for event in run.events
-    )
-    delivered = [env for env in run.envelopes.values() if env.delivered]
-    rounds = decision_rounds(run)
+    record = run.trial_record()
+    crashes = len(record.crashes)
+    by_kind = {"crash": crashes, "step": record.events - crashes}
+    envelopes = record.envelopes
+    delivered = [env for env in envelopes if env.receive_event is not None]
+    try:
+        rounds = RoundAnalyzer(record).decision_rounds()
+    except AnalysisError:
+        rounds = None
     counters: dict[str, Any] = {
         "events": {
-            "total": run.event_count,
-            "by_kind": dict(sorted(events_by_kind.items())),
+            "total": record.events,
+            "by_kind": {kind: n for kind, n in by_kind.items() if n},
         },
         "messages": {
-            "envelopes_sent": run.messages_sent(),
+            "envelopes_sent": len(envelopes),
             "envelopes_delivered": len(delivered),
-            "sent_by_kind": payload_kinds(run.envelopes.values()),
+            "sent_by_kind": payload_kinds(envelopes),
             "delivered_by_kind": payload_kinds(delivered),
             "late": len(run.late_messages()),
         },
@@ -261,7 +260,7 @@ def run_counters(
                 else None
             ),
         },
-        "crashes": len(run.faulty()),
+        "crashes": crashes,
     }
     agreement = _agreement_counters(programs)
     if agreement:

@@ -18,12 +18,12 @@ Four layers:
   pinned by ``tests/telemetry/test_overhead.py``);
 * :mod:`repro.trace.build` — derives the sim track's full span tree
   (trial span, asynchronous-round spans, per-processor phase spans,
-  send→deliver edges, decide/crash points) post-hoc from a completed
-  :class:`~repro.sim.trace.Run`, which is what the scheduler feeds the
-  active recorder;
-* :mod:`repro.trace.critical_path` — extracts the longest causal
-  message chain ending at each decision and attributes the decision
-  round to it (chain round span + timer gap);
+  send→deliver edges, decide/crash points) post-hoc from a finished
+  trial's flat :class:`~repro.sim.trace.TrialRecord`, which either
+  kernel hands the active recorder;
+* :mod:`repro.trace.critical_path` — extracts, from span records, the
+  longest causal message chain ending at each decision and attributes
+  the decision round to it (chain round span + timer gap);
 * :mod:`repro.trace.export` — schema-versioned JSONL
   (``repro.span-trace`` v1) and Chrome trace-event JSON loadable in
   Perfetto / ``chrome://tracing``.
@@ -42,7 +42,6 @@ __getattr__, __dir__ = lazy_exports(
         "critical_path": (
             "CriticalPath",
             "Hop",
-            "critical_path_from_run",
             "critical_paths_from_records",
         ),
         "export": (
@@ -84,7 +83,6 @@ __all__ = [
     "SpanRecorder",
     "SpanTrace",
     "active_recorder",
-    "critical_path_from_run",
     "critical_paths_from_records",
     "disable_tracing",
     "enable_tracing",

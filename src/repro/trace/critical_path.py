@@ -18,24 +18,19 @@ decision round exceeds the chain's round span; the difference is
 surfaced honestly as :attr:`CriticalPath.timer_gap` rather than papered
 over.
 
-Two front ends share one dynamic program:
-
-* :func:`critical_path_from_run` — straight off an in-memory
-  :class:`~repro.sim.trace.Run` (times are event indices);
-* :func:`critical_paths_from_records` — off an exported
-  ``repro.span-trace`` document, using recorder event ids as the
-  happens-before order, so it works for any track that records
-  ``send``/``deliver``/``decide`` events.
+The one front end, :func:`critical_paths_from_records`, reads an
+exported ``repro.span-trace`` document and uses recorder event ids as
+the happens-before order, so it works for any track that records
+``send``/``deliver``/``decide`` events.  An in-memory run gets its
+paths the same way: its record's spans
+(``record_run(recorder, run.trial_record())``,
+:mod:`repro.trace.build`), then the recorder's records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
-
-from repro.errors import AnalysisError
-from repro.sim.rounds import RoundAnalyzer
-from repro.sim.trace import Run
 
 
 @dataclass(frozen=True)
@@ -200,106 +195,35 @@ def _hop(link: _Link) -> Hop:
     )
 
 
-def critical_path_from_run(
-    run: Run, rounds: RoundAnalyzer | None = None
-) -> list[CriticalPath]:
-    """Critical paths for every decided processor of a run.
-
-    ``rounds`` may be passed to reuse an existing analyzer; when omitted
-    one is built (and round labels are skipped entirely if analysis
-    fails to converge).
-    """
-    if rounds is None:
-        try:
-            rounds = RoundAnalyzer(run)
-        except AnalysisError:
-            rounds = None
-
-    def _round_at(pid: int, clock: int) -> int | None:
-        if rounds is None:
-            return None
-        try:
-            return rounds.round_at_clock(pid, clock)
-        except AnalysisError:
-            return None
-
-    links: list[_Link] = []
-    for env in run.envelopes.values():
-        if env.receive_event is None:
-            continue
-        links.append(
-            _Link(
-                message=int(env.message_id),
-                sender=env.sender,
-                recipient=env.recipient,
-                send_order=env.send_event,
-                receive_order=env.receive_event,
-                send_time=env.send_event,
-                receive_time=env.receive_event,
-                round=_round_at(env.sender, env.send_clock),
-            )
-        )
-
-    decisions: list[_Decision] = []
-    decided: set[int] = set()
-    for event in run.events:
-        if (
-            event.kind == "step"
-            and event.decision_after is not None
-            and event.actor not in decided
-        ):
-            decided.add(event.actor)
-            decisions.append(
-                _Decision(
-                    pid=event.actor,
-                    decision=event.decision_after,
-                    order=event.index,
-                    time=event.index,
-                    round=_round_at(event.actor, event.clock_after),
-                )
-            )
-
-    chains = _longest_chains(links, decisions)
-    return [
-        CriticalPath(
-            pid=d.pid,
-            decision=d.decision,
-            decision_time=d.time,
-            decision_round=d.round,
-            hops=tuple(_hop(link) for link in chains[d.pid]),
-        )
-        for d in sorted(decisions, key=lambda d: d.pid)
-    ]
-
-
-# -- from exported span traces ----------------------------------------------
-
-
 def critical_paths_from_records(
     records: Iterable[dict[str, Any]],
 ) -> list[CriticalPath]:
     """Critical paths from a ``repro.span-trace`` document's records.
 
-    Works per trial: events are grouped by their root span, so a trace
-    holding many trials (a campaign) yields paths for each.  Recorder
-    event ids serve as the happens-before order — a deliver recorded
-    before a send happened before it on every track.
+    Works per trial: events are grouped by the innermost enclosing span
+    of kind ``"trial"`` (the span :func:`repro.trace.build.record_run`
+    opens), else by their root span, so a trace holding many trials (a
+    campaign, which nests ``campaign → trial-<seed> → sim-run``) yields
+    paths for each; message ids and pids restart in every trial, so
+    they are only compared within one.  Recorder event ids serve as the
+    happens-before order — a deliver recorded before a send happened
+    before it on every track.
     """
     from repro.trace.export import trace_from_records
 
     trace = trace_from_records(list(records))
     spans = {span.id: span for span in trace.spans}
 
-    def _root(span_id: int | None) -> int | None:
+    def _trial(span_id: int | None) -> int | None:
         seen = set()
         while span_id is not None and span_id in spans:
+            span = spans[span_id]
+            if span.kind == "trial" or span.parent is None:
+                return span_id
             if span_id in seen:  # defensive: corrupt parentage
                 return span_id
             seen.add(span_id)
-            parent = spans[span_id].parent
-            if parent is None:
-                return span_id
-            span_id = parent
+            span_id = span.parent
         return span_id
 
     events_by_id = {event.id: event for event in trace.events}
@@ -314,7 +238,7 @@ def critical_paths_from_records(
             deliver = events_by_id.get(send_to_deliver[event.id])
             if deliver is None:
                 continue
-            trial = _root(event.span)
+            trial = _trial(event.span)
             attrs = event.attrs
             links_by_trial.setdefault(trial, []).append(
                 _Link(
@@ -331,7 +255,7 @@ def critical_paths_from_records(
                 )
             )
         elif event.name == "decide":
-            trial = _root(event.span)
+            trial = _trial(event.span)
             decisions_by_trial.setdefault(trial, []).append(
                 _Decision(
                     pid=event.attrs.get("pid", -1),

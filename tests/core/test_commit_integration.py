@@ -79,7 +79,7 @@ class TestFullBatteryAcrossAdversaries:
     def test_round_analysis_consistent_with_decisions(self):
         sim, _ = make_commit_simulation([1] * 7, t=3)
         result = sim.run()
-        analyzer = RoundAnalyzer(result.run)
+        analyzer = RoundAnalyzer(result.run.trial_record())
         rounds = analyzer.decision_rounds()
         assert all(r is not None and r >= 1 for r in rounds.values())
         assert analyzer.max_decision_round() == max(rounds.values())

@@ -94,9 +94,9 @@ class TestRoundProperties:
             [1] * 5, K=K, adversary=OnTimeAdversary(K=K, seed=seed), seed=seed
         )
         result = sim.run()
-        analyzer = RoundAnalyzer(result.run)
+        analyzer = RoundAnalyzer(result.run.trial_record())
         for pid in range(5):
-            ends = analyzer.boundaries(pid).ends
+            ends = analyzer.boundaries(pid)
             assert ends[0] == 0
             assert ends[1] == K
             for previous, current in zip(ends, ends[1:]):

@@ -354,3 +354,59 @@ class TestWholePipelinesAcrossCores:
             reported["fast"][key] == reported["reference"][key]
             for key in others
         )
+
+
+def _stock_sweep_adversaries(n):
+    """Every stock adversary the sweep takes, as seed -> adversary."""
+    t = (n - 1) // 2
+    crashes = [CrashAt(cycle=2 * (i + 1), pid=2 * i + 1) for i in range(t)]
+    return {
+        "synchronous": lambda seed: SynchronousAdversary(seed=seed),
+        "ontime": lambda seed: OnTimeAdversary(K=4, seed=seed),
+        "late": lambda seed: LateMessageAdversary(K=4, seed=seed),
+        "crash": lambda seed: ScheduledCrashAdversary(crashes, seed=seed),
+        "fault-plan": lambda seed: compile_to_adversary(
+            FaultPlan.random(n=n, t=t, seed=seed, K=4), K=4
+        ),
+    }
+
+
+class TestRoundsFromRecords:
+    """``RoundAnalyzer`` reads a ``TrialRecord``: the fused sweep's
+    record gives the rounds of the reference kernel's ``Run``."""
+
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize(
+        "name", ["synchronous", "ontime", "late", "crash", "fault-plan"]
+    )
+    def test_sweep_record_rounds_equal_reference_run(
+        self, simulations, name, n
+    ):
+        from repro.sim.rounds import RoundAnalyzer
+
+        factory = _stock_sweep_adversaries(n)[name]
+        t = (n - 1) // 2
+        for seed in range(4):
+            votes = [1] * (n - 1) + [seed % 2]
+            del simulations[:]
+            fast = run_sim_trial(
+                _programs(votes), factory(seed), 4, t, seed, 20_000, "fast"
+            )
+            assert not simulations, "the sweep took the trial"
+            run = Simulation(
+                _programs(votes),
+                factory(seed),
+                K=4,
+                t=t,
+                seed=seed,
+                max_steps=20_000,
+            ).run().run
+            swept = RoundAnalyzer(fast.record)
+            recorded = RoundAnalyzer(run.trial_record())
+            assert [swept.boundaries(pid) for pid in range(n)] == [
+                recorded.boundaries(pid) for pid in range(n)
+            ]
+            assert swept.decision_rounds() == recorded.decision_rounds()
+            assert (
+                swept.max_decision_round() == recorded.max_decision_round()
+            )

@@ -5,58 +5,56 @@ import pytest
 from repro.adversary.base import CycleAdversary, DelayCycles
 from repro.adversary.standard import SynchronousAdversary
 from repro.errors import AnalysisError
-from repro.sim.rounds import RoundAnalyzer, RoundBoundaries
+from repro.sim.rounds import RoundAnalyzer, round_at_clock
 from tests.conftest import make_commit_simulation
 
 
-class TestRoundBoundaries:
+class TestRoundAtClock:
     def test_round_lookup(self):
-        boundaries = RoundBoundaries(pid=0, ends=[0, 4, 8, 16])
-        assert boundaries.round_at_clock(1) == 1
-        assert boundaries.round_at_clock(4) == 1
-        assert boundaries.round_at_clock(5) == 2
-        assert boundaries.round_at_clock(16) == 3
+        ends = [0, 4, 8, 16]
+        assert round_at_clock(ends, 0, 1) == 1
+        assert round_at_clock(ends, 0, 4) == 1
+        assert round_at_clock(ends, 0, 5) == 2
+        assert round_at_clock(ends, 0, 16) == 3
 
     def test_non_positive_clock_rejected(self):
-        boundaries = RoundBoundaries(pid=0, ends=[0, 4])
         with pytest.raises(AnalysisError):
-            boundaries.round_at_clock(0)
+            round_at_clock([0, 4], 0, 0)
 
     def test_beyond_computed_raises(self):
-        boundaries = RoundBoundaries(pid=0, ends=[0, 4])
         with pytest.raises(AnalysisError):
-            boundaries.round_at_clock(5)
+            round_at_clock([0, 4], 0, 5)
 
 
 class TestRoundAnalyzer:
     def test_round_one_ends_at_clock_K(self):
         sim, _ = make_commit_simulation([1] * 5, K=4)
         result = sim.run()
-        analyzer = RoundAnalyzer(result.run)
+        analyzer = RoundAnalyzer(result.run.trial_record())
         for pid in range(5):
-            assert analyzer.boundaries(pid).ends[1] == 4
+            assert analyzer.boundaries(pid)[1] == 4
 
     def test_rounds_are_monotone(self):
         sim, _ = make_commit_simulation([1] * 5, K=4)
         result = sim.run()
-        analyzer = RoundAnalyzer(result.run)
+        analyzer = RoundAnalyzer(result.run.trial_record())
         for pid in range(5):
-            ends = analyzer.boundaries(pid).ends
+            ends = analyzer.boundaries(pid)
             assert all(a < b for a, b in zip(ends, ends[1:]))
 
     def test_rounds_last_at_least_K_ticks(self):
         sim, _ = make_commit_simulation([1] * 5, K=4)
         result = sim.run()
-        analyzer = RoundAnalyzer(result.run)
+        analyzer = RoundAnalyzer(result.run.trial_record())
         for pid in range(5):
-            ends = analyzer.boundaries(pid).ends
+            ends = analyzer.boundaries(pid)
             for previous, current in zip(ends, ends[1:]):
                 assert current - previous >= 4
 
     def test_decision_rounds_small_for_synchronous_runs(self):
         sim, _ = make_commit_simulation([1] * 5, K=4)
         result = sim.run()
-        analyzer = RoundAnalyzer(result.run)
+        analyzer = RoundAnalyzer(result.run.trial_record())
         rounds = analyzer.decision_rounds()
         assert all(r is not None for r in rounds.values())
         assert analyzer.max_decision_round() <= 14  # Theorem 10 budget
@@ -71,7 +69,7 @@ class TestRoundAnalyzer:
             )
             sim, _ = make_commit_simulation([1] * 5, K=4, adversary=adversary)
             result = sim.run()
-            analyzer = RoundAnalyzer(result.run)
+            analyzer = RoundAnalyzer(result.run.trial_record())
             return result.run.max_decision_clock(), analyzer.max_decision_round()
 
         ticks_fast, rounds_fast = decision_stats(1)
@@ -88,13 +86,13 @@ class TestRoundAnalyzer:
         )
         sim, _ = make_commit_simulation([1] * 5, K=4, adversary=adversary)
         result = sim.run()
-        analyzer = RoundAnalyzer(result.run)
+        analyzer = RoundAnalyzer(result.run.trial_record())
         assert analyzer.max_decision_round() is not None
 
     def test_decision_round_matches_round_at_clock(self):
         sim, _ = make_commit_simulation([1] * 5, K=4)
         result = sim.run()
-        analyzer = RoundAnalyzer(result.run)
+        analyzer = RoundAnalyzer(result.run.trial_record())
         for pid, clock in result.run.decision_clocks.items():
             assert analyzer.decision_rounds()[pid] == analyzer.round_at_clock(
                 pid, clock

@@ -11,7 +11,7 @@ Definition recap: round 1 ends at clock K; round r > 1 ends at the later
 of (end_{r-1} + K) and (receipt of the last round-(r-1) message + K).
 
 Every test runs through both entry points of the one round iteration:
-a ``Run`` through :class:`RoundAnalyzer`, and flat
+a ``Run``'s record through :class:`RoundAnalyzer`, and flat
 ``(sender, send_clock, receive_clock)`` receipts plus target clocks
 passed straight to :func:`round_ends`, the way the fused sweep calls it.
 """
@@ -59,9 +59,9 @@ def run_schedule(programs, decisions, K=2):
 
 
 def analyzer_ends(run):
-    """Round ends per processor, computed from the ``Run``."""
-    analyzer = RoundAnalyzer(run)
-    return [analyzer.boundaries(pid).ends for pid in range(run.n)]
+    """Round ends per processor, computed from the ``Run``'s record."""
+    analyzer = RoundAnalyzer(run.trial_record())
+    return [analyzer.boundaries(pid) for pid in range(run.n)]
 
 
 def flat_ends(run):

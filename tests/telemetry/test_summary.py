@@ -51,6 +51,52 @@ class TestRunCounters:
         outcome = _outcome()
         assert "agreement" not in run_counters(outcome.run)
 
+    def test_crash_and_late_messages_pinned(self):
+        """A run with a crash (after the crashed processor decided) and
+        late messages, pinned to the bundle the counters gave when they
+        were derived from the ``Run``'s events rather than its record."""
+        from repro.adversary.base import CrashAt, DelayCycles
+        from repro.adversary.crash import ScheduledCrashAdversary
+
+        adversary = ScheduledCrashAdversary(
+            crash_plan=[CrashAt(pid=4, cycle=26)],
+            seed=0,
+            delivery=DelayCycles(min_cycles=1, max_cycles=8),
+        )
+        outcome = run_commit(
+            [1] * 5, K=4, seed=0, adversary=adversary, max_steps=50_000
+        )
+        assert run_counters(outcome.run, programs=outcome.programs) == {
+            "events": {"total": 131, "by_kind": {"crash": 1, "step": 130}},
+            "messages": {
+                "envelopes_sent": 100,
+                "envelopes_delivered": 72,
+                "sent_by_kind": {
+                    "DecidedMessage": 20,
+                    "GoMessage": 124,
+                    "StageMessage": 40,
+                    "VoteMessage": 20,
+                },
+                "delivered_by_kind": {
+                    "DecidedMessage": 2,
+                    "GoMessage": 96,
+                    "StageMessage": 30,
+                    "VoteMessage": 20,
+                },
+                "late": 35,
+            },
+            "rounds": {
+                "decision_rounds": {str(pid): 4 for pid in range(5)},
+                "max_decision_round": 4,
+            },
+            "crashes": 1,
+            "agreement": {
+                "stages": 1,
+                "decision_stage": 1,
+                "coin_usage": {"shared": 0, "private": 0},
+            },
+        }
+
 
 class TestRecordRun:
     def test_populates_registry(self):

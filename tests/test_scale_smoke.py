@@ -32,5 +32,5 @@ class TestScale:
         outcome = sim.run()
         from repro.sim.rounds import RoundAnalyzer
 
-        analyzer = RoundAnalyzer(outcome.run)
+        analyzer = RoundAnalyzer(outcome.run.trial_record())
         assert analyzer.max_decision_round() <= 14

@@ -35,7 +35,7 @@ class TestRecordRun:
 
         rounds = [s for s in rec.spans.values() if s.kind == "round"]
         phases = [s for s in rec.spans.values() if s.kind == "phase"]
-        analyzer = RoundAnalyzer(outcome.run)
+        analyzer = RoundAnalyzer(outcome.run.trial_record())
         assert {s.attrs["round"] for s in rounds} == set(
             range(1, analyzer.max_decision_round() + 1)
         )

@@ -6,10 +6,7 @@ from repro.adversary.standard import OnTimeAdversary
 from repro.core.api import run_commit
 from repro.sim.rounds import RoundAnalyzer
 from repro.trace.build import record_run
-from repro.trace.critical_path import (
-    critical_path_from_run,
-    critical_paths_from_records,
-)
+from repro.trace.critical_path import critical_paths_from_records
 from repro.trace.export import recorder_to_records
 from repro.trace.spans import SpanRecorder
 
@@ -24,6 +21,14 @@ def _ontime_outcome(seed, votes=(1, 1, 1, 1, 1), K=4):
     )
 
 
+def _paths(run):
+    """An in-memory run's critical paths: its record's spans, then the
+    recorder's records."""
+    recorder = SpanRecorder()
+    record_run(recorder, run.trial_record())
+    return critical_paths_from_records(recorder_to_records(recorder))
+
+
 class TestFromRun:
     @pytest.mark.parametrize("seed", [0, 1, 2, 7, 11])
     def test_chain_round_span_matches_decision_round(self, seed):
@@ -32,9 +37,9 @@ class TestFromRun:
         decision round — no round ends on the timer alone."""
         outcome = _ontime_outcome(seed)
         assert outcome.terminated
-        paths = critical_path_from_run(outcome.run)
+        paths = _paths(outcome.run)
         assert paths, "every on-time all-commit run decides"
-        analyzer = RoundAnalyzer(outcome.run)
+        analyzer = RoundAnalyzer(outcome.run.trial_record())
         assert (
             max(p.round_span for p in paths)
             == analyzer.max_decision_round()
@@ -50,7 +55,7 @@ class TestFromRun:
 
     def test_one_path_per_decider_with_nonempty_chain(self):
         outcome = _ontime_outcome(7, votes=(1, 1, 0, 1, 1))
-        paths = critical_path_from_run(outcome.run)
+        paths = _paths(outcome.run)
         deciders = {
             pid
             for pid, decision in outcome.run.decisions.items()
@@ -68,7 +73,7 @@ class TestFromRun:
 
     def test_rounds_monotone_along_chain(self):
         outcome = _ontime_outcome(3)
-        for path in critical_path_from_run(outcome.run):
+        for path in _paths(outcome.run):
             labelled = [h.round for h in path.hops if h.round is not None]
             assert labelled == sorted(labelled)
 
@@ -76,24 +81,33 @@ class TestFromRun:
         # A run cut off almost immediately decides nothing.
         outcome = run_commit([1, 1, 1], K=4, seed=0, max_steps=4)
         assert not outcome.terminated
-        assert critical_path_from_run(outcome.run) == []
+        assert _paths(outcome.run) == []
 
 
 class TestFromRecords:
-    def test_agrees_with_run_analysis(self):
+    def test_agrees_with_round_analysis(self):
         outcome = _ontime_outcome(7, votes=(1, 1, 0, 1, 1))
-        from_run = critical_path_from_run(outcome.run)
-
-        rec = SpanRecorder()
-        record_run(rec, outcome.run.trial_record())
-        from_records = critical_paths_from_records(recorder_to_records(rec))
-
-        assert len(from_records) == len(from_run)
-        for a, b in zip(from_run, from_records):
-            assert (a.pid, a.decision) == (b.pid, b.decision)
-            assert a.round_span == b.round_span
-            assert a.length == b.length
-            assert a.decision_round == b.decision_round
+        run = outcome.run
+        paths = _paths(run)
+        rounds = RoundAnalyzer(run.trial_record()).decision_rounds()
+        assert [p.pid for p in paths] == sorted(
+            pid for pid, r in rounds.items() if r is not None
+        )
+        for path in paths:
+            assert path.decision == run.decisions[path.pid]
+            assert path.decision_round == rounds[path.pid]
+            for hop in path.hops:
+                # Every hop is a delivered envelope of the run, and the
+                # sim track's time axis is the event index.
+                env = run.envelopes[hop.message]
+                assert (hop.sender, hop.recipient) == (
+                    env.sender,
+                    env.recipient,
+                )
+                assert (hop.send_time, hop.receive_time) == (
+                    env.send_event,
+                    env.receive_event,
+                )
 
     def test_campaign_trace_yields_paths_per_trial(self):
         rec = SpanRecorder()
@@ -109,9 +123,33 @@ class TestFromRecords:
         assert len(paths) == 10
         assert len({p.trial for p in paths}) == 2
 
+    def test_campaign_nesting_groups_by_trial_span(self):
+        """A campaign nests ``campaign → trial-<seed> → sim-run``, so
+        every trial shares one root; message ids and pids restart in
+        each trial, and the paths must be computed per trial."""
+        rec = SpanRecorder()
+        campaign = rec.begin_span(
+            "campaign", kind="campaign", track="campaign", start=0
+        )
+        expected = []
+        for seed in (0, 1, 2):
+            outer = rec.begin_span(
+                f"trial-{seed}", kind="trial", track="campaign", start=seed
+            )
+            run = _ontime_outcome(seed).run
+            expected.extend(_paths(run))
+            record_run(rec, run.trial_record())
+            rec.end_span(outer, seed + 1)
+        rec.end_span(campaign, 3)
+        paths = critical_paths_from_records(recorder_to_records(rec))
+        assert len({p.trial for p in paths}) == 3
+        assert {p.track for p in paths} == {"sim"}
+        strip = lambda p: (p.pid, p.decision, p.decision_round, p.hops)
+        assert [strip(p) for p in paths] == [strip(p) for p in expected]
+
     def test_to_dict_round_trips_fields(self):
         outcome = _ontime_outcome(0)
-        path = critical_path_from_run(outcome.run)[0]
+        path = _paths(outcome.run)[0]
         doc = path.to_dict()
         assert doc["pid"] == path.pid
         assert doc["length"] == path.length == len(doc["hops"])
