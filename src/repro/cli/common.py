@@ -8,6 +8,10 @@ from __future__ import annotations
 import argparse
 import sys
 
+#: ``repro.faults.variants.PROGRAM_VARIANTS``, written out so the client
+#: commands load no protocol (``tests/test_cli.py`` keeps the two equal).
+VARIANT_NAMES = "commit, broken-commit, twopc, twopc-block, threepc"
+
 
 def _parse_votes(text: str) -> list[int]:
     try:

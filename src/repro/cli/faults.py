@@ -8,6 +8,7 @@ import json
 import sys
 
 from repro.cli.common import (
+    VARIANT_NAMES,
     _add_model_arg,
     _add_observability_args,
     _add_sim_core_arg,
@@ -269,8 +270,9 @@ def register(sub) -> None:
         "--variant",
         default="commit",
         help=(
-            "protocol variant to sweep: commit (the paper's Protocol 2) "
-            "or broken-commit (the planted-bug fixture)"
+            f"protocol variant to sweep, one of: {VARIANT_NAMES} (commit is "
+            "the paper's Protocol 2, broken-commit the planted-bug fixture, "
+            "the rest the baselines)"
         ),
     )
     campaign_parser.add_argument(

@@ -11,7 +11,11 @@ from __future__ import annotations
 import json
 import sys
 
-from repro.cli.common import _add_observability_args, _with_observability
+from repro.cli.common import (
+    VARIANT_NAMES,
+    _add_observability_args,
+    _with_observability,
+)
 
 
 def cmd_service_start(args) -> int:
@@ -241,7 +245,7 @@ def register(sub) -> None:
     start_parser.add_argument(
         "--variant",
         default="commit",
-        help="protocol variant: commit or broken-commit",
+        help=f"protocol variant, one of: {VARIANT_NAMES}",
     )
     start_parser.add_argument(
         "--host", default="127.0.0.1", help="listen/peer host"

@@ -16,8 +16,11 @@ protocol.  This module keeps a small registry of program variants a
   splits into COMMIT and ABORT — violating agreement and abort validity;
 * ``twopc`` / ``twopc-block`` / ``threepc`` — the in-repo baseline
   protocols (:mod:`repro.protocols`), adapted to the variant-builder
-  signature so campaigns, the model checker, and the degradation atlas
-  (:mod:`repro.models.atlas`) can sweep them under any timing model.
+  signature so campaigns on both tracks, the service
+  (``repro service start --variant``), the model checker, and the
+  degradation atlas (:mod:`repro.models.atlas`) can run them under any
+  timing model; their payloads have wire and WAL forms in the payload
+  table (:mod:`repro.sim.payloads`) like Protocol 2's.
   ``twopc`` presumes abort on a decision timeout (safe against blocking,
   unsafe against late decisions); ``twopc-block`` waits forever — the
   textbook blocking behaviour the paper's Protocol 2 exists to avoid;

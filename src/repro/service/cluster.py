@@ -343,6 +343,8 @@ class ServiceCluster:
         self.permanently_crashed: set[int] = set()
         self.recoveries = 0
         self._live: dict[int, list[asyncio.Task]] = {}
+        #: Every node task of every life, killed ones too (see :meth:`run`).
+        self._tasks: list[asyncio.Task] = []
 
     # -- node lifecycle ------------------------------------------------------
 
@@ -366,6 +368,7 @@ class ServiceCluster:
             asyncio.ensure_future(node.run()),
             asyncio.ensure_future(pump()),
         ]
+        self._tasks.extend(self._live[pid])
 
     def _kill(self, pid: int, rng: random.Random) -> None:
         node = self.nodes.get(pid)
@@ -537,6 +540,10 @@ class ServiceCluster:
         A deadline expiry is reported as a structured outcome — the
         result's ``undecided`` map names every (node, transaction) pair
         still open — never as a bare ``TimeoutError``.
+
+        Raises:
+            Exception: the first error a node, pump, supervisor or
+                workload task ended with, once every task is torn down.
         """
         supervisors = [
             asyncio.ensure_future(self._supervise(pid))
@@ -567,12 +574,18 @@ class ServiceCluster:
             for tasks in self._live.values():
                 for task in tasks:
                     task.cancel()
-            await asyncio.gather(
+            ended = await asyncio.gather(
                 *supervisors,
                 *([driver] if driver is not None else []),
-                *(t for tasks in self._live.values() for t in tasks),
+                *self._tasks,
                 return_exceptions=True,
             )
+        # A node that raised is dead, not blocked: the run fails with its
+        # error.  A cancellation (how a run ends and a kill lands) is no
+        # ``Exception``.
+        for error in ended:
+            if isinstance(error, Exception):
+                raise error
         # A node's snapshot is its header; a result also lists decisions.
         snapshots = [
             replace(

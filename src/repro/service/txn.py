@@ -59,10 +59,11 @@ from repro.faults.variants import resolve_variant
 from repro.service.wire import (
     DEFAULT_TXN,
     PayloadGroup,
-    payload_from_dict,
-    payload_to_dict,
+    decode_groups,
+    encode_groups,
 )
-from repro.sim.message import Payload, ReceivedPayload
+from repro.sim.message import ReceivedPayload
+from repro.sim.payloads import from_wire, to_wire
 from repro.sim.process import SimProcess
 from repro.sim.tape import RandomTape
 
@@ -175,7 +176,7 @@ def state_digest(process: SimProcess) -> str:
     future behaviour depends on besides the (seed-determined) tape.
     """
     board = [
-        [entry.sender, payload_to_dict(entry.payload), entry.receive_clock]
+        [entry.sender, to_wire(entry.payload), entry.receive_clock]
         for entry in process.board.entries()
     ]
     doc = {
@@ -211,27 +212,19 @@ def groups_to_wal(groups: Sequence[PayloadGroup]) -> Any:
     v1 never wrote.
     """
     if len(groups) == 1 and groups[0][0] == DEFAULT_TXN:
-        return [payload_to_dict(p) for p in groups[0][1]]
+        return [to_wire(p) for p in groups[0][1]]
     if not groups:
         return []
-    return {
-        "g": [
-            [txn, [payload_to_dict(p) for p in payloads]]
-            for txn, payloads in groups
-        ]
-    }
+    return {"g": encode_groups(groups)}
 
 
-def wal_to_groups(elem: Any) -> list[tuple[int, list[Payload]]]:
+def wal_to_groups(elem: Any) -> Sequence[PayloadGroup]:
     """Decode a batch entry's payload slot (either WAL form)."""
     if isinstance(elem, dict):
-        return [
-            (int(txn), [payload_from_dict(doc) for doc in docs])
-            for txn, docs in elem["g"]
-        ]
+        return decode_groups(elem["g"])
     if elem:
-        return [(DEFAULT_TXN, [payload_from_dict(doc) for doc in elem])]
-    return []
+        return ((DEFAULT_TXN, tuple(from_wire(doc) for doc in elem)),)
+    return ()
 
 
 def decision_member(txn_id: int, value: int) -> bytes:

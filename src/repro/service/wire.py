@@ -1,10 +1,11 @@
-"""Wire codecs: protocol payloads and service envelopes as JSON.
+"""Service envelopes as JSON lines.
 
 The deployable service moves the simulator's typed payloads across real
-process boundaries (TCP streams, write-ahead logs), so every payload
-class gets a stable dict form here.  The envelope is the service-layer
-unit of transmission: one sender step's payloads plus the identity that
-makes retry-until-acked delivery safe.
+process boundaries (TCP streams, write-ahead logs); each payload's dict
+form is its wire form in the payload table (:mod:`repro.sim.payloads`),
+which covers every protocol the service can host.  The envelope is the
+service-layer unit of transmission: one sender step's payloads plus the
+identity that makes retry-until-acked delivery safe.
 
 Envelope identity is the triple ``(sender, incarnation, seq)``:
 
@@ -19,16 +20,11 @@ Control kinds (``ack``, ``state-query``, ``state-transfer``, ``submit``)
 ride the same envelope format; only ``msg`` envelopes reach the hosted
 protocol state machine.
 
-**Multi-transaction envelopes (wire v2).**  A node can host many
-concurrent protocol instances, one per transaction; each ``msg``
-envelope then carries *groups* — ``(txn_id, payloads)`` pairs — so one
-flush batches the outgoing traffic of several instances into a single
-transmission per destination.  The encoding is versioned by shape, not
-by a version field: an envelope whose only group belongs to the default
-transaction (:data:`DEFAULT_TXN`) encodes in the original v1 form
-(``payloads``), so single-transaction traffic and the WALs derived from
-it are byte-identical to the pre-multiplexer service; anything else
-encodes the groups under the ``txns`` key, which v1 never emitted.
+**Multi-transaction envelopes (wire v2).**  A ``msg`` envelope carries
+*groups*, ``(txn_id, payloads)`` pairs, one per hosted transaction.  A
+lone default-transaction group (:data:`DEFAULT_TXN`) keeps the original
+v1 ``payloads`` form, byte for byte; anything else goes under ``txns``,
+which v1 never emitted (see :meth:`ServiceEnvelope.msg`).
 """
 
 from __future__ import annotations
@@ -37,14 +33,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-from repro.core.messages import (
-    DecidedMessage,
-    GoMessage,
-    StageMessage,
-    VoteMessage,
-)
 from repro.errors import ServiceError
-from repro.sim.message import Payload, RawPayload
+from repro.sim.message import Payload
+from repro.sim.payloads import from_wire, to_wire
 
 #: Envelope kinds the service understands.  ``msg`` carries protocol
 #: payloads; the rest are service-layer control traffic.
@@ -65,79 +56,18 @@ DEFAULT_TXN = 0
 PayloadGroup = tuple[int, tuple[Payload, ...]]
 
 
-def payload_to_dict(payload: Payload) -> dict[str, Any]:
-    """The stable dict form of one protocol payload."""
-    if isinstance(payload, GoMessage):
-        return {"k": "go", "coins": list(payload.coins)}
-    if isinstance(payload, VoteMessage):
-        return {"k": "vote", "vote": payload.vote}
-    if isinstance(payload, StageMessage):
-        return {
-            "k": "stage",
-            "phase": payload.phase,
-            "stage": payload.stage,
-            "value": payload.value,
-        }
-    if isinstance(payload, DecidedMessage):
-        return {"k": "decided", "value": payload.value}
-    if isinstance(payload, RawPayload):
-        return {"k": "raw", "data": payload.data}
-    raise ServiceError(
-        f"no wire form for payload type {type(payload).__name__}"
-    )
+def encode_groups(groups: Iterable[PayloadGroup]) -> list[list[Any]]:
+    """``[[txn, [payload, ...]], ...]``: payload groups as the envelope's
+    ``txns`` and the WAL's ``{"g": ...}`` carry them."""
+    return [[txn, [to_wire(p) for p in payloads]] for txn, payloads in groups]
 
 
-def _ill_typed(data: dict[str, Any]) -> ServiceError:
-    return ServiceError(f"ill-typed wire payload: {data!r}")
-
-
-def payload_from_dict(data: dict[str, Any]) -> Payload:
-    """Rebuild a payload from :func:`payload_to_dict` output.
-
-    Every integer field must be an ``int``: ``true`` and ``1.5`` pass the
-    payloads' own range checks, so they are refused here.
-
-    Raises:
-        ServiceError: on an unknown kind or an ill-typed field; a missing
-            field raises ``KeyError`` and an out-of-range one
-            ``ValueError``.
-    """
-    if not isinstance(data, dict):
-        raise ServiceError(f"a wire payload is an object, got {data!r}")
-    kind = data.get("k")
-    if kind == "go":
-        coins = data["coins"]
-        if type(coins) is not list or any(type(bit) is not int for bit in coins):
-            raise _ill_typed(data)
-        return GoMessage(coins=tuple(coins))
-    if kind == "vote":
-        vote = data["vote"]
-        if type(vote) is not int:
-            raise _ill_typed(data)
-        return VoteMessage(vote=vote)
-    if kind == "stage":
-        phase, stage, value = data["phase"], data["stage"], data["value"]
-        if (
-            type(phase) is not int
-            or type(stage) is not int
-            or (value is not None and type(value) is not int)
-        ):
-            raise _ill_typed(data)
-        return StageMessage(phase=phase, stage=stage, value=value)
-    if kind == "decided":
-        value = data["value"]
-        if type(value) is not int:
-            raise _ill_typed(data)
-        return DecidedMessage(value=value)
-    if kind == "raw":
-        return RawPayload(data=data["data"])
-    raise ServiceError(f"unknown wire payload kind {kind!r}: {data!r}")
-
-
-def _txn_id(value: Any) -> int:
-    if type(value) is not int:
-        raise ServiceError(f"a transaction id is an integer, got {value!r}")
-    return value
+def decode_groups(items: Iterable[Any]) -> tuple[PayloadGroup, ...]:
+    """The groups of :func:`encode_groups` output, trusting nothing."""
+    groups = tuple((txn, tuple(map(from_wire, payloads))) for txn, payloads in items)
+    if any(type(txn) is not int for txn, _ in groups):
+        raise ServiceError(f"a transaction id is an integer: {items!r}")
+    return groups
 
 
 def _malformed(doc: Any) -> ServiceError:
@@ -241,12 +171,9 @@ class ServiceEnvelope:
             "seq": self.seq,
         }
         if self.payloads:
-            doc["payloads"] = [payload_to_dict(p) for p in self.payloads]
+            doc["payloads"] = [to_wire(p) for p in self.payloads]
         if self.groups:
-            doc["txns"] = [
-                [txn, [payload_to_dict(p) for p in payloads]]
-                for txn, payloads in self.groups
-            ]
+            doc["txns"] = encode_groups(self.groups)
         if self.body:
             doc["body"] = self.body
         return doc
@@ -260,8 +187,8 @@ class ServiceEnvelope:
         checked for its type here, so the code behind it may rely on
         ``kind`` being a string, ``sender`` / ``incarnation`` / ``seq``
         and every transaction id integers (``bool`` is not one), ``body``
-        an object, and every payload field what
-        :func:`payload_from_dict` requires.
+        an object, and every payload what its row of the payload table
+        (:mod:`repro.sim.payloads`) requires.
 
         Raises:
             ServiceError: on anything else.
@@ -287,16 +214,8 @@ class ServiceEnvelope:
                 sender=sender,
                 incarnation=incarnation,
                 seq=seq,
-                payloads=tuple(
-                    payload_from_dict(p) for p in doc.get("payloads", ())
-                ),
-                groups=tuple(
-                    (
-                        _txn_id(txn),
-                        tuple(payload_from_dict(p) for p in payloads),
-                    )
-                    for txn, payloads in doc.get("txns", ())
-                ),
+                payloads=tuple(from_wire(p) for p in doc.get("payloads", ())),
+                groups=decode_groups(doc.get("txns", ())),
                 body=body,
             )
         except (KeyError, TypeError, ValueError, ServiceError) as exc:

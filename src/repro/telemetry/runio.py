@@ -12,7 +12,8 @@ Format: one JSON object per line.
   "version": 1, "n": ..., "t": ..., "K": ...}``;
 * one ``{"record": "event", ...}`` line per trace event, in order;
 * one ``{"record": "envelope", ...}`` line per envelope, in send order,
-  payloads encoded by kind through the payload codec below;
+  each payload in its run-trace form from the payload table
+  (:mod:`repro.sim.payloads`: ``{"kind": <class name>, <field>: ...}``);
 * last line — footer: ``{"record": "final", ...}`` with statuses,
   decisions, decision clocks, and program outputs.
 
@@ -33,10 +34,11 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.errors import AnalysisError
-from repro.sim.message import Envelope, MessageId, Payload, RawPayload
+from repro.sim.message import Envelope, MessageId
+from repro.sim.payloads import from_trace, to_trace
 from repro.sim.trace import Run, TraceEvent
 from repro.types import Decision, ProcessStatus, Vote
 
@@ -106,7 +108,7 @@ def check_header(
             not a header of ``schema``, or the version differs.
     """
     if not records:
-        raise AnalysisError(f"empty document: no {schema} header record")
+        raise AnalysisError(f"empty document: no header record ({schema})")
     header = records[0]
     if header.get("record") != "header" or header.get("schema") != schema:
         raise AnalysisError(f"not a {schema} header: {header!r}")
@@ -116,72 +118,6 @@ def check_header(
             f"(expected {version})"
         )
     return header
-
-# -- payload codec -----------------------------------------------------------
-
-_PAYLOAD_TYPES: dict[str, type[Payload]] = {}
-
-
-def register_payload_type(cls: type[Payload]) -> type[Payload]:
-    """Register a payload dataclass for (de)serialization by class name."""
-    _PAYLOAD_TYPES[cls.__name__] = cls
-    return cls
-
-
-def _ensure_builtin_payloads() -> None:
-    """Register every payload type shipped with the library.
-
-    Imported lazily so this module stays importable without dragging the
-    protocol layers in at interpreter start.
-    """
-    if _PAYLOAD_TYPES:
-        return
-    import repro.core.coin_providers  # noqa: F401  (defines CoinShare)
-    import repro.core.messages  # noqa: F401
-    import repro.protocols.messages  # noqa: F401
-
-    pending = list(Payload.__subclasses__())
-    while pending:
-        cls = pending.pop()
-        pending.extend(cls.__subclasses__())
-        if dataclasses.is_dataclass(cls):
-            _PAYLOAD_TYPES.setdefault(cls.__name__, cls)
-    _PAYLOAD_TYPES.setdefault(RawPayload.__name__, RawPayload)
-
-
-def payload_to_dict(payload: Payload) -> dict[str, Any]:
-    """Encode one payload as ``{"kind": <class name>, ...fields}``."""
-    if not dataclasses.is_dataclass(payload):
-        raise AnalysisError(
-            f"cannot serialize non-dataclass payload {payload!r}"
-        )
-    doc: dict[str, Any] = {"kind": type(payload).__name__}
-    for field in dataclasses.fields(payload):
-        value = getattr(payload, field.name)
-        doc[field.name] = list(value) if isinstance(value, tuple) else value
-    return doc
-
-
-def payload_from_dict(doc: dict[str, Any]) -> Payload:
-    """Decode one payload; inverse of :func:`payload_to_dict`.
-
-    Raises:
-        AnalysisError: for unknown payload kinds.
-    """
-    _ensure_builtin_payloads()
-    kind = doc.get("kind")
-    cls = _PAYLOAD_TYPES.get(kind)
-    if cls is None:
-        raise AnalysisError(
-            f"unknown payload kind {kind!r}; register it with "
-            f"repro.telemetry.runio.register_payload_type"
-        )
-    kwargs = {
-        key: tuple(value) if isinstance(value, list) else value
-        for key, value in doc.items()
-        if key != "kind"
-    }
-    return cls(**kwargs)
 
 
 # -- output / enum codec -----------------------------------------------------
@@ -208,6 +144,10 @@ def _decode_output(value: Any) -> object:
 
 # -- export ------------------------------------------------------------------
 
+#: An event record holds every :class:`TraceEvent` field under its own
+#: name, tuples as lists.
+_EVENT_FIELDS = tuple(field.name for field in dataclasses.fields(TraceEvent))
+
 
 def run_to_records(run: Run) -> list[dict[str, Any]]:
     """Serialize a run to its list of JSONL records."""
@@ -222,19 +162,11 @@ def run_to_records(run: Run) -> list[dict[str, Any]]:
         }
     ]
     for event in run.events:
-        records.append(
-            {
-                "record": "event",
-                "index": event.index,
-                "kind": event.kind,
-                "actor": event.actor,
-                "clock_after": event.clock_after,
-                "delivered": list(event.delivered),
-                "sent": list(event.sent),
-                "decision_after": event.decision_after,
-                "halted_after": event.halted_after,
-            }
-        )
+        record = {"record": "event"}
+        for name in _EVENT_FIELDS:
+            value = getattr(event, name)
+            record[name] = list(value) if isinstance(value, tuple) else value
+        records.append(record)
     for envelope in sorted(run.envelopes.values(), key=lambda e: e.message_id):
         records.append(
             {
@@ -246,7 +178,7 @@ def run_to_records(run: Run) -> list[dict[str, Any]]:
                 "send_clock": envelope.send_clock,
                 "receive_event": envelope.receive_event,
                 "guaranteed": envelope.guaranteed,
-                "payloads": [payload_to_dict(p) for p in envelope.payloads],
+                "payloads": [to_trace(p) for p in envelope.payloads],
             }
         )
     records.append(
@@ -286,36 +218,18 @@ def run_from_records(records: Iterable[dict[str, Any]]) -> Run:
         AnalysisError: on a missing/invalid header, unknown schema
             version, or malformed records.
     """
-    iterator: Iterator[dict[str, Any]] = iter(records)
-    try:
-        header = next(iterator)
-    except StopIteration:
-        raise AnalysisError("empty trace: no header record") from None
-    if header.get("record") != "header" or header.get("schema") != TRACE_SCHEMA:
-        raise AnalysisError(f"not a {TRACE_SCHEMA} header: {header!r}")
-    if header.get("version") != TRACE_VERSION:
-        raise AnalysisError(
-            f"unsupported trace version {header.get('version')!r} "
-            f"(expected {TRACE_VERSION})"
-        )
+    records = list(records)
+    header = check_header(records, TRACE_SCHEMA, TRACE_VERSION)
     run = Run(n=header["n"], t=header["t"], K=header["K"])
     saw_final = False
-    for number, record in enumerate(iterator, start=2):
+    for number, record in enumerate(records[1:], start=2):
         kind = record.get("record")
         try:
             if kind == "event":
+                values = (record[name] for name in _EVENT_FIELDS)
                 run.events.append(
                     TraceEvent(
-                        index=record["index"],
-                        kind=record["kind"],
-                        actor=record["actor"],
-                        clock_after=record["clock_after"],
-                        delivered=tuple(
-                            MessageId(m) for m in record["delivered"]
-                        ),
-                        sent=tuple(MessageId(m) for m in record["sent"]),
-                        decision_after=record["decision_after"],
-                        halted_after=record["halted_after"],
+                        *(tuple(v) if isinstance(v, list) else v for v in values)
                     )
                 )
             elif kind == "envelope":
@@ -324,9 +238,7 @@ def run_from_records(records: Iterable[dict[str, Any]]) -> Run:
                     message_id=message_id,
                     sender=record["sender"],
                     recipient=record["recipient"],
-                    payloads=tuple(
-                        payload_from_dict(p) for p in record["payloads"]
-                    ),
+                    payloads=tuple(from_trace(p) for p in record["payloads"]),
                     send_event=record["send_event"],
                     send_clock=record["send_clock"],
                     receive_event=record["receive_event"],

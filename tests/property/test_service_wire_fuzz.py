@@ -10,6 +10,9 @@ by value, and two things are required of the result:
   ``ServiceServer._client_request`` without raising, and the node's run
   loop is still stepping afterwards.
 
+Payloads of every class in the payload table round-trip through an
+envelope, and a payload broken in any way makes its envelope malformed.
+
 Derandomizing and the example database come from the suite's Hypothesis
 profile (``tests/conftest.py``): under the default ``tier1`` profile
 every run of the suite draws the same examples.
@@ -18,6 +21,7 @@ every run of the suite draws the same examples.
 import asyncio
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,12 +32,14 @@ from repro.core.messages import (
     VoteMessage,
 )
 from repro.errors import ServiceError
+from repro.protocols.messages import ParticipantVote, VoteRequest
 from repro.service.server import ServiceServer
 from repro.service.virtualtime import run_virtual
 from repro.service.wal import MemoryWalStore
 from repro.service.wire import KINDS, ServiceEnvelope
 
 from tests.service.test_txn import multi_config
+from tests.sim.test_payloads import payloads, refused
 
 PEERS = [("127.0.0.1", 1)] * 3  # never dialled: the node's sends are checked and dropped
 PAYLOADS = (
@@ -46,6 +52,12 @@ VALID = [
     ServiceEnvelope.msg(sender=0, incarnation=0, seq=3, groups=[(0, PAYLOADS)]),
     ServiceEnvelope.msg(
         sender=2, incarnation=1, seq=0, groups=[(5, PAYLOADS[:2]), (6, PAYLOADS[2:])]
+    ),
+    ServiceEnvelope.msg(
+        sender=1,
+        incarnation=0,
+        seq=4,
+        groups=[(8, (VoteRequest(), ParticipantVote(vote=0)))],
     ),
     ServiceEnvelope(kind="ack", sender=2, body={"incarnation": 0, "seq": 3}),
     ServiceEnvelope(kind="submit", sender=-1, body={"txn": 9}),
@@ -84,7 +96,8 @@ def like(value):
     if isinstance(value, int):
         return st.integers(-5, 1 << 33)
     if isinstance(value, str):
-        return st.sampled_from(KINDS + ("go", "vote", "stage", "decided", "raw", "7"))
+        keys = ("go", "vote", "stage", "decided", "raw", "VoteRequest", "PreCommit")
+        return st.sampled_from(KINDS + keys + ("7",))
     if isinstance(value, list):
         return st.lists(json_values, max_size=3)
     return st.dictionaries(st.sampled_from(BODY_KEYS), json_values, max_size=3)
@@ -164,6 +177,30 @@ def test_the_seed_lines_decode_and_near_misses_do_not():
         b"[" * 100_000,  # past the JSON parser's depth: RecursionError
     ):
         assert decoded(line + b"\n") is None
+
+
+groups = st.lists(
+    st.tuples(st.integers(0, 9), st.lists(payloads(), min_size=1, max_size=3)),
+    min_size=1,
+    max_size=3,
+)
+
+
+@given(groups)
+def test_payloads_of_every_class_round_trip_in_an_envelope(groups):
+    envelope = ServiceEnvelope.msg(sender=1, incarnation=0, seq=2, groups=groups)
+    assert ServiceEnvelope.decode(envelope.encode()) == envelope
+
+
+@given(groups, st.data())
+def test_a_broken_payload_makes_its_envelope_malformed(groups, data):
+    envelope = ServiceEnvelope.msg(sender=1, incarnation=0, seq=2, groups=groups)
+    doc = envelope.to_dict()
+    slots = doc["txns"][0][1] if "txns" in doc else doc["payloads"]
+    at = data.draw(st.integers(0, len(slots) - 1))
+    slots[at] = data.draw(refused(slots[at], "k"))
+    with pytest.raises(ServiceError, match="malformed envelope"):
+        ServiceEnvelope.decode(json.dumps(doc))
 
 
 @settings(max_examples=150, deadline=None)

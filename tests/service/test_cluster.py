@@ -15,6 +15,7 @@ from repro.faults.plan import CrashFault, FaultPlan
 from repro.service.cluster import ServiceCluster, node_configs
 from repro.service.node import ServiceNode
 from repro.service.recovery import replay, state_digest
+from repro.service.txn import InstanceMux
 from repro.service.virtualtime import run_virtual
 from repro.service.wal import (
     MemoryWalStore,
@@ -123,6 +124,32 @@ class TestKillRecover:
         for pid in range(N):
             replayed = replay(durable_records(cluster.stores[pid]).records)
             assert replayed.decision == 1
+
+
+class TestNodeErrors:
+    """A node task that raised is dead, not blocked: the run says so."""
+
+    def test_a_raising_step_is_the_runs_error(self, monkeypatch):
+        def broken(self, batch):
+            raise RuntimeError("step failed")
+
+        monkeypatch.setattr(InstanceMux, "apply_step", broken)
+        with pytest.raises(RuntimeError, match="step failed"):
+            run_cluster([1] * N, deadline=1.0)
+
+    def test_killed_and_cancelled_tasks_are_no_error(self):
+        plan = FaultPlan(
+            n=N,
+            crashes=(
+                CrashFault(pid=1, cycle=2, recover_cycle=6),
+                CrashFault(pid=4, cycle=3),
+            ),
+        )
+        cluster, result = run_cluster([1] * N, plan, seed=7, deadline=8.0)
+        assert result.terminated
+        assert result.recoveries == 1
+        assert result.permanently_crashed == {4}
+        assert any(task.cancelled() for task in cluster._tasks)
 
 
 class TestStateTransfer:

@@ -141,9 +141,7 @@ class TestWalForms:
         groups = [(DEFAULT_TXN, (RawPayload(data={"a": 1}),))]
         encoded = groups_to_wal(groups)
         assert isinstance(encoded, list)  # the v1 shape
-        assert wal_to_groups(encoded) == [
-            (DEFAULT_TXN, [RawPayload(data={"a": 1})])
-        ]
+        assert wal_to_groups(encoded) == ((DEFAULT_TXN, groups[0][1]),)
 
     def test_multi_group_roundtrip(self):
         groups = [
@@ -152,13 +150,11 @@ class TestWalForms:
         ]
         encoded = groups_to_wal(groups)
         assert isinstance(encoded, dict) and "g" in encoded
-        assert wal_to_groups(encoded) == [
-            (txn, list(payloads)) for txn, payloads in groups
-        ]
+        assert wal_to_groups(encoded) == tuple(groups)
 
     def test_empty_batch_entry(self):
         assert groups_to_wal([]) == []
-        assert wal_to_groups([]) == []
+        assert wal_to_groups([]) == ()
 
     def test_tag_txn_leaves_default_untagged(self):
         assert "txn" not in tag_txn(DEFAULT_TXN, {"type": "submit"})

@@ -1,4 +1,4 @@
-"""Unit tests for the service wire codecs: payloads and envelopes."""
+"""Unit tests for the service wire: payload forms and envelopes."""
 
 import json
 
@@ -10,13 +10,18 @@ from repro.core.messages import (
     StageMessage,
     VoteMessage,
 )
+from repro.core.coin_providers import CoinShare
 from repro.errors import ServiceError
-from repro.service.wire import (
-    ServiceEnvelope,
-    payload_from_dict,
-    payload_to_dict,
+from repro.protocols.messages import (
+    DecisionAnnouncement,
+    ParticipantVote,
+    PreCommit,
+    PreCommitAck,
+    VoteRequest,
 )
+from repro.service.wire import ServiceEnvelope
 from repro.sim.message import RawPayload
+from repro.sim.payloads import from_wire, to_wire
 
 PAYLOADS = [
     GoMessage(coins=(1, 0, 1, 1)),
@@ -24,17 +29,45 @@ PAYLOADS = [
     StageMessage(phase=2, stage=1, value=0),
     DecidedMessage(value=1),
     RawPayload(data="ping"),
+    CoinShare(stage=2, bit=1),
+    VoteRequest(),
+    ParticipantVote(vote=0),
+    PreCommit(),
+    PreCommitAck(),
+    DecisionAnnouncement(value=1),
 ]
+
+#: The byte form of one envelope carrying every payload: Protocol 2's
+#: keys are the service's original forms, every other payload is keyed
+#: by its class name.
+EVERY_PAYLOAD_LINE = (
+    b'{"incarnation":1,"kind":"msg","payloads":['
+    b'{"coins":[1,0,1,1],"k":"go"},{"k":"vote","vote":1},'
+    b'{"k":"stage","phase":2,"stage":1,"value":0},{"k":"decided","value":1},'
+    b'{"data":"ping","k":"raw"},{"bit":1,"k":"CoinShare","stage":2},'
+    b'{"k":"VoteRequest"},{"k":"ParticipantVote","vote":0},{"k":"PreCommit"},'
+    b'{"k":"PreCommitAck"},{"k":"DecisionAnnouncement","value":1}],'
+    b'"sender":2,"seq":7}\n'
+)
 
 
 class TestPayloadCodec:
     @pytest.mark.parametrize("payload", PAYLOADS, ids=lambda p: type(p).__name__)
     def test_roundtrip(self, payload):
-        assert payload_from_dict(payload_to_dict(payload)) == payload
+        assert from_wire(json.loads(json.dumps(to_wire(payload)))) == payload
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ServiceError):
-            payload_from_dict({"k": "mystery"})
+        line = json.dumps(
+            {"kind": "msg", "sender": 1, "seq": 0, "payloads": [{"k": "mystery"}]}
+        )
+        with pytest.raises(ServiceError, match="malformed envelope"):
+            ServiceEnvelope.decode(line)
+
+    def test_byte_form_of_every_payload(self):
+        envelope = ServiceEnvelope(
+            kind="msg", sender=2, incarnation=1, seq=7, payloads=tuple(PAYLOADS)
+        )
+        assert envelope.encode() == EVERY_PAYLOAD_LINE
 
 
 class TestEnvelope:
@@ -88,14 +121,18 @@ ILL_TYPED_PAYLOADS = [
     {"k": "go", "coins": "01"},
     {"k": "vote", "vote": 1.0},
     {"k": "decided", "value": False},
+    {"k": "vote", "vote": 1, "extra": 0},
+    {"k": "ParticipantVote", "vote": True},
+    {"k": "CoinShare", "stage": 1, "bit": "1"},
+    {"k": "VoteRequest", "vote": 1},
 ]
 
 
 class TestIllTypedFields:
     @pytest.mark.parametrize("doc", ILL_TYPED_PAYLOADS, ids=repr)
     def test_payload_rejected(self, doc):
-        with pytest.raises(ServiceError):
-            payload_from_dict(doc)
+        with pytest.raises(ValueError):
+            from_wire(doc)
 
     @pytest.mark.parametrize("doc", ILL_TYPED_PAYLOADS, ids=repr)
     def test_envelope_carrying_it_is_malformed(self, doc):

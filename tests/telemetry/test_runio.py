@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.analysis.metrics import metrics_from_run
 from repro.cli.run import ADVERSARY_CHOICES, build_adversary
@@ -13,12 +15,15 @@ from repro.telemetry.runio import (
     TRACE_VERSION,
     export_run_jsonl,
     import_run_jsonl,
-    payload_from_dict,
-    payload_to_dict,
     run_from_records,
     run_to_records,
 )
+from repro.sim.message import Envelope, MessageId
+from repro.sim.payloads import from_trace, to_trace
+from repro.sim.trace import Run
 from repro.telemetry.summary import run_counters
+
+from tests.sim.test_payloads import payloads, refused
 
 
 def _run_under(adversary_name: str):
@@ -66,7 +71,7 @@ class TestPayloadCodec:
         for envelope in run.envelopes.values():
             for payload in envelope.payloads:
                 seen.add(type(payload).__name__)
-                assert payload_from_dict(payload_to_dict(payload)) == payload
+                assert from_trace(to_trace(payload)) == payload
         # the commit protocol exercises all four core message kinds
         assert {
             "GoMessage",
@@ -76,8 +81,43 @@ class TestPayloadCodec:
         } <= seen
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(AnalysisError):
-            payload_from_dict({"kind": "NoSuchPayload"})
+        records = run_to_records(_run_under("ontime"))
+        envelope = next(r for r in records if r["record"] == "envelope")
+        envelope["payloads"] = [{"kind": "NoSuchPayload"}]
+        with pytest.raises(AnalysisError, match="malformed trace record"):
+            run_from_records(records)
+
+
+def _one_envelope_run(sent):
+    run = Run(n=2, t=0, K=1)
+    run.envelopes[MessageId(0)] = Envelope(
+        message_id=MessageId(0),
+        sender=0,
+        recipient=1,
+        payloads=tuple(sent),
+        send_event=0,
+        send_clock=1,
+    )
+    return run
+
+
+class TestEveryPayloadClass:
+    """The run-trace reader and writer over every class in the payload
+    table, not only those a commit run sends."""
+
+    @given(st.lists(payloads(), min_size=1, max_size=4))
+    def test_round_trip(self, sent):
+        records = json.loads(json.dumps(run_to_records(_one_envelope_run(sent))))
+        assert run_from_records(records).envelopes[0].payloads == tuple(sent)
+
+    @given(st.lists(payloads(), min_size=1, max_size=4), st.data())
+    def test_a_broken_payload_is_an_analysis_error(self, sent, data):
+        records = run_to_records(_one_envelope_run(sent))
+        slots = records[1]["payloads"]
+        at = data.draw(st.integers(0, len(slots) - 1))
+        slots[at] = data.draw(refused(slots[at], "kind"))
+        with pytest.raises(AnalysisError, match="malformed trace record"):
+            run_from_records(json.loads(json.dumps(records)))
 
 
 class TestImportErrors:

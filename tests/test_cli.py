@@ -620,3 +620,10 @@ class TestMcCertifyVerb:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main(["mc"])
+
+
+def test_variant_help_names_every_registered_variant():
+    from repro.cli.common import VARIANT_NAMES
+    from repro.faults.variants import PROGRAM_VARIANTS
+
+    assert VARIANT_NAMES.split(", ") == list(PROGRAM_VARIANTS)
