@@ -10,11 +10,11 @@ nonblocking claim carried into the crash-recovery model: killed
 processors replay their durable logs, rejoin, and the transactions
 still complete consistently.
 
-With ``--txns`` greater than one (the default is 2) the nodes run in
-multi-transaction mode: all transactions are submitted back-to-back so
-the victims die hosting several in-flight protocol instances at once,
-and recovery must replay the interleaved per-transaction WAL records.
-``--txns 1`` reproduces the original single-transaction demo.
+With ``--txns`` greater than one (the default is 2) transactions 1, 2,
+... are submitted back-to-back, so the victims die hosting several
+in-flight protocol instances at once and recovery must replay the
+interleaved per-transaction WAL records.  ``--txns 1`` submits the
+single commit, transaction 0.
 
 Exit status: 0 on a consistent, fully-decided cluster; 1 otherwise.
 
@@ -65,8 +65,6 @@ def start_node(args, pid: int) -> subprocess.Popen:
         "--trace-spans",
         str(Path(args.data_dir) / f"node{pid}" / "trace.jsonl"),
     ]
-    if args.txns > 1:
-        command.append("--multi-txn")
     log = open(Path(args.data_dir) / f"node{pid}.out", "ab")
     return subprocess.Popen(command, stdout=log, stderr=log)
 
@@ -80,25 +78,24 @@ def service(args, *command: str) -> subprocess.CompletedProcess:
     )
 
 
-def cluster_status(args, check: bool = True) -> tuple[int, dict]:
-    command = ["status", "--base-port", str(args.base_port), "--n", str(N)]
-    if check:
-        command.append("--check")
-    result = service(args, *command)
+def cluster_status(args) -> dict:
+    result = service(
+        args, "status", "--base-port", str(args.base_port), "--n", str(N)
+    )
     try:
         doc = json.loads(result.stdout)
     except json.JSONDecodeError:
         doc = {"nodes": []}
-    return result.returncode, doc
+    return doc
 
 
 def submit_all(args) -> bool:
-    """Release every transaction at the coordinator, back-to-back.
+    """Submit every transaction at the coordinator, back-to-back.
 
-    Multi-transaction submissions go through one helper process (one
-    interpreter start-up, then millisecond-spaced TCP submits) so that
-    when the SIGKILL lands moments later, the victims are hosting all
-    of them in flight at once.
+    Several submissions go through one helper process (one interpreter
+    start-up, then millisecond-spaced TCP submits) so that when the
+    SIGKILL lands moments later, the victims are hosting all of them in
+    flight at once.
     """
     if args.txns == 1:
         result = service(
@@ -128,7 +125,11 @@ def submit_all(args) -> bool:
     return True
 
 
-def multi_txn_agreement(args, doc: dict) -> dict[int, int] | None:
+def submitted_txns(args) -> range:
+    return range(1) if args.txns == 1 else range(1, args.txns + 1)
+
+
+def agreement(args, doc: dict) -> dict[int, int] | None:
     """Per-transaction unanimous decisions, or None while incomplete.
 
     Every node must be reachable and report the same decision for every
@@ -137,7 +138,7 @@ def multi_txn_agreement(args, doc: dict) -> dict[int, int] | None:
     nodes = doc.get("nodes", [])
     if len(nodes) < N or any("unreachable" in n for n in nodes):
         return None
-    expected = {str(txn) for txn in range(1, args.txns + 1)}
+    expected = {str(txn) for txn in submitted_txns(args)}
     agreed: dict[int, int] = {}
     for txn in sorted(expected, key=int):
         bits = {(n.get("txns") or {}).get(txn) for n in nodes}
@@ -163,8 +164,8 @@ def main() -> int:
         "--txns",
         type=int,
         default=2,
-        help="transactions to drive (>1 runs the nodes in "
-        "multi-transaction mode; 1 is the classic demo)",
+        help="transactions to drive (1 is the single commit, "
+        "transaction 0)",
     )
     args = parser.parse_args()
     if args.txns < 1:
@@ -184,7 +185,7 @@ def main() -> int:
 
         # Strike mid-commit: the tick interval keeps the protocol slow
         # enough that both victims die with the outcome(s) still open —
-        # in multi-transaction mode the back-to-back submissions mean
+        # with several transactions the back-to-back submissions mean
         # every instance is in flight when the signal lands.
         time.sleep(4 * args.tick_interval)
         for victim in (COORDINATOR, PARTICIPANT):
@@ -201,22 +202,14 @@ def main() -> int:
         deadline = time.monotonic() + args.settle
         agreed: dict[int, int] | None = None
         while time.monotonic() < deadline:
-            if args.txns == 1:
-                code, doc = cluster_status(args)
-                if code == 0:
-                    agreed = {1: next(iter(
-                        {n["decision"] for n in doc["nodes"]}
-                    ))}
-                    break
-            else:
-                _, doc = cluster_status(args, check=False)
-                agreed = multi_txn_agreement(args, doc)
-                if agreed is not None:
-                    break
+            doc = cluster_status(args)
+            agreed = agreement(args, doc)
+            if agreed is not None:
+                break
             time.sleep(0.5)
         else:
             print("cluster did not reach agreement in time", file=sys.stderr)
-            _, doc = cluster_status(args, check=False)
+            doc = cluster_status(args)
             print(json.dumps(doc, indent=2, sort_keys=True), file=sys.stderr)
             return 1
 

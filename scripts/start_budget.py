@@ -174,7 +174,7 @@ def node_modules_at_listening() -> tuple[int, list[str]]:
         return loaded_modules(
             [
                 "service", "start", "--node", "1", "--votes", "1,1,1",
-                "--multi-txn", "--no-fsync", "--data-dir", data,
+                "--no-fsync", "--data-dir", data,
                 "--base-port", str(_free_port() - 1),
             ]
         )  # fmt: skip

@@ -50,7 +50,6 @@ def _cmd_service_start(args) -> int:
         vote=votes[args.node],
         tape_seed=derive_keyed(args.seed, SERVICE_NODE_STREAM, args.node),
         variant=args.variant,
-        multi_txn=args.multi_txn,
         commit_bias=args.commit_bias,
     )
     node_dir = Path(args.data_dir) / f"node{args.node}"
@@ -64,7 +63,8 @@ def _cmd_service_start(args) -> int:
         peers,
         tick_interval=args.tick_interval,
         fsync=not args.no_fsync,
-        hold_for_submit=(args.node == 0 and not args.no_hold),
+        # Held, the coordinator waits for a client to submit transaction 0.
+        opening=(0,) if args.node == 0 and args.no_hold else (),
         snapshot_every=args.snapshot_every,
         seed=args.seed,
     )
@@ -112,17 +112,9 @@ def cmd_service_status(args) -> int:
         nodes.append(doc)
     print(json.dumps({"nodes": nodes}, sort_keys=True))
     if args.check:
-        decisions = {
-            doc.get("decision")
-            for doc in nodes
-            if "unreachable" not in doc
-        }
-        reachable = sum(1 for doc in nodes if "unreachable" not in doc)
-        if (
-            reachable < args.n
-            or None in decisions
-            or len(decisions) != 1
-        ):
+        # Every node lists the same decisions, and at least one.
+        listed = [doc.get("txns") for doc in nodes]
+        if not listed[0] or any(txns != listed[0] for txns in listed):
             return 1
     return 0
 
@@ -276,7 +268,7 @@ def register(sub) -> None:
         "--no-hold",
         action="store_true",
         help=(
-            "start the commit immediately instead of waiting for "
+            "start transaction 0 immediately instead of waiting for "
             "`repro service submit` (coordinator only; other nodes "
             "never hold)"
         ),
@@ -291,8 +283,8 @@ def register(sub) -> None:
         "--multi-txn",
         action="store_true",
         help=(
-            "host many concurrent transactions (lazily created per "
-            "txn id) instead of the single default transaction"
+            "accepted and ignored: every node hosts its transactions "
+            "by id"
         ),
     )
     start_parser.add_argument(
@@ -300,8 +292,8 @@ def register(sub) -> None:
         type=float,
         default=1.0,
         help=(
-            "Bernoulli parameter of derived per-transaction votes "
-            "(multi-txn only; 1.0 = always vote yes)"
+            "Bernoulli parameter of the votes of transactions other "
+            "than 0 (1.0 = always vote yes)"
         ),
     )
     _add_observability_args(start_parser)
@@ -309,7 +301,7 @@ def register(sub) -> None:
 
     submit_parser = service_sub.add_parser(
         "submit",
-        help="release the coordinator's held transaction (start the commit)",
+        help="submit a transaction to its coordinator (start the commit)",
     )
     submit_parser.add_argument("--host", default="127.0.0.1")
     submit_parser.add_argument(
@@ -322,16 +314,13 @@ def register(sub) -> None:
         "--txn",
         type=int,
         default=0,
-        help=(
-            "transaction id to submit to a multi-transaction node "
-            "(0 = the node's default held transaction)"
-        ),
+        help="transaction id to submit (0 = a single commit)",
     )
     submit_parser.set_defaults(fn=cmd_service_submit)
 
     status_parser = service_sub.add_parser(
         "status",
-        help="query every node's decision and incarnation over TCP",
+        help="query every node's decisions and incarnation over TCP",
     )
     status_parser.add_argument("--host", default="127.0.0.1")
     status_parser.add_argument(
@@ -347,8 +336,8 @@ def register(sub) -> None:
         "--check",
         action="store_true",
         help=(
-            "exit 1 unless every node is reachable, decided, and all "
-            "decisions agree"
+            "exit 1 unless every node is reachable and lists the same "
+            "decisions, at least one"
         ),
     )
     status_parser.set_defaults(fn=cmd_service_status)

@@ -75,7 +75,7 @@ SERVICE_NODE_STREAM = 17_624_813
 
 #: Keyed stream of one hosted transaction instance's protocol tape,
 #: keyed by ``txn_id`` off the node's own tape seed — transaction 0
-#: keeps the node tape seed itself so single-transaction (v1) WALs
+#: keeps the node tape seed itself so v1 WALs, which hosted only it,
 #: replay byte-identically (:mod:`repro.service.txn`).
 SERVICE_TXN_TAPE_STREAM = 19_999_999
 

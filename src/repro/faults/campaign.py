@@ -111,15 +111,15 @@ class CampaignConfig:
             cannot execute recoveries.
         txns: transactions per trial.  ``1`` is the classic
             one-commit campaign; larger values drive an open-loop
-            multi-transaction workload through the service track's
-            instance multiplexer and check safety per transaction.
-            Requires ``tracks == ("service",)``.
-        shards: commit groups per trial (multi-transaction mode);
-            the cluster spans ``n * shards`` processors, ``n`` per
-            group, and transaction ``i`` lands on shard ``i % shards``.
+            workload of that many transactions through the service
+            track's instance multiplexer.  Requires
+            ``tracks == ("service",)``.
+        shards: commit groups per trial (an open-loop workload); the
+            cluster spans ``n * shards`` processors, ``n`` per group, and
+            transaction ``i`` lands on shard ``i % shards``.
         commit_bias: Bernoulli parameter of the derived per-transaction
-            votes in multi-transaction mode (the drawn vote vector only
-            covers the default transaction).
+            votes of an open-loop workload (the drawn vote vector is the
+            single commit's).
         model: timing model each trial runs under, from the
             :mod:`repro.models` zoo.  ``"realistic"`` (the paper's
             model) compiles plans exactly as before; other models keep
@@ -274,8 +274,9 @@ class TrialCase:
     model: str = DEFAULT_MODEL
 
     @property
-    def multi_txn(self) -> bool:
-        """Whether this case drives the multi-transaction service."""
+    def open_loop(self) -> bool:
+        """Whether this case drives an open-loop workload of transactions
+        1, 2, ... instead of the single commit of transaction 0."""
         return self.txns > 1 or self.shards > 1
 
     def __post_init__(self) -> None:
@@ -284,7 +285,7 @@ class TrialCase:
                 f"need one vote per processor: n={self.n}, "
                 f"got {len(self.votes)} votes"
             )
-        if self.multi_txn:
+        if self.open_loop:
             if self.tracks != ("service",):
                 raise ConfigurationError(
                     "multi-transaction cases are service-only, got "
@@ -361,7 +362,7 @@ class TrialCase:
             # the plan's termination analysis: nontermination there is
             # degradation data, not a liveness violation.
             return False
-        if self.multi_txn:
+        if self.open_loop:
             # The plan's termination analysis reasons about pid 0 as
             # *the* coordinator; a sharded cluster has one coordinator
             # per group, so only plans where every crash recovers (no
@@ -389,7 +390,7 @@ class TrialCase:
         }
         if self.schedule is not None:
             doc["schedule"] = [decision_to_dict(d) for d in self.schedule]
-        if self.multi_txn:
+        if self.open_loop:
             doc["txns"] = self.txns
             doc["shards"] = self.shards
             doc["commit_bias"] = self.commit_bias
@@ -532,17 +533,24 @@ def run_sim_track(case: TrialCase, core: str | None = None) -> dict[str, Any]:
     )
 
 
-def _run_service_multi_track(case: TrialCase) -> dict[str, Any]:
-    """Execute a multi-transaction case and check safety per txn.
+def run_service_track(case: TrialCase) -> dict[str, Any]:
+    """Run ``case`` on the service track and check safety per transaction.
 
-    One trial = one sharded cluster (``shards`` commit groups of ``n``)
-    under one FaultPlan, with an open-loop workload of ``case.txns``
-    transactions.  Agreement/validity are per-transaction properties of
-    that transaction's group, so this track builds its own per-txn
-    :class:`~repro.faults.safety.SafetyMonitor` reports (against the
-    derived per-transaction votes) and merges them — the generic
-    whole-cluster check in :func:`execute_trial_case` does not apply.
+    One trial is one cluster (``shards`` commit groups of ``n``) under
+    one FaultPlan, deciding the case's workload: the single commit of
+    transaction 0, which every member opens from its drawn vote, or an
+    open-loop workload of ``case.txns`` transactions.  Agreement and
+    validity are properties of one transaction in its group, so each
+    submitted transaction gets its own
+    :class:`~repro.faults.safety.SafetyMonitor` report (against that
+    transaction's votes) and the reports are merged.
+
+    ``decisions`` lists each transaction's decision at each member of
+    its group, transaction by transaction: for a single commit, one per
+    pid.
     """
+    # Imported here (not at module top) so that a sim-only campaign
+    # never pays the service subsystem's import cost.
     from repro.service.virtualtime import run_virtual
     from repro.service.cluster import (
         ServiceCluster,
@@ -551,10 +559,15 @@ def _run_service_multi_track(case: TrialCase) -> dict[str, Any]:
     )
     from repro.service.txn import ShardMap, txn_vote
 
-    # Submit everything inside the first quarter of the budget so a
-    # kill/recover tail still fits before the deadline.
-    window = max(case.tick_interval * 4, min(1.0, case.deadline / 4))
-    rate = case.txns / window
+    if case.open_loop:
+        # Submit everything inside the first quarter of the budget so a
+        # kill/recover tail still fits before the deadline.
+        window = max(case.tick_interval * 4, min(1.0, case.deadline / 4))
+        workload = TxnWorkload.open_loop(
+            case.txns, case.txns / window, case.tick_interval
+        )
+    else:
+        workload = TxnWorkload.single_commit()
     shard_map = ShardMap(shards=case.shards, group_size=case.n)
     configs = shard_configs(
         case.shards,
@@ -564,6 +577,7 @@ def _run_service_multi_track(case: TrialCase) -> dict[str, Any]:
         case.seed,
         variant=case.program,
         commit_bias=case.commit_bias,
+        votes=case.votes,
     )
     cluster = ServiceCluster(
         configs,
@@ -572,16 +586,19 @@ def _run_service_multi_track(case: TrialCase) -> dict[str, Any]:
         tick_interval=case.tick_interval,
         snapshot_every=32,
         K=case.K,
-        workload=TxnWorkload.open_loop(case.txns, rate, case.tick_interval),
+        workload=workload,
         shard_map=shard_map,
     )
     result = run_virtual(cluster.run(deadline=case.deadline))
-    txns_by_pid = {
-        snapshot.pid: dict(snapshot.txns or {}) for snapshot in result.nodes
+    txns_by_pid = {snapshot.pid: snapshot.txns for snapshot in result.nodes}
+    pending = {
+        txn_id for txn_ids in result.undecided.values() for txn_id in txn_ids
     }
-    checked: set[str] = set()
+    # In check order, as one monitor reports them (a dict is an ordered set).
+    checked: dict[str, None] = {}
     violations: list[dict[str, Any]] = []
-    txn_decisions: dict[int, int | None] = {}
+    decisions: list[int | None] = []
+    agreed_txns = 0
     for txn_id in result.submitted_txns:
         members = list(shard_map.members(shard_map.group_of(txn_id)))
         monitor = SafetyMonitor(
@@ -589,56 +606,38 @@ def _run_service_multi_track(case: TrialCase) -> dict[str, Any]:
             t=case.t,
             votes=[txn_vote(configs[pid], txn_id) for pid in members],
         )
-        decisions = {
+        bits = {
             local: txns_by_pid.get(pid, {}).get(txn_id)
             for local, pid in enumerate(members)
         }
-        crashed = {
-            local
-            for local, pid in enumerate(members)
-            if pid in result.permanently_crashed
-        }
-        obligated = [
-            bit for local, bit in decisions.items() if local not in crashed
-        ]
         report = monitor.check(
-            decisions=decisions,
-            crashed=crashed,
-            terminated=bool(obligated)
-            and all(bit is not None for bit in obligated),
+            decisions=bits,
+            crashed={
+                local
+                for local, pid in enumerate(members)
+                if pid in result.permanently_crashed
+            },
+            terminated=txn_id not in pending,
             expect_termination=case.expect_termination,
             benign=False,
         )
-        checked.update(report.checked)
+        checked.update(dict.fromkeys(report.checked))
         for violation in report.violations:
-            doc = violation.to_dict()
-            doc["txn"] = txn_id
-            violations.append(doc)
-        agreed = {bit for bit in decisions.values() if bit is not None}
-        txn_decisions[txn_id] = agreed.pop() if len(agreed) == 1 else None
-    return {
+            violations.append({**violation.to_dict(), "txn": txn_id})
+        decisions.extend(bits.values())
+        decided = {bit for bit in bits.values() if bit is not None}
+        agreed_txns += len(decided) == 1
+    record = {
         "outcome": result.outcome,
-        "decisions": [
-            txn_decisions.get(txn_id) for txn_id in result.submitted_txns
-        ],
+        "decisions": decisions,
+        # Only *permanent* crashes count as faulty: a killed-and-recovered
+        # node rejoined, so safety accounting owes it a decision.
         "crashed": sorted(result.permanently_crashed),
         "recoveries": result.recoveries,
-        "transfer_decisions": sum(
-            1 for s in result.nodes if s.decision_origin == "transfer"
-        ),
+        "transfer_decisions": result.transfer_decisions,
         "bus": dict(result.bus_stats),
-        "txns": {
-            "submitted": len(result.submitted_txns),
-            "decided": sum(
-                1 for bit in txn_decisions.values() if bit is not None
-            ),
-            "undecided": {
-                str(pid): txn_ids
-                for pid, txn_ids in sorted(result.undecided.items())
-            },
-        },
         "safety": {
-            "checked": sorted(checked),
+            "checked": list(checked),
             "violations": violations,
             "safety_ok": not any(
                 v["property"] != "nonblocking" for v in violations
@@ -648,45 +647,18 @@ def _run_service_multi_track(case: TrialCase) -> dict[str, Any]:
             ),
         },
     }
-
-
-def _run_service_track(case: TrialCase) -> dict[str, Any]:
-    # Imported here (not at module top) so that a sim-only campaign
-    # never pays the service subsystem's import cost.
-    if case.multi_txn:
-        return _run_service_multi_track(case)
-    from repro.service.virtualtime import run_virtual
-    from repro.service.cluster import ServiceCluster, node_configs
-
-    cluster = ServiceCluster(
-        node_configs(
-            n=case.n,
-            t=case.t,
-            votes=list(case.votes),
-            K=case.K,
-            seed=case.seed,
-            variant=case.program,
-        ),
-        resolve_model(case.model).service_plan(case.plan, K=case.K),
-        seed=case.seed,
-        tick_interval=case.tick_interval,
-        snapshot_every=32,
-        K=case.K,
-    )
-    result = run_virtual(cluster.run(deadline=case.deadline))
-    decision_map = result.decisions()
-    return {
-        "outcome": result.outcome,
-        "decisions": [decision_map.get(pid) for pid in range(case.n)],
-        # Only *permanent* crashes count as faulty: a killed-and-recovered
-        # node rejoined, so safety accounting owes it a decision.
-        "crashed": sorted(result.permanently_crashed),
-        "recoveries": result.recoveries,
-        "transfer_decisions": sum(
-            1 for s in result.nodes if s.decision_origin == "transfer"
-        ),
-        "bus": dict(result.bus_stats),
-    }
+    if case.open_loop:
+        # Emitted only for an open-loop workload, like the case's own
+        # ``txns``, so single-commit reports keep their form.
+        record["txns"] = {
+            "submitted": len(result.submitted_txns),
+            "decided": agreed_txns,
+            "undecided": {
+                str(pid): txn_ids
+                for pid, txn_ids in sorted(result.undecided.items())
+            },
+        }
+    return record
 
 
 def execute_trial_case(case: TrialCase) -> dict[str, Any]:
@@ -714,11 +686,10 @@ def execute_trial_case(case: TrialCase) -> dict[str, Any]:
         )
     tracks: dict[str, Any] = {}
     for track in case.tracks:
-        if track == "sim":
-            outcome = run_sim_track(case)
+        if track == "service":
+            outcome = run_service_track(case)
         else:
-            outcome = _run_service_track(case)
-        if "safety" not in outcome:
+            outcome = run_sim_track(case)
             report = monitor.check(
                 decisions={
                     pid: bit for pid, bit in enumerate(outcome["decisions"])

@@ -23,7 +23,7 @@ model, of which fail-stop is the case with no restart:
   processes (:mod:`repro.service.server`, :mod:`repro.service.client`).
 
 See ``docs/SERVICE.md`` for the process layout, the WAL format, the
-recovery handshake, and the multi-transaction wire/WAL extensions.
+recovery handshake, and how a node hosts its transactions by id.
 """
 
 from repro._lazy import lazy_exports

@@ -3,12 +3,11 @@
 Clients are not cluster members: they send envelopes with ``sender =
 -1`` and the server answers inline on the same connection
 (:mod:`repro.service.server`).  Two requests exist — ``submit``
-(release a transaction at its coordinator, optionally a specific
-``txn`` of a multi-transaction node; the acknowledgement carries the
-node's status header and lists no decisions) and ``state-query``
-(decision + full node status, whose ``txns`` lists every decision in
-no particular key order).  The helpers here are small sync wrappers the
-CLI and the crash demo share.
+(open transaction ``txn``, 0 by default, at its coordinator; the
+acknowledgement carries the node's status header and lists no
+decisions) and ``state-query`` (the full node status, whose ``txns``
+lists every decision in no particular key order).  The helpers here are
+small sync wrappers the CLI and the crash demo share.
 
 Connection hygiene matters here: these helpers run inside long-lived
 tools (the crash demo polls status in a loop), so every path —
@@ -86,15 +85,13 @@ async def request(
 def submit(
     host: str, port: int, timeout: float = 5.0, txn: int = 0
 ) -> dict[str, Any]:
-    """Release a transaction at ``host:port`` (its coordinator).
+    """Submit transaction ``txn`` at ``host:port`` (its coordinator).
 
-    ``txn = 0`` releases the node's default held transaction (the v1
-    single-transaction service); a positive ``txn`` submits that
-    transaction to a multi-transaction node.  Returns the node's status
-    header from the acknowledgement (``txns`` is ``None``: ask
-    :func:`status` for decisions); a rejected submission (duplicate
-    ``txn``, or an id already decided and compacted away) raises
-    :class:`~repro.errors.ServiceError` with the server's reason.
+    Returns the node's status header from the acknowledgement (``txns``
+    is ``None``: ask :func:`status` for decisions); a rejected
+    submission (duplicate ``txn``, or an id already decided and
+    compacted away) raises :class:`~repro.errors.ServiceError` with the
+    server's reason.
     """
     body = {"txn": txn} if txn else {}
     reply = asyncio.run(
@@ -111,7 +108,7 @@ def submit(
 
 
 def status(host: str, port: int, timeout: float = 5.0) -> dict[str, Any]:
-    """One node's status: pid, incarnation, decision(s), steps, records."""
+    """One node's status: pid, incarnation, steps, records, decisions."""
     reply = asyncio.run(
         request(
             host,
@@ -120,6 +117,4 @@ def status(host: str, port: int, timeout: float = 5.0) -> dict[str, Any]:
             timeout,
         )
     )
-    body = dict(reply.body.get("status", {}))
-    body.setdefault("decision", reply.body.get("decision"))
-    return body
+    return dict(reply.body.get("status", {}))

@@ -19,10 +19,12 @@ store (a partial record mid-``write``), which the restarted node's WAL
 repair must absorb; the orchestrator injects those with seeded
 randomness so every campaign exercises the repair path.
 
-Termination here is *service-level*: a node counts as done once it has
-a decision, whether its protocol decided locally or the recovery
-handshake transferred one.  The run ends when every node not
-permanently crashed is done, or at the deadline (``NONTERMINATED``).
+Termination here is *service-level*: a node is done with a transaction
+once it has a decision for it, whether its protocol decided locally or
+the recovery handshake transferred one.  The run ends when every member
+not permanently crashed is done with every transaction of the workload
+(:class:`TxnWorkload`; by default the single commit of transaction 0),
+or at the deadline (``NONTERMINATED``).
 """
 
 from __future__ import annotations
@@ -109,9 +111,23 @@ class TxnSubmission:
 
 @dataclass(frozen=True)
 class TxnWorkload:
-    """A deterministic submission schedule for a multi-transaction run."""
+    """A deterministic submission schedule.
 
-    submissions: tuple[TxnSubmission, ...]
+    Attributes:
+        submissions: transactions submitted to their coordinator on
+            schedule.
+        opening: transactions every member of their group opens when it
+            creates its log, before its first step.
+    """
+
+    submissions: tuple[TxnSubmission, ...] = ()
+    opening: tuple[int, ...] = ()
+
+    @classmethod
+    def single_commit(cls) -> "TxnWorkload":
+        """The paper's one commit: transaction 0, which every processor
+        starts from its vote (:attr:`NodeConfig.vote`)."""
+        return cls(opening=(DEFAULT_TXN,))
 
     @classmethod
     def open_loop(
@@ -148,23 +164,8 @@ def node_configs(
     seed: int,
     variant: str = "commit",
 ) -> list[NodeConfig]:
-    """One :class:`NodeConfig` per pid, with derived tape seeds."""
-    if len(votes) != n:
-        raise ConfigurationError(
-            f"got {len(votes)} votes for n={n} processors"
-        )
-    return [
-        NodeConfig(
-            pid=pid,
-            n=n,
-            t=t,
-            K=K,
-            vote=int(vote),
-            tape_seed=derive_keyed(seed, SERVICE_NODE_STREAM, pid),
-            variant=variant,
-        )
-        for pid, vote in enumerate(votes)
-    ]
+    """One group's :class:`NodeConfig` per pid, with derived tape seeds."""
+    return shard_configs(1, n, t, K, seed, variant=variant, votes=votes)
 
 
 def shard_configs(
@@ -175,16 +176,24 @@ def shard_configs(
     seed: int,
     variant: str = "commit",
     commit_bias: float = 1.0,
+    votes: list[int] | tuple[int, ...] | None = None,
 ) -> list[NodeConfig]:
-    """Node configs of a sharded multi-transaction cluster.
+    """Node configs of a sharded cluster.
 
     ``shards`` independent commit groups of ``group_size`` processors
     each, laid out contiguously on one wire pid space: group ``g`` owns
     wire pids ``[g * group_size, (g + 1) * group_size)`` and its local
     pid 0 coordinates every transaction :class:`ShardMap` assigns to it.
     Tape seeds are keyed by *wire* pid so no two nodes anywhere share a
-    random stream.
+    random stream.  ``votes`` are transaction 0's, by local pid (default
+    all 1).
     """
+    if votes is None:
+        votes = [1] * group_size
+    if len(votes) != group_size:
+        raise ConfigurationError(
+            f"got {len(votes)} votes for n={group_size} processors"
+        )
     shard_map = ShardMap(shards=shards, group_size=group_size)
     configs: list[NodeConfig] = []
     for group in range(shards):
@@ -196,12 +205,11 @@ def shard_configs(
                     n=group_size,
                     t=t,
                     K=K,
-                    vote=1,
+                    vote=int(votes[pid]),
                     tape_seed=derive_keyed(
                         seed, SERVICE_NODE_STREAM, base + pid
                     ),
                     variant=variant,
-                    multi_txn=True,
                     base=base,
                     commit_bias=commit_bias,
                 )
@@ -214,16 +222,17 @@ class ServiceClusterResult:
     """Aggregated outcome of one service-cluster run.
 
     ``nodes`` holds each pid's final observable state (for a killed pid,
-    the state of its last life).  ``permanently_crashed`` are the pids a
-    plan killed without recovery — the fail-stop subset the safety
-    monitor excludes from liveness obligations.
+    the state of its last life), ``txns`` listing its decisions.
+    ``permanently_crashed`` are the pids a plan killed without recovery
+    — the fail-stop subset the safety monitor excludes from liveness
+    obligations.  ``transfer_decisions`` counts the (node, transaction)
+    decisions adopted via the recovery handshake.
 
-    Multi-transaction runs additionally report, per transaction: the
-    submission-to-group-decision latency in virtual seconds
-    (``txn_latency``), and — when the run hit its deadline — exactly
-    which nodes were still undecided on which transactions
-    (``undecided``), so a ``NONTERMINATED`` outcome is attributable
-    rather than a bare timeout.
+    Per transaction the result also reports the submission-to-group-
+    decision latency in virtual seconds (``txn_latency``), and — when
+    the run hit its deadline — exactly which nodes were still undecided
+    on which transactions (``undecided``), so a ``NONTERMINATED``
+    outcome is attributable rather than a bare timeout.
     """
 
     nodes: list[ServiceNodeSnapshot] = field(default_factory=list)
@@ -234,12 +243,15 @@ class ServiceClusterResult:
     submitted_txns: list[int] = field(default_factory=list)
     txn_latency: dict[int, float] = field(default_factory=dict)
     undecided: dict[int, list[int]] = field(default_factory=dict)
+    transfer_decisions: int = 0
 
-    def decisions(self) -> dict[int, int | None]:
-        return {s.pid: s.decision for s in self.nodes}
+    def decisions(self, txn_id: int) -> dict[int, int | None]:
+        """Each node's decision for ``txn_id`` (``None``: undecided)."""
+        return {s.pid: (s.txns or {}).get(txn_id) for s in self.nodes}
 
     def decision_values(self) -> set[int]:
-        return {s.decision for s in self.nodes if s.decision is not None}
+        """Every value any node decided, for any transaction."""
+        return set().union(*self.txn_decision_values().values())
 
     def txn_decision_values(self) -> dict[int, set[int]]:
         """Per transaction, the set of values any node decided — a
@@ -252,7 +264,10 @@ class ServiceClusterResult:
 
     @property
     def consistent(self) -> bool:
-        return len(self.decision_values()) <= 1
+        """No transaction was decided two ways."""
+        return all(
+            len(values) <= 1 for values in self.txn_decision_values().values()
+        )
 
     @property
     def terminated(self) -> bool:
@@ -260,7 +275,7 @@ class ServiceClusterResult:
 
 
 class ServiceCluster:
-    """Runs one commit over durable nodes under a kill/recover schedule.
+    """Runs a workload over durable nodes under a kill/recover schedule.
 
     Args:
         configs: per-pid protocol configs (see :func:`node_configs`).
@@ -278,9 +293,10 @@ class ServiceCluster:
         snapshot_every: node snapshot-compaction period in steps.
         torn_tail_probability: chance that a kill leaves a partial
             record at the victim's log tail.
-        workload: multi-transaction submission schedule; each
-            transaction is submitted to its shard's coordinator on
-            schedule (waiting out coordinator downtime).
+        workload: the transactions to decide (default: the single
+            commit of transaction 0); each submission goes to its
+            shard's coordinator on schedule (waiting out coordinator
+            downtime).
         shard_map: transaction-to-group assignment (defaults to one
             group spanning the whole cluster).
     """
@@ -311,7 +327,9 @@ class ServiceCluster:
         self.fsync = fsync
         self.snapshot_every = snapshot_every
         self.torn_tail_probability = torn_tail_probability
-        self.workload = workload
+        self.workload = (
+            workload if workload is not None else TxnWorkload.single_commit()
+        )
         self.shard_map = shard_map or ShardMap(shards=1, group_size=self.n)
         if self.shard_map.total_pids != self.n:
             raise ConfigurationError(
@@ -355,6 +373,11 @@ class ServiceCluster:
             self.bus.send,
             tick_interval=self.tick_interval,
             fsync=self.fsync,
+            opening=[
+                txn_id
+                for txn_id in self.workload.opening
+                if pid in self._group_members(txn_id)
+            ],
             snapshot_every=self.snapshot_every,
             seed=self.seed,
         )
@@ -417,7 +440,7 @@ class ServiceCluster:
             self._spawn(pid)
             _log.debug("p%d restarted at cycle %d", pid, fault.recover_cycle)
 
-    # -- multi-transaction traffic ---------------------------------------------
+    # -- the workload --------------------------------------------------------
 
     def _group_members(self, txn_id: int) -> range:
         return self.shard_map.members(self.shard_map.group_of(txn_id))
@@ -427,7 +450,6 @@ class ServiceCluster:
         shard's coordinator (waiting out coordinator downtime — the
         submit record is durable, so one accepted submission is enough).
         """
-        assert self.workload is not None
         loop = asyncio.get_running_loop()
         start = loop.time()
         for submission in sorted(
@@ -486,17 +508,6 @@ class ServiceCluster:
     def _undecided_map(self) -> dict[int, list[int]]:
         """Which nodes still lack decisions on which transactions —
         the structured content behind a ``NONTERMINATED`` outcome."""
-        if self.workload is None:
-            return {
-                pid: [DEFAULT_TXN]
-                for pid in range(self.n)
-                if pid not in self.permanently_crashed
-                and not (
-                    pid in self._live
-                    and self.nodes.get(pid) is not None
-                    and self.nodes[pid].decision is not None
-                )
-            }
         pending: dict[int, list[int]] = {}
         for txn_id in sorted(self.submitted_txns):
             for pid in self._group_members(txn_id):
@@ -514,24 +525,12 @@ class ServiceCluster:
     async def _all_done(self) -> None:
         loop = asyncio.get_running_loop()
         while True:
-            if self.workload is not None:
-                self._note_completions(loop.time())
-                dispatched = len(self.submitted_txns) + len(
-                    self.unsubmittable
-                ) == len(self.workload.submissions)
-                if dispatched and not self._undecided_map():
-                    return
-            else:
-                done = all(
-                    pid in self.permanently_crashed
-                    or (
-                        pid in self._live
-                        and self.nodes[pid].decision is not None
-                    )
-                    for pid in range(self.n)
-                )
-                if done:
-                    return
+            self._note_completions(loop.time())
+            dispatched = len(self.submitted_txns) + len(
+                self.unsubmittable
+            ) == len(self.workload.submissions) + len(self.workload.opening)
+            if dispatched and not self._undecided_map():
+                return
             await asyncio.sleep(self.tick_interval)
 
     async def run(self, deadline: float = 5.0) -> ServiceClusterResult:
@@ -545,13 +544,15 @@ class ServiceCluster:
             Exception: the first error a node, pump, supervisor or
                 workload task ended with, once every task is torn down.
         """
+        started = asyncio.get_running_loop().time()
+        for txn_id in self.workload.opening:
+            self.submitted_txns.add(txn_id)
+            self.txn_submitted_at[txn_id] = started
         supervisors = [
             asyncio.ensure_future(self._supervise(pid))
             for pid in range(self.n)
         ]
-        driver = None
-        if self.workload is not None:
-            driver = asyncio.ensure_future(self._drive_workload())
+        driver = asyncio.ensure_future(self._drive_workload())
         undecided: dict[int, list[int]] = {}
         try:
             await asyncio.wait_for(self._all_done(), timeout=deadline)
@@ -567,18 +568,14 @@ class ServiceCluster:
         finally:
             for task in supervisors:
                 task.cancel()
-            if driver is not None:
-                driver.cancel()
+            driver.cancel()
             for node in self.nodes.values():
                 node.halt()
             for tasks in self._live.values():
                 for task in tasks:
                     task.cancel()
             ended = await asyncio.gather(
-                *supervisors,
-                *([driver] if driver is not None else []),
-                *self._tasks,
-                return_exceptions=True,
+                *supervisors, driver, *self._tasks, return_exceptions=True
             )
         # A node that raised is dead, not blocked: the run fails with its
         # error.  A cancellation (how a run ends and a kill lands) is no
@@ -588,10 +585,7 @@ class ServiceCluster:
                 raise error
         # A node's snapshot is its header; a result also lists decisions.
         snapshots = [
-            replace(
-                node.snapshot_state(),
-                txns=node.decisions() if node.config.multi_txn else None,
-            )
+            replace(node.snapshot_state(), txns=node.decisions())
             for _pid, node in sorted(self.nodes.items())
         ]
         if telemetry.enabled():
@@ -628,4 +622,9 @@ class ServiceCluster:
                 if txn_id in self.txn_submitted_at
             },
             undecided=undecided,
+            transfer_decisions=sum(
+                instance.decision_origin == "transfer"
+                for node in self.nodes.values()
+                for instance in node.mux.instances.values()
+            ),
         )

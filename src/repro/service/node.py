@@ -48,10 +48,17 @@ once, wakes the loop, and shares the next pass's sync.
 Reliability is node-level on purpose: retransmit state dies with the
 process and is regenerated by replay (every outgoing envelope the
 previous life produced is resent with its *original* identity; receivers
-deduplicate).  A node that restarts undecided also runs the recovery
-handshake — periodic ``state-query`` broadcasts answered by peers with
-``state-transfer`` — so it can adopt a decision the cluster reached
-while it was dead, even after senders' retransmissions stopped mattering.
+deduplicate).  While any hosted transaction is undecided the node also
+runs the recovery handshake (:meth:`ServiceNode._watch_stalls`):
+periodic ``state-query`` broadcasts that name those transactions,
+answered by peers with ``state-transfer`` — so it can adopt a decision
+the group reached while it was dead, even after senders'
+retransmissions stopped mattering.
+
+Every node hosts its transactions by id (:mod:`repro.service.txn`).  A
+single commit is transaction 0 opened on every member before its first
+step (``opening``), which is where the paper's processor starts: from
+its vote.
 """
 
 from __future__ import annotations
@@ -61,7 +68,7 @@ import random
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from repro.engine.seeds import SERVICE_NODE_STREAM, derive_keyed
 from repro.errors import ServiceError
@@ -82,7 +89,6 @@ from repro.service.wal import (
     write_snapshot,
 )
 from repro.service.wire import ServiceEnvelope
-from repro.sim.process import SimProcess
 from repro.telemetry import registry as telemetry
 from repro.telemetry.log import get_logger
 from repro.trace.spans import active_recorder, node_track
@@ -133,19 +139,16 @@ class Reliability:
 class ServiceNodeSnapshot:
     """One node's externally observable state, for results and ``status``.
 
-    The first seven fields are the *header*: what
+    The first four fields are the *header*: what
     :meth:`ServiceNode.snapshot_state` fills, at a cost that does not
     grow with the transactions already decided.  ``txns`` (every
-    transaction's decision, multi-transaction mode) is added by whoever
-    lists them: the in-memory cluster's result, and the TCP server's
-    ``state-query`` reply, which splices the same map in as text.
+    transaction's decision) is added by whoever lists them: the
+    in-memory cluster's result, and the TCP server's ``state-query``
+    reply, which splices the same map in as text.
     """
 
     pid: int
     incarnation: int
-    status: str
-    decision: int | None
-    decision_origin: str | None
     steps: int
     wal_records: int
     txns: dict[int, int] | None = None
@@ -164,8 +167,10 @@ class ServiceNode:
             after 6 ticks, back-off capped at 64 ticks).
         fsync: fsync the WAL once per pass (see
             :class:`~repro.service.wal.WriteAheadLog`).
-        hold_for_submit: don't step until a transaction is submitted
-            (the TCP service's coordinator waits for a client).
+        opening: transactions this node submits to itself when it
+            creates its log, before its first step (a single commit:
+            transaction 0 on every member).  A node that recovers finds
+            their ``submit`` records in its log.
         snapshot_every: compact the WAL into a snapshot every this many
             steps (``0`` disables snapshots).
         seed: trial seed for retransmission/backoff jitter randomness.
@@ -180,7 +185,7 @@ class ServiceNode:
         tick_interval: float = 0.002,
         reliability: Reliability | None = None,
         fsync: bool = True,
-        hold_for_submit: bool = False,
+        opening: Iterable[int] = (),
         snapshot_every: int = 0,
         seed: int = 0,
     ) -> None:
@@ -195,7 +200,7 @@ class ServiceNode:
             jitter=0.4,
             max_retries=None,
         )
-        self.hold_for_submit = hold_for_submit
+        self.opening = tuple(opening)
         self.snapshot_every = snapshot_every
         self.seed = seed
 
@@ -207,7 +212,6 @@ class ServiceNode:
         self._halted = False
         #: Ends the run loop's wait: an envelope, a submission or halt.
         self._wake = asyncio.Event()
-        self._submitted = asyncio.Event()
         self._steps = 0
         self._next_seq = 0
         self._applied: set[tuple[int, int, int]] = set()
@@ -242,32 +246,9 @@ class ServiceNode:
         """This node's transport address (group base + local pid)."""
         return self.config.wire_pid
 
-    @property
-    def process(self) -> SimProcess | None:
-        """The default transaction's state machine (the v1 view)."""
-        instance = self.mux.primary
-        return instance.process if instance is not None else None
-
-    @property
-    def transfer_decision(self) -> int | None:
-        """The default transaction's transferred decision (v1 view)."""
-        instance = self.mux.primary
-        return instance.transfer_decision if instance is not None else None
-
-    @property
-    def decision(self) -> int | None:
-        """The default transaction's effective decision: protocol-decided
-        or transferred (the v1 single-transaction view)."""
-        instance = self.mux.primary
-        return instance.decision if instance is not None else None
-
     def decisions(self) -> dict[int, int]:
         """Effective decisions across every hosted transaction."""
         return self.mux.decisions()
-
-    @property
-    def submitted(self) -> bool:
-        return self._submitted.is_set()
 
     @property
     def ready(self) -> bool:
@@ -277,18 +258,10 @@ class ServiceNode:
 
     def snapshot_state(self) -> ServiceNodeSnapshot:
         """The header (see :class:`ServiceNodeSnapshot`); ``txns`` is
-        ``None``, as a single-transaction node reports it."""
-        primary = self.mux.primary
-        origin = primary.decision_origin if primary is not None else None
-        status = "RUNNING"
-        if primary is not None and primary.process is not None:
-            status = primary.process.status.name
+        ``None``."""
         return ServiceNodeSnapshot(
             pid=self.wire_pid,
             incarnation=self.incarnation,
-            status=status,
-            decision=self.decision,
-            decision_origin=origin,
             steps=self._steps,
             wal_records=len(self._history),
         )
@@ -300,21 +273,6 @@ class ServiceNode:
         self.inbox.append(envelope)
         self._wake.set()
 
-    def submit(self) -> None:
-        """Release the held default transaction (v1 TCP ``submit``).
-
-        Idempotent like the original single-transaction service: a
-        repeat submission of the default transaction is silently
-        absorbed rather than rejected.
-        """
-        instance = self.mux.get(DEFAULT_TXN)
-        if instance is not None and instance.submitted:
-            return
-        try:
-            self.submit_txn(DEFAULT_TXN)
-        except ServiceError:
-            pass
-
     def submit_txn(self, txn_id: int) -> None:
         """Open (or release) transaction ``txn_id`` on this node.
 
@@ -324,10 +282,13 @@ class ServiceNode:
         :meth:`durable` first.
 
         Raises:
-            ServiceError: on a duplicate submission — the transaction
-                was already submitted here, or already decided and
-                compacted away.
+            ServiceError: on what is not a transaction id (a
+                non-negative integer) and on a duplicate submission —
+                the transaction was already submitted here, or already
+                decided and compacted away.
         """
+        if type(txn_id) is not int or txn_id < 0:
+            raise ServiceError(f"not a transaction id: {txn_id!r}")
         instance = self.mux.get(txn_id)
         if instance is not None:
             if instance.submitted:
@@ -342,7 +303,6 @@ class ServiceNode:
                 )
         self._append(tag_txn(txn_id, {"type": "submit"}))
         self.mux.ensure(txn_id).submitted = True
-        self._submitted.set()
         self._wake.set()
 
     async def durable(self) -> None:
@@ -419,7 +379,7 @@ class ServiceNode:
                 await self._pump_once()
                 if self._halted:
                     break
-                if self._released and (self._pending or not self.mux.idle):
+                if self._pending or not self.mux.idle:
                     self._step()
                     # Each of these crosses one freshly armed wait; a
                     # program arms only as many already-satisfied ones
@@ -433,12 +393,6 @@ class ServiceNode:
             for barrier in self._barriers:
                 barrier.cancel()
             self.wal.close()
-
-    @property
-    def _released(self) -> bool:
-        """Whether stepping may begin (a held coordinator waits for its
-        first submission)."""
-        return not self.hold_for_submit or self._submitted.is_set()
 
     def _commit(self) -> None:
         """End a pass: one sync for everything it appended, then release
@@ -457,10 +411,7 @@ class ServiceNode:
         if replayed is not None:
             for recipient, envelope in replayed.outgoing:
                 self._track(self._retransmit(recipient, envelope))
-            if not self.config.multi_txn and self.decision is None:
-                self._track(self._query_peers())
-        if self.config.multi_txn:
-            self._track(self._watch_stalls())
+        self._track(self._watch_stalls())
         if self.mux.decisions():
             self.done.set()
 
@@ -502,8 +453,10 @@ class ServiceNode:
             records.extend(log_result.records)
 
         if not records:
-            init = {"type": "init", "config": self.config.to_dict()}
-            self._append(init)
+            self._append({"type": "init", "config": self.config.to_dict()})
+            for txn_id in self.opening:
+                self._append(tag_txn(txn_id, {"type": "submit"}))
+                self.mux.ensure(txn_id).submitted = True
             return None
 
         loop = asyncio.get_running_loop()
@@ -518,24 +471,11 @@ class ServiceNode:
                 parent=None,
             )
         verify = None
-        verify_record = None
         if snapshot is not None and snapshot["taken_at_step"] > 0:
-            if self.config.multi_txn:
-                # The multiplexer digest also covers between-step
-                # records (close records, transferred decisions), so
-                # verify after exactly the snapshot's record count.
-                verify_record = (
-                    len(snapshot["records"]),
-                    snapshot["digest"],
-                )
-            else:
-                verify = (snapshot["taken_at_step"], snapshot["digest"])
+            verify = (len(snapshot["records"]), snapshot["digest"])
         replay_started = time.perf_counter()
         result = replay(
-            records,
-            expect_config=self.config,
-            verify_digest_at=verify,
-            verify_digest_at_record=verify_record,
+            records, expect_config=self.config, snapshot_digest=verify
         )
         replay_ms = (time.perf_counter() - replay_started) * 1000
         self.mux = result.mux
@@ -544,9 +484,7 @@ class ServiceNode:
         self._applied = result.applied
         self._steps = result.steps
         self._next_seq = 0
-        self._history = [canonical(record) for record in records]
-        if result.submitted_txns:
-            self._submitted.set()
+        self._history = [canonical(record) for record in result.records]
         self._append({"type": "recover", "incarnation": self.incarnation})
         if telemetry.enabled():
             telemetry.count(
@@ -555,12 +493,12 @@ class ServiceNode:
                 pid=self.pid,
             )
         _log.info(
-            "p%d recovered: incarnation=%d steps=%d decision=%s "
+            "p%d recovered: incarnation=%d steps=%d undecided=%s "
             "resend=%d torn_tail=%s records=%d read_ms=%.1f replay_ms=%.1f",
             self.pid,
             self.incarnation,
             result.steps,
-            result.decision,
+            result.mux.undecided_txns(),
             len(result.outgoing),
             log_result.torn_tail,
             len(records),
@@ -599,7 +537,7 @@ class ServiceNode:
             # Set by the last pass's own doing: the loop has not run since.
             share = True
         else:
-            due = self._released and self.mux.runnable
+            due = self.mux.runnable
             await self._woken_within(0 if due else self.tick_interval)
             share = bool(self.inbox) and len(self.mux.undecided_txns()) > 1
         if share:
@@ -666,69 +604,57 @@ class ServiceNode:
         elif kind == "state-transfer":
             self._adopt_transfers(envelope)
         elif kind == "submit":
-            txn_id = envelope.body.get("txn", DEFAULT_TXN)
-            if not isinstance(txn_id, int) or txn_id == DEFAULT_TXN:
-                self.submit()
-            else:
-                try:
-                    self.submit_txn(txn_id)
-                except ServiceError as exc:
-                    if telemetry.enabled():
-                        telemetry.count(
-                            "service_duplicate_submissions_total",
-                            help="submissions rejected as duplicates",
-                            pid=self.wire_pid,
-                        )
-                    _log.warning("p%d rejected submission: %s",
-                                 self.wire_pid, exc)
+            try:
+                self.submit_txn(envelope.body.get("txn", DEFAULT_TXN))
+            except ServiceError as exc:
+                if telemetry.enabled():
+                    telemetry.count(
+                        "service_duplicate_submissions_total",
+                        help="submissions rejected as duplicates or malformed",
+                        pid=self.wire_pid,
+                    )
+                _log.warning("p%d rejected submission: %s", self.wire_pid, exc)
 
     def _send_transfer(self, recipient: int, asked: Any) -> None:
-        """Hand ``recipient`` the decisions it asked about.
-
-        The body is the v1 single decision plus, in multi-transaction
-        mode, the decisions of the transactions named in ``asked``: what
-        a stalled peer's query lists (:meth:`_watch_stalls`), or the one
-        transaction of a closed-stub hit.  A query that names none (v1,
-        :meth:`_query_peers`) or names them malformed is answered with
-        every decision.
+        """Hand ``recipient`` the decisions of the transactions named in
+        ``asked``: what a stalled peer's query lists
+        (:meth:`_watch_stalls`), or the one transaction of a closed-stub
+        hit.  A query without such a list gets no reply: no node sends
+        one, and a reply listing every decision would grow with history.
         """
-        body: dict[str, Any] = {"decision": self.decision}
-        if self.config.multi_txn:
-            if (
-                isinstance(asked, list)
-                and asked
-                and all(type(txn_id) is int for txn_id in asked)
-            ):
-                instances = map(self.mux.get, asked)
-                decided = {
-                    instance.txn_id: instance.decision
-                    for instance in instances
-                    if instance is not None and instance.decision is not None
-                }
-            else:
-                decided = self.mux.decisions()
-            body["decisions"] = {
-                str(txn_id): value for txn_id, value in sorted(decided.items())
-            }
+        if not isinstance(asked, list) or any(
+            type(txn_id) is not int for txn_id in asked
+        ):
+            return
+        instances = map(self.mux.get, asked)
+        decided = {
+            instance.txn_id: instance.decision
+            for instance in instances
+            if instance is not None and instance.decision is not None
+        }
         self._control_send(
             recipient,
             ServiceEnvelope(
                 kind="state-transfer",
                 sender=self.wire_pid,
                 incarnation=self.incarnation,
-                body=body,
+                body={
+                    "decisions": {
+                        str(txn_id): value
+                        for txn_id, value in sorted(decided.items())
+                    }
+                },
             ),
         )
 
     def _adopt_transfers(self, envelope: ServiceEnvelope) -> None:
         """Adopt a peer's transferred decisions for every *existing*
-        live, undecided instance (v1: the default transaction)."""
-        body = envelope.body
-        offered = [(DEFAULT_TXN, body.get("decision"))]
-        if isinstance(body.get("decisions"), dict):
-            offered.extend(body["decisions"].items())
+        live, undecided instance."""
+        offered = envelope.body.get("decisions")
+        if not isinstance(offered, dict):
+            return
         offers: dict[int, int] = {}
-        for key, value in offered:
+        for key, value in offered.items():
             try:
                 txn_id = int(key)
             except (TypeError, ValueError):
@@ -852,35 +778,34 @@ class ServiceNode:
         self.done.set()
 
     def _take_snapshot(self) -> None:
-        if self.config.multi_txn:
-            # Compact decided instances into closed stubs first: the
-            # close record makes the demotion durable (replay demotes
-            # at the same point), and the stub frees the instance's
-            # board and generator while remembering the decision.
-            for txn_id in self.mux.closable_txns():
-                instance = self.mux.get(txn_id)
-                self._append(
-                    {
-                        "type": "close",
-                        "txn": txn_id,
-                        "value": instance.decision,
-                        "origin": instance.decision_origin,
-                    }
+        # Compact decided instances into closed stubs first: the close
+        # record makes the demotion durable (replay demotes at the same
+        # point), and the stub frees the instance's board and generator
+        # while remembering the decision.
+        for txn_id in self.mux.closable_txns():
+            instance = self.mux.get(txn_id)
+            self._append(
+                {
+                    "type": "close",
+                    "txn": txn_id,
+                    "value": instance.decision,
+                    "origin": instance.decision_origin,
+                }
+            )
+            self.mux.close_txn(txn_id)
+            if telemetry.enabled():
+                telemetry.count(
+                    "service_txns_closed_total",
+                    help="decided instances compacted into closed stubs",
+                    pid=self.wire_pid,
                 )
-                self.mux.close_txn(txn_id)
-                if telemetry.enabled():
-                    telemetry.count(
-                        "service_txns_closed_total",
-                        help="decided instances compacted into closed stubs",
-                        pid=self.wire_pid,
-                    )
-                    # The instance's protocol counters, recorded once:
-                    # replay rebuilds a closed instance as a stub.
-                    from repro.telemetry.summary import record_trial
+                # The instance's protocol counters, recorded once:
+                # replay rebuilds a closed instance as a stub.
+                from repro.telemetry.summary import record_trial
 
-                    record_trial(
-                        telemetry.get_registry(), [instance.process.program]
-                    )
+                record_trial(
+                    telemetry.get_registry(), [instance.process.program]
+                )
         digest = self.mux.digest()
         write_snapshot(
             self.store,
@@ -979,43 +904,17 @@ class ServiceNode:
         finally:
             del self._acked[key]
 
-    async def _query_peers(self) -> None:
-        """The recovery handshake: poll peers for a decision until we
-        have one (adopted via ``state-transfer`` or reached locally)."""
-        rng = random.Random(
-            derive_keyed(
-                self.seed, SERVICE_NODE_STREAM, self.wire_pid, self.incarnation
-            )
-        )
-        rel = self.reliability
-        interval = rel.base_timeout
-        while self.decision is None and not self._halted:
-            await asyncio.sleep(
-                interval * (1 + rel.jitter * rng.uniform(-1, 1))
-            )
-            if self.decision is not None or self._halted:
-                return
-            for peer in range(self.config.n):
-                if peer != self.pid:
-                    self._control_send(
-                        peer + self.config.base,
-                        ServiceEnvelope(
-                            kind="state-query",
-                            sender=self.wire_pid,
-                            incarnation=self.incarnation,
-                        ),
-                    )
-            interval = min(interval * 2, rel.max_backoff)
-
     async def _watch_stalls(self) -> None:
-        """Multi-transaction liveness backstop.
+        """The recovery handshake, and the liveness backstop.
 
         Retry-until-acked retransmission covers a peer that missed
-        traffic; this covers the instance-level gap it cannot: an
-        undecided transaction whose peers decided and compacted their
-        instances before this node ever voted.  While any instance is
-        undecided, periodically ask the group for its decisions — the
-        ``state-transfer`` replies settle whatever can be settled.
+        traffic; this covers what it cannot: a node that restarted after
+        its group decided, and an undecided transaction whose peers
+        decided and compacted their instances before this node ever
+        voted.  While any instance is undecided, periodically ask the
+        group for the decisions of exactly those transactions — the
+        ``state-transfer`` replies settle whatever can be settled, and a
+        reply never grows with the transactions already decided.
         """
         rng = random.Random(
             derive_keyed(

@@ -30,6 +30,13 @@ Replay also regenerates everything volatile that died with the process:
 canonicalises one instance's observable state into a hash; snapshots
 store the multiplexer-wide digest so recovery can verify the replayed
 prefix, and the property tests use it as the byte-identity oracle.
+
+**The v1 reader.**  Logs written before every node hosted transactions
+by id (v1) have an ``init`` record without the :data:`FORMAT_MARKER`.
+Their node opened transaction 0 at start without logging it, so such a
+log replays as its ``init`` followed by a ``submit`` of transaction 0
+(:func:`current_form`), and its snapshot stored the bare
+:func:`state_digest` of that one instance.
 """
 
 from __future__ import annotations
@@ -41,22 +48,25 @@ from repro.errors import ReproError, WalError
 from repro.service.txn import (
     DEFAULT_TXN,
     InstanceMux,
-    build_instance_process,
     groups_to_wal,
     state_digest,
     wal_to_groups,
 )
 from repro.service.wire import ServiceEnvelope
-from repro.sim.process import SimProcess
 
 __all__ = [
+    "FORMAT_MARKER",
     "NodeConfig",
     "ReplayResult",
     "batch_to_record",
-    "build_process",
+    "current_form",
     "replay",
     "state_digest",
 ]
+
+#: The key every ``init`` record's config carries (value ``true``) since
+#: each node hosts its transactions by id; a v1 ``init`` lacks it.
+FORMAT_MARKER = "multi_txn"
 
 
 @dataclass(frozen=True)
@@ -64,19 +74,16 @@ class NodeConfig:
     """Everything that pins one node's protocol behaviour.
 
     Stored in the ``init`` WAL record so a restart rebuilds the exact
-    same program: same variant, same votes, same tape seeds.  The
-    multi-transaction fields keep their v1 defaults out of the wire and
-    WAL forms (``to_dict`` omits them), so single-transaction init
-    records are byte-identical to the pre-multiplexer service's.
+    same program: same variant, same votes, same tape seeds.  ``to_dict``
+    leaves ``base`` and ``commit_bias`` out at their defaults and always
+    writes the :data:`FORMAT_MARKER`, which ``from_dict`` ignores.
 
     Attributes:
         pid: this node's *local* pid within its commit group.
         n / t / K: the group's protocol parameters.
-        vote: the default transaction's initial vote.
+        vote: transaction 0's initial vote (a single commit's).
         tape_seed: root of this node's per-transaction tape seeds.
         variant: protocol program (see :mod:`repro.faults.variants`).
-        multi_txn: host many concurrent transaction instances (lazily
-            created) instead of the single eager default instance.
         base: first wire pid of this node's commit group — the offset
             between local protocol pids and transport addresses.
         commit_bias: Bernoulli parameter of derived per-transaction
@@ -90,7 +97,6 @@ class NodeConfig:
     vote: int
     tape_seed: int
     variant: str = "commit"
-    multi_txn: bool = False
     base: int = 0
     commit_bias: float = 1.0
 
@@ -103,9 +109,8 @@ class NodeConfig:
             "vote": self.vote,
             "tape_seed": self.tape_seed,
             "variant": self.variant,
+            FORMAT_MARKER: True,
         }
-        if self.multi_txn:
-            doc["multi_txn"] = True
         if self.base:
             doc["base"] = self.base
         if self.commit_bias != 1.0:
@@ -122,7 +127,6 @@ class NodeConfig:
             vote=doc["vote"],
             tape_seed=doc["tape_seed"],
             variant=doc.get("variant", "commit"),
-            multi_txn=doc.get("multi_txn", False),
             base=doc.get("base", 0),
             commit_bias=doc.get("commit_bias", 1.0),
         )
@@ -133,9 +137,27 @@ class NodeConfig:
         return self.base + self.pid
 
 
-def build_process(config: NodeConfig) -> SimProcess:
-    """A fresh process at step 0 for ``config``'s default transaction."""
-    return build_instance_process(config, DEFAULT_TXN)
+def current_form(
+    records: list[dict[str, Any]],
+) -> tuple[list[dict[str, Any]], bool]:
+    """``records`` as the current writer would have logged them, and
+    whether they were v1.
+
+    A v1 ``init`` (no :data:`FORMAT_MARKER`) gains the marker and is
+    followed by the ``submit`` of transaction 0 its node never logged.
+    A node keeps the result as its history, so the first snapshot it
+    writes of a v1 log is in the current form.
+    """
+    init = records[0] if records else None
+    if (
+        not isinstance(init, dict)
+        or init.get("type") != "init"
+        or not isinstance(init.get("config"), dict)
+        or FORMAT_MARKER in init["config"]
+    ):
+        return records, False
+    marked = dict(init, config=dict(init["config"], **{FORMAT_MARKER: True}))
+    return [marked, {"type": "submit"}, *records[1:]], True
 
 
 def batch_to_record(delivered: list[ServiceEnvelope]) -> list[list[Any]]:
@@ -143,8 +165,8 @@ def batch_to_record(delivered: list[ServiceEnvelope]) -> list[list[Any]]:
 
     Each entry is ``[sender, incarnation, seq, payloads]`` where the
     payload slot uses :func:`repro.service.txn.groups_to_wal` — the v1
-    flat payload list for single default-transaction traffic, the
-    grouped form otherwise.
+    flat payload list for traffic of transaction 0 alone, the grouped
+    form otherwise.
     """
     return [
         [
@@ -165,6 +187,8 @@ class ReplayResult:
         mux: the replayed instance multiplexer (every transaction's
             state machine, transfer overlay, and closed stubs).
         config: the ``init`` record's configuration.
+        records: the replayed records in the current form
+            (:func:`current_form`).
         incarnation: this life's incarnation (count of ``recover``
             records — the caller appends the new ``recover`` record
             *after* replaying, so the value here is already the live
@@ -181,34 +205,13 @@ class ReplayResult:
 
     mux: InstanceMux
     config: NodeConfig
+    records: list[dict[str, Any]] = field(default_factory=list)
     incarnation: int = 0
     steps: int = 0
     next_seq: int = 0
     applied: set[tuple[int, int, int]] = field(default_factory=set)
     outgoing: list[tuple[int, ServiceEnvelope]] = field(default_factory=list)
     submitted_txns: set[int] = field(default_factory=set)
-
-    @property
-    def process(self) -> SimProcess | None:
-        """The default transaction's state machine (the v1 view)."""
-        instance = self.mux.get(DEFAULT_TXN)
-        return instance.process if instance is not None else None
-
-    @property
-    def transfer_decision(self) -> int | None:
-        """The default transaction's transferred decision (v1 view)."""
-        instance = self.mux.get(DEFAULT_TXN)
-        return instance.transfer_decision if instance is not None else None
-
-    @property
-    def submitted(self) -> bool:
-        return DEFAULT_TXN in self.submitted_txns
-
-    @property
-    def decision(self) -> int | None:
-        """The default transaction's effective decision (v1 view)."""
-        instance = self.mux.get(DEFAULT_TXN)
-        return instance.decision if instance is not None else None
 
     def decisions(self) -> dict[int, int]:
         """Effective decisions across every replayed transaction."""
@@ -218,8 +221,7 @@ class ReplayResult:
 def replay(
     records: list[dict[str, Any]],
     expect_config: NodeConfig | None = None,
-    verify_digest_at: tuple[int, str] | None = None,
-    verify_digest_at_record: tuple[int, str] | None = None,
+    snapshot_digest: tuple[int, str] | None = None,
 ) -> ReplayResult:
     """Re-execute a record sequence into a live :class:`ReplayResult`.
 
@@ -228,15 +230,13 @@ def replay(
             suffix, see :func:`repro.service.wal.durable_records`).
         expect_config: when given, the ``init`` record must match it —
             catches a WAL directory wired to the wrong node.
-        verify_digest_at: optional ``(step, digest)`` integrity check —
-            single-transaction snapshot recovery passes the snapshot's
-            recorded digest and replay fails loudly if the replayed
-            state diverges at that protocol step.
-        verify_digest_at_record: optional ``(record_count, digest)``
-            check against the multiplexer-wide digest after exactly
-            that many records — multi-transaction snapshots verify
-            here because their digest also covers between-step records
-            (``close``, transferred decisions).
+        snapshot_digest: optional ``(record_count, digest)`` of the
+            snapshot ``records`` start with, checked after exactly that
+            many records.  The digest is the multiplexer's,
+            which also covers between-step records (``close``,
+            transferred decisions); a v1 snapshot stored the bare
+            :func:`state_digest` of transaction 0, which no record
+            after the last step changes.
 
     Raises:
         WalError: on a record sequence no crash can produce — missing
@@ -245,9 +245,7 @@ def replay(
             node writes (its checksum only says it was written whole).
     """
     try:
-        return _replay(
-            records, expect_config, verify_digest_at, verify_digest_at_record
-        )
+        return _replay(records, expect_config, snapshot_digest)
     except WalError:
         raise
     except (
@@ -264,11 +262,15 @@ def replay(
 def _replay(
     records: list[dict[str, Any]],
     expect_config: NodeConfig | None,
-    verify_digest_at: tuple[int, str] | None,
-    verify_digest_at_record: tuple[int, str] | None,
+    snapshot_digest: tuple[int, str] | None,
 ) -> ReplayResult:
     if not records:
         raise WalError("cannot replay an empty record sequence (no init)")
+    records, v1 = current_form(records)
+    if snapshot_digest is not None and v1:
+        # Counted in the records as written, before the inserted submit.
+        count, expected_digest = snapshot_digest
+        snapshot_digest = (count + 1, expected_digest)
     first = records[0]
     if first.get("type") != "init":
         raise WalError(
@@ -281,7 +283,9 @@ def _replay(
             f"configuration {expect_config}"
         )
 
-    result = ReplayResult(mux=InstanceMux(config), config=config)
+    result = ReplayResult(
+        mux=InstanceMux(config), config=config, records=records
+    )
     mux = result.mux
     seen_decisions: dict[int, int] = {}
 
@@ -310,17 +314,6 @@ def _replay(
                 result.outgoing.append(
                     (config.base + recipient, envelope)
                 )
-            if (
-                verify_digest_at is not None
-                and result.steps == verify_digest_at[0]
-            ):
-                digest = state_digest(result.process)
-                if digest != verify_digest_at[1]:
-                    raise WalError(
-                        f"replayed state digest {digest} does not match "
-                        f"the snapshot digest {verify_digest_at[1]} at "
-                        f"step {result.steps}"
-                    )
         elif rtype == "recover":
             result.incarnation += 1
             result.next_seq = 0
@@ -365,16 +358,16 @@ def _replay(
             pass  # compaction marker; carries no protocol input
         else:  # pragma: no cover - reader already filters unknown types
             raise WalError(f"unknown record type {rtype!r}")
-        if (
-            verify_digest_at_record is not None
-            and index == verify_digest_at_record[0]
-        ):
-            digest = mux.digest()
-            if digest != verify_digest_at_record[1]:
+        if snapshot_digest is not None and index == snapshot_digest[0]:
+            if v1:
+                digest = state_digest(mux.get(DEFAULT_TXN).process)
+            else:
+                digest = mux.digest()
+            if digest != snapshot_digest[1]:
                 raise WalError(
-                    f"replayed multiplexer digest {digest} does not "
-                    f"match the snapshot digest "
-                    f"{verify_digest_at_record[1]} after {index} records"
+                    f"replayed digest {digest} does not match the "
+                    f"snapshot digest {snapshot_digest[1]} after {index} "
+                    f"records"
                 )
 
     for txn_id, value in seen_decisions.items():

@@ -43,18 +43,17 @@ log could still lose, see
 :meth:`~repro.service.node.ServiceNode.durable`).  A reply costs what
 the node's open work costs, not what its history does:
 
-* ``submit`` releases the coordinator's held transaction and returns an
-  ``ack`` carrying the status *header* (pid, incarnation, status,
-  decision, decision origin, steps, WAL records, ``txns: null``): a
-  line of constant size;
-* ``state-query`` returns a ``state-transfer`` whose body is the
-  decision and the header with, on a multi-transaction node, ``txns``
-  listing every transaction's decision — the record ``repro service
-  status`` prints.  The list is not encoded per reply: the multiplexer
-  keeps the text of every closed decision, written once when it closed,
-  and the reply line is the encoded header with that text spliced in
-  (:func:`~repro.service.wire.splice_member`), so the key order inside
-  ``txns`` is the order of closing, not sorted.
+* ``submit`` opens the transaction it names (transaction 0 when it names
+  none) and returns an ``ack`` carrying the status *header* (pid,
+  incarnation, steps, WAL records, ``txns: null``): a line of constant
+  size;
+* ``state-query`` returns a ``state-transfer`` whose body is the header
+  with ``txns`` listing every transaction's decision — the record
+  ``repro service status`` prints.  The list is not encoded per reply:
+  the multiplexer keeps the text of every closed decision, written once
+  when it closed, and the reply line is the encoded header with that
+  text spliced in (:func:`~repro.service.wire.splice_member`), so the
+  key order inside ``txns`` is the order of closing, not sorted.
 
 A line longer than :data:`~repro.service.wire.MAX_LINE_BYTES` cannot be
 framed: it is counted (``service_oversize_lines_total``) and its
@@ -79,7 +78,12 @@ from repro.errors import ServiceError
 from repro.service.node import ServiceNode
 from repro.service.recovery import NodeConfig
 from repro.service.wal import FileWalStore
-from repro.service.wire import MAX_LINE_BYTES, ServiceEnvelope, splice_member
+from repro.service.wire import (
+    DEFAULT_TXN,
+    MAX_LINE_BYTES,
+    ServiceEnvelope,
+    splice_member,
+)
 from repro.telemetry import registry as telemetry
 from repro.telemetry.log import get_logger
 
@@ -137,8 +141,8 @@ class ServiceServer:
             coarser than the in-memory default because real sockets
             carry the traffic.
         fsync: WAL fsync policy (on, in deployment).
-        hold_for_submit: wait for a client ``submit`` before stepping
-            (the coordinator's default).
+        opening: transactions the node opens when it creates its log
+            (see :class:`~repro.service.node.ServiceNode`).
         seed: retransmission jitter seed.
     """
 
@@ -150,7 +154,7 @@ class ServiceServer:
         *,
         tick_interval: float = 0.02,
         fsync: bool = True,
-        hold_for_submit: bool = False,
+        opening: tuple[int, ...] = (),
         snapshot_every: int = 256,
         seed: int = 0,
     ) -> None:
@@ -165,7 +169,7 @@ class ServiceServer:
             self._send,
             tick_interval=tick_interval,
             fsync=fsync,
-            hold_for_submit=hold_for_submit,
+            opening=opening,
             snapshot_every=snapshot_every,
             seed=seed,
         )
@@ -316,25 +320,14 @@ class ServiceServer:
         (:meth:`~repro.service.txn.InstanceMux.decisions_json`).
         """
         if envelope.kind == "submit":
-            txn = envelope.body.get("txn", 0)
             try:
-                if isinstance(txn, int) and txn > 0:
-                    self.node.submit_txn(txn)
-                else:
-                    self.node.submit()
+                self.node.submit_txn(envelope.body.get("txn", DEFAULT_TXN))
             except ServiceError as exc:
                 return self._reply("ack", {"error": f"submit rejected: {exc}"})
             return self._reply("ack", {"status": self._status()})
         if envelope.kind == "state-query":
-            line = self._reply(
-                "state-transfer",
-                {"decision": self.node.decision, "status": self._status()},
-            )
-            if self.node.config.multi_txn:
-                line = splice_member(
-                    line, "txns", self.node.mux.decisions_json()
-                )
-            return line
+            line = self._reply("state-transfer", {"status": self._status()})
+            return splice_member(line, "txns", self.node.mux.decisions_json())
         return self._reply(
             "ack", {"error": f"unsupported client request {envelope.kind!r}"}
         )

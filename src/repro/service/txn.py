@@ -10,10 +10,10 @@ single transport identity:
   durably decided and compacted away, a memory-light *closed stub* that
   remembers only the decision).  Each instance draws its own random
   tape and initial vote from keyed streams off the node's tape seed
-  (:func:`txn_tape_seed`, :func:`txn_vote`); the default transaction
-  (:data:`~repro.service.wire.DEFAULT_TXN`) keeps the node's own seed
-  and configured vote, so single-transaction (v1) logs replay
-  byte-identically.
+  (:func:`txn_tape_seed`, :func:`txn_vote`); transaction 0
+  (:data:`~repro.service.wire.DEFAULT_TXN`, a single commit) keeps the
+  node's own seed and configured vote, so logs of the v1 service, which
+  hosted that one transaction only, replay byte-identically.
 
 * **The multiplexer.**  :class:`InstanceMux` is the single stepping
   authority shared by the live node (:mod:`repro.service.node`) and
@@ -196,8 +196,7 @@ def state_digest(process: SimProcess) -> str:
 def tag_txn(txn_id: int, record: dict[str, Any]) -> dict[str, Any]:
     """Tag a WAL record with its transaction id.
 
-    The default transaction stays untagged, so v1 single-transaction
-    WALs are byte-identical to what the pre-multiplexer service wrote.
+    Transaction 0 stays untagged, the form the v1 service wrote.
     """
     if txn_id != DEFAULT_TXN:
         record["txn"] = txn_id
@@ -207,9 +206,9 @@ def tag_txn(txn_id: int, record: dict[str, Any]) -> dict[str, Any]:
 def groups_to_wal(groups: Sequence[PayloadGroup]) -> Any:
     """The WAL form of one batch entry's payload groups.
 
-    A single default-transaction group encodes as the v1 payload list;
-    anything else encodes as ``{"g": [[txn, payloads], ...]}``, which
-    v1 never wrote.
+    A lone transaction-0 group encodes as the v1 payload list; anything
+    else encodes as ``{"g": [[txn, payloads], ...]}``, which v1 never
+    wrote.
     """
     if len(groups) == 1 and groups[0][0] == DEFAULT_TXN:
         return [to_wire(p) for p in groups[0][1]]
@@ -330,12 +329,10 @@ class InstanceMux:
     the same logged step batches through :meth:`apply_step`, so the
     reconstruction is byte-identical per instance by construction.
 
-    In single-transaction mode (``config.multi_txn`` false) the default
-    transaction's instance exists eagerly, reproducing the v1 node's
-    behaviour exactly; in multi-transaction mode instances are created
-    lazily — by ``submit`` on the coordinator, by first delivery on
-    participants — and iterate in creation order, which the log replays
-    deterministically.
+    Instances are created by a ``submit`` record (on a transaction's
+    coordinator, or on every member for a single commit) and by first
+    delivery (on participants), and iterate in creation order, which
+    the log replays deterministically.
     """
 
     def __init__(self, config: Any) -> None:
@@ -358,8 +355,6 @@ class InstanceMux:
         #: the order they closed.  A closed decision never changes, so
         #: its text is written here once and only ever appended to.
         self._closed_members = bytearray()
-        if not getattr(config, "multi_txn", False):
-            self._create(DEFAULT_TXN)
 
     # -- instance management ---------------------------------------------------
 
@@ -419,11 +414,6 @@ class InstanceMux:
     # -- aggregate views ---------------------------------------------------------
 
     @property
-    def primary(self) -> TxnInstance | None:
-        """The default transaction's instance (the v1 view)."""
-        return self.instances.get(DEFAULT_TXN)
-
-    @property
     def idle(self) -> bool:
         """No instance has protocol work left (idle ticks need no log)."""
         return not self._undecided
@@ -463,15 +453,8 @@ class InstanceMux:
         return sorted(self._undecided)
 
     def digest(self) -> str:
-        """Canonical hash of the whole multiplexer's observable state.
-
-        Single-transaction mode returns the default instance's bare
-        :func:`state_digest`, so v1 snapshots verify unchanged; in
-        multi-transaction mode the digest covers every instance —
-        including closed stubs — keyed by transaction id.
-        """
-        if not getattr(self.config, "multi_txn", False):
-            return state_digest(self.instances[DEFAULT_TXN].process)
+        """Canonical hash of the whole multiplexer's observable state:
+        every instance, closed stubs included, keyed by transaction id."""
         doc: dict[str, Any] = {}
         for txn_id in sorted(self.instances):
             inst = self.instances[txn_id]
@@ -499,11 +482,10 @@ class InstanceMux:
             batch: ``(local_sender, payload_groups)`` per delivered
                 envelope, in delivery order.
 
-        Instance stepping rules reproduce the v1 node's exactly when one
-        instance exists: an undecided instance steps every call (idle
-        ticks drive its timeout machinery), a decided instance steps
-        only when the batch delivered payloads to it (absorbing), and a
-        closed stub never steps.
+        An undecided instance steps every call (idle ticks drive its
+        timeout machinery), a decided instance steps only when the batch
+        delivered payloads to it (absorbing), and a closed stub never
+        steps.
         """
         effects = StepEffects()
         delivered: dict[int, list[ReceivedPayload]] = {}

@@ -22,7 +22,7 @@ protocol state machine.
 
 **Multi-transaction envelopes (wire v2).**  A ``msg`` envelope carries
 *groups*, ``(txn_id, payloads)`` pairs, one per hosted transaction.  A
-lone default-transaction group (:data:`DEFAULT_TXN`) keeps the original
+lone transaction-0 group (:data:`DEFAULT_TXN`) keeps the original
 v1 ``payloads`` form, byte for byte; anything else goes under ``txns``,
 which v1 never emitted (see :meth:`ServiceEnvelope.msg`).
 """
@@ -47,9 +47,10 @@ KINDS = ("msg", "ack", "state-query", "state-transfer", "submit")
 #: decisions; a reader that meets a longer line closes that connection.
 MAX_LINE_BYTES = 1 << 20
 
-#: The transaction id of the original single-transaction service.  A v1
-#: envelope or WAL record, which predates transaction ids entirely,
-#: always denotes this transaction.
+#: Transaction 0: a single commit's, and the only one the v1 service
+#: hosted.  A v1 envelope or WAL record, which predates transaction ids
+#: entirely, always denotes it, and its records and lone payload groups
+#: keep those untagged forms.
 DEFAULT_TXN = 0
 
 #: One transaction's payloads inside an envelope: ``(txn_id, payloads)``.
@@ -85,7 +86,7 @@ class ServiceEnvelope:
             first created (identity component, see module docstring).
         seq: per-(sender, incarnation) sequence number; ``-1`` for
             unsequenced control traffic (acks).
-        payloads: protocol payloads of the default transaction (the v1
+        payloads: protocol payloads of transaction 0 (the v1
             form; ``msg`` envelopes only).
         groups: per-transaction payload groups (the v2 multi-transaction
             form).  At most one of ``payloads``/``groups`` is set; use
@@ -154,8 +155,8 @@ class ServiceEnvelope:
     def payload_groups(self) -> tuple[PayloadGroup, ...]:
         """The per-transaction view of this envelope's payloads.
 
-        Reads both wire forms: v1 payloads are the default transaction's
-        single group.
+        Reads both wire forms: v1 payloads are transaction 0's single
+        group.
         """
         if self.groups:
             return self.groups

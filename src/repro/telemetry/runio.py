@@ -110,7 +110,11 @@ def check_header(
     if not records:
         raise AnalysisError(f"empty document: no header record ({schema})")
     header = records[0]
-    if header.get("record") != "header" or header.get("schema") != schema:
+    if (
+        not isinstance(header, dict)
+        or header.get("record") != "header"
+        or header.get("schema") != schema
+    ):
         raise AnalysisError(f"not a {schema} header: {header!r}")
     if header.get("version") != version:
         raise AnalysisError(
@@ -220,9 +224,16 @@ def run_from_records(records: Iterable[dict[str, Any]]) -> Run:
     """
     records = list(records)
     header = check_header(records, TRACE_SCHEMA, TRACE_VERSION)
-    run = Run(n=header["n"], t=header["t"], K=header["K"])
+    try:
+        run = Run(n=header["n"], t=header["t"], K=header["K"])
+    except KeyError as exc:
+        raise AnalysisError(f"trace header without {exc}: {header!r}") from exc
     saw_final = False
     for number, record in enumerate(records[1:], start=2):
+        if not isinstance(record, dict):
+            raise AnalysisError(
+                f"trace record #{number} is no object: {record!r}"
+            )
         kind = record.get("record")
         try:
             if kind == "event":

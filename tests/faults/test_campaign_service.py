@@ -177,7 +177,7 @@ class TestMultiTxnTrialCase:
         assert clone.txns == 4
         assert clone.shards == 2
         assert clone.commit_bias == 0.8
-        assert clone.multi_txn
+        assert clone.open_loop
         # Single-txn docs stay free of the new keys.
         single = TrialCase(
             n=3, t=1, K=4, votes=(1, 1, 1), plan=self._plan(3), seed=5

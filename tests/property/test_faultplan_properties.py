@@ -104,7 +104,7 @@ def test_within_budget_plans_keep_service_track_correct(seed, votes):
     result = run_service(votes, plan, seed)
     check_outcome(
         votes,
-        result.decisions(),
+        result.decisions(0),
         result.permanently_crashed,
         result.terminated,
         plan,

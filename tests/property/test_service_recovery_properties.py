@@ -7,7 +7,7 @@ cluster on the virtual clock, and asserts the crash-recovery contract:
 
 * agreement holds across every kill, restart, and torn tail;
 * each node's durable records — snapshot plus log suffix — replay to a
-  state digest identical to the live process the records came from,
+  multiplexer digest identical to the live node the records came from,
   which is exactly the property restart recovery relies on.
 """
 
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.faults.plan import FaultPlan
 from repro.service.cluster import ServiceCluster, node_configs
-from repro.service.recovery import replay, state_digest
+from repro.service.recovery import replay
 from repro.service.virtualtime import run_virtual
 from repro.service.wal import durable_records
 
@@ -51,11 +51,11 @@ def test_replay_reconstructs_live_state(seed, votes, snapshot_every):
     # Safety: no schedule of kills, restarts, and torn tails may ever
     # produce two different decisions.
     assert result.consistent, (
-        f"conflicting decisions {result.decisions()} under plan "
+        f"conflicting decisions {result.decisions(0)} under plan "
         f"{plan.to_dict()}"
     )
     if any(v == 0 for v in votes):
-        assert all(d in (0, None) for d in result.decisions().values())
+        assert all(d in (0, None) for d in result.decisions(0).values())
 
     # Durability: every surviving WAL replays to the exact state of the
     # live process that wrote it.
@@ -66,9 +66,9 @@ def test_replay_reconstructs_live_state(seed, votes, snapshot_every):
         if not records:
             continue
         replayed = replay(records, expect_config=configs[pid])
-        live = cluster.nodes[pid].process
-        assert state_digest(replayed.process) == state_digest(live), (
+        live = cluster.nodes[pid]
+        assert replayed.mux.digest() == live.mux.digest(), (
             f"p{pid} replay diverged from live state under plan "
             f"{plan.to_dict()}"
         )
-        assert replayed.decision == cluster.nodes[pid].decision
+        assert replayed.decisions() == live.decisions()

@@ -25,10 +25,7 @@ from tests.service.test_txn import K, multi_config
 N = 3
 PEERS = [("127.0.0.1", 1)] * N  # never dialled: sends are rewired below
 QUERY = ServiceEnvelope(kind="state-query", sender=-1)
-HEADER = {
-    "pid", "incarnation", "status", "decision", "decision_origin",
-    "steps", "wal_records", "txns",
-}  # fmt: skip
+HEADER = {"pid", "incarnation", "steps", "wal_records", "txns"}
 
 
 def submit_for(txn):
@@ -54,7 +51,6 @@ class Wired:
             PEERS,
             tick_interval=0.002,
             fsync=False,
-            hold_for_submit=(pid == 0),
             snapshot_every=self.snapshot_every,
         )
         server.node._send_raw = lambda recipient, envelope, attempt: (
@@ -82,16 +78,14 @@ class Wired:
 
 
 def parent_line(server):
-    """The ``state-query`` reply as the server built it before replies
-    stopped re-encoding history: one ``json.dumps`` of the status with
-    the full decision map inside."""
+    """The ``state-query`` reply as the server would build it if it
+    re-encoded history: one ``json.dumps`` of the status with the full
+    decision map inside."""
     node = server.node
     status = vars(node.snapshot_state())
-    status["txns"] = node.decisions() if node.config.multi_txn else None
+    status["txns"] = node.decisions()
     return ServiceEnvelope(
-        kind="state-transfer",
-        sender=node.pid,
-        body={"decision": node.decision, "status": status},
+        kind="state-transfer", sender=node.pid, body={"status": status}
     ).encode()
 
 
@@ -196,24 +190,24 @@ class TestReplyEquivalence:
 
         run_virtual(scenario())
 
-    def test_single_txn_reply_keeps_txns_null(self):
+    def test_single_commit_reply_lists_transaction_zero(self):
         group = Wired(node_configs(N, 1, [1] * N, K, seed=4))
 
         async def scenario():
             servers = [group.start(pid) for pid in range(N)]
             await until(lambda: all(s.node.ready for s in servers))
-            assert assert_replies_as_parent(servers[0]) is None
+            assert assert_replies_as_parent(servers[0]) == {}
             ack = ServiceEnvelope.decode(servers[0]._client_request(submit_for(0)))
             assert ack.body["status"]["txns"] is None
-            await until(lambda: all(s.node.decision == 1 for s in servers))
+            await until(lambda: all(s.node.decisions() == {0: 1} for s in servers))
             for server in servers:
-                assert assert_replies_as_parent(server) is None
+                assert assert_replies_as_parent(server) == {"0": 1}
             await group.kill(0)
             reborn = group.start(0)
             await until(lambda: reborn.node.ready)
             reply = ServiceEnvelope.decode(reborn._client_request(QUERY))
             assert reply == ServiceEnvelope.decode(parent_line(reborn))
-            assert reply.body["decision"] == 1
+            assert reply.body["status"]["txns"] == {"0": 1}
             assert reply.body["status"]["incarnation"] == 1
             await group.stop()
 

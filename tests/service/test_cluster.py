@@ -12,9 +12,13 @@ import pytest
 from repro.core.messages import VoteMessage
 from repro.errors import ConfigurationError
 from repro.faults.plan import CrashFault, FaultPlan
-from repro.service.cluster import ServiceCluster, node_configs
-from repro.service.node import ServiceNode
-from repro.service.recovery import replay, state_digest
+from repro.service.cluster import (
+    ServiceCluster,
+    ServiceClusterResult,
+    node_configs,
+)
+from repro.service.node import ServiceNode, ServiceNodeSnapshot
+from repro.service.recovery import replay
 from repro.service.txn import InstanceMux
 from repro.service.virtualtime import run_virtual
 from repro.service.wal import (
@@ -64,8 +68,31 @@ class TestFaultFreeRuns:
         assert result.terminated
         for pid in range(N):
             replayed = replay(durable_records(cluster.stores[pid]).records)
-            live = cluster.nodes[pid].process
-            assert state_digest(replayed.process) == state_digest(live)
+            assert replayed.mux.digest() == cluster.nodes[pid].mux.digest()
+
+
+class TestClusterResult:
+    def test_consistency_and_values_cover_every_transaction(self):
+        """Agreement is per transaction: a result whose transaction 2 was
+        decided both ways is inconsistent, whatever transaction 0 did."""
+
+        def node(pid, txns):
+            return ServiceNodeSnapshot(
+                pid=pid, incarnation=0, steps=0, wal_records=0, txns=txns
+            )
+
+        split = ServiceClusterResult(
+            nodes=[node(0, {1: 1, 2: 1}), node(1, {1: 1, 2: 0}), node(2, {})]
+        )
+        assert not split.consistent
+        assert split.txn_decision_values() == {1: {1}, 2: {0, 1}}
+        assert split.decision_values() == {0, 1}
+        assert split.decisions(2) == {0: 1, 1: 0, 2: None}
+        agreed = ServiceClusterResult(
+            nodes=[node(0, {1: 1, 2: 0}), node(1, {2: 0}), node(2, {})]
+        )
+        assert agreed.consistent
+        assert agreed.decision_values() == {0, 1}
 
 
 class TestKillRecover:
@@ -123,7 +150,7 @@ class TestKillRecover:
         assert result.decision_values() == {1}
         for pid in range(N):
             replayed = replay(durable_records(cluster.stores[pid]).records)
-            assert replayed.decision == 1
+            assert replayed.decisions() == {0: 1}
 
 
 class TestNodeErrors:
@@ -163,13 +190,14 @@ class TestStateTransfer:
                 MemoryWalStore(),
                 lambda recipient, env, attempt: sent.append((recipient, env)),
                 fsync=False,
+                opening=[0],
             )
             runner = asyncio.ensure_future(node.run())
             await asyncio.sleep(0.05)
-            assert node.decision is None  # alone, the protocol cannot decide
+            assert node.decisions() == {}  # alone, the protocol cannot decide
             node.deliver(
                 ServiceEnvelope(
-                    kind="state-transfer", sender=0, body={"decision": 1}
+                    kind="state-transfer", sender=0, body={"decisions": {"0": 1}}
                 )
             )
             await asyncio.sleep(0.05)
@@ -179,17 +207,21 @@ class TestStateTransfer:
             return node
 
         node = run_virtual(scenario())
-        assert node.decision == 1
-        snapshot = node.snapshot_state()
-        assert snapshot.decision_origin == "transfer"
+        assert node.decisions() == {0: 1}
+        assert node.mux.get(0).decision_origin == "transfer"
         # The adoption is durable: a restart replays to the same decision.
-        assert replay(durable_records(node.store).records).decision == 1
+        assert replay(durable_records(node.store).records).decisions() == {0: 1}
 
 
 async def _one_life(config, store, duration):
-    """Run one ServiceNode life over ``store`` for ``duration`` seconds."""
+    """Run one ServiceNode life over ``store`` for ``duration`` seconds
+    (the first life opens transaction 0)."""
     node = ServiceNode(
-        config, store, lambda recipient, env, attempt: None, fsync=False
+        config,
+        store,
+        lambda recipient, env, attempt: None,
+        fsync=False,
+        opening=[0],
     )
     runner = asyncio.ensure_future(node.run())
     await asyncio.sleep(duration)
@@ -216,7 +248,7 @@ class TestCompactionWindowRecovery:
             write_snapshot(
                 store,
                 records,
-                digest=state_digest(replayed.process),
+                digest=replayed.mux.digest(),
                 taken_at_step=replayed.steps,
             )
             store.truncate_lines(0)
@@ -250,7 +282,7 @@ class TestCompactionWindowRecovery:
             write_snapshot(
                 store,
                 records,
-                digest=state_digest(replayed.process),
+                digest=replayed.mux.digest(),
                 taken_at_step=replayed.steps,
             )
             # Kill again right after truncation but before the marker
@@ -291,7 +323,8 @@ class TestNodeRobustness:
     def test_state_transfer_answers_the_transactions_asked_about(self):
         """A stalled peer's query names its undecided transactions and a
         closed-stub hit names one: the answer lists those, not every
-        decision ever made.  A query that names none is answered in full."""
+        decision ever made.  A query that names none, or names them
+        malformed, gets no answer."""
         sent = []
         node = ServiceNode(
             multi_config(pid=0),
@@ -311,16 +344,18 @@ class TestNodeRobustness:
             node._absorb(
                 ServiceEnvelope(kind="state-query", sender=2, body=body)
             )
+            if not sent:
+                return None
             ((recipient, reply),) = sent
             assert recipient == 2 and reply.kind == "state-transfer"
             return reply.body["decisions"]
 
         # Closed, live-decided, undecided and unknown: what is known of them.
         assert answer({"txns": [7, 35, 40, 99]}) == {"7": 1, "35": 1}
-        everything = {str(txn): txn % 2 for txn in range(1, 40)}
-        assert answer({}) == everything
-        for unreadable in ([], "7", [7, "8"], [True], {"7": 1}, None):
-            assert answer({"txns": unreadable}) == everything
+        assert answer({"txns": []}) == {}
+        assert answer({}) is None
+        for unreadable in ("7", [7, "8"], [True], {"7": 1}, None):
+            assert answer({"txns": unreadable}) is None
 
         async def closed_hit():
             runner = asyncio.ensure_future(node.run())
@@ -399,14 +434,18 @@ class TestNodeRobustness:
 
         async def scenario():
             node = ServiceNode(
-                cfg, store, lambda recipient, env, attempt: None, fsync=False
+                cfg,
+                store,
+                lambda recipient, env, attempt: None,
+                fsync=False,
+                opening=[0],
             )
             runner = asyncio.ensure_future(node.run())
             await asyncio.sleep(0.05)
             undecided_records = len(store.read_lines())
             node.deliver(
                 ServiceEnvelope(
-                    kind="state-transfer", sender=0, body={"decision": 1}
+                    kind="state-transfer", sender=0, body={"decisions": {"0": 1}}
                 )
             )
             await asyncio.sleep(0.05)

@@ -32,9 +32,9 @@ def run(votes=(1, 1, 1, 1, 1), crashes=(), t=T, seed=3, deadline=8.0, **kw):
 
 def survivors(result):
     return {
-        s.pid: s.decision
-        for s in result.nodes
-        if s.pid not in result.permanently_crashed
+        pid: decision
+        for pid, decision in result.decisions(DEFAULT_TXN).items()
+        if pid not in result.permanently_crashed
     }
 
 
@@ -57,7 +57,7 @@ class TestFaultFree:
     def test_uniform_delays_decide_one_value(self):
         result = run(delay=UniformDelay(), seed=1)
         assert result.outcome == TERMINATED
-        assert None not in result.decisions().values()
+        assert None not in result.decisions(DEFAULT_TXN).values()
         assert result.consistent
 
     def test_spiky_network_stays_consistent(self):
@@ -67,7 +67,7 @@ class TestFaultFree:
 
     def test_decisions_map_complete(self):
         result = run(votes=(1, 1, 1), t=1, delay=FixedDelay(0.001), seed=5)
-        assert set(result.decisions()) == {0, 1, 2}
+        assert set(result.decisions(DEFAULT_TXN)) == {0, 1, 2}
         assert result.undecided == {}
         assert result.bus_stats["delivered"] > 0
 

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.errors import WalError
-from repro.service.recovery import NodeConfig, replay, state_digest
+from repro.service.recovery import (
+    FORMAT_MARKER,
+    NodeConfig,
+    replay,
+    state_digest,
+)
 
 
 def config(pid=0, vote=1):
@@ -14,6 +19,17 @@ def init_record(cfg):
     return {"type": "init", "config": cfg.to_dict()}
 
 
+def opened(cfg):
+    """A single commit's log head: init, then transaction 0 opened."""
+    return [init_record(cfg), {"type": "submit"}]
+
+
+def v1_init(cfg):
+    doc = cfg.to_dict()
+    del doc[FORMAT_MARKER]
+    return {"type": "init", "config": doc}
+
+
 def empty_steps(count):
     return [{"type": "step", "batch": []} for _ in range(count)]
 
@@ -22,6 +38,11 @@ class TestNodeConfig:
     def test_dict_roundtrip(self):
         cfg = config(pid=2, vote=0)
         assert NodeConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_init_carries_the_format_marker_and_v1_reads_the_same(self):
+        cfg = config(pid=2, vote=0)
+        assert cfg.to_dict()[FORMAT_MARKER] is True
+        assert NodeConfig.from_dict(v1_init(cfg)["config"]) == cfg
 
 
 class TestReplayValidation:
@@ -52,14 +73,14 @@ class TestReplayValidation:
             replay(records)
 
     def test_digest_mismatch_rejected(self):
-        records = [init_record(config())] + empty_steps(2)
+        records = opened(config()) + empty_steps(2)
         with pytest.raises(WalError):
-            replay(records, verify_digest_at=(2, "not-the-digest"))
+            replay(records, snapshot_digest=(4, "not-the-digest"))
 
 
 class TestReplaySemantics:
     def test_coordinator_regenerates_go_fanout(self):
-        result = replay([init_record(config(pid=0))] + empty_steps(1))
+        result = replay(opened(config(pid=0)) + empty_steps(1))
         assert result.steps == 1
         recipients = {recipient for recipient, _ in result.outgoing}
         assert recipients  # the GO fan-out went out again
@@ -69,7 +90,7 @@ class TestReplaySemantics:
 
     def test_recover_record_bumps_incarnation_and_resets_seq(self):
         records = (
-            [init_record(config(pid=0))]
+            opened(config(pid=0))
             + empty_steps(1)
             + [{"type": "recover"}]
             + empty_steps(1)
@@ -82,12 +103,12 @@ class TestReplaySemantics:
 
     def test_transfer_decision_adopted(self):
         records = [
-            init_record(config(pid=1)),
+            *opened(config(pid=1)),
             {"type": "decision", "value": 0, "origin": "transfer"},
         ]
         result = replay(records)
-        assert result.transfer_decision == 0
-        assert result.decision == 0
+        assert result.mux.get(0).transfer_decision == 0
+        assert result.decisions() == {0: 0}
 
     def test_step_batches_land_in_dedup_set(self):
         records = [
@@ -98,23 +119,34 @@ class TestReplaySemantics:
         assert (0, 0, 4) in result.applied
 
     def test_submit_record_restores_submitted_flag(self):
-        records = [init_record(config(pid=0)), {"type": "submit"}]
-        assert replay(records).submitted
+        result = replay(opened(config(pid=0)))
+        assert result.submitted_txns == {0}
+        assert result.mux.get(0).submitted
 
     def test_replay_is_deterministic(self):
-        records = [init_record(config(pid=0))] + empty_steps(5)
-        first = replay(records)
-        second = replay(records)
-        assert state_digest(first.process) == state_digest(second.process)
+        records = opened(config(pid=0)) + empty_steps(5)
+        assert replay(records).mux.digest() == replay(records).mux.digest()
 
     def test_digest_checkpoint_accepts_true_digest(self):
-        records = [init_record(config(pid=0))] + empty_steps(3)
-        digest = state_digest(replay(records).process)
-        again = replay(records, verify_digest_at=(3, digest))
-        assert state_digest(again.process) == digest
+        records = opened(config(pid=0)) + empty_steps(3)
+        digest = replay(records).mux.digest()
+        again = replay(records, snapshot_digest=(5, digest))
+        assert again.mux.digest() == digest
 
     def test_digest_distinguishes_states(self):
-        base = [init_record(config(pid=0))]
-        assert state_digest(replay(base).process) != state_digest(
-            replay(base + empty_steps(1)).process
-        )
+        base = opened(config(pid=0))
+        assert replay(base).mux.digest() != replay(
+            base + empty_steps(1)
+        ).mux.digest()
+
+    def test_v1_snapshot_verifies_the_bare_digest_of_txn_zero(self):
+        """A v1 snapshot stored transaction 0's bare state digest,
+        counted in the records as written (no submit record)."""
+        records = [v1_init(config(pid=0))] + empty_steps(3)
+        digest = state_digest(replay(records).mux.get(0).process)
+        again = replay(records, snapshot_digest=(4, digest))
+        assert again.mux.digest() == replay(
+            opened(config(pid=0)) + empty_steps(3)
+        ).mux.digest()
+        with pytest.raises(WalError):
+            replay(records, snapshot_digest=(3, digest))

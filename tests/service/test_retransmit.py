@@ -309,7 +309,7 @@ class TestClusterReliability:
         def run_once():
             cluster, result, _ = run_cluster(plan=plan, seed=11)
             logs = [store.read_lines() for store in cluster.stores]
-            return result.decisions(), result.bus_stats, logs
+            return result.decisions(0), result.bus_stats, logs
 
         baseline = run_once()
         assert baseline[1]["dropped"] > 0

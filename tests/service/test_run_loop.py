@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.messages import GoMessage
 from repro.service.node import ServiceNode
-from repro.service.recovery import NodeConfig, replay
+from repro.service.recovery import NodeConfig, current_form, replay, state_digest
 from repro.service.virtualtime import run_virtual
 from repro.service.wal import (
     FileWalStore,
@@ -33,6 +33,7 @@ from tests.service.test_txn import K, multi_config
 #: Far beyond every scenario here: a step that waited for it is a failure.
 LONG_TICK = 1.0
 HEAD_WAL = Path(__file__).parent / "data" / "head_wal"
+V1_WAL = Path(__file__).parent / "data" / "v1_wal"
 
 
 def go_envelope(txn, seq=0, sender=0):
@@ -143,7 +144,7 @@ class TestSteppingRule:
 
     def test_submit_wakes_the_loop_and_shares_the_pass_sync(self):
         store, sent = MemoryWalStore(), []
-        node = make_node(0, store, sent, hold_for_submit=True)
+        node = make_node(0, store, sent)
 
         async def scenario():
             loop = asyncio.get_running_loop()
@@ -170,27 +171,6 @@ class TestSteppingRule:
             await asyncio.sleep(0.001)
             assert sorted(r for r, e in sent if e.kind == "msg") == [1, 2]
             await node.durable()  # nothing pending: returns at once
-            node.halt()
-            await asyncio.wait_for(runner, timeout=1.0)
-
-        run_virtual(scenario())
-
-    def test_held_coordinator_does_not_spin_on_a_runnable_instance(self):
-        """Before its first submission a held node takes no step, so a
-        runnable instance must not keep its loop from waiting."""
-        store, sent = MemoryWalStore(), []
-        node = make_node(1, store, sent, hold_for_submit=True)
-        node.mux.apply_step([(0, [(5, (GoMessage(coins=(1,) * 3),))])])
-        assert node.mux.runnable
-        passes = []
-        real_commit = node._commit
-        node._commit = lambda: (passes.append(1), real_commit())
-
-        async def scenario():
-            runner = asyncio.ensure_future(node.run())
-            await asyncio.sleep(2.5 * LONG_TICK)
-            assert node._steps == 0
-            assert len(passes) <= 4  # start-up and one per tick
             node.halt()
             await asyncio.wait_for(runner, timeout=1.0)
 
@@ -276,3 +256,82 @@ class TestHeadWalDirectories:
                 again, doc["records"], doc["digest"], doc["taken_at_step"]
             )
             assert again.read_snapshot() == snapshot.read_text()
+
+
+class TestV1WalDirectories:
+    """Three-node single-commit WAL directories the v1 service wrote (no
+    format marker in ``init``, transaction 0 never submitted in the
+    log): ``plain`` is log only, ``snapshot`` was compacted, and in
+    ``recovered`` node 1 was killed and restarted once.  ``expected.json``
+    is what that service's own recovery made of them: transaction 0's
+    decision and bare state digest."""
+
+    EXPECTED = json.loads((V1_WAL / "expected.json").read_text())
+
+    @pytest.mark.parametrize("name", sorted(EXPECTED))
+    def test_recovers_unchanged(self, name, tmp_path):
+        expected = self.EXPECTED[name]
+        shutil.copytree(V1_WAL / name, tmp_path / "wal")
+        store = FileWalStore(tmp_path / "wal")
+        assert (read_snapshot(store) is not None) == expected["has_snapshot"]
+        records = durable_records(store).records
+        assert len(records) == expected["records"]
+        assert "multi_txn" not in records[0]["config"]
+
+        sent = []
+        node = ServiceNode(
+            NodeConfig.from_dict(records[0]["config"]),
+            store,
+            lambda recipient, envelope, attempt: sent.append(envelope),
+            tick_interval=LONG_TICK,
+            snapshot_every=6,
+        )
+
+        async def scenario():
+            runner = asyncio.ensure_future(node.run())
+            await asyncio.sleep(0.001)
+            node.halt()
+            await asyncio.wait_for(runner, timeout=1.0)
+
+        run_virtual(scenario())
+        assert node.recovered and node.incarnation == expected["incarnation"] + 1
+        assert node._steps == expected["steps"]
+        assert node.decisions() == {0: expected["decision"]}
+        assert state_digest(node.mux.get(0).process) == expected["digest"]
+        assert len([e for e in sent if e.kind == "msg"]) == expected["resend"]
+        # The node keeps the history in the current form, so the first
+        # snapshot it writes is one: the marked init and the submit of
+        # transaction 0, then the old records as they were.
+        upgraded, v1 = current_form(records)
+        assert v1
+        assert node._history[:-1] == [canonical(r) for r in upgraded]
+        assert upgraded[2:] == records[1:]
+
+    def test_a_snapshot_of_a_recovered_v1_log_recovers(self, tmp_path):
+        shutil.copytree(V1_WAL / "recovered" / "node1", tmp_path / "wal")
+        store = FileWalStore(tmp_path / "wal")
+        config = NodeConfig.from_dict(durable_records(store).records[0]["config"])
+
+        def life():
+            node = ServiceNode(
+                config,
+                store,
+                lambda recipient, envelope, attempt: None,
+                tick_interval=LONG_TICK,
+            )
+
+            async def scenario():
+                runner = asyncio.ensure_future(node.run())
+                await asyncio.sleep(0.001)
+                node.halt()
+                await asyncio.wait_for(runner, timeout=1.0)
+
+            run_virtual(scenario())
+            return node
+
+        second = life()
+        second._take_snapshot()  # current form: marked init, mux digest
+        third = life()
+        assert third.incarnation == second.incarnation + 1
+        assert third.mux.digest() == second.mux.digest()
+        assert durable_records(store).records[0]["config"]["multi_txn"] is True

@@ -28,17 +28,18 @@ N, T, K = 3, 1, 4
 HOST = "127.0.0.1"
 
 
-def make_server(pid, peers, tick_interval=0.005):
-    """Node ``pid`` of a 3-node cluster; the coordinator holds for a submit,
-    so a server nobody submits to sends nothing of its own accord."""
+def make_server(pid, peers, tick_interval=0.005, **kwargs):
+    """Node ``pid`` of a 3-node cluster: it hosts no transaction until one
+    is submitted or delivered, so a server nobody submits to sends
+    nothing of its own accord."""
     return ServiceServer(
         node_configs(N, T, [1] * N, K, seed=4)[pid],
         MemoryWalStore(),
         peers,
         tick_interval=tick_interval,
         fsync=False,
-        hold_for_submit=(pid == 0),
         seed=4,
+        **kwargs,
     )
 
 
@@ -332,7 +333,9 @@ def test_one_shot_sender_is_still_served():
         task = await serving(server)
         for _ in range(3):
             _reader, writer = await asyncio.open_connection(HOST, ports[0])
-            query = ServiceEnvelope(kind="state-query", sender=1)
+            query = ServiceEnvelope(
+                kind="state-query", sender=1, body={"txns": [0]}
+            )
             writer.write(query.encode())
             await writer.drain()
             writer.close()
@@ -413,8 +416,9 @@ def test_malformed_lines_are_dropped_and_counted_and_the_node_keeps_stepping():
     query = ServiceEnvelope(kind="state-query", sender=-1)
 
     async def scenario(registry):
-        # A participant: undecided and not held, so it steps on every tick.
-        server = make_server(1, peers)
+        # A participant holding transaction 0 open: undecided (alone, it
+        # cannot decide) and not held, so it steps on every tick.
+        server = make_server(1, peers, opening=(0,))
         task = await serving(server)
         bystander_r, bystander_w = await asyncio.open_connection(
             HOST, ports[1]
@@ -462,7 +466,7 @@ def test_ill_typed_fields_are_dropped_and_counted_and_the_node_keeps_serving():
     query = ServiceEnvelope(kind="state-query", sender=-1)
 
     async def scenario(registry):
-        server = make_server(1, peers)
+        server = make_server(1, peers, opening=(0,))
         task = await serving(server)
         reader, writer = await asyncio.open_connection(HOST, ports[1])
         writer.write(b"".join(ILL_TYPED_LINES))
@@ -485,7 +489,7 @@ def test_ill_typed_fields_are_dropped_and_counted_and_the_node_keeps_serving():
 def test_commit_does_not_wait_for_the_tick():
     """With a one-second tick a commit still takes a few loopback hops.
     Waiting for the tick anywhere would show: after the submit (nothing
-    else wakes a held coordinator) or at each participant's first step
+    else wakes an idle coordinator) or at each participant's first step
     (which arms an already satisfied wait and sends nothing)."""
     ports = free_ports(N)
     peers = [(HOST, port) for port in ports]
@@ -503,8 +507,8 @@ def test_commit_does_not_wait_for_the_tick():
         for port in ports:
             while True:
                 status = (await request(HOST, port, query)).body["status"]
-                if status["decision"] is not None:
-                    decisions.append(status["decision"])
+                if "0" in status["txns"]:
+                    decisions.append(status["txns"]["0"])
                     break
                 assert time.perf_counter() - started < 0.5
                 await asyncio.sleep(0.002)
@@ -524,8 +528,7 @@ def test_status_reply_lists_decisions_without_copying_history(monkeypatch):
     ports = free_ports(N)
     peers = [(HOST, port) for port in ports]
     server = server_with_history(
-        closed=2, live_decided=1, peers=peers, tick_interval=0.005,
-        hold_for_submit=True,
+        closed=2, live_decided=1, peers=peers, tick_interval=0.005
     )  # fmt: skip
     monkeypatch.setattr(
         InstanceMux, "decisions", lambda self: {}  # not what a reply reads
@@ -535,7 +538,7 @@ def test_status_reply_lists_decisions_without_copying_history(monkeypatch):
         task = await serving(server)
         query = ServiceEnvelope(kind="state-query", sender=-1)
         reply = await request(HOST, ports[0], query)
-        assert reply.kind == "state-transfer" and reply.body["decision"] is None
+        assert reply.kind == "state-transfer" and set(reply.body) == {"status"}
         assert set(reply.body["status"]) == HEADER
         assert reply.body["status"]["txns"] == {"1": 1, "2": 0, "3": 1}
         ack = await request(
@@ -575,7 +578,6 @@ def test_acked_envelopes_leave_nothing_behind():
             acking_send,
             tick_interval=0.005,
             fsync=False,
-            hold_for_submit=True,
         )
         runner = asyncio.ensure_future(node.run())
         await until(lambda: node.ready)

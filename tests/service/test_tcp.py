@@ -31,7 +31,7 @@ def free_ports(count):
 
 async def wait_decided(nodes, timeout=20.0):
     async def poll():
-        while any(node.decision is None for node in nodes):
+        while any(0 not in node.decisions() for node in nodes):
             await asyncio.sleep(0.02)
 
     await asyncio.wait_for(poll(), timeout=timeout)
@@ -46,7 +46,6 @@ def make_servers(stores, peers):
             peers,
             tick_interval=0.005,
             fsync=False,
-            hold_for_submit=(pid == 0),
             seed=4,
         )
         for pid in range(N)
@@ -62,7 +61,7 @@ def test_commit_over_tcp_with_coordinator_restart():
         tasks = [asyncio.ensure_future(s.serve()) for s in servers]
         await asyncio.sleep(0.2)  # listeners up
 
-        # A client releases the held transaction at the coordinator.
+        # A client submits transaction 0 at the coordinator.
         host, port = peers[0]
         reply = await request(
             host, port, ServiceEnvelope(kind="submit", sender=-1)
@@ -70,16 +69,15 @@ def test_commit_over_tcp_with_coordinator_restart():
         assert reply.kind == "ack"
 
         await wait_decided([s.node for s in servers])
-        decisions = {s.node.decision for s in servers}
+        decisions = {s.node.decisions()[0] for s in servers}
         assert decisions == {1}
 
-        # The status protocol is the recovery handshake: a state-query
-        # from a client gets the decision back.
+        # A state-query from a client gets the decisions back.
         reply = await request(
             host, port, ServiceEnvelope(kind="state-query", sender=-1)
         )
         assert reply.kind == "state-transfer"
-        assert reply.body["decision"] == 1
+        assert reply.body["status"]["txns"] == {"0": 1}
 
         # Restart the coordinator over the same store: replay alone must
         # restore the decision, one incarnation later.
@@ -90,7 +88,7 @@ def test_commit_over_tcp_with_coordinator_restart():
         restarted = make_servers(stores, peers)[0]
         tasks[0] = asyncio.ensure_future(restarted.serve())
         await wait_decided([restarted.node])
-        assert restarted.node.decision == 1
+        assert restarted.node.decisions() == {0: 1}
         assert restarted.node.incarnation == 1
 
         for server in servers[1:] + [restarted]:

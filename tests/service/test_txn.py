@@ -1,10 +1,10 @@
 """Multi-transaction service tests: sharding, wire v2, the multiplexer.
 
 Covers the edge cases the instance multiplexer introduced on top of the
-single-transaction (v1) service: duplicate submissions, interleaved WAL
-records of concurrent instances replaying byte-identically after a
-mid-commit kill, v1 logs recovering under the new reader, and the
-close-record compaction of decided instances.
+v1 service, which hosted transaction 0 alone: duplicate submissions,
+interleaved WAL records of concurrent instances replaying
+byte-identically after a mid-commit kill, v1 logs recovering under the
+v1 reader, and the close-record compaction of decided instances.
 """
 
 import asyncio
@@ -21,7 +21,7 @@ from repro.service.cluster import (
     shard_configs,
 )
 from repro.service.node import ServiceNode
-from repro.service.recovery import NodeConfig, replay
+from repro.service.recovery import FORMAT_MARKER, NodeConfig, replay
 from repro.service.txn import (
     DEFAULT_TXN,
     InstanceMux,
@@ -49,7 +49,6 @@ def multi_config(pid=0, n=3, base=0, commit_bias=1.0, tape_seed=77):
         K=K,
         vote=1,
         tape_seed=tape_seed,
-        multi_txn=True,
         base=base,
         commit_bias=commit_bias,
     )
@@ -227,9 +226,9 @@ class TestDuplicateSubmission:
 
         run_virtual(scenario())
 
-    def test_default_txn_submit_stays_idempotent(self):
-        # The v1 TCP service re-submits on client retry; that contract
-        # survives the multiplexer.
+    def test_transaction_zero_is_submitted_like_any_other(self):
+        # A single commit is transaction 0: its repeat submission is a
+        # duplicate, and its submit record is the untagged v1 form.
         node = ServiceNode(
             node_configs(3, 1, [1, 1, 1], K, seed=0)[0],
             MemoryWalStore(),
@@ -240,14 +239,19 @@ class TestDuplicateSubmission:
         async def scenario():
             runner = asyncio.ensure_future(node.run())
             await asyncio.sleep(0.01)
-            node.submit()
-            node.submit()
+            node.submit_txn(DEFAULT_TXN)
+            with pytest.raises(ServiceError, match="duplicate submission"):
+                node.submit_txn(DEFAULT_TXN)
+            with pytest.raises(ServiceError, match="not a transaction id"):
+                node.submit_txn(-1)
             node.halt()
             await asyncio.wait_for(runner, timeout=1.0)
 
         run_virtual(scenario())
         records = durable_records(node.store).records
-        assert len([r for r in records if r["type"] == "submit"]) == 1
+        assert [r for r in records if r["type"] == "submit"] == [
+            {"type": "submit"}
+        ]
 
 
 def run_multi_cluster(
@@ -330,9 +334,9 @@ class TestInterleavedReplay:
 
 
 class TestV1WalCompat:
-    def test_v1_log_recovers_under_new_reader(self):
-        """Satellite: a WAL written by the single-transaction service
-        (flat payload lists, no txn tags) replays under the reader."""
+    def test_txn_zero_records_keep_the_v1_shape(self):
+        """Transaction 0's records (flat payload lists, no txn tags) are
+        the form the v1 service wrote, and they replay."""
         config = node_configs(3, 1, [1, 1, 1], K, seed=0)[0]
         store = MemoryWalStore()
 
@@ -342,6 +346,7 @@ class TestV1WalCompat:
                 store,
                 lambda recipient, env, attempt: None,
                 fsync=False,
+                opening=[DEFAULT_TXN],
             )
             runner = asyncio.ensure_future(node.run())
             await asyncio.sleep(0.05)
@@ -358,19 +363,31 @@ class TestV1WalCompat:
                 assert not isinstance(entry[3], dict)
         replayed = replay(records)
         assert replayed.mux.digest() == node.mux.digest()
-        assert replayed.steps == node._steps
+        assert replayed.steps == node._steps > 0
 
     def test_handwritten_v1_records_replay(self):
+        """A v1 init (no format marker) replays as init plus the submit
+        of transaction 0, which its node opened without logging it."""
         config = node_configs(3, 1, [1, 1, 1], K, seed=0)[1]
-        records = [
-            {"type": "init", "config": config.to_dict()},
-            {"type": "step"},
-            {"type": "step"},
-        ]
-        result = replay(records)
+        v1_init = {
+            "type": "init",
+            "config": {
+                key: value
+                for key, value in config.to_dict().items()
+                if key != FORMAT_MARKER
+            },
+        }
+        result = replay([v1_init, {"type": "step"}, {"type": "step"}])
         assert result.steps == 2
-        assert result.process is not None
-        assert result.process.clock == 2
+        assert result.mux.get(DEFAULT_TXN).process.clock == 2
+        assert result.config == config
+        assert result.records[0] == {
+            "type": "init",
+            "config": config.to_dict(),
+        }
+        assert result.records[1:] == [{"type": "submit"}] + [
+            {"type": "step"}
+        ] * 2
 
     def test_observability_records_of_older_logs_are_skipped(self):
         """Logs written before PR 15 interleave ``vote`` / ``coins`` /
@@ -379,15 +396,15 @@ class TestV1WalCompat:
         config = node_configs(3, 1, [1, 1, 1], K, seed=0)[1]
         inputs = [
             {"type": "init", "config": config.to_dict()},
+            {"type": "submit"},
             {"type": "step"},
             {"type": "step"},
         ]
         older = [
-            inputs[0],
-            inputs[1],
+            *inputs[:3],
             {"type": "vote", "vote": 1},
             {"type": "coins", "coins": [1, 0, 1]},
-            inputs[2],
+            inputs[3],
             {"type": "round", "phase": 1, "stage": 1},
         ]
         assert replay(older).mux.digest() == replay(inputs).mux.digest()
@@ -455,6 +472,7 @@ class TestHaltHammer:
                     lambda recipient, env, attempt: None,
                     fsync=False,
                     tick_interval=tick,
+                    opening=[DEFAULT_TXN],
                 )
                 runner = asyncio.ensure_future(node.run())
                 # Quarter-tick offsets sweep halts across tick interiors
@@ -498,7 +516,7 @@ class TestDeadlineReporting:
             assert pid in range(3)
             assert txns and all(txn in (1, 2) for txn in txns)
 
-    def test_legacy_timeout_reports_default_txn(self):
+    def test_single_commit_timeout_reports_txn_zero(self):
         configs = node_configs(3, 1, [1, 1, 1], K, seed=0)
         cluster = ServiceCluster(configs, None, seed=0, K=K)
         result = run_virtual(cluster.run(deadline=0.003))
@@ -530,11 +548,10 @@ class TestMuxStepSemantics:
         assert effects.closed_hits == [(0, 2)]
         assert effects.outgoing == []
 
-    def test_single_txn_mode_is_eager(self):
-        config = node_configs(3, 1, [1, 1, 1], K, seed=0)[0]
-        mux = InstanceMux(config)
-        assert DEFAULT_TXN in mux.instances
-        assert not mux.idle  # undecided default instance has work
+    def test_no_instance_before_a_submit_or_a_delivery(self):
+        mux = InstanceMux(node_configs(3, 1, [1, 1, 1], K, seed=0)[0])
+        assert mux.instances == {}
+        assert mux.idle
 
     def test_scans_cover_live_instances_not_history(self):
         """Closed stubs leave ``live`` and keep their decision; what is

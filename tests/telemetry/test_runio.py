@@ -174,6 +174,32 @@ class TestImportErrors:
         with pytest.raises(AnalysisError, match="malformed"):
             run_from_records([header, {"record": "event"}])
 
+    def test_header_without_dimensions(self):
+        header = {
+            "record": "header",
+            "schema": TRACE_SCHEMA,
+            "version": TRACE_VERSION,
+            "n": 3,
+            "t": 1,
+        }
+        with pytest.raises(AnalysisError, match="header without 'K'"):
+            run_from_records([header])
+
+    @pytest.mark.parametrize("record", [["event"], "final", 7, None])
+    def test_record_that_is_no_object(self, record):
+        header = {
+            "record": "header",
+            "schema": TRACE_SCHEMA,
+            "version": TRACE_VERSION,
+            "n": 3,
+            "t": 1,
+            "K": 4,
+        }
+        with pytest.raises(AnalysisError, match="no object"):
+            run_from_records([header, record])
+        with pytest.raises(AnalysisError, match="header"):
+            run_from_records([record])
+
     def test_invalid_json_line(self, tmp_path):
         path = tmp_path / "broken.jsonl"
         path.write_text('{"record": "header"\nnot json\n')
